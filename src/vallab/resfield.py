@@ -311,9 +311,9 @@ class RElem:
 
     def frobenius(self) -> "RElem":
         p = self.field.char
-        num = {e * p: c for e, c in self.num}
-        den = {e * p: c for e, c in self.den}
-        return _reduced(self.field, num, den)
+        # over F_p, f(w^p) = f(w)^p keeps a coprime pair coprime and monic
+        return RElem(self.field, tuple((e * p, c) for e, c in self.num),
+                     tuple((e * p, c) for e, c in self.den))
 
     def pth_root(self):
         """The unique y in the SAME field with y^p = x, or None."""

@@ -13,7 +13,9 @@ Values are computed by four rules:
   R1  every monomial gives the lower bound v(c) + sum e_i * v(gen_i);
   R2  a unique minimal monomial decides the value;
   R3  residues multiply through stored (mu, rho) data per generator;
-  R4  ties fall back to v(x) = v(x^p)/p, iterated within a budget.
+  R4  ties fall back to v(x) = v(x^p)/p, iterated within a budget; in
+      equal characteristic x^p is taken by Frobenius, sum c^p * prod
+      (gen_i^p)^{e_i}, with no generic products of x.
 
 Adjoining a root first classifies the step from the Newton polygon and
 the residue equation.  When neither a value jump nor a residue jump is
@@ -148,10 +150,7 @@ class TElem:
         if isinstance(other, int):
             other = self.tower.from_int(other)
         if other.tower is not self.tower:
-            if len(other.tower.gens) < len(self.tower.gens):
-                other = self.tower.lift(other)
-            elif len(other.tower.gens) > len(self.tower.gens):
-                raise ValidationError("element from a taller tower")
+            other = self.tower.lift(other)
         return other
 
     def __add__(self, other):
@@ -184,6 +183,8 @@ class TElem:
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative tower powers are not supported")
+        if n == self.tower.p and self.tower.base.eq_char:
+            return _frobenius(self)  # a ring map only in characteristic p
         out = self.tower.one()
         b = self
         while n:
@@ -212,9 +213,6 @@ class TElem:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def map_coeffs(self, fn) -> "TElem":
-        return TElem(self.tower, {e: fn(c) for e, c in self.coords.items()})
-
     def __repr__(self):
         return to_text(self)
 
@@ -236,6 +234,30 @@ def _reduce_into(tower: Tower, e: tuple, c, out: dict):
         out.pop(e, None)
     else:
         out[e] = s
+
+
+def _frobenius(x: TElem) -> TElem:
+    """x^p in characteristic p: sum of c^p * prod (gen_i^p)^{e_i}.
+
+    The freshman's dream makes x -> x^p additive and multiplicative, and
+    gen_i^p is the stored relation right-hand side, so no product of x
+    with itself is formed.
+    """
+    tower = x.tower
+    n = len(tower.gens)
+    out = {}
+    for e, c in x.coords.items():
+        term = tower.from_base(c.frobenius())
+        for i, ei in enumerate(e):
+            if ei:
+                # rhs tuples are as long as the tower was at attach time
+                rhs = TElem(tower, {re_ + (0,) * (n - len(re_)): rc
+                                    for re_, rc in tower.gens[i].rhs})
+                for _ in range(ei):
+                    term = term * rhs
+        for te, tc in term.coords.items():
+            _reduce_into(tower, te, tc, out)
+    return TElem(tower, out)
 
 
 def to_text(x: TElem) -> str:

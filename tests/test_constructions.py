@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from vallab import vbase
 from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_as_valgp, build_kummer_resf,
                                   build_kummer_valgp, build_lemma_3_3,
@@ -44,6 +45,21 @@ def test_as_valgp_small_primes():
         assert all((row["e"], row["f"], row["m"]) == (p, 1, 0) for row in rows)
         assert rows[-1]["new_value"] == str(Fraction(-1, p ** 3))
         assert rows[-1]["witness"].startswith("b2")
+
+
+def test_as_valgp_series_mul_count(monkeypatch):
+    # equal-characteristic p-th powers go through Frobenius; square-and-
+    # multiply made 2,635 series products here
+    calls = []
+    mul = vbase.SeriesElem.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(vbase.SeriesElem, "__mul__", counting)
+    build_as_valgp(7, depth=5)
+    assert len(calls) <= 500
 
 
 def test_lemma33_frozen():
@@ -137,6 +153,18 @@ def test_2ext_p3_frozen():
     assert [x.to_text() for x in r.extras["unit_residues"]] == \
         ["u^(1/3)", "u^(1/3)"]
     assert r.extras["witness_residue"].to_text() == "u^(1/9)"
+
+
+def test_elements_of_different_towers_do_not_mix():
+    tK, tA, done = build_2ext(3).towers
+    x, y = tK.gen_elem(0), tA.gen_elem(0)
+    with pytest.raises(ValidationError):
+        x + y
+    with pytest.raises(ValidationError):
+        x == y
+    with pytest.raises(ValidationError):
+        x + done.gen_elem(1)
+    assert done.gen_elem(0) == done.lift(x)
 
 
 def test_2ext_p2():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from vallab.errors import ValidationError
-from vallab.resfield import ResField, adjoin_pth_root, resfield_from_json
+from vallab.resfield import (ResField, _reduced, adjoin_pth_root,
+                             resfield_from_json)
 
 
 def rand_elem(field, rng, deg=4):
@@ -87,12 +88,19 @@ def test_cross_level_equality_and_hash():
 
 
 def test_frobenius_is_pth_power():
+    # frobenius skips the gcd: its num/den must be the reduced form anyway
     rng = random.Random(7)
-    for p in (2, 3, 5):
-        f = ResField(p, "ratfun")
-        for _ in range(20):
-            x = rand_elem(f, rng)
-            assert x.frobenius() == x ** p
+    for p in (2, 3, 5, 7):
+        for f in (ResField(p), ResField(p, "ratfun"),
+                  ResField(p, "perflevel", level=2)):
+            for _ in range(20):
+                x = rand_elem(f, rng) if f.has_variable() \
+                    else f.elem(rng.randrange(p))
+                y = x.frobenius()
+                ref = _reduced(f, {e * p: c for e, c in x.num},
+                               {e * p: c for e, c in x.den})
+                assert (y.num, y.den) == (ref.num, ref.den)
+                assert y == x ** p
 
 
 def test_pth_power_roundtrip():

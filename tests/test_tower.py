@@ -11,11 +11,13 @@ from fractions import Fraction
 
 import pytest
 
+from vallab.constructions import (build_as_resf, build_as_valgp,
+                                  build_lemma_3_3)
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
 from vallab.resfield import ResField
-from vallab.tower import (Tower, adjoin_root, as_expansion_terms, certificate,
-                          eval_expansion, ostrowski_m, residue,
+from vallab.tower import (TElem, Tower, adjoin_root, as_expansion_terms,
+                          certificate, eval_expansion, ostrowski_m, residue,
                           resolve_pending, val, vlb)
 from vallab.values import INFINITE, fr
 from vallab.vbase import EqBase
@@ -384,3 +386,64 @@ def test_eval_expansion_matches_engine_value():
         - tw.from_base(base.monomial(Fraction(-1, 9)))
     shadow = eval_expansion(b2, [theta], exp)
     assert shadow.val() == val(b2) == Fraction(-1, 27)
+
+
+# -- p-th powers by Frobenius ------------------------------------------------
+
+
+def _pfold(x, p):
+    out = x
+    for _ in range(p - 1):
+        out = out * x
+    return out
+
+
+def _rand_coeff(base, rng, denom):
+    res = base.res
+    terms = {}
+    for _ in range(rng.randrange(1, 3)):
+        if res.has_variable():
+            c = res.elem({rng.randrange(3): rng.randrange(1, base.p)})
+            for _ in range(rng.randrange(3)):
+                c = c.pth_root_extend()
+        else:
+            c = res.elem(rng.randrange(1, base.p))
+        terms[Fraction(rng.randrange(-3, 4), denom)] = c
+    return base.series(terms)
+
+
+def _rand_telem(tower, rng, denom):
+    out = tower.zero()
+    for _ in range(rng.randrange(1, 3)):
+        e = tuple(rng.randrange(tower.p) for _ in tower.gens)
+        out = out + TElem(tower, {e: _rand_coeff(tower.base, rng, denom)})
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_frobenius_power_matches_pfold_product(p):
+    rng = random.Random(1000 + p)
+    cases = [(build_as_resf(p, 3).towers[-1], p ** 2),    # Kummer floors, AS top
+             (build_as_valgp(p, 2).towers[-1], p ** 2),
+             (build_lemma_3_3(p).towers[0], 1)]
+    for tower, denom in cases:
+        assert tower.base.eq_char
+        for _ in range(3):
+            x = _rand_telem(tower, rng, denom)
+            assert x ** p == _pfold(x, p)
+
+
+def test_frobenius_power_sharpens_capped_coefficients():
+    for p in (2, 3, 5, 7):
+        tower = build_as_valgp(p, 1).towers[-1]
+        base = tower.base
+        cap = Fraction(2)
+        c = base.series({Fraction(-1, p): 1, fr(1): 1}, prec=cap)
+        x = TElem(tower, {(0,): c, (p - 1,): base.monomial(fr(1))})
+        frob, prod = x ** p, _pfold(x, p)
+        zero = base.zero()
+        for e in set(frob.coords) | set(prod.coords):
+            a, b = frob.coords.get(e, zero), prod.coords.get(e, zero)
+            assert a == b                  # every determinate term agrees
+            assert a.prec >= b.prec
+        assert frob.coords[(0,)].prec == p * cap > prod.coords[(0,)].prec
