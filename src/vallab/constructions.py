@@ -10,6 +10,7 @@ certificate is only produced when the arithmetic actually worked out.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .classify import _is_prime
 from .errors import PrecisionError, ValidationError
 from .ogroup import contains, ogroup
 from .resfield import ResField
@@ -35,7 +36,7 @@ def _check(cond: bool, msg: str):
 
 
 def _require_prime(p: int):
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not _is_prime(p):
         raise ValidationError("p must be a prime, got %r" % (p,))
 
 
@@ -425,6 +426,3 @@ BUILDERS = {
     "two-ext": build_2ext,
     "kummer-resf": build_kummer_resf,
 }
-
-# descriptor-level construction, defined next to the classifier it feeds
-from .classify import build_counterexample_descriptor  # noqa: E402,F401

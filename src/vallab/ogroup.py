@@ -19,6 +19,7 @@ is what makes the decomposition canonical enough for index computations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,14 +156,8 @@ def _scale_to_int(vecs):
     denom = 1
     for v in vecs:
         for c in v:
-            denom = denom * c.denominator // _gcd(denom, c.denominator)
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
     return [[int(c * denom) for c in v] for v in vecs], denom
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return abs(a)
 
 
 def _q_reducer(rows):
@@ -462,7 +457,7 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
                 psi.append(sol)
                 for q in sol:
                     dd = prime_to_p_part(q.denominator, p)
-                    nn = nn * dd // _gcd(nn, dd)
+                    nn = nn * dd // math.gcd(nn, dd)
             if nn > 1:
                 mrows = []
                 for row in psi:
@@ -623,7 +618,7 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
         lcm = 1
         for m in range(1, n + 1):
             if p <= 1 or m % p != 0:
-                g0 = _gcd(lcm, m)
+                g0 = math.gcd(lcm, m)
                 lcm = lcm * m // g0
         scale = Fraction(1, lcm)
         return ogroup([tuple(c * scale for c in v) for v in g.gens],

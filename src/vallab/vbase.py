@@ -5,10 +5,12 @@ restricted division):
 
 * equal characteristic: finite sums  sum c_gamma * t^gamma  with residue
   field coefficients and exponents in a fixed rank-1 group;
-* mixed characteristic: digit strings in a uniformizer w with w^E = s*p
-  (s = +-1), so v(w) = 1/E when v(p) = 1.  Digits are integers, or sparse
-  integer polynomials in u for Gauss-extended rings.  Digit strings are
-  kept unnormalized; a lazy carry walk produces reduced digits on demand.
+* mixed characteristic: sparse integer polynomials in a uniformizer w
+  with w^E = s*p (s = +-1), so v(w) = 1/E when v(p) = 1.  An element is
+  one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
+  transcendental residue u, and a plain ring is the case u-exponent = 0.
+  The integers are kept uncarried; a lazy carry walk produces the reduced
+  digits, {u-exponent: 1..p-1} per position, on demand.
 
 Precision is a position bound: coefficients at value >= prec (series) or
 digit position >= prec (p-adic) are unknown.  INFINITE prec means exact.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, ValidationError
@@ -29,17 +31,17 @@ from .values import INFINITE, Indeterminate, fr
 _MAX_DIV_STEPS = 400
 
 
-@dataclass(frozen=True)
-class Precision:
-    """Caps for construction runs; None means exact/unbounded."""
-
-    series_cap: object = None
-    padic_cap: object = None
-
-    def __post_init__(self):
-        for v in (self.series_cap, self.padic_cap):
-            if v is not None and not (v == INFINITE or v > 0):
-                raise ValidationError("precision caps must be positive")
+def _power(x, n: int):
+    """x**n by square-and-multiply; a negative n inverts x first."""
+    if n < 0:
+        return _power(x.base.one() / x, -n)
+    out = x.base.one()
+    while n:
+        if n & 1:
+            out = out * x
+        x = x * x
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +106,6 @@ class EqBase:
                 out[g] = c
         return SeriesElem(self, out, prec)
 
-    def with_group(self, group: OGroup) -> "EqBase":
-        return EqBase(self.p, self.res, group, self.name)
-
     def describe(self) -> str:
         res = "F_%d" % self.p if not self.res.has_variable() else \
             "F_%d(u)" % self.p if self.res.level == 0 else \
@@ -142,13 +141,6 @@ class SeriesElem:
         if v != 0:
             raise ValidationError("residue requires value exactly 0, got %s" % (v,))
         return self.terms[fr(0)]
-
-    def leading(self):
-        """(value, leading coefficient); value must be determinate."""
-        v = self.val()
-        if isinstance(v, Indeterminate) or v == INFINITE:
-            raise PrecisionError("leading term is below the precision cap")
-        return v, self.terms[v]
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -190,16 +182,7 @@ class SeriesElem:
         return SeriesElem(self.base, out, prec)
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (self.base.one() / self) ** (-n)
-        out = self.base.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
+        return _power(self, n)
 
     def __truediv__(self, other):
         other = _as_series(self.base, other)
@@ -333,8 +316,9 @@ def _prec_of_quotient(va, pa, vy, py):
 class PadicBase:
     """Digit ring in w with w^E = twist * p, normalized so v(p) = 1.
 
-    gauss=True adjoins a transcendental residue u: digits become sparse
-    integer polynomials in u (Laurent exponents allowed).
+    Elements are integer polynomials in w and u.  gauss=True adjoins a
+    transcendental residue u (Laurent exponents allowed); a plain ring is
+    the case where every u-exponent is 0.
     """
 
     p: int
@@ -361,16 +345,16 @@ class PadicBase:
     def residue_field(self) -> ResField:
         return ResField(self.p, "ratfun") if self.gauss else ResField(self.p)
 
-    # digits: int, or dict {u-exponent: int} when gauss
-
-    def _as_digit(self, c):
-        if isinstance(c, dict):
-            if not self.gauss:
-                raise ValidationError("polynomial digits need a Gauss ring")
-            return {e: int(x) for e, x in c.items() if int(x)}
+    def _as_digit(self, c) -> dict:
+        """One position's digit (int, {u-exponent: int} or RElem) as a dict."""
         if isinstance(c, RElem):
-            return _relem_to_digit(self, c)
-        return int(c)
+            c = _relem_to_digit(c)
+        elif isinstance(c, int):
+            c = {0: c}
+        d = {e: int(x) for e, x in c.items() if int(x)}
+        if not self.gauss and any(e != 0 for e in d):
+            raise ValidationError("polynomial digits need a Gauss ring")
+        return d
 
     def zero(self, prec=INFINITE) -> "PadicElem":
         return PadicElem(self, {}, prec)
@@ -379,16 +363,13 @@ class PadicBase:
         return self.from_int(1)
 
     def from_int(self, n: int) -> "PadicElem":
-        d = {0: n} if not self.gauss else {0: {0: n}}
-        return PadicElem(self, d if n else {}, INFINITE)
+        return PadicElem(self, {(0, 0): n}, INFINITE)
 
     def from_digits(self, digits: dict, prec=INFINITE) -> "PadicElem":
-        out = {}
-        for k, c in digits.items():
-            c = self._as_digit(c)
-            if _digit_nonzero(c):
-                out[int(k)] = c
-        return PadicElem(self, out, prec)
+        """{position: digit}, each digit an int, a {u-exponent: int} or an RElem."""
+        terms = {(int(k), e): x for k, c in digits.items()
+                 for e, x in self._as_digit(c).items()}
+        return PadicElem(self, terms, prec)
 
     def monomial(self, value, coeff=1) -> "PadicElem":
         value = fr(value)
@@ -408,102 +389,55 @@ class PadicBase:
                                          "-" if self.twist == 1 else "+", self.p)
 
 
-def _digit_nonzero(c) -> bool:
-    return bool(c) if isinstance(c, dict) else c != 0
-
-
-def _digit_add(a, b):
-    if isinstance(a, dict) or isinstance(b, dict):
-        out = dict(a) if isinstance(a, dict) else ({0: a} if a else {})
-        bb = b if isinstance(b, dict) else ({0: b} if b else {})
-        for e, c in bb.items():
-            out[e] = out.get(e, 0) + c
-        return {e: c for e, c in out.items() if c}
-    return a + b
-
-
-def _digit_neg(a):
-    if isinstance(a, dict):
-        return {e: -c for e, c in a.items()}
-    return -a
-
-
-def _digit_mul(a, b):
-    if isinstance(a, dict) and isinstance(b, dict):
-        out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return {e: c for e, c in out.items() if c}
-    if isinstance(a, dict):
-        return {e: c * b for e, c in a.items()} if b else {}
-    if isinstance(b, dict):
-        return {e: c * a for e, c in b.items()} if a else {}
-    return a * b
-
-
-def _relem_to_digit(base: PadicBase, r: RElem):
+def _relem_to_digit(r: RElem) -> dict:
     """A residue field element as a digit lift (ints mod p, monomial dens)."""
     den = dict(r.den)
-    num = dict(r.num)
     if list(den.values()) != [1] or len(den) != 1:
         raise ValidationError("only monomial-denominator residues lift to digits")
-    shift = next(iter(den))
-    if not base.gauss:
-        if any(e for e in num) or shift:
-            raise ValidationError("transcendental residue in a plain ring")
-        return num.get(0, 0)
     if r.level() != 0:
         raise ValidationError("residue lift must live at perfection level 0")
-    return {e - shift: c for e, c in num.items()}
+    shift, = den
+    return {e - shift: c for e, c in r.num}
 
 
 class PadicElem:
+    """The sum of c * w^k * u^e over digits = {(k, e): c}, known below position prec.
+
+    Coefficients are arbitrary integers and are not carried; the lazy walk
+    _norm_iter produces the reduced digits, each a {u-exponent: 1..p-1}
+    dict, in ascending position.
+    """
+
     __slots__ = ("base", "digits", "prec")
 
     def __init__(self, base: PadicBase, digits: dict, prec):
         self.base = base
-        self.digits = {k: d for k, d in digits.items()
-                       if _digit_nonzero(d) and (prec == INFINITE or k < prec)}
+        self.digits = {ke: c for ke, c in digits.items() if c and ke[0] < prec}
         self.prec = prec
 
     # -- normalization -------------------------------------------------------
 
     def _norm_iter(self):
-        """Yield (position, reduced digit) ascending, carrying base-p."""
+        """Yield (position, reduced digit) ascending, carrying base p."""
         p, E, s = self.base.p, self.base.E, self.base.twist
         wd = {}
-        for k, d in self.digits.items():
-            wd[k] = _digit_add(wd.get(k, 0 if not isinstance(d, dict) else {}), d)
+        for (k, e), c in self.digits.items():
+            d = wd.setdefault(k, {})
+            d[e] = d.get(e, 0) + c
         while wd:
             k = min(wd)
-            if self.prec != INFINITE and k >= self.prec:
+            if k >= self.prec:
                 return
-            c = wd.pop(k)
-            if isinstance(c, dict):
-                r = {e: x % p for e, x in c.items() if x % p}
-                q = {e: s * ((x - x % p) // p) for e, x in c.items()}
-                q = {e: x for e, x in q.items() if x}
+            r = {}
+            for e, c in wd.pop(k).items():
+                q, c = divmod(c, p)
                 if q:
-                    wd[k + E] = _digit_add(wd.get(k + E, {}), q)
-                if r:
-                    yield k, r
-            else:
-                r = c % p
-                q = s * ((c - r) // p)
-                if q:
-                    wd[k + E] = _digit_add(wd.get(k + E, 0), q)
-                if r:
-                    yield k, r
-
-    def normalized_digits(self, limit: int):
-        """Reduced digits at positions < limit (and < prec)."""
-        out = []
-        for k, d in self._norm_iter():
-            if k >= limit:
-                break
-            out.append((k, d))
-        return out
+                    d = wd.setdefault(k + E, {})
+                    d[e] = d.get(e, 0) + s * q
+                if c:
+                    r[e] = c
+            if r:
+                yield k, r
 
     def _first(self):
         for k, d in self._norm_iter():
@@ -529,27 +463,19 @@ class PadicElem:
             raise ValidationError("residue of (indistinguishable from) zero")
         if v != 0:
             raise ValidationError("residue requires value exactly 0, got %s" % (v,))
-        d = self._first()[1]
-        f = self.base.residue_field
-        return f.elem(d if isinstance(d, dict) else d % self.base.p)
-
-    def leading(self):
-        first = self._first()
-        if first is None:
-            raise PrecisionError("leading digit is below the precision cap")
-        return Fraction(first[0], self.base.E), first[1]
+        return self.base.residue_field.elem(self._first()[1])
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
         other = _as_padic(self.base, other)
         out = dict(self.digits)
-        for k, d in other.digits.items():
-            out[k] = _digit_add(out.get(k, 0 if not isinstance(d, dict) else {}), d)
+        for ke, c in other.digits.items():
+            out[ke] = out.get(ke, 0) + c
         return PadicElem(self.base, out, min(self.prec, other.prec))
 
     def __neg__(self):
-        return PadicElem(self.base, {k: _digit_neg(d) for k, d in self.digits.items()},
+        return PadicElem(self.base, {ke: -c for ke, c in self.digits.items()},
                          self.prec)
 
     def __sub__(self, other):
@@ -562,50 +488,38 @@ class PadicElem:
         pa = INFINITE if self.prec == INFINITE else Fraction(self.prec, E)
         pb = INFINITE if other.prec == INFINITE else Fraction(other.prec, E)
         prec = _prec_of_product(va, pa, vb, pb)
-        pos_cap = INFINITE if prec == INFINITE else math.floor(prec * E) + \
-            (0 if (prec * E).denominator == 1 else 1)
+        pos_cap = INFINITE if prec == INFINITE else math.ceil(prec * E)
         out = {}
-        for k1, d1 in self.digits.items():
-            for k2, d2 in other.digits.items():
-                k = k1 + k2
-                if pos_cap != INFINITE and k >= pos_cap:
-                    continue
-                out[k] = _digit_add(out.get(k, 0 if not (isinstance(d1, dict)
-                                                         or isinstance(d2, dict)) else {}),
-                                    _digit_mul(d1, d2))
+        for (k1, e1), c1 in self.digits.items():
+            for (k2, e2), c2 in other.digits.items():
+                if k1 + k2 < pos_cap:
+                    ke = (k1 + k2, e1 + e2)
+                    out[ke] = out.get(ke, 0) + c1 * c2
         return PadicElem(self.base, out, pos_cap)
 
     def __pow__(self, n: int):
-        if n < 0:
-            return (self.base.one() / self) ** (-n)
-        out = self.base.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
+        return _power(self, n)
 
     def __truediv__(self, other):
         other = _as_padic(self.base, other)
-        E = self.base.E
-        raw = [(k, d) for k, d in other.digits.items() if _digit_nonzero(d)]
-        if len(raw) == 1 and other.prec == INFINITE:
-            # single-term divisor with a +-1 coefficient: exact shift,
-            # no digit stream to walk (the quotient keeps raw digits)
-            inv = _exact_inverse_digit(raw[0][1])
-            if inv is not None:
-                k0 = raw[0][0]
-                digits = {k - k0: _digit_mul(d, inv)
-                          for k, d in self.digits.items()}
-                prec = self.prec if self.prec == INFINITE else self.prec - k0
-                return PadicElem(self.base, digits, prec)
+        p, E = self.base.p, self.base.E
+        if len(other.digits) == 1 and other.prec == INFINITE:
+            (k0, e0), c0 = next(iter(other.digits.items()))
+            if c0 in (1, -1):
+                # divisor +-w^k0 u^e0: exact shift, no digit stream to walk
+                # (the quotient keeps raw digits)
+                digits = {(k - k0, e - e0): c * c0
+                          for (k, e), c in self.digits.items()}
+                return PadicElem(self.base, digits, self.prec - k0)
         lead = other._first()
         if lead is None:
             raise PrecisionError("division by (indistinguishable from) zero")
         k0, d0 = lead
-        inv = _digit_inverse(d0, self.base.p)
+        if len(d0) != 1:
+            raise ValidationError(
+                "division by a non-monomial leading digit is not supported")
+        (e0, c0), = d0.items()
+        inv = pow(c0, p - 2, p)
         va = self.val()
         pa = INFINITE if self.prec == INFINITE else Fraction(self.prec, E)
         py = INFINITE if other.prec == INFINITE else Fraction(other.prec, E)
@@ -617,19 +531,18 @@ class PadicElem:
         while True:
             first = r._first()
             if first is None:
-                if r.prec == INFINITE:
-                    return PadicElem(self.base, q, target)
                 return PadicElem(self.base, q, min(target, r.prec - k0))
             vr, dr = first
-            if target != INFINITE and vr - k0 >= target:
+            if vr - k0 >= target:
                 return PadicElem(self.base, q, target)
             steps += 1
             if steps > _MAX_DIV_STEPS:
                 raise PrecisionError(
                     "digit division did not terminate; set a finite precision cap")
-            qd = _digit_reduce(_digit_mul(dr, inv), self.base.p)
-            q[vr - k0] = _digit_add(q.get(vr - k0, 0 if not isinstance(qd, dict) else {}), qd)
-            r = r - PadicElem(self.base, {vr - k0: qd}, INFINITE) * other
+            qd = {(vr - k0, e - e0): c * inv % p for e, c in dr.items()}
+            for ke, c in qd.items():
+                q[ke] = q.get(ke, 0) + c
+            r = r - PadicElem(self.base, qd, INFINITE) * other
 
     def __eq__(self, other):
         """Indistinguishability: no determinate digit separates the two."""
@@ -643,8 +556,8 @@ class PadicElem:
 
     def to_text(self, limit: int = 24) -> str:
         name = self.base.name
-        cap = limit if self.prec == INFINITE else min(limit, self.prec)
-        floor = min(self.digits) if self.digits else 0
+        cap = min(limit, self.prec)
+        floor = min((k for k, _ in self.digits), default=0)
         cap = max(cap, floor + limit)
         parts = []
         exhausted = True
@@ -669,11 +582,9 @@ class PadicElem:
         return self.to_text()
 
 
-def _digit_text(d) -> str:
-    if not isinstance(d, dict):
-        return str(d)
-    if set(d) <= {0}:
-        return str(d.get(0, 0))
+def _digit_text(d: dict) -> str:
+    if set(d) == {0}:
+        return str(d[0])
     parts = []
     for e in sorted(d):
         c = d[e]
@@ -683,34 +594,6 @@ def _digit_text(d) -> str:
             ue = "u" if e == 1 else "u^%d" % e if e > 0 else "u^(%d)" % e
             parts.append(ue if c == 1 else "%d*%s" % (c, ue))
     return "(%s)" % " + ".join(parts)
-
-
-def _digit_reduce(d, p):
-    if isinstance(d, dict):
-        return {e: c % p for e, c in d.items() if c % p}
-    return d % p
-
-
-def _digit_inverse(d, p):
-    """Inverse of a reduced digit; ints always, polynomials only monomials."""
-    if not isinstance(d, dict):
-        return pow(d % p, p - 2, p)
-    if len(d) != 1:
-        raise ValidationError(
-            "division by a non-monomial leading digit is not supported")
-    (e, c), = d.items()
-    return {-e: pow(c % p, p - 2, p)}
-
-
-def _exact_inverse_digit(d):
-    """Inverse of a digit that inverts over Z: +-1, or a single +-1 u-term."""
-    if isinstance(d, dict):
-        if len(d) == 1:
-            (e, c), = d.items()
-            if c in (1, -1):
-                return {-e: c}
-        return None
-    return d if d in (1, -1) else None
 
 
 def _as_padic(base: PadicBase, x) -> PadicElem:
@@ -740,6 +623,12 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
         return base.from_int(-2)  # zeta_2 = -1 exactly
     if E % (p - 1):
         raise ValidationError("ring cannot host zeta_%d (need (p-1) | E)" % p)
+    if prec <= E:
+        # the residual's constant term p sits at position E: with no digit
+        # below the cap to act on, the search would return 0 for lambda
+        raise PrecisionError(
+            "lambda = zeta_%d - 1 needs a p-adic cap above %d digit positions "
+            "(at least %d), got %d" % (p, E, E + 1, prec))
     coeffs = [math.comb(p, j + 1) for j in range(p)]  # Phi_p(1+X) = sum c_j X^j
 
     def g_at(x):
@@ -901,11 +790,9 @@ def padic_from_text(base: PadicBase, text: str) -> PadicElem:
     for exp, coeff in terms:
         if exp.denominator != 1:
             raise ValidationError("digit positions must be integers")
-        if coeff.lstrip("-").isdigit():
-            d = int(coeff)
-        else:
-            d = _parse_u_poly(coeff)
-        digits[int(exp)] = _digit_add(digits.get(int(exp), 0 if not isinstance(d, dict)
-                                                 else {}), d)
+        poly = {0: int(coeff)} if coeff.lstrip("-").isdigit() else _parse_u_poly(coeff)
+        d = digits.setdefault(int(exp), {})
+        for e, c in poly.items():
+            d[e] = d.get(e, 0) + c
     pp = INFINITE if prec == INFINITE else int(prec)
     return base.from_digits(digits, pp)

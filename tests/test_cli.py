@@ -37,6 +37,15 @@ def test_construct_underfunded_precision_exits_two():
     assert "12" in res.stderr  # names the needed digit positions
 
 
+def test_construct_lambda_cap_below_E_exits_two():
+    # the default cap (depth + 3 = 4) is below E = 6 for p = 7
+    res = run("construct", "--example", "kummer-valgp", "--p", "7",
+              "--depth", "1")
+    assert res.returncode == 2
+    assert "precision exhausted: lambda = zeta_7 - 1" in res.stderr
+    assert "at least 7" in res.stderr
+
+
 def test_construct_deterministic_output():
     a = run("construct", "--example", "kummer-resf", "--p", "2",
             "--depth", "1")

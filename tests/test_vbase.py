@@ -7,7 +7,7 @@ from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import ogroup
 from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
-from vallab.vbase import (EqBase, PadicBase, Precision, cached_zeta_lambda,
+from vallab.vbase import (EqBase, PadicBase, cached_zeta_lambda,
                           padic_from_text, series_from_text, zeta_lambda)
 
 
@@ -218,6 +218,40 @@ def test_padic_nonmonomial_digit_division_rejected():
         g.one() / y
 
 
+def _text_or_error(f):
+    try:
+        return f().to_text()
+    except (PrecisionError, ValidationError) as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plain_ring_matches_gauss_ring_at_u0(p):
+    """Fed the same integer digits, a Gauss ring behaves like the plain ring."""
+    rng = random.Random(100 + p)
+    for E, s in ((1, 1), (p - 1, -1), (2, -1)):
+        rings = PadicBase(p, E, s), PadicBase(p, E, s, gauss=True)
+        for _ in range(15):
+            # a capped dividend keeps every division finite
+            args = [({rng.randrange(-2, 5): rng.randrange(-2 * p, 2 * p)
+                      for _ in range(rng.randint(1, 4))}, prec)
+                    for prec in (rng.choice([6, 9]), rng.choice([INFINITE, 6, 9]))]
+            seen = []
+            for b in rings:
+                x, y = (b.from_digits(d, prec) for d, prec in args)
+                seen.append((str(x.val()), x.to_text(), (x + y).to_text(),
+                             (x * y).to_text(), _text_or_error(lambda: x / y)))
+            assert seen[0] == seen[1]
+
+
+def test_plain_ring_rejects_u_digits():
+    b = q3()
+    with pytest.raises(ValidationError, match="Gauss ring"):
+        b.from_digits({0: {1: 1}})
+    with pytest.raises(ValidationError, match="Gauss ring"):
+        padic_from_text(b, "(1 + u)*w")
+
+
 def test_padic_text_roundtrip():
     b = q3()
     x = b.from_digits({-1: 2, 0: 1, 3: 2}, prec=6)
@@ -278,8 +312,9 @@ def test_lambda_requires_compatible_ring():
         zeta_lambda(PadicBase(3, 3, twist=-1), 6)
 
 
-def test_precision_holder():
-    Precision(series_cap=F(5), padic_cap=12)
-    Precision()
-    with pytest.raises(ValidationError):
-        Precision(series_cap=0)
+def test_lambda_needs_cap_above_E():
+    # lambda sits at position E/(p-1) = 1, but the residual's constant term
+    # p sits at position E = 6: below a cap of 7 the search sees nothing
+    with pytest.raises(PrecisionError, match="at least 7"):
+        zeta_lambda(PadicBase(7, 6, -1), 6)
+    assert zeta_lambda(PadicBase(7, 6, -1), 7).val() == F(1, 6)
