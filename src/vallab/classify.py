@@ -13,8 +13,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ValidationError
-from .ogroup import (OGroup, contains, convex_core, cyclic, is_p_divisible,
-                     is_roughly_p_divisible, lex_compose, ogroup,
+from .ogroup import (OGroup, _coerce_vec, _lex_positive, contains,
+                     convex_core, cyclic, is_p_divisible,
+                     is_roughly_p_divisible, lex_compose, project,
                      project_trailing, same_group)
 from .ogroup import from_json as group_from_json
 from .ogroup import to_json as group_to_json
@@ -93,35 +94,6 @@ def _residue_text(rf) -> str:
     return "F_%d(u^(1/%d))" % (rf.char, rf.char ** rf.level)
 
 
-def _coerce_vec(x, rank: int):
-    if isinstance(x, (tuple, list)):
-        vec = tuple(Fraction(c) for c in x)
-    else:
-        vec = (Fraction(x),)
-    if len(vec) != rank:
-        raise ValidationError("vp has %d coordinates, the group has rank %d"
-                              % (len(vec), rank))
-    return vec
-
-
-def _lex_sign(vec) -> int:
-    for c in vec:
-        if c != 0:
-            return 1 if c > 0 else -1
-    return 0
-
-
-def _group_text(g: OGroup) -> str:
-    parts = []
-    for i, gen in enumerate(g.gens):
-        s = "(" + ", ".join(str(c) for c in gen) + ")" if g.rank > 1 \
-            else str(gen[0])
-        if i in g.p_closed:
-            s += "/%d^inf" % g.prime
-        parts.append(s)
-    return "<" + ("; ".join(parts) if parts else "0") + ">"
-
-
 @dataclass
 class FieldDescriptor:
     """Symbolic description of a valued field.
@@ -177,7 +149,7 @@ class FieldDescriptor:
             self.vp = vec
             if not contains(self.value_group, vec):
                 raise ValidationError("vp must lie in the value group")
-            if _lex_sign(vec) <= 0:
+            if not _lex_positive(vec):
                 raise ValidationError("vp must be positive")
         elif self.vp is not None:
             raise ValidationError("vp only applies when char = 0 and "
@@ -346,21 +318,14 @@ def _vp_not_smallest(g: OGroup, vec, p: int):
         deeper = project_trailing(tail, 1)
         if not deeper.is_trivial():
             return True, ("a positive element below the leading coordinate "
-                          "of v(p): convex part %s" % _group_text(deeper))
+                          "of v(p): convex part %s" % deeper)
     q = vec[ell]
-    gens, closed = [], set()
-    for i, gen in enumerate(tail.gens):
-        if gen[0] != 0:
-            if i in tail.p_closed:
-                closed.add(len(gens))
-            gens.append((gen[0],))
-    head = ogroup(gens, closed=closed,
-                  prime=tail.prime if closed else 1, rank=1)
+    head = project(tail, 0, 1)
     if same_group(head, cyclic(q)):
         return False, ("the convex core of v(p) maps onto <%s> with v(p) "
                        "minimal positive" % q)
     return True, ("the leading-coordinate image %s of the convex core is "
-                  "strictly finer than <%s>" % (_group_text(head), q))
+                  "strictly finer than <%s>" % (head, q))
 
 
 def check(d: FieldDescriptor) -> ClassReport:
@@ -404,13 +369,13 @@ def check(d: FieldDescriptor) -> ClassReport:
         r = is_p_divisible(d.value_group, p)
         v["TF1"] = tv(r)
         ev["TF1"] = "computed: %s %s %d-divisible" % (
-            _group_text(d.value_group), "is" if r else "is not", p)
+            d.value_group, "is" if r else "is not", p)
         if d.char == p:
             rr = is_roughly_p_divisible(d.value_group, None, p)
             v["RTF1"] = tv(rr)
             ev["RTF1"] = ("computed: equal characteristic, the convex core "
                           "is the whole group; %s %s %d-divisible" % (
-                              _group_text(d.value_group),
+                              d.value_group,
                               "is" if rr else "is not", p))
         else:
             rr = is_roughly_p_divisible(d.value_group, d.vp, p)

@@ -18,7 +18,7 @@ import sys
 
 from .classify import (build_counterexample_descriptor, check,
                        audit_implications, descriptor_from_json)
-from .constructions import BUILDERS
+from .constructions import BUILDERS, _require_prime
 from .corpus import corpus_member, corpus_names, shipped_corpus, tame_core
 from .errors import PrecisionError, ValidationError
 from .ogroup import from_json as group_from_json
@@ -84,6 +84,7 @@ def _cmd_construct(args) -> int:
         if args.format == "tsv":
             raise ValidationError("tsv output projects certificate rows; "
                                   "compose-desc emits a descriptor")
+        _require_prime(args.p)
         desc = build_counterexample_descriptor(tame_core(args.p))
         _emit(_json_text(desc.to_json()), args.out)
         return 0
@@ -161,6 +162,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hull(args) -> int:
+    _require_prime(args.p)
     _check_writable(args.out)
     try:
         with open(args.group) as fh:
@@ -196,9 +198,6 @@ def build_parser() -> _Parser:
     con.add_argument("--padic-cap", type=int, default=None,
                      help="p-adic digit positions for mixed-characteristic "
                           "builds that invert truncated units")
-    con.add_argument("--series-cap", type=int, default=None,
-                     help="accepted for interface stability; the "
-                          "equal-characteristic builds are exact")
     con.add_argument("--out", default=None, help="output file (stdout)")
     con.add_argument("--format", choices=("json", "tsv"), default="json")
     con.set_defaults(fn=_cmd_construct)

@@ -13,21 +13,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def xgcd(a: int, b: int):
-    """Return (g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def row_echelon(rows, track=False):
     """Integer row echelon form by euclidean row operations.
 

@@ -1,7 +1,7 @@
 """Lower Newton polygons over an ordered value group.
 
-Works generically over any ordinate type supporting subtraction, integer
-multiplication, division by int, and total order (Fraction, LexValue).
+Ordinates are rank-1 values: Fractions, with INFINITE for a vanishing
+coefficient; the polygon arithmetic on them stays exact.
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ValidationError
 from .intlinalg import (
     det,
     diagonalize_with_basis,
@@ -34,18 +35,14 @@ from .intlinalg import (
     rational_solve,
     row_echelon,
 )
-from .values import INFINITE, LexValue, fr
+from .values import INFINITE, fr
 
 
 def _coerce_vec(x, rank: int):
-    if isinstance(x, LexValue):
-        v = x.coords
-    elif isinstance(x, (tuple, list)):
-        v = tuple(fr(c) for c in x)
-    else:
-        v = (fr(x),)
+    """A value as a tuple of rank Fractions; a bare rational is rank 1."""
+    v = tuple(fr(c) for c in x) if isinstance(x, (tuple, list)) else (fr(x),)
     if len(v) != rank:
-        raise ValueError("rank mismatch: expected %d coordinates, got %d" % (rank, len(v)))
+        raise ValidationError("rank mismatch: expected %d coordinates, got %d" % (rank, len(v)))
     return v
 
 
@@ -72,12 +69,12 @@ class OGroup:
 
     def __post_init__(self):
         if self.rank < 1:
-            raise ValueError("rank must be at least 1")
+            raise ValidationError("rank must be at least 1")
         if self.prime == 1 and self.p_closed:
-            raise ValueError("prime 1 admits no p-closed generators")
+            raise ValidationError("prime 1 admits no p-closed generators")
         for i in self.p_closed:
             if not (0 <= i < len(self.gens)):
-                raise ValueError("p_closed index out of range")
+                raise ValidationError("p_closed index out of range")
 
     def closed_gens(self):
         return [self.gens[i] for i in sorted(self.p_closed)]
@@ -89,33 +86,29 @@ class OGroup:
         return not self.gens
 
     def __repr__(self):
+        """Generators in order, "/p^inf" marking the p-closed ones."""
         parts = []
         for i, g in enumerate(self.gens):
             s = "(" + ", ".join(str(c) for c in g) + ")" if self.rank > 1 else str(g[0])
             if i in self.p_closed:
-                s += "~1/%d" % self.prime
+                s += "/%d^inf" % self.prime
             parts.append(s)
-        return "OGroup<%s>" % ("; ".join(parts) or "0")
+        return "<" + ("; ".join(parts) if parts else "0") + ">"
 
 
 def ogroup(gens, closed=(), prime: int = 1, rank=None) -> OGroup:
     """Build an OGroup from loose generator data.
 
-    gens may contain Fractions, ints, LexValues or coordinate sequences.
+    gens may contain Fractions, ints or coordinate sequences.
     closed is an iterable of indices into gens (positions, pre-filter);
     zero generators are dropped with indices renumbered.
     """
     gens = list(gens)
     if rank is None:
         if not gens:
-            raise ValueError("rank required for a trivial group")
+            raise ValidationError("rank required for a trivial group")
         probe = gens[0]
-        if isinstance(probe, LexValue):
-            rank = probe.rank
-        elif isinstance(probe, (tuple, list)):
-            rank = len(probe)
-        else:
-            rank = 1
+        rank = len(probe) if isinstance(probe, (tuple, list)) else 1
     closed = set(closed)
     vecs = []
     new_closed = set()
@@ -127,7 +120,7 @@ def ogroup(gens, closed=(), prime: int = 1, rank=None) -> OGroup:
             new_closed.add(len(vecs))
         vecs.append(v)
     if prime == 1 and new_closed:
-        raise ValueError("closed generators require a prime > 1")
+        raise ValidationError("closed generators require a prime > 1")
     return OGroup(rank=rank, gens=tuple(vecs), p_closed=frozenset(new_closed), prime=prime)
 
 
@@ -284,7 +277,7 @@ def in_divisible_part(g: OGroup, x) -> bool:
 def subset(g: OGroup, h: OGroup) -> bool:
     """Whether h is contained in g (h's closed gens must land divisibly)."""
     if g.rank != h.rank:
-        raise ValueError("rank mismatch")
+        raise ValidationError("rank mismatch")
     if h.p_closed and g.prime != h.prime:
         # a q-divisible nonzero element cannot sit inside a group whose
         # divisible summand is closed under a different prime only
@@ -311,9 +304,9 @@ def index(g: OGroup, h: OGroup):
     times the free determinant.
     """
     if g.rank != h.rank:
-        raise ValueError("rank mismatch")
+        raise ValidationError("rank mismatch")
     if not subset(g, h):
-        raise ValueError("h is not a subgroup of g")
+        raise ValidationError("h is not a subgroup of g")
     cg, ch = _canon(g), _canon(h)
     if len(cg.div) != len(ch.div) or len(cg.cols) != len(ch.cols):
         return INFINITE
@@ -366,7 +359,7 @@ def join(g: OGroup, extra_gens, closed=()) -> OGroup:
     cl = set(g.p_closed) | {len(g.gens) + i for i in closed}
     prime = g.prime
     if cl and prime == 1:
-        raise ValueError("cannot close generators without a prime")
+        raise ValidationError("cannot close generators without a prime")
     return OGroup(rank=g.rank, gens=tuple(gens), p_closed=frozenset(cl), prime=prime)
 
 
@@ -515,9 +508,9 @@ def convex_core(g: OGroup, x, p: int) -> ConvexPart:
     """
     vec = _coerce_vec(x, g.rank)
     if not contains(g, vec):
-        raise ValueError("x is not an element of the group")
+        raise ValidationError("x is not an element of the group")
     if not _lex_positive(vec):
-        raise ValueError("x must be positive")
+        raise ValidationError("x must be positive")
     ell = _leading_index(vec)
     return ConvexPart(group=_convex_at(g, ell), cut_index=ell)
 
@@ -532,55 +525,27 @@ def is_roughly_p_divisible(g: OGroup, vp, p: int) -> bool:
     return is_p_divisible(convex_core(g, vp, p).group, p)
 
 
-def quotient_by_convex(g: OGroup, h: ConvexPart) -> OGroup:
-    """g modulo a convex subgroup: the leading cut_index coordinates."""
-    ell = h.cut_index
-    if ell == 0:
-        raise ValueError("quotient by the whole group is not represented")
-    if ell > g.rank:
-        raise ValueError("cut index exceeds rank")
-    expected = _convex_at(g, ell)
-    if not same_group(expected, h.group):
-        raise ValueError("not the convex subgroup of g at this cut")
-    for i, gen in enumerate(h.group.gens):
-        if any(c != 0 for c in gen[:ell]):
-            raise ValueError("subgroup does not vanish on the leading coordinates")
-    gens = []
-    closed = set()
-    for i, gen in enumerate(g.gens):
-        head = gen[:ell]
-        if any(c != 0 for c in head):
-            if i in g.p_closed:
-                closed.add(len(gens))
-            gens.append(head)
-    prime = g.prime if closed else 1
-    if not gens:
-        return trivial(ell)
-    return ogroup(gens, closed=closed, prime=prime, rank=ell)
-
-
 def project_trailing(g: OGroup, ell: int) -> OGroup:
     """Drop the leading ell coordinates of the convex part at ell.
 
     Used to compare a composed group's lower block against a core
     group given in its own coordinates.
     """
-    part = _convex_at(g, ell)
-    rank = g.rank - ell
-    if rank < 1:
-        raise ValueError("nothing left after projection")
-    gens = []
-    closed = set()
-    for i, gen in enumerate(part.gens):
-        tail = gen[ell:]
-        if any(c != 0 for c in tail):
-            if i in part.p_closed:
-                closed.add(len(gens))
-            gens.append(tail)
-    prime = part.prime if closed else 1
-    if not gens:
-        return trivial(rank)
-    return ogroup(gens, closed=closed, prime=prime, rank=rank)
+    if ell >= g.rank:
+        raise ValidationError("nothing left after projection")
+    return project(_convex_at(g, ell), ell, g.rank)
+
+
+def project(g: OGroup, lo: int, hi: int) -> OGroup:
+    """The image of g on the coordinates lo..hi-1.
+
+    Generators keep their order and their p-closure; the prime stays
+    only while a closed generator survives the projection.
+    """
+    gens = [gen[lo:hi] for gen in g.gens]
+    closed = [i for i in g.p_closed if any(gens[i])]
+    return ogroup(gens, closed=closed, prime=g.prime if closed else 1,
+                  rank=hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -599,22 +564,22 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
     if kind == "p_div":
         if level == "exact":
             if p <= 1:
-                raise ValueError("exact p-divisible hull needs a prime")
+                raise ValidationError("exact p-divisible hull needs a prime")
             if g.prime not in (1, p) and g.p_closed:
-                raise ValueError("conflicting primes")
+                raise ValidationError("conflicting primes")
             return ogroup(list(g.gens), closed=range(len(g.gens)), prime=p, rank=g.rank)
         k = int(level)
         if k < 0:
-            raise ValueError("negative hull level")
+            raise ValidationError("negative hull level")
         scale = Fraction(1, p ** k)
         return ogroup([tuple(c * scale for c in v) for v in g.gens],
                       closed=g.p_closed, prime=g.prime, rank=g.rank)
     if kind == "p_prime_div":
         if level == "exact":
-            raise ValueError("the full prime-to-p hull is not finitely presented")
+            raise ValidationError("the full prime-to-p hull is not finitely presented")
         n = int(level)
         if n < 1:
-            raise ValueError("hull level must be positive")
+            raise ValidationError("hull level must be positive")
         lcm = 1
         for m in range(1, n + 1):
             if p <= 1 or m % p != 0:
@@ -623,7 +588,7 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
         scale = Fraction(1, lcm)
         return ogroup([tuple(c * scale for c in v) for v in g.gens],
                       closed=g.p_closed, prime=g.prime, rank=g.rank)
-    raise ValueError("unknown hull kind: %r" % (kind,))
+    raise ValidationError("unknown hull kind: %r" % (kind,))
 
 
 def lex_compose(outer: OGroup, inner: OGroup) -> OGroup:
@@ -635,7 +600,7 @@ def lex_compose(outer: OGroup, inner: OGroup) -> OGroup:
     elif inner.prime == 1:
         prime = outer.prime
     else:
-        raise ValueError("incompatible primes %d and %d" % (outer.prime, inner.prime))
+        raise ValidationError("incompatible primes %d and %d" % (outer.prime, inner.prime))
     rank = outer.rank + inner.rank
     gens = []
     closed = set()

@@ -13,6 +13,23 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 
+
+def power(x, n: int, one):
+    """x**n for n >= 0 by square-and-multiply, shared by every element class.
+
+    Starts from x and never squares past the top bit, so x**2 costs one
+    product; one() is called only for n = 0.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if not n:
+            return one() if out is None else out
+        x = x * x
+
+
 # sparse polynomials: dict {exponent >= 0: coefficient in 1..p-1}
 
 
@@ -146,12 +163,6 @@ class ResField:
             raise ValidationError("no transcendental in a finite field")
         return RElem(self, _freeze({self.char ** self.level: 1}), _freeze({0: 1}))
 
-    def root_gen(self) -> "RElem":
-        """u^{1/p^level}, the defining root of this level."""
-        if not self.has_variable():
-            raise ValidationError("no transcendental in a finite field")
-        return RElem(self, _freeze({1: 1}), _freeze({0: 1}))
-
     def elements(self):
         """All field elements; prime fields only (used by brute force)."""
         self._require_prime_arith()
@@ -231,9 +242,6 @@ class RElem:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_one(self) -> bool:
-        return _thaw(self.num) == {0: 1} and _thaw(self.den) == {0: 1}
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -274,14 +282,7 @@ class RElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = self.field.one().at_level(self.level())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: self.field.one().at_level(self.level()))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -379,23 +380,3 @@ def coerce_pair(a: RElem, b) -> tuple:
             a = RElem(b.field, a.num, a.den)
     lv = max(a.level(), b.level())
     return a.at_level(lv), b.at_level(lv)
-
-
-def pth_root(x: RElem):
-    return x.pth_root()
-
-
-def frobenius(x: RElem) -> RElem:
-    return x.frobenius()
-
-
-def adjoin_pth_root(field: ResField, x: RElem):
-    """Extend by a p-th root of x; degree p, next perfection level.
-
-    Returns (finer field, image of the new root).  Raises when x already
-    has a root in place (the adjunction would be degenerate).
-    """
-    if x.pth_root() is not None:
-        raise ValidationError("element already has a p-th root here")
-    root = x.pth_root_extend()
-    return root.field, root

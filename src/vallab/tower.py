@@ -32,7 +32,7 @@ from fractions import Fraction
 from .errors import PrecisionError, ValidationError
 from .newton import single_slope
 from .ogroup import contains as group_contains, index as group_index, join
-from .resfield import RElem
+from .resfield import RElem, power
 from .values import INFINITE, Indeterminate, fr
 
 
@@ -185,14 +185,7 @@ class TElem:
             raise ValidationError("negative tower powers are not supported")
         if n == self.tower.p and self.tower.base.eq_char:
             return _frobenius(self)  # a ring map only in characteristic p
-        out = self.tower.one()
-        b = self
-        while n:
-            if n & 1:
-                out = out * b
-            b = b * b
-            n >>= 1
-        return out
+        return power(self, n, self.tower.one)
 
     def __truediv__(self, other):
         """Division by a base element (or base-constant tower element)."""

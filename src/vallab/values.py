@@ -1,11 +1,12 @@
-"""Exact value arithmetic: rationals, lexicographic vectors, infinity.
+"""Exact value arithmetic: rationals, infinity, precision bounds.
 
-Values of a valuation live either in Q (rank one, represented by plain
-Fraction) or in Q^r ordered lexicographically with the most significant
-coordinate first (LexValue).  The value of zero is INFINITE, which is
-math.inf and compares correctly against both Fraction and LexValue.  An
-element that vanishes to working precision has an Indeterminate value:
-all that is known about it is a lower bound.
+A rank-one value is a plain Fraction.  A value in Q^r, ordered
+lexicographically with the most significant coordinate first, is a
+tuple of r Fractions; ogroup holds the helpers that coerce and compare
+such tuples.  The value of zero is INFINITE, which is math.inf and
+compares correctly against Fraction.  An element that vanishes to
+working precision has an Indeterminate value: all that is known about
+it is a lower bound.
 """
 
 from __future__ import annotations
@@ -40,155 +41,3 @@ class Indeterminate:
 
     def __repr__(self):
         return "Indeterminate(>=%s)" % (self.bound,)
-
-
-def is_indeterminate(v) -> bool:
-    return isinstance(v, Indeterminate)
-
-
-def _is_pos_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x) and x > 0
-
-
-def _is_neg_inf(x) -> bool:
-    return isinstance(x, float) and math.isinf(x) and x < 0
-
-
-class LexValue:
-    """A vector in Q^r compared lexicographically, most significant first."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, *coords):
-        if len(coords) == 1 and isinstance(coords[0], (tuple, list)):
-            coords = tuple(coords[0])
-        if not coords:
-            raise ValueError("LexValue needs at least one coordinate")
-        object.__setattr__(self, "coords", tuple(fr(c) for c in coords))
-
-    @classmethod
-    def zero(cls, rank: int) -> "LexValue":
-        return cls(*([0] * rank))
-
-    @property
-    def rank(self) -> int:
-        return len(self.coords)
-
-    def leading_index(self):
-        """Index of the first nonzero coordinate, or None for zero."""
-        for i, c in enumerate(self.coords):
-            if c != 0:
-                return i
-        return None
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def as_fraction(self) -> Fraction:
-        if len(self.coords) != 1:
-            raise ValueError("not a rank-1 value: %r" % (self,))
-        return self.coords[0]
-
-    def _coerce(self, other):
-        if isinstance(other, LexValue):
-            if other.rank != self.rank:
-                raise ValueError("rank mismatch: %d vs %d" % (self.rank, other.rank))
-            return other
-        return None
-
-    # arithmetic
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LexValue(*(a + b for a, b in zip(self.coords, o.coords)))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return LexValue(*(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __neg__(self):
-        return LexValue(*(-a for a in self.coords))
-
-    def __mul__(self, k):
-        if isinstance(k, (int, Fraction)):
-            return LexValue(*(a * k for a in self.coords))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, k):
-        if isinstance(k, (int, Fraction)):
-            return LexValue(*(a / k for a in self.coords))
-        return NotImplemented
-
-    # lexicographic order; +inf/-inf floats are accepted as the values
-    # of zero (and its negation) so polygon code can mix them in freely
-
-    def _cmp(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return None
-        if self.coords == o.coords:
-            return 0
-        return -1 if self.coords < o.coords else 1
-
-    def __eq__(self, other):
-        if isinstance(other, LexValue):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("LexValue", self.coords))
-
-    def __lt__(self, other):
-        if _is_pos_inf(other):
-            return True
-        if _is_neg_inf(other):
-            return False
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c < 0
-
-    def __le__(self, other):
-        if _is_pos_inf(other):
-            return True
-        if _is_neg_inf(other):
-            return False
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c <= 0
-
-    def __gt__(self, other):
-        if _is_pos_inf(other):
-            return False
-        if _is_neg_inf(other):
-            return True
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c > 0
-
-    def __ge__(self, other):
-        if _is_pos_inf(other):
-            return False
-        if _is_neg_inf(other):
-            return True
-        c = self._cmp(other)
-        if c is None:
-            return NotImplemented
-        return c >= 0
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __repr__(self):
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import PrecisionError, ValidationError
 from .ogroup import OGroup, contains as group_contains, ogroup
-from .resfield import RElem, ResField
+from .resfield import RElem, ResField, power
 from .values import INFINITE, Indeterminate, fr
 
 _MAX_DIV_STEPS = 400
@@ -34,14 +34,8 @@ _MAX_DIV_STEPS = 400
 def _power(x, n: int):
     """x**n by square-and-multiply; a negative n inverts x first."""
     if n < 0:
-        return _power(x.base.one() / x, -n)
-    out = x.base.one()
-    while n:
-        if n & 1:
-            out = out * x
-        x = x * x
-        n >>= 1
-    return out
+        x, n = x.base.one() / x, -n
+    return power(x, n, x.base.one)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +160,7 @@ class SeriesElem:
 
     def __mul__(self, other):
         other = _as_series(self.base, other)
-        va, vb = self.val(), other.val()
-        prec = _prec_of_product(va, self.prec, vb, other.prec)
+        prec = _prec_of_product(self, self.prec, other, other.prec)
         out = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
@@ -283,16 +276,17 @@ def _as_series(base: EqBase, x) -> SeriesElem:
     raise ValidationError("cannot coerce %r into the series ring" % (x,))
 
 
-def _prec_of_product(va, pa, vb, pb):
-    if pa == INFINITE and pb == INFINITE:
-        return INFINITE
+def _prec_of_product(a, pa, b, pb):
+    """Precision of a*b: each factor's cap plus the other factor's value.
+
+    A factor's value is read only when the other factor is capped.
+    """
     terms = []
-    if pb != INFINITE:
-        terms.append((pb + va) if not isinstance(va, Indeterminate) else pb + va.bound)
-    if pa != INFINITE:
-        terms.append((pa + vb) if not isinstance(vb, Indeterminate) else pa + vb.bound)
-    terms = [t for t in terms if t != INFINITE]
-    return min(terms) if terms else INFINITE
+    for cap, x in ((pb, a), (pa, b)):
+        if cap != INFINITE:
+            v = x.val()
+            terms.append(cap + (v.bound if isinstance(v, Indeterminate) else v))
+    return min(terms, default=INFINITE)
 
 
 def _prec_of_quotient(va, pa, vy, py):
@@ -484,10 +478,9 @@ class PadicElem:
     def __mul__(self, other):
         other = _as_padic(self.base, other)
         E = self.base.E
-        va, vb = self.val(), other.val()
         pa = INFINITE if self.prec == INFINITE else Fraction(self.prec, E)
         pb = INFINITE if other.prec == INFINITE else Fraction(other.prec, E)
-        prec = _prec_of_product(va, pa, vb, pb)
+        prec = _prec_of_product(self, pa, other, pb)
         pos_cap = INFINITE if prec == INFINITE else math.ceil(prec * E)
         out = {}
         for (k1, e1), c1 in self.digits.items():

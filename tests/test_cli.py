@@ -1,9 +1,15 @@
 """End-to-end runs of the command line, pinned by exit code and output."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+
+import pytest
+
+from vallab.cli import main
+from vallab.corpus import corpus_names
 
 BASE = [sys.executable, "-m", "vallab.cli"]
 
@@ -199,3 +205,52 @@ def test_hull_malformed_group(tmp_path):
               "--level", "exact", "--p", "3")
     assert res.returncode == 1
     assert "malformed" in res.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("hull", "--kind", "p_div", "--p", "3", "--level", "-1"),
+    ("hull", "--kind", "p_prime_div", "--p", "3", "--level", "exact"),
+    ("hull", "--kind", "p_div", "--p", "1", "--level", "exact"),
+    ("hull", "--kind", "p_div", "--p", "4"),
+    ("construct", "--example", "compose-desc", "--p", "1"),
+], ids=["hull-negative-level", "hull-exact-prime-to-p", "hull-p1",
+        "hull-composite-p", "compose-desc-p1"])
+def test_bad_input_exits_one_without_traceback(tmp_path, args):
+    if args[0] == "hull":
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"rank": 1, "gens": [[1, 1]], "p_closed": [], "prime": 1}))
+        args += ("--group", str(path))
+    res = run(*args)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+# sha256 of the JSON printed by `vallab classify`, recorded before the
+# value-group layer was consolidated; evidence strings must not move
+CLASSIFY_DIGESTS = {
+    "laurent-f3": "14d79c3696fbc5050bdb487dd010b2c3da06295f0180e2f6826e2f12c1d15a04",
+    "laurent-f2u": "43ef1808b8743c3a92c3b28cbbe870ab35917addec55e9524f563d7ac8f608b8",
+    "hahn-f3-perfected": "e15232f966cfeb65f44b6765ea4e76dc25166123c4f3eaeac5c23f1e2dfa057e",
+    "hahn-f3u": "6db635163e64813b0c7e9dca8f8b2f6bed28a1359157386472a8a815dba00308",
+    "ratfun-f2-t": "e64ff7ea19fb37994ea2c3e27f3e97fd8e39cf450cc32050463fa69f908051a7",
+    "laurent-q": "560b10c0d98810148a985324e46a8bd340eccf24b4e290704a54cdddc7582d1e",
+    "q2": "1f6a1a3c69b8ead6b0b781a7fe711af1fc036836eeb1e78ee66ba691e97d451c",
+    "q3-zeta3": "0367af6702234eeea57b1ca256b3102b4d38c65cecb239e389179dec0bbe3d87",
+    "q3-deep": "117ca7d58a8a1886dc6cba2bb98f9630ce79d8b96f88f6815f3ed93c11ea19b5",
+    "tame-core-abstract": "bd74db6803400e369c0b3d53d4d7bedd4451059ae0ba1218048119220c3df901",
+    "composed-counterexample": "8bdca487423e68222fcd36403e1371e5f77cd0ac880e4b783b8b365149ecbbb3",
+    "composed-discrete-core": "15f4adf1eef4d2b482dd3c47a03e83e4860ffb6d01621af513648f347dd4bab2",
+    "--audit": "5be7196c88107213459a17fa6aa9cb499e1401307c5d9bae7cf11c9df8b469d0",
+}
+
+
+def test_classify_output_bytes_are_pinned(capsys):
+    assert sorted(CLASSIFY_DIGESTS) == sorted(corpus_names() + ["--audit"])
+    for name, digest in CLASSIFY_DIGESTS.items():
+        argv = ["classify", "--audit"] if name == "--audit" \
+            else ["classify", "--descriptor", name]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, name

@@ -12,21 +12,9 @@ from vallab.intlinalg import (
     prime_to_p_part,
     rational_solve,
     row_echelon,
-    xgcd,
 )
 
 from helpers import perm_det
-
-
-def test_xgcd_identity():
-    rng = random.Random(1)
-    for _ in range(100):
-        a, b = rng.randint(-50, 50), rng.randint(-50, 50)
-        g, x, y = xgcd(a, b)
-        assert g >= 0
-        assert a * x + b * y == g
-        if a or b:
-            assert a % g == 0 and b % g == 0
 
 
 def test_row_echelon_shape_and_transform():

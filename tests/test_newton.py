@@ -5,7 +5,7 @@ import pytest
 
 from vallab.errors import PrecisionError, ValidationError
 from vallab.newton import root_values, segments, single_slope
-from vallab.values import INFINITE, Indeterminate, LexValue
+from vallab.values import INFINITE, Indeterminate
 
 
 def test_frozen_artin_schreier_pole():
@@ -70,11 +70,3 @@ def test_sum_rule_random_products():
             expanded.extend([v] * m)
         assert sorted(expanded) == sorted(roots)
         assert sum(v * m for v, m in got) == vals[0] - vals[-1]
-
-
-def test_lex_value_ordinates():
-    # rank-2 ordinates: polygon arithmetic stays exact
-    a = LexValue(0, 1)
-    vals = [a + a, a, LexValue(0, 0)]
-    assert root_values(vals) == [(a, 2)]
-    assert segments(vals)[0][0] == -a

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from vallab.ogroup import (
-    ConvexPart,
     contains,
     convex_core,
     cyclic,
@@ -17,14 +16,14 @@ from vallab.ogroup import (
     join,
     lex_compose,
     ogroup,
+    project,
     project_trailing,
-    quotient_by_convex,
     same_group,
     subset,
     to_json,
     trivial,
 )
-from vallab.values import INFINITE, LexValue
+from vallab.values import INFINITE
 
 from helpers import rank1_member, sample_elements
 
@@ -81,9 +80,9 @@ def test_in_divisible_part():
     assert not in_divisible_part(g, F(1, 5))
     # rank two: genuinely free directions stay outside the divisible part
     g2 = lex_compose(ogroup([1], closed=[0], prime=2), cyclic(F(1, 3)))
-    assert in_divisible_part(g2, LexValue(F(5, 8), 0))
-    assert not in_divisible_part(g2, LexValue(0, F(1, 3)))
-    assert contains(g2, LexValue(0, F(1, 3)))
+    assert in_divisible_part(g2, (F(5, 8), 0))
+    assert not in_divisible_part(g2, (0, F(1, 3)))
+    assert contains(g2, (0, F(1, 3)))
 
 
 def test_absorbed_free_generator_joins_divisible_part():
@@ -104,7 +103,7 @@ def test_subset_and_same_group():
     assert not subset(zp, ogroup([1], closed=[0], prime=2))
     assert same_group(ogroup([2, 3]), cyclic(1))
     with pytest.raises(ValueError):
-        subset(cyclic(1), cyclic(LexValue(1, 1)))
+        subset(cyclic(1), cyclic((1, 1)))
 
 
 def test_index_frozen_examples():
@@ -173,10 +172,10 @@ def test_convex_core_rank_one_is_whole_group():
 
 def test_convex_core_rank_two():
     g = lex_compose(cyclic(1), cyclic(F(1, 2)))
-    part = convex_core(g, LexValue(0, F(3, 2)), 2)
+    part = convex_core(g, (0, F(3, 2)), 2)
     assert part.cut_index == 1
     assert same_group(part.group, ogroup([(0, F(1, 2))], rank=2))
-    whole = convex_core(g, LexValue(1, 0), 2)
+    whole = convex_core(g, (1, 0), 2)
     assert whole.cut_index == 0
     assert same_group(whole.group, g)
 
@@ -185,19 +184,19 @@ def test_convex_part_saturates_against_divisible_block():
     # sigma maps the closed generator to 3; dividing it by p = 3 lets the
     # free generator cancel exactly, so the kernel is Z*(0,1), not Z*(0,3)
     g = ogroup([(3, 0), (1, 1)], closed=[0], prime=3)
-    part = convex_core(g, LexValue(0, 1), 3)
+    part = convex_core(g, (0, 1), 3)
     assert same_group(part.group, ogroup([(0, 1)], rank=2))
-    assert contains(g, LexValue(0, 1))
+    assert contains(g, (0, 1))
 
 
 def test_convex_part_respects_prime_to_p_congruence():
     # cancelling the head needs half the closed generator, and 1/2 is not
     # allowed in Z[1/3]; only even multiples of the free generator die
     g = ogroup([(2, 0), (1, 1)], closed=[0], prime=3)
-    part = convex_core(g, LexValue(0, 2), 3)
+    part = convex_core(g, (0, 2), 3)
     assert same_group(part.group, ogroup([(0, 2)], rank=2))
-    assert not contains(g, LexValue(0, 1))
-    assert contains(g, LexValue(0, 2))
+    assert not contains(g, (0, 1))
+    assert contains(g, (0, 2))
 
 
 def test_convex_part_sampling_consistency():
@@ -210,7 +209,7 @@ def test_convex_part_sampling_consistency():
         g = ogroup(gens, closed=range(nclosed), prime=p if nclosed else 1)
         if g.is_trivial():
             continue
-        h = convex_core(g, LexValue(0, 1), p).group if contains(g, LexValue(0, 1)) else None
+        h = convex_core(g, (0, 1), p).group if contains(g, (0, 1)) else None
         if h is None:
             continue
         # soundness: generators of the part lie in g and have zero head
@@ -231,33 +230,21 @@ def test_is_roughly_p_divisible():
     zp3 = ogroup([1], closed=[0], prime=3)
     g = lex_compose(cyclic(1), zp3)
     assert not is_p_divisible(g, 3)
-    assert is_roughly_p_divisible(g, LexValue(0, 1), 3)
-    assert not is_roughly_p_divisible(g, LexValue(1, 0), 3)
+    assert is_roughly_p_divisible(g, (0, 1), 3)
+    assert not is_roughly_p_divisible(g, (1, 0), 3)
     flipped = lex_compose(zp3, cyclic(1))
-    assert not is_roughly_p_divisible(flipped, LexValue(0, 1), 3)
+    assert not is_roughly_p_divisible(flipped, (0, 1), 3)
     # equal characteristic: no distinguished element, whole group decides
     assert is_roughly_p_divisible(zp3, None, 3)
     assert not is_roughly_p_divisible(g, None, 3)
 
 
-def test_quotient_by_convex():
-    g = lex_compose(cyclic(1), cyclic(F(1, 2)))
-    part = convex_core(g, LexValue(0, F(1, 2)), 2)
-    q = quotient_by_convex(g, part)
-    assert q.rank == 1
-    assert same_group(q, cyclic(1))
-    with pytest.raises(ValueError):
-        quotient_by_convex(g, ConvexPart(group=cyclic(1), cut_index=0))
-    bad = ConvexPart(group=ogroup([(0, 1)], rank=2), cut_index=1)
-    with pytest.raises(ValueError):
-        quotient_by_convex(g, bad)
-
-
 def test_quotient_keeps_divisibility():
     zp = ogroup([1], closed=[0], prime=2)
     g = lex_compose(zp, cyclic(1))
-    part = convex_core(g, LexValue(0, 1), 2)
-    q = quotient_by_convex(g, part)
+    part = convex_core(g, (0, 1), 2)
+    # g modulo its convex part at cut ell is the image on the leading ell
+    q = project(g, 0, part.cut_index)
     assert same_group(q, ogroup([1], closed=[0], prime=2))
     assert is_p_divisible(q, 2)
 
@@ -299,8 +286,8 @@ def test_hull_p_prime_div():
 def test_lex_compose():
     g = lex_compose(cyclic(1), ogroup([1], closed=[0], prime=3))
     assert g.rank == 2
-    assert contains(g, LexValue(2, F(1, 27)))
-    assert not contains(g, LexValue(F(1, 3), 0))
+    assert contains(g, (2, F(1, 27)))
+    assert not contains(g, (F(1, 3), 0))
     with pytest.raises(ValueError):
         lex_compose(ogroup([1], closed=[0], prime=2),
                     ogroup([1], closed=[0], prime=3))

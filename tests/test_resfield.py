@@ -3,8 +3,7 @@ import random
 import pytest
 
 from vallab.errors import ValidationError
-from vallab.resfield import (ResField, _reduced, adjoin_pth_root,
-                             resfield_from_json)
+from vallab.resfield import ResField, _reduced, resfield_from_json
 
 
 def rand_elem(field, rng, deg=4):
@@ -70,13 +69,15 @@ def test_pth_root_extend_and_halves():
 
 def test_adjoin_pth_root_chain():
     f = ResField(2, "ratfun")
-    f1, r1 = adjoin_pth_root(f, f.gen())
-    assert f1.level == 1
-    f2, r2 = adjoin_pth_root(f1, r1)
-    assert f2.level == 2
+    assert f.gen().pth_root() is None
+    r1 = f.gen().pth_root_extend()
+    assert r1.field.level == 1
+    assert r1.pth_root() is None
+    r2 = r1.pth_root_extend()
+    assert r2.field.level == 2
     assert r2 * r2 == r1
-    with pytest.raises(ValidationError):
-        adjoin_pth_root(f, f.gen() ** 2)  # u^2 already has a root
+    # u^2 already has a root in place: no new level
+    assert (f.gen() ** 2).pth_root_extend().field.level == 0
 
 
 def test_cross_level_equality_and_hash():

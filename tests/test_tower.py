@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from vallab.constructions import (build_as_resf, build_as_valgp,
+from vallab.constructions import (build_2ext, build_as_resf, build_as_valgp,
                                   build_lemma_3_3)
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
@@ -20,7 +20,7 @@ from vallab.tower import (TElem, Tower, adjoin_root, as_expansion_terms,
                           certificate, eval_expansion, ostrowski_m, residue,
                           resolve_pending, val, vlb)
 from vallab.values import INFINITE, fr
-from vallab.vbase import EqBase
+from vallab.vbase import EqBase, PadicBase, PadicElem
 
 
 def laurent(p, denom=1, closed=False, ratfun=False):
@@ -447,3 +447,27 @@ def test_frobenius_power_sharpens_capped_coefficients():
             assert a == b                  # every determinate term agrees
             assert a.prec >= b.prec
         assert frob.coords[(0,)].prec == p * cap > prod.coords[(0,)].prec
+
+
+
+def test_power_products_count(monkeypatch):
+    # square-and-multiply from x itself: x**2 is one product, x**5 three
+    tK = build_2ext(3).towers[0]
+    cases = ((PadicElem, PadicBase(3, 2, twist=-1).from_digits({0: 2, 1: 1})),
+             (TElem, tK.gen_elem(0) + tK.from_base(tK.base.from_int(1))))
+    for cls, x in cases:
+        x2, x5 = x * x, x * x * x * x * x
+        calls = []
+        orig = cls.__mul__
+
+        def counted(self, other, orig=orig):
+            calls.append(1)
+            return orig(self, other)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+        y2 = x ** 2
+        assert len(calls) == 1
+        y5 = x ** 5
+        assert len(calls) == 1 + 3
+        monkeypatch.undo()
+        assert y2 == x2 and y5 == x5

@@ -1,10 +1,11 @@
-import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from vallab.values import INFINITE, Indeterminate, LexValue, fr, is_indeterminate
+from vallab.errors import ValidationError
+from vallab.ogroup import _coerce_vec, _leading_index, _lex_positive
+from vallab.values import Indeterminate, fr
 
 
 def test_fr_coercion():
@@ -13,82 +14,53 @@ def test_fr_coercion():
     assert fr("7/4") == Fraction(7, 4)
 
 
-def test_lexvalue_construction():
-    a = LexValue(1, 2)
-    assert a.rank == 2
-    assert a[0] == 1 and a[1] == 2
-    b = LexValue([Fraction(1, 3)])
-    assert b.rank == 1
-    assert LexValue.zero(3) == LexValue(0, 0, 0)
-    with pytest.raises(ValueError):
-        LexValue()
-
-
-def test_lex_order_is_leftmost_significant():
-    assert LexValue(0, 5) < LexValue(1, -100)
-    assert LexValue(1, 0) > LexValue(0, 99)
-    assert LexValue(1, 2) < LexValue(1, 3)
-    assert LexValue(-1, 0) < LexValue(0, 0)
-    assert LexValue(2, 7) == LexValue(2, 7)
-    assert LexValue(2, 7) <= LexValue(2, 7)
-
-
-def test_lex_vs_infinite():
-    v = LexValue(10, 10)
-    assert v < INFINITE
-    assert not (v > INFINITE)
-    assert INFINITE > v
-    assert v > -math.inf
-
-
-def test_arithmetic():
-    a = LexValue(1, 2)
-    b = LexValue(0, 5)
-    assert a + b == LexValue(1, 7)
-    assert a - b == LexValue(1, -3)
-    assert -a == LexValue(-1, -2)
-    assert 3 * a == LexValue(3, 6)
-    assert a * Fraction(1, 2) == LexValue(Fraction(1, 2), 1)
-    assert a / 2 == LexValue(Fraction(1, 2), 1)
-    with pytest.raises(ValueError):
-        a + LexValue(1)
-
-
-def test_leading_index_and_zero():
-    assert LexValue(0, 0, 3).leading_index() == 2
-    assert LexValue(1, 0).leading_index() == 0
-    assert LexValue(0, 0).leading_index() is None
-    assert LexValue(0, 0).is_zero()
-    assert not LexValue(0, 1).is_zero()
-
-
-def test_as_fraction_only_rank_one():
-    assert LexValue(Fraction(2, 3)).as_fraction() == Fraction(2, 3)
-    with pytest.raises(ValueError):
-        LexValue(1, 2).as_fraction()
-
-
-def test_hash_consistency():
-    assert hash(LexValue(1, 2)) == hash(LexValue(Fraction(1), Fraction(2)))
-    s = {LexValue(1, 2), LexValue(1, 2), LexValue(2, 1)}
-    assert len(s) == 2
-
-
 def test_indeterminate_has_no_order():
     u = Indeterminate(Fraction(5))
-    assert is_indeterminate(u)
-    assert not is_indeterminate(LexValue(1))
     assert "5" in repr(u)
     with pytest.raises(TypeError):
         u < Indeterminate(Fraction(5))  # noqa: B015
 
 
+# a rank-r value is a tuple of Fractions; ogroup owns its lex helpers
+
+
+def test_lex_order_is_leftmost_significant():
+    def less(a, b):
+        return _lex_positive(tuple(y - x for x, y in zip(a, b)))
+
+    assert less((0, 5), (1, -100))
+    assert less((0, 99), (1, 0))
+    assert less((1, 2), (1, 3))
+    assert less((-1, 0), (0, 0))
+    assert not less((2, 7), (2, 7))
+
+
+def test_leading_index_and_zero():
+    assert _leading_index((0, 0, 3)) == 2
+    assert _leading_index((1, 0)) == 0
+    assert _leading_index((0, 0)) is None
+    assert not _lex_positive((0, 0))
+    assert _lex_positive(_coerce_vec((0, 1), 2))
+    assert _coerce_vec(Fraction(2, 3), 1) == (Fraction(2, 3),)
+    with pytest.raises(ValidationError):
+        _coerce_vec((1, 2), 1)
+
+
 def test_order_total_on_random_pairs():
     rng = random.Random(0)
+
+    def rand_vec(den):
+        return tuple(Fraction(rng.randint(-5, 5), rng.randint(1, den))
+                     for _ in range(3))
+
     for _ in range(200):
-        a = LexValue(*[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
-        b = LexValue(*[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(3)])
-        assert (a < b) + (a == b) + (a > b) == 1
-        if a < b:
-            c = LexValue(*[Fraction(rng.randint(-3, 3)) for _ in range(3)])
-            assert a + c < b + c
+        a, b = rand_vec(4), rand_vec(4)
+        d = tuple(y - x for x, y in zip(a, b))
+        below = _lex_positive(d)
+        above = _lex_positive(tuple(-x for x in d))
+        assert below + (a == b) + above == 1
+        assert below == (a < b)  # tuple order is the lex order
+        c = rand_vec(1)
+        ac = tuple(x + z for x, z in zip(a, c))
+        bc = tuple(y + z for y, z in zip(b, c))
+        assert _lex_positive(tuple(y - x for x, y in zip(ac, bc))) == below

@@ -7,8 +7,9 @@ from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import ogroup
 from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
-from vallab.vbase import (EqBase, PadicBase, cached_zeta_lambda,
-                          padic_from_text, series_from_text, zeta_lambda)
+from vallab.vbase import (EqBase, PadicBase, PadicElem, SeriesElem,
+                          cached_zeta_lambda, padic_from_text,
+                          series_from_text, zeta_lambda)
 
 
 def laurent(p, closed=False, level=0):
@@ -318,3 +319,25 @@ def test_lambda_needs_cap_above_E():
     with pytest.raises(PrecisionError, match="at least 7"):
         zeta_lambda(PadicBase(7, 6, -1), 6)
     assert zeta_lambda(PadicBase(7, 6, -1), 7).val() == F(1, 6)
+
+
+def test_product_reads_values_only_for_capped_factors(monkeypatch):
+    # the precision of a*b needs v(a) only when b is capped, and vice versa
+    s = laurent(3)
+    q = q3()
+    cases = ((SeriesElem, s.monomial(1) + s.from_int(2), s.series({2: 1}, prec=F(5))),
+             (PadicElem, q.from_digits({0: 2, 1: 1}), q.from_digits({0: 1}, prec=4)))
+    for cls, exact, capped in cases:
+        calls = []
+        orig = cls.val
+
+        def counted(self, orig=orig):
+            calls.append(self)
+            return orig(self)
+
+        monkeypatch.setattr(cls, "val", counted)
+        exact * exact
+        assert calls == []
+        capped * exact
+        assert calls == [exact]
+        monkeypatch.undo()
