@@ -12,7 +12,7 @@ string naming the computation, oracle flag or derivation behind it.
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, json_fraction, json_get
 from .ogroup import (OGroup, _coerce_vec, _lex_positive, contains,
                      convex_core, cyclic, is_p_divisible,
                      is_roughly_p_divisible, lex_compose, project,
@@ -79,8 +79,8 @@ class AbstractResidue:
 
 
 def _residue_from_json(d: dict):
-    if d.get("kind") == "abstract":
-        return AbstractResidue(perfect=bool(d["perfect"]))
+    if json_get(d, "kind", "residue field") == "abstract":
+        return AbstractResidue(json_get(d, "perfect", "residue field", bool))
     return resfield_from_json(d)
 
 
@@ -220,26 +220,28 @@ class FieldDescriptor:
 
 
 def descriptor_from_json(d: dict) -> FieldDescriptor:
-    group = group_from_json(d["value_group"])
-    vp = d.get("vp")
+    """A descriptor from to_json's form; a schema violation is a ValidationError."""
+    what = "descriptor"
+    group = group_from_json(json_get(d, "value_group", what))
+    vp = json_get(d, "vp", what, default=None)
     if vp is not None:
-        if vp and isinstance(vp[0], (list, tuple)):
-            vp = tuple(Fraction(int(a), int(b)) for a, b in vp)
+        if isinstance(vp, list) and vp and isinstance(vp[0], list):
+            vp = tuple(json_fraction(c, "descriptor vp") for c in vp)
         else:
-            vp = Fraction(int(vp[0]), int(vp[1]))
-    comp = None
-    if d.get("composition"):
-        comp = (descriptor_from_json(d["composition"]["outer"]),
-                descriptor_from_json(d["composition"]["core"]))
+            vp = json_fraction(vp, "descriptor vp")
+    comp = json_get(d, "composition", what, dict, None)
+    if comp:
+        comp = tuple(descriptor_from_json(json_get(comp, k, "composition"))
+                     for k in ("outer", "core"))
     return FieldDescriptor(
         name=d.get("name", "descriptor"),
-        char=int(d["char"]),
-        res_char=int(d["res_char"]),
+        char=json_get(d, "char", what, int),
+        res_char=json_get(d, "res_char", what, int),
         value_group=group,
         vp=vp,
-        residue_field=_residue_from_json(d["residue_field"]),
-        oracle_flags={k: v for k, v in d.get("oracle_flags", {}).items()},
-        composition=comp,
+        residue_field=_residue_from_json(json_get(d, "residue_field", what)),
+        oracle_flags=dict(json_get(d, "oracle_flags", what, dict, {})),
+        composition=comp or None,
         note=d.get("note", ""),
     )
 

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and the JSON input checks that raise them."""
+
+from fractions import Fraction
 
 
 class VallabError(Exception):
@@ -14,3 +16,45 @@ class ValidationError(VallabError, ValueError):
 
 class PrecisionError(VallabError):
     """A result cannot be certified at the working precision."""
+
+
+_REQUIRED = object()
+
+
+def json_get(d, key: str, what: str, kind=None, default=_REQUIRED):
+    """d[key] from the JSON object `what`, checked to be a `kind` if given.
+
+    A missing key returns `default` when one is given and is a
+    ValidationError naming the key otherwise.
+    """
+    if not isinstance(d, dict):
+        raise ValidationError("%s must be a JSON object, got %r" % (what, d))
+    if key not in d:
+        if default is _REQUIRED:
+            raise ValidationError("%s lacks the key %r" % (what, key))
+        return default
+    x = d[key]
+    if kind is int:
+        return json_int(x, "%s key %r" % (what, key))
+    if kind is not None and not isinstance(x, kind):
+        raise ValidationError("%s key %r must be a %s, got %r"
+                              % (what, key, kind.__name__, x))
+    return x
+
+
+def json_int(x, what: str) -> int:
+    """A JSON integer; a float, string or boolean is a ValidationError."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValidationError("%s must be an integer, got %r" % (what, x))
+    return x
+
+
+def json_fraction(pair, what: str) -> Fraction:
+    """A rational written as the JSON pair [numerator, denominator]."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValidationError("%s must be a [numerator, denominator] pair, "
+                              "got %r" % (what, pair))
+    num, den = (json_int(x, what) for x in pair)
+    if den == 0:
+        raise ValidationError("%s has denominator 0" % what)
+    return Fraction(num, den)

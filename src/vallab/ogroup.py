@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ValidationError
+from .errors import ValidationError, json_fraction, json_get, json_int
 from .intlinalg import (
     det,
     diagonalize_with_basis,
@@ -638,16 +638,16 @@ def to_json(g: OGroup) -> dict:
 
 
 def from_json(d: dict) -> OGroup:
-    rank = int(d["rank"])
-
-    def dec(pair):
-        return Fraction(int(pair[0]), int(pair[1]))
-
+    """A group from to_json's form; each generator a pair or a list of pairs."""
+    what = "value group"
+    rank = json_get(d, "rank", what, int)
     gens = []
-    for item in d["gens"]:
-        if rank == 1 and len(item) == 2 and not isinstance(item[0], (list, tuple)):
-            gens.append((dec(item),))
-        else:
-            gens.append(tuple(dec(c) for c in item))
-    return ogroup(gens, closed=d.get("p_closed", ()), prime=int(d.get("prime", 1)),
+    for i, item in enumerate(json_get(d, "gens", what, list)):
+        coords = item if isinstance(item, list) and item and \
+            isinstance(item[0], list) else [item]
+        gens.append(tuple(json_fraction(c, "%s generator %d" % (what, i))
+                          for c in coords))
+    closed = [json_int(i, "%s p_closed index" % what)
+              for i in json_get(d, "p_closed", what, list, [])]
+    return ogroup(gens, closed=closed, prime=json_get(d, "prime", what, int, 1),
                   rank=rank)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, json_get
 
 
 def power(x, n: int, one):
@@ -179,12 +179,16 @@ class ResField:
 
 
 def resfield_from_json(d: dict) -> ResField:
-    kind = d["kind"]
+    what = "residue field"
+    kind = json_get(d, "kind", what)
+    if kind not in ("finite", "ratfun", "perflevel"):
+        raise ValidationError("unknown residue field kind %r" % (kind,))
+    char = json_get(d, "char", what, int)
     if kind == "finite":
-        return ResField(int(d["char"]), "finite", q=int(d.get("q", d["char"])))
-    if kind == "ratfun":
-        return ResField(int(d["char"]), "ratfun")
-    return ResField(int(d["char"]), "perflevel", level=int(d["level"]))
+        return ResField(char, kind, q=json_get(d, "q", what, int, char))
+    if kind == "perflevel":
+        return ResField(char, kind, level=json_get(d, "level", what, int))
+    return ResField(char, kind)
 
 
 def _freeze(d: dict) -> tuple:

@@ -607,68 +607,54 @@ def _as_padic(base: PadicBase, x) -> PadicElem:
 def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
     """lambda = zeta_p - 1 in the digit ring, to `prec` digit positions.
 
-    Solves Phi_p(1+X) = 0 greedily one digit at a time.  Requires
-    (p-1) | E so the root's value 1/(p-1) lands on a digit position.
+    The root has value 1/(p-1), so (p-1) | E and lambda = w^m * y with
+    m = E/(p-1) and y a unit.  Write Phi_p(1+X) = X^(p-1) + p*h(X) with
+    h(X) = sum_j (C(p, j+1)/p) X^j; since w^E = s*p, lambda is a root
+    exactly when
+
+        G(y) = s*y^(p-1) + h(w^m * y) = 0.
+
+    Mod w this reads s*y^(p-1) + 1 = 0, which needs s = -1 for odd p and
+    then has the simple root y = 1: G'(y) = s(p-1)y^(p-2) mod w is a unit.
+    Newton's step y <- y - G(y)/G'(y) therefore doubles the correct digits
+    of y; the working cap doubles from 1 to prec - m, with one division
+    per step.  (Newton on Phi_p(1+X) itself fails Hensel's condition from
+    one digit when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
     """
 
-    p, E = base.p, base.E
+    p, E, s = base.p, base.E, base.twist
     if p == 2:
         return base.from_int(-2)  # zeta_2 = -1 exactly
     if E % (p - 1):
         raise ValidationError("ring cannot host zeta_%d (need (p-1) | E)" % p)
+    if s != -1:
+        raise ValidationError("ring cannot host zeta_%d (need w^E = -p)" % p)
     if prec <= E:
-        # the residual's constant term p sits at position E: with no digit
-        # below the cap to act on, the search would return 0 for lambda
+        # Phi_p(1+X) has the constant term p, at position E: a cap <= E
+        # cannot tell lambda from 0
         raise PrecisionError(
             "lambda = zeta_%d - 1 needs a p-adic cap above %d digit positions "
             "(at least %d), got %d" % (p, E, E + 1, prec))
-    coeffs = [math.comb(p, j + 1) for j in range(p)]  # Phi_p(1+X) = sum c_j X^j
+    m = E // (p - 1)
+    # G(y) = sum_j g[j] * y^j and G'(y) = sum_j dg[j] * y^j
+    g = [base.from_digits({j * m: math.comb(p, j + 1) // p})
+         for j in range(p - 1)] + [base.from_int(s)]
+    dg = [g[j] * j for j in range(1, p)]
 
-    def g_at(x):
-        acc = base.zero(prec)
-        xp = base.one()
-        for c in coeffs:
-            acc = acc + xp * c
-            xp = xp * x
+    def horner(coeffs, y):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * y + c
         return acc
 
-    x = base.zero(prec)
-    guard = 0
-    while True:
-        r = g_at(x)
-        vr = r.val()
-        if isinstance(vr, Indeterminate) or vr == INFINITE:
-            return x
-        guard += 1
-        if guard > 4 * prec + 16:
-            raise PrecisionError("cyclotomic digit search stalled")
-        pos_r = int(vr * E)
-        # candidate increment value: best slope over the divided derivatives
-        best = None
-        for k in range(1, p):
-            gk = base.zero(prec)
-            xp = base.one()
-            for j in range(k, p):
-                gk = gk + xp * (math.comb(j, k) * coeffs[j])
-                xp = xp * x
-            vk = gk.val()
-            if vk == INFINITE or isinstance(vk, Indeterminate):
-                continue
-            gamma = Fraction(pos_r - int(vk * E), k)
-            if gamma.denominator == 1 and gamma > 0 and (best is None or gamma > best):
-                best = gamma
-        if best is None:
-            raise PrecisionError("no admissible digit slope at position %d" % pos_r)
-        placed = False
-        for c in range(1, p):
-            cand = x + base.from_digits({int(best): c})
-            vv = g_at(cand).val()
-            if isinstance(vv, Indeterminate) or vv == INFINITE or vv > vr:
-                x = cand
-                placed = True
-                break
-        if not placed:
-            raise PrecisionError("no digit advances the cyclotomic residual")
+    y = PadicElem(base, {(0, 0): 1}, 1)
+    while y.prec < prec - m:
+        # y is right below k = y.prec, so G(yn) vanishes below k and G'(y),
+        # known below k, still gives the quotient its full cap n <= 2k
+        yn = PadicElem(base, y.digits, min(2 * y.prec, prec - m))
+        y = yn - horner(g, yn) / horner(dg, y)
+    return PadicElem(base, {(k + m, e): c for (k, e), c in y.digits.items()},
+                     prec)
 
 
 _lambda_cache = {}

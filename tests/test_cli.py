@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from vallab.cli import main
-from vallab.corpus import corpus_names
+from vallab.corpus import corpus_member, corpus_names
 
 BASE = [sys.executable, "-m", "vallab.cli"]
 
@@ -207,23 +207,45 @@ def test_hull_malformed_group(tmp_path):
     assert "malformed" in res.stderr
 
 
-@pytest.mark.parametrize("args", [
-    ("hull", "--kind", "p_div", "--p", "3", "--level", "-1"),
-    ("hull", "--kind", "p_prime_div", "--p", "3", "--level", "exact"),
-    ("hull", "--kind", "p_div", "--p", "1", "--level", "exact"),
-    ("hull", "--kind", "p_div", "--p", "4"),
-    ("construct", "--example", "compose-desc", "--p", "1"),
+@pytest.mark.parametrize("args,patch,needle", [
+    (("hull", "--kind", "p_div", "--p", "3", "--level", "-1"), {}, ""),
+    (("hull", "--kind", "p_prime_div", "--p", "3", "--level", "exact"), {}, ""),
+    (("hull", "--kind", "p_div", "--p", "1", "--level", "exact"), {}, ""),
+    (("hull", "--kind", "p_div", "--p", "4"), {}, ""),
+    (("construct", "--example", "compose-desc", "--p", "1"), {}, ""),
+    # int() used to truncate 1.5 to 1 and print the group generated by 1
+    (("hull", "--kind", "p_prime_div", "--p", "3", "--level", "1"),
+     {"gens": [[1.5, 1]]}, "must be an integer, got 1.5"),
+    (("classify",), {"char": None}, "lacks the key 'char'"),
+    (("classify",), {"residue_field": None}, "lacks the key 'residue_field'"),
+    (("classify",), {"residue_field": {"kind": "weird"}},
+     "unknown residue field kind 'weird'"),
+    (("classify",), {"vp": [1, 1.0]}, "vp must be an integer, got 1.0"),
 ], ids=["hull-negative-level", "hull-exact-prime-to-p", "hull-p1",
-        "hull-composite-p", "compose-desc-p1"])
-def test_bad_input_exits_one_without_traceback(tmp_path, args):
-    if args[0] == "hull":
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps(
-            {"rank": 1, "gens": [[1, 1]], "p_closed": [], "prime": 1}))
-        args += ("--group", str(path))
+        "hull-composite-p", "compose-desc-p1", "hull-float-rational",
+        "descriptor-no-char", "descriptor-no-residue-field",
+        "descriptor-unknown-residue-kind", "descriptor-float-rational"])
+def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
+    # hull reads a rank-1 group file and classify reads laurent-f3, each
+    # with the keys in `patch` dropped (None) or replaced
+    inputs = {"hull": ("--group", {"rank": 1, "gens": [[1, 1]],
+                                   "p_closed": [], "prime": 1}),
+              "classify": ("--descriptor",
+                           corpus_member("laurent-f3").to_json())}
+    if args[0] in inputs:
+        flag, data = inputs[args[0]]
+        for key, value in patch.items():
+            if value is None:
+                del data[key]
+            else:
+                data[key] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        args += (flag, str(path))
     res = run(*args)
     assert res.returncode == 1
     assert res.stderr.startswith("error: ")
+    assert needle in res.stderr
     assert "Traceback" not in res.stderr
 
 

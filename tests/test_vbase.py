@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from vallab.constructions import build_kummer_valgp
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import ogroup
 from vallab.resfield import ResField
@@ -319,6 +321,66 @@ def test_lambda_needs_cap_above_E():
     with pytest.raises(PrecisionError, match="at least 7"):
         zeta_lambda(PadicBase(7, 6, -1), 6)
     assert zeta_lambda(PadicBase(7, 6, -1), 7).val() == F(1, 6)
+
+
+LAMBDA_CASES = [(p, cap) for p in (3, 5, 7, 11) for cap in (p, 2 * p, 4 * p)]
+
+
+@pytest.mark.parametrize("p,cap", LAMBDA_CASES,
+                         ids=["p%d-cap%d" % c for c in LAMBDA_CASES])
+def test_lambda_is_a_stable_root_of_phi(p, cap):
+    # E = p - 1, so the caps are E + 1, 2p and 4p
+    b = PadicBase(p, p - 1, -1)
+    lam = zeta_lambda(b, cap)
+    assert lam.prec == cap
+    # Phi_p(1 + lam) = sum_j C(p, j+1) lam^j vanishes at the precision the
+    # product rules give it, which is at least the cap
+    phi = b.zero()
+    x = b.one()
+    for j in range(p):
+        phi = phi + x * math.comb(p, j + 1)
+        x = x * lam
+    assert phi.prec >= cap
+    assert phi == b.zero()
+    # a larger cap only appends digits
+    assert lam == zeta_lambda(b, cap + p - 1)
+
+
+def test_lambda_p3_closed_form():
+    # zeta_3 - 1 = w(w - 1)/2 with w^2 = -3
+    b = q3()
+    closed = PadicElem(b, {(2, 0): 1, (1, 0): -1}, 12) / 2
+    assert closed.prec == 12
+    assert zeta_lambda(b, 12) == closed
+
+
+def test_kummer_valgp_certificate_prints_the_true_inverse_lambda():
+    text = "w^(-1) + 1 + 2*w + O(w^2)"
+    built = build_kummer_valgp(3, depth=1)
+    assert built.extras["a0"].to_text() == text
+    minpolys = [row["minpoly"] for row in built.to_json()["rows"]]
+    assert all("((%s))" % text in mp for mp in minpolys)
+
+
+def test_lambda_products_count(monkeypatch):
+    # Newton-Hensel lifting; the greedy digit search made 8,998 products
+    calls = []
+    mul = PadicElem.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(PadicElem, "__mul__", counting)
+    zeta_lambda(PadicBase(11, 10, -1), 44)
+    assert len(calls) <= 1000
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_lambda_rejects_positive_twist(p):
+    # w^E = +p leaves s*y^(p-1) + 1 = 0 without a root mod w
+    with pytest.raises(ValidationError, match=r"need w\^E = -p"):
+        zeta_lambda(PadicBase(p, p - 1, 1), 2 * p)
 
 
 def test_product_reads_values_only_for_capped_factors(monkeypatch):
