@@ -13,10 +13,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ValidationError, json_fraction, json_get
-from .ogroup import (OGroup, _coerce_vec, _lex_positive, contains,
-                     convex_core, cyclic, is_p_divisible,
-                     is_roughly_p_divisible, lex_compose, project,
-                     project_trailing, same_group)
+from .ogroup import (ConvexPart, OGroup, _coerce_vec, _lex_positive,
+                     contains, convex_core, cyclic, is_p_divisible,
+                     lex_compose, project, project_trailing, same_group)
 from .ogroup import from_json as group_from_json
 from .ogroup import to_json as group_to_json
 from .resfield import ResField, resfield_from_json
@@ -305,17 +304,16 @@ def core_field(d: FieldDescriptor) -> FieldDescriptor:
 # the class checks
 
 
-def _vp_not_smallest(g: OGroup, vec, p: int):
+def _vp_not_smallest(part: ConvexPart, vec):
     """Decide whether some group element lies strictly between 0 and vp.
 
-    Everything below vp lives in the convex core of vp, so project that
-    core onto its own coordinates; a nonzero part below the leading
+    Everything below vp lives in the convex core of vp (part), so project
+    that core onto its own coordinates; a nonzero part below the leading
     coordinate settles it, otherwise compare the leading-coordinate
     image with the cyclic group on vp's leading entry.
     """
-    part = convex_core(g, vec, p)
     ell = part.cut_index
-    tail = project_trailing(g, ell)
+    tail = project(part.group, ell, part.group.rank)
     if tail.rank >= 2:
         deeper = project_trailing(tail, 1)
         if not deeper.is_trivial():
@@ -373,18 +371,17 @@ def check(d: FieldDescriptor) -> ClassReport:
         ev["TF1"] = "computed: %s %s %d-divisible" % (
             d.value_group, "is" if r else "is not", p)
         if d.char == p:
-            rr = is_roughly_p_divisible(d.value_group, None, p)
-            v["RTF1"] = tv(rr)
+            v["RTF1"] = v["TF1"]
             ev["RTF1"] = ("computed: equal characteristic, the convex core "
                           "is the whole group; %s %s %d-divisible" % (
                               d.value_group,
-                              "is" if rr else "is not", p))
+                              "is" if r else "is not", p))
         else:
-            rr = is_roughly_p_divisible(d.value_group, d.vp, p)
-            core = convex_core(d.value_group, d.vp, p)
+            part = convex_core(d.value_group, d.vp, p)
+            rr = is_p_divisible(part.group, p)
             v["RTF1"] = tv(rr)
             ev["RTF1"] = ("computed: convex core of v(p) (cut %d) %s "
-                          "%d-divisible" % (core.cut_index,
+                          "%d-divisible" % (part.cut_index,
                                             "is" if rr else "is not", p))
         v["rdr_1"] = tv(flags["frobenius_surjective_on_completion_mod_p"])
         ev["rdr_1"] = ("oracle: frobenius flag = %s"
@@ -395,7 +392,7 @@ def check(d: FieldDescriptor) -> ClassReport:
                            "characteristic, so it is not the smallest "
                            "positive element")
         else:
-            hit, why = _vp_not_smallest(d.value_group, d.vp, p)
+            hit, why = _vp_not_smallest(part, d.vp)
             v["rdr_2"] = tv(hit)
             ev["rdr_2"] = "computed: " + why
         v["semitame"] = and3(v["rdr_1"], v["TF1"])

@@ -17,7 +17,7 @@ from .resfield import ResField
 from .tower import (DefectCertificate, Tower, adjoin_root, residue,
                     resolve_pending, step_row, val, vlb)
 from .values import INFINITE, fr
-from .vbase import EqBase, PadicBase, PadicElem, cached_zeta_lambda
+from .vbase import EqBase, PadicBase, PadicElem, zeta_lambda
 
 
 @dataclass
@@ -238,7 +238,7 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
             "p-adic cap %d is below the %d digit positions needed at depth %d"
             % (padic_cap, need, depth))
     base = _cyclo_base(p)
-    lam = cached_zeta_lambda(base, padic_cap)
+    lam = zeta_lambda(base, padic_cap)
     if lam.prec == INFINITE:
         # exact lambda (p = 2): cap it so the inversion terminates
         lam = PadicElem(base, dict(lam.digits), padic_cap)

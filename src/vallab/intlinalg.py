@@ -5,7 +5,9 @@ sized for the rank <= 4 lattices this library manipulates, so clarity
 wins over asymptotics.  The two workhorses are row_echelon (integer row
 reduction with an optional unimodular transform) and
 diagonalize_with_basis, which returns a diagonal presentation of a row
-lattice together with an ambient basis adapted to it.
+lattice together with an ambient basis adapted to it.  Over Q, rref is
+the one elimination; rational_solve is kept apart as the membership hot
+path.
 """
 
 from __future__ import annotations
@@ -56,12 +58,6 @@ def row_echelon(rows, track=False):
                     t[piv] = [-x for x in t[piv]]
             piv += 1
     return a, t
-
-
-def lattice_basis(rows):
-    """Nonzero echelon rows: a Z-basis of the row lattice."""
-    ech, _ = row_echelon(rows)
-    return [r for r in ech if any(x != 0 for x in r)]
 
 
 def int_kernel(rows):
@@ -115,30 +111,48 @@ def rational_solve(cols, target):
     return [aug[r][k] for r in pivots]
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square rational matrix (fraction-free enough)."""
-    a = [[Fraction(x) for x in r] for r in rows]
-    n = len(a)
-    sign = 1
-    result = Fraction(1)
-    for col in range(n):
-        sel = None
-        for i in range(col, n):
-            if a[i][col] != 0:
-                sel = i
-                break
+def rref(rows):
+    """Reduced rational row echelon form of rows, and its determinant.
+
+    Returns (echelon, pivot_cols, det).  echelon holds the nonzero rows,
+    each with a 1 in its pivot column and 0 in every other pivot column.
+    det is the determinant when rows is a square matrix of full rank,
+    and 0 otherwise.
+    """
+    a = [[Fraction(c) for c in r] for r in rows]
+    ncols = len(a[0]) if a else 0
+    piv_cols = []
+    det = Fraction(1)
+    row = 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
         if sel is None:
-            return Fraction(0)
-        if sel != col:
-            a[col], a[sel] = a[sel], a[col]
-            sign = -sign
-        pv = a[col][col]
-        result *= pv
-        for i in range(col + 1, n):
-            if a[i][col] != 0:
-                f = a[i][col] / pv
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return result * sign
+            continue
+        if sel != row:
+            a[row], a[sel] = a[sel], a[row]
+            det = -det
+        pv = a[row][col]
+        det *= pv
+        a[row] = [x / pv for x in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        piv_cols.append(col)
+        row += 1
+    if not (row == len(a) == ncols):
+        det = Fraction(0)
+    return a[:row], piv_cols, det
+
+
+def reduce_mod_span(x, ech, piv_cols):
+    """Canonical representative of x modulo the row span of rref's echelon."""
+    x = list(x)
+    for r, col in zip(ech, piv_cols):
+        f = x[col]
+        if f != 0:
+            x = [a - f * b for a, b in zip(x, r)]
+    return x
 
 
 def diagonalize_with_basis(rows, n):
@@ -211,34 +225,6 @@ def diagonalize_with_basis(rows, n):
             diag.append(abs(d))
             basis.append(list(cinv[i]))
     return diag, basis
-
-
-def lattice_solve(rows, target):
-    """Integer coefficients x with sum_i x_i * rows[i] = target, or None.
-
-    None means target is outside the integer row lattice (it may still
-    lie in the rational span).
-    """
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        return None if any(v != 0 for v in target) else []
-    ech, tr = row_echelon(rows, track=True)
-    t = list(map(int, target))
-    coeffs = [0] * len(rows)
-    for r, row in enumerate(ech):
-        j = next((k for k, x in enumerate(row) if x != 0), None)
-        if j is None:
-            break
-        q, rem = divmod(t[j], row[j])
-        if rem:
-            return None
-        if q:
-            t = [a - q * b for a, b in zip(t, row)]
-            for i in range(len(rows)):
-                coeffs[i] += q * tr[r][i]
-    if any(v != 0 for v in t):
-        return None
-    return coeffs
 
 
 def prime_to_p_part(n: int, p: int) -> int:

@@ -26,14 +26,13 @@ from functools import lru_cache
 
 from .errors import ValidationError, json_fraction, json_get, json_int
 from .intlinalg import (
-    det,
     diagonalize_with_basis,
     int_kernel,
-    lattice_basis,
-    lattice_solve,
     prime_to_p_part,
     rational_solve,
+    reduce_mod_span,
     row_echelon,
+    rref,
 )
 from .values import INFINITE, fr
 
@@ -110,6 +109,10 @@ def ogroup(gens, closed=(), prime: int = 1, rank=None) -> OGroup:
         probe = gens[0]
         rank = len(probe) if isinstance(probe, (tuple, list)) else 1
     closed = set(closed)
+    for i in sorted(closed):
+        if not 0 <= i < len(gens):
+            raise ValidationError("p_closed index %d is out of range for %d "
+                                  "generators" % (i, len(gens)))
     vecs = []
     new_closed = set()
     for i, g in enumerate(gens):
@@ -146,47 +149,8 @@ class _Canon:
 
 
 def _scale_to_int(vecs):
-    denom = 1
-    for v in vecs:
-        for c in v:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    denom = math.lcm(*(c.denominator for v in vecs for c in v))
     return [[int(c * denom) for c in v] for v in vecs], denom
-
-
-def _q_reducer(rows):
-    """Rational row echelon of rows; returns (echelon, pivot_cols)."""
-    a = [[Fraction(c) for c in r] for r in rows]
-    ncols = len(a[0]) if a else 0
-    piv_cols = []
-    row = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(row, len(a)):
-            if a[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        pv = a[row][col]
-        a[row] = [x / pv for x in a[row]]
-        for i in range(len(a)):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        piv_cols.append(col)
-        row += 1
-    return a[:row], piv_cols
-
-
-def _reduce_mod_span(x, ech, piv_cols):
-    """Canonical representative of x modulo the row span of ech."""
-    x = list(x)
-    for r, col in zip(ech, piv_cols):
-        f = x[col]
-        if f != 0:
-            x = [a - f * b for a, b in zip(x, r)]
-    return x
 
 
 @lru_cache(maxsize=4096)
@@ -196,11 +160,10 @@ def _canon(g: OGroup) -> _Canon:
     p = g.prime
 
     # complement of the divisible span, for projecting the free part
-    ech, piv = _q_reducer(closed) if closed else ([], [])
+    ech, piv, _ = rref(closed)
 
-    proj_free = [_reduce_mod_span(v, ech, piv) for v in free]
-    int_proj, _ = _scale_to_int([[Fraction(c) for c in v] for v in proj_free]) \
-        if proj_free else ([], 1)
+    proj_free = [reduce_mod_span(v, ech, piv) for v in free]
+    int_proj, _ = _scale_to_int(proj_free)
 
     div_gen_vecs = list(closed)
     free_basis = []
@@ -208,7 +171,7 @@ def _canon(g: OGroup) -> _Canon:
         ech2, t2 = row_echelon(int_proj, track=True)
         for i in range(len(free)):
             combo = t2[i]
-            vec = [sum(Fraction(combo[j]) * Fraction(free[j][c]) for j in range(len(free)))
+            vec = [sum(x * v[c] for x, v in zip(combo, free) if x)
                    for c in range(g.rank)]
             if any(x != 0 for x in ech2[i]):
                 free_basis.append(vec)
@@ -221,7 +184,7 @@ def _canon(g: OGroup) -> _Canon:
 
     div_basis = []
     if div_gen_vecs:
-        int_div, denom = _scale_to_int([[Fraction(c) for c in v] for v in div_gen_vecs])
+        int_div, denom = _scale_to_int(div_gen_vecs)
         diag, basis = diagonalize_with_basis(int_div, g.rank)
         for d, u in zip(diag, basis):
             m = prime_to_p_part(d, p)
@@ -243,15 +206,6 @@ def _solve_in_canon(g: OGroup, vec):
     return sol[:s], sol[s:]
 
 
-def _is_p_power_denominator(q: Fraction, p: int) -> bool:
-    d = q.denominator
-    if p <= 1:
-        return d == 1
-    while d % p == 0:
-        d //= p
-    return d == 1
-
-
 def contains(g: OGroup, x) -> bool:
     """Membership test against the canonical decomposition."""
     vec = _coerce_vec(x, g.rank)
@@ -259,7 +213,7 @@ def contains(g: OGroup, x) -> bool:
     if sol is None:
         return False
     divc, freec = sol
-    return (all(_is_p_power_denominator(q, g.prime) for q in divc)
+    return (all(prime_to_p_part(q.denominator, g.prime) == 1 for q in divc)
             and all(q.denominator == 1 for q in freec))
 
 
@@ -270,7 +224,7 @@ def in_divisible_part(g: OGroup, x) -> bool:
     if sol is None:
         return False
     divc, freec = sol
-    return (all(_is_p_power_denominator(q, g.prime) for q in divc)
+    return (all(prime_to_p_part(q.denominator, g.prime) == 1 for q in divc)
             and all(q == 0 for q in freec))
 
 
@@ -326,7 +280,7 @@ def index(g: OGroup, h: OGroup):
         mfree.append(sol[s:])
     idx = 1
     if s:
-        d = det(mdiv)
+        d = rref(mdiv)[2]
         if d == 0:
             return INFINITE
         p = g.prime
@@ -335,7 +289,7 @@ def index(g: OGroup, h: OGroup):
         assert den == 1, "divisible coordinates must lie in Z[1/p]"
         idx *= num
     if mfree:
-        d = det(mfree)
+        d = rref(mfree)[2]
         if d == 0:
             return INFINITE
         assert d.denominator == 1, "free coordinates must be integral"
@@ -376,127 +330,52 @@ class ConvexPart:
 def _convex_at(g: OGroup, ell: int) -> OGroup:
     """The subgroup of elements whose first ell coordinates vanish.
 
-    Splits off the kernel of the divisible summand first, then lifts the
-    sublattice of the free summand whose image falls inside the
-    divisible image; a brute-force cross-check lives in the tests.
+    In canonical coordinates an element is (a, n), with a over Z[1/p] on
+    the divisible basis and n over Z on the free basis.  The integer
+    coordinate vectors with a zero head form a saturated lattice with
+    basis k (int_kernel), and saturation over Z carries over to Z[1/p].
+    So the part is {q.k : q in Z[1/p]^d, q.k_free integral}, k_free
+    being the free block of k.  Bring k_free to a diagonal form
+    D = U k_free V with U, V unimodular: in the coordinates r = q U^-1
+    the condition reads r_i D_i integral, which leaves r_i free where
+    D_i = 0 and allows a denominator of at most p^v_p(D_i) where
+    D_i != 0.  Hence the part is generated by
+
+      * the p-closed vectors y.k, y running over the left kernel of
+        k_free, and
+      * the free vectors p^-e z.k, z running over a basis of
+        {z : z.k_free = 0 mod p^e}, read off the integer kernel of
+        k_free stacked on p^e I.  Here e is the largest v_p(D_i), the
+        largest p-exponent among k_free's elementary divisors.
+
+    The result is presented by its canonical basis, each vector made
+    lex-positive; a brute-force cross-check lives in the tests.
     """
     if ell <= 0 or g.is_trivial():
         return g
     c = _canon(g)
     p = g.prime
+    s, t = len(c.div), len(c.free)
+    k = int_kernel(_scale_to_int([v[:ell] for v in c.cols])[0])
+    k_free = [kv[s:] for kv in k]
+    diag, _ = diagonalize_with_basis(k_free, t)
+    pe = max((d // prime_to_p_part(d, p) for d in diag), default=1)
+    mod_pe = k_free + [[pe if i == j else 0 for j in range(t)] for i in range(t)]
 
-    def sig(v):
-        return [Fraction(x) for x in v[:ell]]
+    def combine(y, scale=1):
+        coords = [Fraction(sum(yi * kv[j] for yi, kv in zip(y, k)), scale)
+                  for j in range(len(c.cols))]
+        return [sum(q * v[i] for q, v in zip(coords, c.cols) if q)
+                for i in range(g.rank)]
 
-    def combine(coeffs, vecs):
-        return [sum(fr(coeffs[i]) * vecs[i][k] for i in range(len(vecs)))
-                for k in range(g.rank)]
-
-    # part one: Z[1/p]-combinations of the divisible basis that project to zero
-    div_kernel = []
-    int_u, du = ([], 1)
-    if c.div:
-        int_u, du = _scale_to_int([sig(v) for v in c.div])
-        for combo in int_kernel(int_u):
-            vec = combine(combo, c.div)
-            if any(x != 0 for x in vec):
-                div_kernel.append(vec)
-
-    # part two: integer combinations of the free basis whose projection lies
-    # in U, the Z[1/p]-span of the projected divisible basis
-    free_lifts = []
-    if c.free:
-        sig_free = [sig(v) for v in c.free]
-        u_basis = []   # Z[1/p]-module basis of U
-        u_wits = []    # ambient w in the divisible summand with sig(w) = u_basis entry
-        if c.div:
-            diag, basis = diagonalize_with_basis(int_u, ell)
-            for d, u in zip(diag, basis):
-                m = prime_to_p_part(d, p)
-                u_basis.append([Fraction(m * x, du) for x in u])
-                target = [m * x for x in u]
-                e = 0
-                z = lattice_solve(int_u, target)
-                while z is None:
-                    e += 1
-                    target = [x * p for x in target]
-                    z = lattice_solve(int_u, target)
-                    assert e <= 64, "runaway p-exponent in hull witness"
-                w = combine(z, c.div)
-                u_wits.append([x / Fraction(p ** e) for x in w])
-
-        # rational condition first: projection inside the Q-span of U
-        if u_basis:
-            ech, piv = _q_reducer(u_basis)
-            resid = [_reduce_mod_span(v, ech, piv) for v in sig_free]
-        else:
-            resid = sig_free
-        int_resid, _ = _scale_to_int([[Fraction(x) for x in r] for r in resid])
-        lam1 = int_kernel(int_resid)
-
-        lam = lam1
-        if lam1 and u_basis:
-            # denominator condition: U-coordinates must land in Z[1/p].
-            # Working modulo Z[1/p] kills p-power denominators, leaving a
-            # congruence system over Z/nn for the prime-to-p parts.
-            ucols = [list(v) for v in u_basis]
-            psi = []
-            nn = 1
-            for combo in lam1:
-                tv = [sum(Fraction(combo[i]) * sig_free[i][k]
-                          for i in range(len(c.free))) for k in range(ell)]
-                sol = rational_solve(ucols, tv)
-                assert sol is not None
-                psi.append(sol)
-                for q in sol:
-                    dd = prime_to_p_part(q.denominator, p)
-                    nn = nn * dd // math.gcd(nn, dd)
-            if nn > 1:
-                mrows = []
-                for row in psi:
-                    mrow = []
-                    for q in row:
-                        n0 = prime_to_p_part(q.denominator, p)
-                        if n0 == 1:
-                            mrow.append(0)
-                            continue
-                        pk = q.denominator // n0
-                        y = (q.numerator * pow(pk % n0, -1, n0)) % n0
-                        mrow.append((y * (nn // n0)) % nn)
-                    mrows.append(mrow)
-                # integer kernel of [M | nn*I] projected to the M block
-                d0, sp = len(lam1), len(u_basis)
-                sysrows = [mrows[i] for i in range(d0)]
-                for t in range(sp):
-                    r0 = [0] * sp
-                    r0[t] = nn
-                    sysrows.append(r0)
-                lam = []
-                for kv in int_kernel(sysrows):
-                    cvec = kv[:d0]
-                    if any(x != 0 for x in cvec):
-                        lam.append([sum(cvec[i] * lam1[i][j] for i in range(d0))
-                                    for j in range(len(c.free))])
-                lam = lattice_basis(lam) if lam else []
-
-        for combo in lam:
-            vec = combine(combo, c.free)
-            if u_basis:
-                sol = rational_solve([list(v) for v in u_basis], sig(vec))
-                assert sol is not None
-                for qcoef, w in zip(sol, u_wits):
-                    assert _is_p_power_denominator(qcoef, p), \
-                        "congruence filter let a bad denominator through"
-                    vec = [vv - qcoef * wv for vv, wv in zip(vec, w)]
-            assert all(x == 0 for x in sig(vec))
-            if any(x != 0 for x in vec):
-                free_lifts.append(vec)
-
-    gens = div_kernel + free_lifts
-    if not gens:
-        return trivial(g.rank)
-    prime = g.prime if div_kernel else 1
-    return ogroup(gens, closed=range(len(div_kernel)), prime=prime, rank=g.rank)
+    closed = [combine(y) for y in int_kernel(k_free)]
+    free = [combine(z[:len(k)], pe) for z in int_kernel(mod_pe)]
+    raw = _canon(ogroup(closed + free, closed=range(len(closed)),
+                        prime=p if closed else 1, rank=g.rank))
+    basis = [v if _lex_positive(v) else tuple(-x for x in v)
+             for v in raw.div + raw.free]
+    return ogroup(basis, closed=range(len(raw.div)),
+                  prime=p if raw.div else 1, rank=g.rank)
 
 
 def convex_core(g: OGroup, x, p: int) -> ConvexPart:
@@ -580,12 +459,8 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
         n = int(level)
         if n < 1:
             raise ValidationError("hull level must be positive")
-        lcm = 1
-        for m in range(1, n + 1):
-            if p <= 1 or m % p != 0:
-                g0 = math.gcd(lcm, m)
-                lcm = lcm * m // g0
-        scale = Fraction(1, lcm)
+        scale = Fraction(1, math.lcm(*(m for m in range(1, n + 1)
+                                        if p <= 1 or m % p != 0)))
         return ogroup([tuple(c * scale for c in v) for v in g.gens],
                       closed=g.p_closed, prime=g.prime, rank=g.rank)
     raise ValidationError("unknown hull kind: %r" % (kind,))

@@ -132,10 +132,6 @@ class Tower:
             raise ValidationError("element does not come from a prefix tower")
         return TElem(self, {e + (0,) * pad: c for e, c in x.coords.items()})
 
-    def describe(self) -> str:
-        return "%s with %s" % (self.base.describe(),
-                               ", ".join(g.name for g in self.gens) or "no roots")
-
 
 class TElem:
     __slots__ = ("tower", "coords")

@@ -100,12 +100,6 @@ class EqBase:
                 out[g] = c
         return SeriesElem(self, out, prec)
 
-    def describe(self) -> str:
-        res = "F_%d" % self.p if not self.res.has_variable() else \
-            "F_%d(u)" % self.p if self.res.level == 0 else \
-            "F_%d(u^(1/%d))" % (self.p, self.p ** self.res.level)
-        return "%s((%s^G))" % (res, self.name)
-
 
 class SeriesElem:
     __slots__ = ("base", "terms", "prec")
@@ -376,11 +370,6 @@ class PadicBase:
         if not self.gauss:
             raise ValidationError("no transcendental digit in this ring")
         return self.from_digits({0: {j: 1}})
-
-    def describe(self) -> str:
-        core = "Z_%d[u]" % self.p if self.gauss else "Z_%d" % self.p
-        return "%s[%s]/(%s^%d %s %d)" % (core, self.name, self.name, self.E,
-                                         "-" if self.twist == 1 else "+", self.p)
 
 
 def _relem_to_digit(r: RElem) -> dict:
@@ -655,17 +644,6 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
         y = yn - horner(g, yn) / horner(dg, y)
     return PadicElem(base, {(k + m, e): c for (k, e), c in y.digits.items()},
                      prec)
-
-
-_lambda_cache = {}
-
-
-def cached_zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
-    key = (base, prec)
-    if key not in _lambda_cache:
-        _lambda_cache[key] = zeta_lambda(base, prec)
-    lam = _lambda_cache[key]
-    return PadicElem(base, dict(lam.digits), lam.prec)
 
 
 # ---------------------------------------------------------------------------

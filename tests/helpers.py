@@ -1,12 +1,14 @@
 """Brute-force oracles used to cross-check the linear-algebra layer.
 
-Everything here is deliberately naive: bounded coefficient searches and
-permutation-sum determinants, independent of the implementations under
-test.
+Everything here is deliberately naive: bounded coefficient searches,
+permutation-sum determinants and back-substitution against an echelon
+form, independent of the implementations under test.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
+
+from vallab.intlinalg import row_echelon
 
 
 def brute_contains(free, closed, p, x, bound=10, kmax=6):
@@ -97,3 +99,31 @@ def sample_elements(rng, free, closed, p, count=40, coeff=4, kmax=3):
             tot = tuple(t + q * c for t, c in zip(tot, v))
         out.append(tot)
     return out
+
+
+def lattice_solve(rows, target):
+    """Integer coefficients x with sum_i x_i * rows[i] = target, or None.
+
+    None means target is outside the integer row lattice (it may still
+    lie in the rational span).
+    """
+    rows = [list(map(int, r)) for r in rows]
+    if not rows:
+        return None if any(v != 0 for v in target) else []
+    ech, tr = row_echelon(rows, track=True)
+    t = list(map(int, target))
+    coeffs = [0] * len(rows)
+    for r, row in enumerate(ech):
+        j = next((k for k, x in enumerate(row) if x != 0), None)
+        if j is None:
+            break
+        q, rem = divmod(t[j], row[j])
+        if rem:
+            return None
+        if q:
+            t = [a - q * b for a, b in zip(t, row)]
+            for i in range(len(rows)):
+                coeffs[i] += q * tr[r][i]
+    if any(v != 0 for v in t):
+        return None
+    return coeffs

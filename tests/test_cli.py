@@ -221,10 +221,14 @@ def test_hull_malformed_group(tmp_path):
     (("classify",), {"residue_field": {"kind": "weird"}},
      "unknown residue field kind 'weird'"),
     (("classify",), {"vp": [1, 1.0]}, "vp must be an integer, got 1.0"),
+    # a p_closed index past the generators used to be dropped silently
+    (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
+     {"p_closed": [5], "prime": 3}, "p_closed index 5 is out of range"),
 ], ids=["hull-negative-level", "hull-exact-prime-to-p", "hull-p1",
         "hull-composite-p", "compose-desc-p1", "hull-float-rational",
         "descriptor-no-char", "descriptor-no-residue-field",
-        "descriptor-unknown-residue-kind", "descriptor-float-rational"])
+        "descriptor-unknown-residue-kind", "descriptor-float-rational",
+        "hull-p-closed-out-of-range"])
 def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
     # hull reads a rank-1 group file and classify reads laurent-f3, each
     # with the keys in `patch` dropped (None) or replaced

@@ -4,24 +4,23 @@ from fractions import Fraction
 import pytest
 
 from vallab.intlinalg import (
-    det,
     diagonalize_with_basis,
     int_kernel,
-    lattice_basis,
-    lattice_solve,
     prime_to_p_part,
     rational_solve,
+    reduce_mod_span,
     row_echelon,
+    rref,
 )
 
-from helpers import perm_det
+from helpers import lattice_solve, perm_det
 
 
 def test_row_echelon_shape_and_transform():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     ech, t = row_echelon(rows, track=True)
     # transform is unimodular and reproduces the echelon
-    assert abs(det(t)) == 1
+    assert abs(rref(t)[2]) == 1
     for i in range(len(rows)):
         combo = [sum(t[i][j] * rows[j][c] for j in range(len(rows)))
                  for c in range(3)]
@@ -86,7 +85,27 @@ def test_det_against_permutation_sum():
         n = rng.randint(1, 3)
         rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                  for _ in range(n)] for _ in range(n)]
-        assert det(rows) == perm_det(rows)
+        assert rref(rows)[2] == perm_det(rows)
+    # a non-square matrix has no determinant
+    assert rref([[1, 2]])[2] == 0
+    assert rref([[1], [2]])[2] == 0
+
+
+def test_rref_reduces_modulo_the_span():
+    rng = random.Random(6)
+    for _ in range(30):
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(3)] for _ in range(rng.randint(1, 3))]
+        ech, piv, _ = rref(rows)
+        for r, col in zip(ech, piv):
+            assert [r[c] for c in piv] == [int(c == col) for c in piv]
+        # every input row reduces to zero, and a reduced vector is fixed
+        for r in rows:
+            assert not any(reduce_mod_span(r, ech, piv))
+        x = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
+        y = reduce_mod_span(x, ech, piv)
+        assert reduce_mod_span(y, ech, piv) == y
+        assert all(y[c] == 0 for c in piv)
 
 
 def test_diagonalize_with_basis_two_sided():
@@ -107,6 +126,29 @@ def test_diagonalize_with_basis_two_sided():
             assert lattice_solve(rows, s) is not None
 
 
+def test_diagonalize_matches_sympy_smith_form():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    def invariant_factors(rows):
+        snf = smith_normal_form(sympy.Matrix(rows), domain=sympy.ZZ)
+        return [abs(int(snf[i, i])) for i in range(min(snf.shape))
+                if snf[i, i] != 0]
+
+    rng = random.Random(7)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 4)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        diag, _ = diagonalize_with_basis(rows, n)
+        # the diagonal need not form a divisor chain; its own invariant
+        # factors must be the matrix's
+        square = [[d if i == j else 0 for j in range(len(diag))]
+                  for i, d in enumerate(diag)]
+        assert (invariant_factors(square) if diag else []) == \
+            invariant_factors(rows)
+
+
 def test_lattice_solve():
     rows = [[2, 0], [0, 3]]
     assert lattice_solve(rows, [4, 9]) == [2, 3]
@@ -115,11 +157,6 @@ def test_lattice_solve():
     assert lattice_solve([], [1]) is None
     assert lattice_solve([[1, 2]], [2, 4]) == [2]
     assert lattice_solve([[1, 2]], [2, 5]) is None
-
-
-def test_lattice_basis():
-    basis = lattice_basis([[2, 0], [1, 0], [0, 0]])
-    assert basis == [[1, 0]]
 
 
 def test_prime_to_p_part():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -38,6 +39,10 @@ def test_construction_drops_zero_gens():
         ogroup([], rank=None)
     with pytest.raises(ValueError):
         ogroup([1], closed=[0], prime=1)
+    # a p_closed index must name a generator
+    for bad in (5, 1, -1):
+        with pytest.raises(ValueError, match="p_closed index %d" % bad):
+            ogroup([1], closed=[bad], prime=3)
     assert trivial(2).is_trivial()
 
 
@@ -129,6 +134,27 @@ def test_index_rank_two():
     b = lex_compose(ogroup([3], closed=[0], prime=2), cyclic(5))
     assert index(a, b) == 15
     assert index(a, lex_compose(zp, trivial(1))) == INFINITE
+
+
+def test_index_matches_sympy_determinant():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for rank in (2, 3):
+        done = 0
+        while done < 15:
+            basis = [[F(rng.randint(-4, 4), rng.randint(1, 3))
+                      for _ in range(rank)] for _ in range(rank)]
+            coords = [[rng.randint(-5, 5) for _ in range(rank)]
+                      for _ in range(rank)]
+            d = sympy.Matrix(coords).det()
+            if sympy.Matrix(basis).det() == 0 or d == 0:
+                continue
+            g = ogroup([tuple(v) for v in basis], rank=rank)
+            h = ogroup([tuple(sum(c * b[k] for c, b in zip(row, basis))
+                              for k in range(rank)) for row in coords],
+                       rank=rank)
+            assert index(g, h) == abs(int(d))
+            done += 1
 
 
 def test_index_multiplicative_on_chains():
@@ -224,6 +250,41 @@ def test_convex_part_sampling_consistency():
         for x in sample_elements(rng, free, cl, p, count=25, coeff=3, kmax=2):
             if x[0] == 0:
                 assert contains(h, x), (gens, nclosed, p, x)
+
+
+def test_convex_part_sampling_consistency_rank_three():
+    # every small combination of the generators whose first ell
+    # coordinates cancel must lie in the convex part at ell
+    rng = random.Random(13)
+    p = 5
+    pool = [-1, 0, 0, 1, 2, 5, F(1, 5), F(1, 2)]
+    for _ in range(15):
+        gens = [tuple(rng.choice(pool) for _ in range(3))
+                for _ in range(rng.randint(2, 4))]
+        nclosed = rng.randint(0, len(gens))
+        g = ogroup(gens, closed=range(nclosed), prime=p if nclosed else 1)
+        if g.is_trivial():
+            continue
+        vecs = [tuple(F(c) / p for c in v) if i < nclosed else v
+                for i, v in enumerate(gens)]
+        combos = {tuple(sum(a * v[k] for a, v in zip(coeffs, vecs))
+                        for k in range(3))
+                  for coeffs in product(range(-2, 3), repeat=len(vecs))}
+        for ell in (1, 2):
+            heads = [x for x in combos if any(x) and not any(x[:ell])]
+            if not heads:
+                continue
+            x = max(heads)   # lex-largest, so positive
+            part = convex_core(g, x, p)
+            assert part.cut_index == next(i for i, c in enumerate(x) if c)
+            for i, gen in enumerate(part.group.gens):
+                assert not any(gen[:part.cut_index])
+                assert contains(g, gen)
+                if i in part.group.p_closed:
+                    assert in_divisible_part(g, gen)
+            for y in combos:
+                if not any(y[:part.cut_index]):
+                    assert contains(part.group, y), (gens, nclosed, y)
 
 
 def test_is_roughly_p_divisible():

@@ -10,8 +10,7 @@ from vallab.ogroup import ogroup
 from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
 from vallab.vbase import (EqBase, PadicBase, PadicElem, SeriesElem,
-                          cached_zeta_lambda, padic_from_text,
-                          series_from_text, zeta_lambda)
+                          padic_from_text, series_from_text, zeta_lambda)
 
 
 def laurent(p, closed=False, level=0):
@@ -285,7 +284,7 @@ def val_at_least(v, bound):
 
 def test_lambda_p3_frozen_product():
     b = q3()
-    lam = cached_zeta_lambda(b, 10)
+    lam = zeta_lambda(b, 10)
     assert lam.val() == F(1, 2)
     # Phi_3(1 + lam) = 0 to working precision
     phi = lam * lam + lam * 3 + 3
