@@ -9,8 +9,7 @@ from .constructions import (BUILDERS, build_2ext, build_as_resf,
 from .corpus import corpus_member, corpus_names, shipped_corpus
 from .errors import PrecisionError, ValidationError
 from .ogroup import (OGroup, contains, convex_core, hull, index,
-                     is_p_divisible, is_roughly_p_divisible, lex_compose,
-                     ogroup)
+                     is_p_divisible, lex_compose, ogroup)
 from .resfield import ResField
 from .suites import SUITES, run_suite
 from .tower import (DefectCertificate, Tower, adjoin_root, residue,
@@ -27,6 +26,6 @@ __all__ = [
     "build_kummer_valgp", "build_lemma_3_3", "check", "contains",
     "convex_core", "core_field", "corpus_member", "corpus_names",
     "descriptor_from_json", "hull", "index", "is_p_divisible",
-    "is_roughly_p_divisible", "lex_compose", "ogroup", "residue",
+    "lex_compose", "ogroup", "residue",
     "resolve_pending", "run_suite", "shipped_corpus", "val",
 ]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import ValidationError, json_fraction, json_get
+from .intlinalg import is_prime
 from .ogroup import (ConvexPart, OGroup, _coerce_vec, _lex_positive,
                      contains, convex_core, cyclic, is_p_divisible,
                      lex_compose, project, project_trailing, same_group)
@@ -54,17 +55,6 @@ def and3(*vals: str) -> str:
     if UNKNOWN in vals:
         return UNKNOWN
     return TRUE
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -115,9 +105,9 @@ class FieldDescriptor:
     note: str = ""
 
     def __post_init__(self):
-        if self.char != 0 and not _is_prime(self.char):
+        if self.char != 0 and not is_prime(self.char):
             raise ValidationError("char must be 0 or a prime")
-        if self.res_char != 0 and not _is_prime(self.res_char):
+        if self.res_char != 0 and not is_prime(self.res_char):
             raise ValidationError("res_char must be 0 or a prime")
         if self.char > 0 and self.res_char != self.char:
             raise ValidationError(
@@ -276,7 +266,7 @@ def core_field(d: FieldDescriptor) -> FieldDescriptor:
     """
     if d.res_char == 0 or d.char == d.res_char:
         return d
-    part = convex_core(d.value_group, d.vp, d.res_char)
+    part = convex_core(d.value_group, d.vp)
     if part.cut_index == 0:
         return d
     if d.composition is None:
@@ -377,7 +367,7 @@ def check(d: FieldDescriptor) -> ClassReport:
                               d.value_group,
                               "is" if r else "is not", p))
         else:
-            part = convex_core(d.value_group, d.vp, p)
+            part = convex_core(d.value_group, d.vp)
             rr = is_p_divisible(part.group, p)
             v["RTF1"] = tv(rr)
             ev["RTF1"] = ("computed: convex core of v(p) (cut %d) %s "

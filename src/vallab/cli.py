@@ -7,24 +7,24 @@ verify (seeded property suites) and hull (divisible hulls of a group).
 Exit codes: 0 success, 1 validation or precondition failure (the
 diagnostic names the violated inequality), 2 precision exhaustion.
 JSON output is deterministic for fixed flags; TSV is a projection of
-certificate rows.  The environment variable VALLAB_PRECISION_DEFAULT
-overrides the default p-adic digit cap of the builders that need one.
+certificate rows.  --padic-cap sets kummer-valgp's p-adic digit cap
+(default p, the least that lambda = zeta_p - 1 needs).
 """
 
 import argparse
 import json
-import os
 import sys
 
 from .classify import (build_counterexample_descriptor, check,
                        audit_implications, descriptor_from_json)
-from .constructions import BUILDERS, _require_prime
+from .constructions import BUILDERS
 from .corpus import corpus_member, corpus_names, shipped_corpus, tame_core
 from .errors import PrecisionError, ValidationError
 from .ogroup import from_json as group_from_json
 from .ogroup import hull
 from .ogroup import to_json as group_to_json
 from .suites import SUITES, run_suite
+from .vbase import require_prime
 
 _TSV_COLUMNS = ("n", "name", "kind", "degree", "e", "f", "m",
                 "new_value", "new_residue", "witness")
@@ -65,26 +65,13 @@ def _tsv_text(cert_json: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _default_padic_cap(args):
-    if args.padic_cap is not None:
-        return args.padic_cap
-    env = os.environ.get("VALLAB_PRECISION_DEFAULT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError("VALLAB_PRECISION_DEFAULT must be an "
-                                  "integer, got %r" % env)
-    return None
-
-
 def _cmd_construct(args) -> int:
     _check_writable(args.out)
     if args.example == "compose-desc":
         if args.format == "tsv":
             raise ValidationError("tsv output projects certificate rows; "
                                   "compose-desc emits a descriptor")
-        _require_prime(args.p)
+        require_prime(args.p)
         desc = build_counterexample_descriptor(tame_core(args.p))
         _emit(_json_text(desc.to_json()), args.out)
         return 0
@@ -93,10 +80,8 @@ def _cmd_construct(args) -> int:
     if args.example in _DEPTH_DEFAULTS:
         kwargs["depth"] = args.depth if args.depth is not None \
             else _DEPTH_DEFAULTS[args.example]
-    if args.example == "kummer-valgp":
-        cap = _default_padic_cap(args)
-        if cap is not None:
-            kwargs["padic_cap"] = cap
+    if args.example == "kummer-valgp" and args.padic_cap is not None:
+        kwargs["padic_cap"] = args.padic_cap
     built = builder(**kwargs)
     cert = built.certificate.to_json()
     if args.format == "tsv":
@@ -162,7 +147,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hull(args) -> int:
-    _require_prime(args.p)
+    require_prime(args.p)
     _check_writable(args.out)
     try:
         with open(args.group) as fh:
@@ -196,8 +181,8 @@ def build_parser() -> _Parser:
     con.add_argument("--depth", type=int, default=None,
                      help="tower depth (default per example)")
     con.add_argument("--padic-cap", type=int, default=None,
-                     help="p-adic digit positions for mixed-characteristic "
-                          "builds that invert truncated units")
+                     help="p-adic digit positions for kummer-valgp "
+                          "(default p)")
     con.add_argument("--out", default=None, help="output file (stdout)")
     con.add_argument("--format", choices=("json", "tsv"), default="json")
     con.set_defaults(fn=_cmd_construct)

@@ -10,14 +10,13 @@ certificate is only produced when the arithmetic actually worked out.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .classify import _is_prime
-from .errors import PrecisionError, ValidationError
+from .errors import ValidationError
 from .ogroup import contains, ogroup
 from .resfield import ResField
 from .tower import (DefectCertificate, Tower, adjoin_root, residue,
                     resolve_pending, step_row, val, vlb)
 from .values import INFINITE, fr
-from .vbase import EqBase, PadicBase, PadicElem, zeta_lambda
+from .vbase import EqBase, PadicBase, PadicElem, require_prime, zeta_lambda
 
 
 @dataclass
@@ -35,16 +34,6 @@ def _check(cond: bool, msg: str):
         raise ValidationError("construction self-check failed: " + msg)
 
 
-def _require_prime(p: int):
-    if not _is_prime(p):
-        raise ValidationError("p must be a prime, got %r" % (p,))
-
-
-def required_padic_positions(depth: int) -> int:
-    """Digit positions needed to separate witness values at this depth."""
-    return depth + 3
-
-
 # ---------------------------------------------------------------------------
 # equal characteristic, growing value group
 # ---------------------------------------------------------------------------
@@ -58,7 +47,7 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
     e = p, f = 1.  In the union the value group is p-divisible and the
     relation degenerates to an immediate extension: defect p.
     """
-    _require_prime(p)
+    require_prime(p)
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     rows, absorb, towers, witnesses = [], [], [], []
@@ -109,7 +98,7 @@ def build_lemma_3_3(p: int, vd: int = -1) -> BuildResult:
     equation stays y^p = u, which has no root in F_p(u); hence e = 1,
     f = p and no defect.
     """
-    _require_prime(p)
+    require_prime(p)
     vd = int(vd)
     if vd == 0:
         raise ValidationError(
@@ -146,7 +135,7 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
     off one more residue jump.  In the union the residue field is the
     perfect hull and the relation becomes immediate: defect p.
     """
-    _require_prime(p)
+    require_prime(p)
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
     res = ResField(p, "ratfun")
@@ -227,16 +216,14 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
     all steps are ramified with e = p, f = 1.  The witness
     b_k = a - sum a_i ties the top Kummer relation to the floors.
     """
-    _require_prime(p)
+    require_prime(p)
     if depth < 1:
         raise ValidationError("depth must be at least 1")
-    need = required_padic_positions(depth)
+    # p is the least cap that builds: lambda needs one above E = p - 1
+    # (for p = 2, lambda = -2 sits at E = 1) and nothing else needs more
+    # (checked for p <= 13 at depth 1-4, and p <= 7 to depth 6)
     if padic_cap is None:
-        padic_cap = need
-    if padic_cap < need:
-        raise PrecisionError(
-            "p-adic cap %d is below the %d digit positions needed at depth %d"
-            % (padic_cap, need, depth))
+        padic_cap = p
     base = _cyclo_base(p)
     lam = zeta_lambda(base, padic_cap)
     if lam.prec == INFINITE:
@@ -283,7 +270,7 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
         "-1/((p-1) p^(depth+1)) is reached by the next floor; in the union "
         "the exponent group is p-divisible and the Kummer relation becomes "
         "immediate with defect p",
-        {"mode": "p-adic", "padic_positions": padic_cap, "required": need})
+        {"mode": "p-adic", "padic_positions": padic_cap, "required": p})
     return BuildResult(cert, [done], {"witness": w, "witness_value": top_val,
                                       "a0": a0, "lam": lam})
 
@@ -297,7 +284,7 @@ def build_2ext(p: int) -> BuildResult:
     relation forces nothing by itself; the witness e = y - x has value
     -v(w) and e/w^(-1) has residue u^(1/p^2): a third jump.
     """
-    _require_prime(p)
+    require_prime(p)
     base = _cyclo_base(p, 2, gauss=True)
     E = base.E
     d = base.monomial(Fraction(-1, E))
@@ -356,7 +343,7 @@ def build_kummer_resf(p: int, depth: int = 2) -> BuildResult:
     hull of F_p(u) step by step; every level is a residue jump with f = p
     and the top relation's witness c_k = x - sum b_i reads off one more.
     """
-    _require_prime(p)
+    require_prime(p)
     if depth < 1:
         raise ValidationError("depth must be at least 1")
     m = depth + 1

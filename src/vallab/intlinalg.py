@@ -12,6 +12,7 @@ path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -237,3 +238,17 @@ def prime_to_p_part(n: int, p: int) -> int:
     while n % p == 0:
         n //= p
     return n
+
+
+def p_exponent(n: int, p: int) -> int:
+    """Largest e with p^e dividing n (n nonzero, p > 1)."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is a prime number, by trial division."""
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))

@@ -28,6 +28,7 @@ from .errors import ValidationError, json_fraction, json_get, json_int
 from .intlinalg import (
     diagonalize_with_basis,
     int_kernel,
+    is_prime,
     prime_to_p_part,
     rational_solve,
     reduce_mod_span,
@@ -69,6 +70,9 @@ class OGroup:
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError("rank must be at least 1")
+        if self.prime != 1 and not is_prime(self.prime):
+            raise ValidationError("prime %r is neither 1 nor a prime number"
+                                  % (self.prime,))
         if self.prime == 1 and self.p_closed:
             raise ValidationError("prime 1 admits no p-closed generators")
         for i in self.p_closed:
@@ -129,10 +133,6 @@ def ogroup(gens, closed=(), prime: int = 1, rank=None) -> OGroup:
 
 def cyclic(q, rank=1) -> OGroup:
     return ogroup([q], rank=rank)
-
-
-def trivial(rank: int = 1) -> OGroup:
-    return OGroup(rank=rank, gens=(), p_closed=frozenset(), prime=1)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +378,7 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
                   prime=p if raw.div else 1, rank=g.rank)
 
 
-def convex_core(g: OGroup, x, p: int) -> ConvexPart:
+def convex_core(g: OGroup, x) -> ConvexPart:
     """Smallest convex subgroup of g containing x.
 
     x must be a positive element of g; the result consists of all
@@ -392,16 +392,6 @@ def convex_core(g: OGroup, x, p: int) -> ConvexPart:
         raise ValidationError("x must be positive")
     ell = _leading_index(vec)
     return ConvexPart(group=_convex_at(g, ell), cut_index=ell)
-
-
-def is_roughly_p_divisible(g: OGroup, vp, p: int) -> bool:
-    """p-divisibility of the smallest convex subgroup containing vp.
-
-    vp = None marks equal characteristic, where the whole group is used.
-    """
-    if vp is None:
-        return is_p_divisible(g, p)
-    return is_p_divisible(convex_core(g, vp, p).group, p)
 
 
 def project_trailing(g: OGroup, ell: int) -> OGroup:

@@ -13,9 +13,18 @@ Values are computed by four rules:
   R1  every monomial gives the lower bound v(c) + sum e_i * v(gen_i);
   R2  a unique minimal monomial decides the value;
   R3  residues multiply through stored (mu, rho) data per generator;
-  R4  ties fall back to v(x) = v(x^p)/p, iterated within a budget; in
-      equal characteristic x^p is taken by Frobenius, sum c^p * prod
-      (gen_i^p)^{e_i}, with no generic products of x.
+  R4  ties fall back to v(x) = v(x^p)/p, iterated within the budget
+      below; in equal characteristic x^p is taken by Frobenius, sum c^p
+      * prod (gen_i^p)^{e_i}, with no generic products of x.
+
+Each R4 step multiplies values by p.  A tie that persists approximates a
+generator by terms whose value denominators carry powers of p, and each
+step strips one (the as-valgp witness x - t^(-1/p) - ... - t^(-1/p^n)
+takes n steps).  So r4_budget(x) is the number of generators plus the
+largest p-exponent among the value denominators of the base group's
+generators, the generator values and the exponents in the relations' and
+x's coefficients.  The bound is measured, not proved; outlasting it is a
+ValidationError, since no precision cap ran out.
 
 Adjoining a root first classifies the step from the Newton polygon and
 the residue equation.  When neither a value jump nor a residue jump is
@@ -30,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, ValidationError
+from .intlinalg import p_exponent
 from .newton import single_slope
 from .ogroup import contains as group_contains, index as group_index, join
 from .resfield import RElem, power
@@ -67,14 +77,12 @@ def ostrowski_m(degree: int, e: int, f: int, p: int) -> int:
         raise ValidationError(
             "fundamental inequality violated: e*f = %d exceeds degree %d"
             % (e * f, degree))
-    q, m = degree // (e * f), 0
+    q = degree // (e * f)
     if q * e * f != degree:
         raise ValidationError(
             "defect quotient %s/%d is not an integer" % (degree, e * f))
-    while q % p == 0:
-        q //= p
-        m += 1
-    if q != 1:
+    m = p_exponent(q, p)
+    if q != p ** m:
         raise ValidationError(
             "defect %d is not a power of the residue characteristic %d"
             % (degree // (e * f), p))
@@ -297,54 +305,70 @@ def vlb(x: TElem):
     return min(b for b, _, _, _ in bounds)
 
 
-def val(x: TElem, budget: int = None):
+def r4_budget(x: TElem) -> int:
+    """R4 steps allowed for x (see the module docstring)."""
+    t = x.tower
+    vals = [c for v in t.base.value_group.gens for c in v]
+    vals += [g.value for g in t.gens]
+    if t.base.eq_char:
+        # exponents in a p-closed group have unbounded denominators
+        coeffs = [c for g in t.gens for _, c in g.rhs] + list(x.coords.values())
+        vals += [g for c in coeffs for g in c.terms]
+    return len(t.gens) + max(
+        (p_exponent(v.denominator, t.p) for v in vals), default=0)
+
+
+def _r4_powers(x: TElem, what: str):
+    """(k, x^(p^k)) for k = 0 up to r4_budget(x), then a ValidationError."""
+    yield 0, x
+    budget = r4_budget(x)
+    for k in range(1, budget + 1):
+        x = x ** x.tower.p
+        yield k, x
+    raise ValidationError(
+        "%s outlasts the R4 budget of %d p-th powers: the generator count "
+        "plus the largest p-exponent of a value denominator" % (what, budget))
+
+
+def val(x: TElem):
     """Exact value via R2 (unique minimum) with R4 fallback (p-th powers)."""
-    if budget is None:
-        budget = len(x.tower.gens) + 4
-    bounds = _monomial_bounds(x)
-    if not bounds:
-        return INFINITE
-    m = min(b for b, _, _, _ in bounds)
-    at_min = [t for t in bounds if t[0] == m]
-    if any(not t[1] for t in at_min):
-        raise PrecisionError(
-            "value tied with an indeterminate coefficient at %s" % (m,))
-    if len(at_min) == 1:
-        return m
-    if budget <= 0:
-        raise PrecisionError(
-            "value tie between %d monomials not resolved within the p-power "
-            "budget" % len(at_min))
-    return val(x ** x.tower.p, budget - 1) / x.tower.p
+    for k, y in _r4_powers(x, "a value tie"):
+        bounds = _monomial_bounds(y)
+        if not bounds:
+            return INFINITE
+        m = min(b for b, _, _, _ in bounds)
+        at_min = [t for t in bounds if t[0] == m]
+        if any(not t[1] for t in at_min):
+            raise PrecisionError(
+                "value tied with an indeterminate coefficient at %s" % (m,))
+        if len(at_min) == 1:
+            return m / x.tower.p ** k
 
 
-def residue(x: TElem, budget: int = None) -> RElem:
+def residue(x: TElem) -> RElem:
     """Residue of a value-0 element, via R3 on stored (mu, rho) data.
 
     Monomials of positive value drop out; if any monomial sits below 0
     the p-power rule applies first (residues of p-th powers pull back
     along the Frobenius, which is injective here).
     """
-    if budget is None:
-        budget = len(x.tower.gens) + 4
-    v = val(x, budget)
+    v = val(x)
     if v != 0:
         raise ValidationError("residue requires value exactly 0, got %s" % (v,))
-    bounds = _monomial_bounds(x)
-    if all(b >= 0 for b, _, _, _ in bounds):
-        total = None
-        for e, c in x.coords.items():
-            term = _monomial_residue(x.tower, e, c)
-            if term is None:
-                continue
-            total = term if total is None else total + term
-        if total is None or total.is_zero():
-            raise ValidationError("residue computation cancelled to zero")
-        return total
-    if budget <= 0:
-        raise PrecisionError("residue tie not resolved within the p-power budget")
-    r = residue(x ** x.tower.p, budget - 1)
-    return r.pth_root_extend()
+    for k, x in _r4_powers(x, "a residue tie"):
+        if all(b >= 0 for b, _, _, _ in _monomial_bounds(x)):
+            break
+    total = None
+    for e, c in x.coords.items():
+        term = _monomial_residue(x.tower, e, c)
+        if term is None:
+            continue
+        total = term if total is None else total + term
+    if total is None or total.is_zero():
+        raise ValidationError("residue computation cancelled to zero")
+    for _ in range(k):
+        total = total.pth_root_extend()
+    return total
 
 
 def _monomial_residue(tower: Tower, e: tuple, c):
@@ -594,52 +618,3 @@ def certificate(tower: Tower, construction: str, params: dict,
     rows = [step_row(i + 1, s) for i, s in enumerate(tower.steps)]
     return DefectCertificate(construction, tower.p, params, rows,
                              list(absorption), limit_claim, precision)
-
-
-# ---------------------------------------------------------------------------
-# closed-form expansions (independent cross-checks)
-# ---------------------------------------------------------------------------
-
-
-def as_expansion_terms(c, count: int):
-    """Truncated root of X^p - X = c as explicit base elements.
-
-    For v(c) < 0 the terms are c^{1/p}, c^{1/p^2}, ...; for v(c) > 0 they
-    are -c, -c^p, -c^{p^2}, ...  (both verify g(theta) -> 0).  The base
-    must support the needed exponents (p-divisible group in the first
-    case).
-    """
-    vc = c.val()
-    if vc == INFINITE or isinstance(vc, Indeterminate):
-        raise ValidationError("expansion needs a determinate nonzero value")
-    out = []
-    if vc < 0:
-        t = c
-        for _ in range(count):
-            t = t.pth_root()
-            out.append(t)
-        return out
-    if vc > 0:
-        t = c
-        for _ in range(count):
-            out.append(-t)
-            t = t.frobenius() if hasattr(t, "frobenius") else t ** c.base.p
-        return out
-    raise ValidationError("value-0 relations do not have a canonical expansion")
-
-
-def eval_expansion(x: TElem, gen_series: list, exp_base) -> object:
-    """Substitute explicit base expansions for the generators.
-
-    gen_series[i] is an element of exp_base standing for gen_i.  The
-    result is exact arithmetic in exp_base (use capped series to keep it
-    finite); useful as an independent check of engine values.
-    """
-    total = exp_base.zero()
-    for e, c in x.coords.items():
-        term = c.rebase(exp_base) if hasattr(c, "rebase") else c
-        for i, ei in enumerate(e):
-            for _ in range(ei):
-                term = term * gen_series[i]
-        total = total + term
-    return total

@@ -24,11 +24,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PrecisionError, ValidationError
+from .intlinalg import is_prime
 from .ogroup import OGroup, contains as group_contains, ogroup
 from .resfield import RElem, ResField, power
 from .values import INFINITE, Indeterminate, fr
 
+# a division of two exact elements has no target position; it stops here
 _MAX_DIV_STEPS = 400
+# an exact element shows its digits below max(0, its lowest position) + 24
+_EXACT_SHOWN = 24
+
+
+def require_prime(p: int):
+    if not is_prime(p):
+        raise ValidationError("p must be a prime, got %r" % (p,))
 
 
 def _power(x, n: int):
@@ -53,6 +62,7 @@ class EqBase:
     name: str = "t"
 
     def __post_init__(self):
+        require_prime(self.p)
         if self.group.rank != 1:
             raise ValidationError("series exponent group must have rank 1")
         if self.res.char != self.p:
@@ -189,9 +199,9 @@ class SeriesElem:
             if target != INFINITE and vr - vy >= target:
                 return SeriesElem(self.base, q, target)
             steps += 1
-            if steps > _MAX_DIV_STEPS:
-                raise PrecisionError(
-                    "series division did not terminate; set a finite precision cap")
+            if target == INFINITE and steps > _MAX_DIV_STEPS:
+                raise PrecisionError("exact series division passed %d quotient "
+                                     "terms; cap an operand" % _MAX_DIV_STEPS)
             cq = r.terms[vr] / other.terms[vy]
             q[vr - vy] = cq
             r = r - SeriesElem(self.base, {vr - vy: cq}, INFINITE) * other
@@ -218,14 +228,6 @@ class SeriesElem:
         terms = {g * p: c.frobenius() for g, c in self.terms.items()}
         prec = INFINITE if self.prec == INFINITE else self.prec * p
         return SeriesElem(self.base, terms, prec)
-
-    def rebase(self, base: EqBase) -> "SeriesElem":
-        if base.p != self.base.p:
-            raise ValidationError("characteristic mismatch in rebase")
-        for g in self.terms:
-            if not group_contains(base.group, (g,)):
-                raise ValidationError("exponent %s outside the target group" % (g,))
-        return SeriesElem(base, dict(self.terms), self.prec)
 
     # -- display ---------------------------------------------------------------
 
@@ -316,6 +318,7 @@ class PadicBase:
     name: str = "w"
 
     def __post_init__(self):
+        require_prime(self.p)
         if self.twist not in (1, -1):
             raise ValidationError("twist must be +1 or -1")
         if self.E < 1:
@@ -518,9 +521,9 @@ class PadicElem:
             if vr - k0 >= target:
                 return PadicElem(self.base, q, target)
             steps += 1
-            if steps > _MAX_DIV_STEPS:
-                raise PrecisionError(
-                    "digit division did not terminate; set a finite precision cap")
+            if target == INFINITE and steps > _MAX_DIV_STEPS:
+                raise PrecisionError("exact digit division passed %d quotient "
+                                     "digits; cap an operand" % _MAX_DIV_STEPS)
             qd = {(vr - k0, e - e0): c * inv % p for e, c in dr.items()}
             for ke, c in qd.items():
                 q[ke] = q.get(ke, 0) + c
@@ -536,16 +539,19 @@ class PadicElem:
 
     # -- display ------------------------------------------------------------------
 
-    def to_text(self, limit: int = 24) -> str:
+    def to_text(self) -> str:
+        """Every digit below a finite cap, then + O(w^prec).  An exact
+        element's carried digits can go on forever (-1 when w^E = +p), so
+        it prints those below the _EXACT_SHOWN bound, then + ... if more."""
         name = self.base.name
-        cap = min(limit, self.prec)
-        floor = min((k for k, _ in self.digits), default=0)
-        cap = max(cap, floor + limit)
-        parts = []
-        exhausted = True
+        cap = self.prec
+        if cap == INFINITE:
+            floor = min((k for k, _ in self.digits), default=0)
+            cap = max(0, floor) + _EXACT_SHOWN
+        parts, more = [], False
         for k, d in self._norm_iter():
             if k >= cap:
-                exhausted = False
+                more = True
                 break
             dt = _digit_text(d)
             if k == 0:
@@ -556,9 +562,7 @@ class PadicElem:
         body = " + ".join(parts) if parts else "0"
         if self.prec != INFINITE:
             return "%s + O(%s)" % (body, _pow_text(name, self.prec))
-        if not exhausted:
-            return body + " + ..."
-        return body
+        return body + " + ..." if more else body
 
     def __repr__(self):
         return self.to_text()

@@ -1,14 +1,20 @@
-"""Brute-force oracles used to cross-check the linear-algebra layer.
+"""Brute-force oracles used to cross-check the library.
 
 Everything here is deliberately naive: bounded coefficient searches,
 permutation-sum determinants and back-substitution against an echelon
-form, independent of the implementations under test.
+form for the linear-algebra layer, and closed-form series expansions of
+tower generators for the valuation rules, independent of the
+implementations under test.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
+from vallab.errors import ValidationError
 from vallab.intlinalg import row_echelon
+from vallab.ogroup import contains
+from vallab.values import INFINITE, Indeterminate
+from vallab.vbase import SeriesElem
 
 
 def brute_contains(free, closed, p, x, bound=10, kmax=6):
@@ -127,3 +133,60 @@ def lattice_solve(rows, target):
     if any(v != 0 for v in t):
         return None
     return coeffs
+
+
+# closed-form expansions of tower generators (independent cross-checks)
+
+
+def as_expansion_terms(c, count: int):
+    """Truncated root of X^p - X = c as explicit base elements.
+
+    For v(c) < 0 the terms are c^{1/p}, c^{1/p^2}, ...; for v(c) > 0 they
+    are -c, -c^p, -c^{p^2}, ...  (both verify g(theta) -> 0).  The base
+    must support the needed exponents (p-divisible group in the first
+    case).
+    """
+    vc = c.val()
+    if vc == INFINITE or isinstance(vc, Indeterminate):
+        raise ValidationError("expansion needs a determinate nonzero value")
+    out = []
+    if vc < 0:
+        t = c
+        for _ in range(count):
+            t = t.pth_root()
+            out.append(t)
+        return out
+    if vc > 0:
+        t = c
+        for _ in range(count):
+            out.append(-t)
+            t = t.frobenius() if hasattr(t, "frobenius") else t ** c.base.p
+        return out
+    raise ValidationError("value-0 relations do not have a canonical expansion")
+
+
+def rebase(c, base):
+    """The series c re-homed in a base whose group holds its exponents."""
+    if base.p != c.base.p:
+        raise ValidationError("characteristic mismatch in rebase")
+    for g in c.terms:
+        if not contains(base.group, (g,)):
+            raise ValidationError("exponent %s outside the target group" % (g,))
+    return SeriesElem(base, dict(c.terms), c.prec)
+
+
+def eval_expansion(x, gen_series: list, exp_base):
+    """Substitute explicit base expansions for the generators.
+
+    gen_series[i] is an element of exp_base standing for gen_i.  The
+    result is exact arithmetic in exp_base (use capped series to keep it
+    finite); useful as an independent check of engine values.
+    """
+    total = exp_base.zero()
+    for e, c in x.coords.items():
+        term = rebase(c, exp_base) if isinstance(c, SeriesElem) else c
+        for i, ei in enumerate(e):
+            for _ in range(ei):
+                term = term * gen_series[i]
+        total = total + term
+    return total

@@ -18,7 +18,7 @@ from vallab.corpus import (composed_counterexample, corpus_member,
                            corpus_names, q2, q3_deep, shipped_corpus,
                            tame_core)
 from vallab.errors import ValidationError
-from vallab.ogroup import cyclic, lex_compose, ogroup, same_group, trivial
+from vallab.ogroup import cyclic, lex_compose, ogroup, same_group
 from vallab.resfield import ResField
 
 
@@ -362,7 +362,7 @@ def test_counterexample_discrete_core_kills_rtf1():
 
 
 def test_counterexample_trivially_valued_core():
-    core = FieldDescriptor("triv", 0, 0, trivial(1),
+    core = FieldDescriptor("triv", 0, 0, ogroup([], rank=1),
                            residue_field=AbstractResidue(True),
                            oracle_flags=flags(tame=True))
     d = build_counterexample_descriptor(core)

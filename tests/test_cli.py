@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 
@@ -14,13 +13,8 @@ from vallab.corpus import corpus_member, corpus_names
 BASE = [sys.executable, "-m", "vallab.cli"]
 
 
-def run(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("VALLAB_PRECISION_DEFAULT", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(BASE + list(args), capture_output=True,
-                          text=True, env=env)
+def run(*args):
+    return subprocess.run(BASE + list(args), capture_output=True, text=True)
 
 
 def test_construct_as_valgp_exit_zero_and_rows():
@@ -37,16 +31,16 @@ def test_construct_as_valgp_exit_zero_and_rows():
 
 def test_construct_underfunded_precision_exits_two():
     res = run("construct", "--example", "kummer-valgp", "--p", "3",
-              "--depth", "9", "--padic-cap", "10")
+              "--depth", "9", "--padic-cap", "2")
     assert res.returncode == 2
     assert "precision exhausted" in res.stderr
-    assert "12" in res.stderr  # names the needed digit positions
+    assert "at least 3" in res.stderr  # names the needed digit positions
 
 
 def test_construct_lambda_cap_below_E_exits_two():
-    # the default cap (depth + 3 = 4) is below E = 6 for p = 7
+    # a cap of 6 is not above E = 6 for p = 7
     res = run("construct", "--example", "kummer-valgp", "--p", "7",
-              "--depth", "1")
+              "--depth", "1", "--padic-cap", "6")
     assert res.returncode == 2
     assert "precision exhausted: lambda = zeta_7 - 1" in res.stderr
     assert "at least 7" in res.stderr
@@ -89,22 +83,6 @@ def test_construct_rejects_composite_p():
 
 def test_unknown_flag_is_a_usage_error_not_precision():
     res = run("construct", "--example", "as-valgp", "--frobnicate")
-    assert res.returncode == 1
-
-
-def test_env_var_sets_default_cap():
-    res = run("construct", "--example", "kummer-valgp", "--p", "3",
-              "--depth", "9", env_extra={"VALLAB_PRECISION_DEFAULT": "10"})
-    assert res.returncode == 2
-    ok = run("construct", "--example", "kummer-valgp", "--p", "3",
-             "--depth", "1", env_extra={"VALLAB_PRECISION_DEFAULT": "10"})
-    assert ok.returncode == 0
-    assert json.loads(ok.stdout)["precision"]["padic_positions"] == 10
-
-
-def test_env_var_must_be_integer():
-    res = run("construct", "--example", "kummer-valgp", "--p", "3",
-              env_extra={"VALLAB_PRECISION_DEFAULT": "lots"})
     assert res.returncode == 1
 
 
@@ -224,11 +202,19 @@ def test_hull_malformed_group(tmp_path):
     # a p_closed index past the generators used to be dropped silently
     (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
      {"p_closed": [5], "prime": 3}, "p_closed index 5 is out of range"),
+    # a group's prime used to be checked only against 1
+    (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
+     {"p_closed": [0], "prime": 0}, "prime 0 is neither 1 nor a prime"),
+    (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
+     {"p_closed": [0], "prime": -3}, "prime -3 is neither 1 nor a prime"),
+    (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
+     {"p_closed": [0], "prime": 4}, "prime 4 is neither 1 nor a prime"),
 ], ids=["hull-negative-level", "hull-exact-prime-to-p", "hull-p1",
         "hull-composite-p", "compose-desc-p1", "hull-float-rational",
         "descriptor-no-char", "descriptor-no-residue-field",
         "descriptor-unknown-residue-kind", "descriptor-float-rational",
-        "hull-p-closed-out-of-range"])
+        "hull-p-closed-out-of-range", "hull-group-prime-0",
+        "hull-group-prime-negative", "hull-group-prime-composite"])
 def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
     # hull reads a rank-1 group file and classify reads laurent-f3, each
     # with the keys in `patch` dropped (None) or replaced

@@ -7,10 +7,9 @@ import pytest
 from vallab import vbase
 from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_as_valgp, build_kummer_resf,
-                                  build_kummer_valgp, build_lemma_3_3,
-                                  required_padic_positions)
+                                  build_kummer_valgp, build_lemma_3_3)
 from vallab.errors import PrecisionError, ValidationError
-from vallab.tower import val
+from vallab.tower import TElem, val
 
 
 def rows_of(result):
@@ -121,7 +120,7 @@ def test_kummer_valgp_p3_depth2_frozen():
     assert rows[2]["new_value"] == "-1/54"
     assert rows[2]["witness"].startswith("b2")
     assert data["absorption"] == [True, True, True]
-    assert data["precision"]["required"] == required_padic_positions(2)
+    assert data["precision"]["required"] == 3
     assert r.extras["a0"].val() == Fraction(-1, 2)
     assert r.extras["witness_value"] == Fraction(-1, 54)
 
@@ -133,9 +132,36 @@ def test_kummer_valgp_p2():
     assert all((row["e"], row["f"]) == (2, 1) for row in rows)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_default_cap_is_the_least_that_builds(p):
+    # the need is lambda's own, at every depth: no guard stands in for it
+    for depth in range(1, 5):
+        prec = build_kummer_valgp(p, depth).to_json()["precision"]
+        assert prec["padic_positions"] == prec["required"] == p
+        with pytest.raises(PrecisionError):
+            build_kummer_valgp(p, depth, padic_cap=p - 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_as_valgp_depth_12_builds_within_budget(p, monkeypatch):
+    # the R4 budget used to be len(gens) + 4, so depth 6 ran out although
+    # the build is exact.  Work bound: level n takes 2n + 1 p-th powers
+    # (its witness needs n R4 steps), (depth + 1)^2 in all.
+    calls = []
+    pow_ = TElem.__pow__
+    monkeypatch.setattr(TElem, "__pow__",
+                        lambda x, n: calls.append(n) or pow_(x, n))
+    r = build_as_valgp(p, 12)
+    assert len(calls) <= 13 ** 2
+    rows = rows_of(r)
+    assert len(rows) == 13
+    assert rows[-1]["new_value"] == str(Fraction(-1, p ** 13))
+    assert r.certificate.to_json()["absorption"] == [True] * 13
+
+
 def test_kummer_valgp_cap_guard():
-    with pytest.raises(PrecisionError):
-        build_kummer_valgp(3, 9, padic_cap=10)
+    with pytest.raises(PrecisionError, match="at least 3"):
+        build_kummer_valgp(3, 9, padic_cap=2)
     with pytest.raises(ValidationError):
         build_kummer_valgp(3, 0)
 

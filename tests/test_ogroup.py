@@ -13,7 +13,6 @@ from vallab.ogroup import (
     in_divisible_part,
     index,
     is_p_divisible,
-    is_roughly_p_divisible,
     join,
     lex_compose,
     ogroup,
@@ -22,7 +21,6 @@ from vallab.ogroup import (
     same_group,
     subset,
     to_json,
-    trivial,
 )
 from vallab.values import INFINITE
 
@@ -43,7 +41,7 @@ def test_construction_drops_zero_gens():
     for bad in (5, 1, -1):
         with pytest.raises(ValueError, match="p_closed index %d" % bad):
             ogroup([1], closed=[bad], prime=3)
-    assert trivial(2).is_trivial()
+    assert ogroup([], rank=2).is_trivial()
 
 
 def test_contains_frozen_examples():
@@ -133,7 +131,7 @@ def test_index_rank_two():
     a = lex_compose(zp, cyclic(1))
     b = lex_compose(ogroup([3], closed=[0], prime=2), cyclic(5))
     assert index(a, b) == 15
-    assert index(a, lex_compose(zp, trivial(1))) == INFINITE
+    assert index(a, lex_compose(zp, ogroup([], rank=1))) == INFINITE
 
 
 def test_index_matches_sympy_determinant():
@@ -177,7 +175,7 @@ def test_is_p_divisible():
     assert is_p_divisible(ogroup([1], closed=[0], prime=3), 3)
     assert not is_p_divisible(ogroup([1], closed=[0], prime=3), 2)
     assert not is_p_divisible(cyclic(1), 3)
-    assert is_p_divisible(trivial(1), 3)
+    assert is_p_divisible(ogroup([], rank=1), 3)
     assert is_p_divisible(cyclic(1), 1)
     # rank-one absorption: adding 1/2 to Z[1/3] still gives a 3-divisible group
     assert is_p_divisible(join(ogroup([1], closed=[0], prime=3), [F(1, 2)]), 3)
@@ -187,21 +185,21 @@ def test_is_p_divisible():
 
 def test_convex_core_rank_one_is_whole_group():
     g = ogroup([1], closed=[0], prime=5)
-    part = convex_core(g, F(1, 5), 5)
+    part = convex_core(g, F(1, 5))
     assert part.cut_index == 0
     assert same_group(part.group, g)
     with pytest.raises(ValueError):
-        convex_core(g, F(-1, 5), 5)
+        convex_core(g, F(-1, 5))
     with pytest.raises(ValueError):
-        convex_core(g, F(1, 2), 5)
+        convex_core(g, F(1, 2))
 
 
 def test_convex_core_rank_two():
     g = lex_compose(cyclic(1), cyclic(F(1, 2)))
-    part = convex_core(g, (0, F(3, 2)), 2)
+    part = convex_core(g, (0, F(3, 2)))
     assert part.cut_index == 1
     assert same_group(part.group, ogroup([(0, F(1, 2))], rank=2))
-    whole = convex_core(g, (1, 0), 2)
+    whole = convex_core(g, (1, 0))
     assert whole.cut_index == 0
     assert same_group(whole.group, g)
 
@@ -210,7 +208,7 @@ def test_convex_part_saturates_against_divisible_block():
     # sigma maps the closed generator to 3; dividing it by p = 3 lets the
     # free generator cancel exactly, so the kernel is Z*(0,1), not Z*(0,3)
     g = ogroup([(3, 0), (1, 1)], closed=[0], prime=3)
-    part = convex_core(g, (0, 1), 3)
+    part = convex_core(g, (0, 1))
     assert same_group(part.group, ogroup([(0, 1)], rank=2))
     assert contains(g, (0, 1))
 
@@ -219,7 +217,7 @@ def test_convex_part_respects_prime_to_p_congruence():
     # cancelling the head needs half the closed generator, and 1/2 is not
     # allowed in Z[1/3]; only even multiples of the free generator die
     g = ogroup([(2, 0), (1, 1)], closed=[0], prime=3)
-    part = convex_core(g, (0, 2), 3)
+    part = convex_core(g, (0, 2))
     assert same_group(part.group, ogroup([(0, 2)], rank=2))
     assert not contains(g, (0, 1))
     assert contains(g, (0, 2))
@@ -235,7 +233,7 @@ def test_convex_part_sampling_consistency():
         g = ogroup(gens, closed=range(nclosed), prime=p if nclosed else 1)
         if g.is_trivial():
             continue
-        h = convex_core(g, (0, 1), p).group if contains(g, (0, 1)) else None
+        h = convex_core(g, (0, 1)).group if contains(g, (0, 1)) else None
         if h is None:
             continue
         # soundness: generators of the part lie in g and have zero head
@@ -275,7 +273,7 @@ def test_convex_part_sampling_consistency_rank_three():
             if not heads:
                 continue
             x = max(heads)   # lex-largest, so positive
-            part = convex_core(g, x, p)
+            part = convex_core(g, x)
             assert part.cut_index == next(i for i, c in enumerate(x) if c)
             for i, gen in enumerate(part.group.gens):
                 assert not any(gen[:part.cut_index])
@@ -288,22 +286,23 @@ def test_convex_part_sampling_consistency_rank_three():
 
 
 def test_is_roughly_p_divisible():
+    # roughly p-divisible: the convex core of vp is p-divisible
     zp3 = ogroup([1], closed=[0], prime=3)
     g = lex_compose(cyclic(1), zp3)
     assert not is_p_divisible(g, 3)
-    assert is_roughly_p_divisible(g, (0, 1), 3)
-    assert not is_roughly_p_divisible(g, (1, 0), 3)
+    assert is_p_divisible(convex_core(g, (0, 1)).group, 3)
+    assert not is_p_divisible(convex_core(g, (1, 0)).group, 3)
     flipped = lex_compose(zp3, cyclic(1))
-    assert not is_roughly_p_divisible(flipped, (0, 1), 3)
+    assert not is_p_divisible(convex_core(flipped, (0, 1)).group, 3)
     # equal characteristic: no distinguished element, whole group decides
-    assert is_roughly_p_divisible(zp3, None, 3)
-    assert not is_roughly_p_divisible(g, None, 3)
+    assert is_p_divisible(zp3, 3)
+    assert not is_p_divisible(g, 3)
 
 
 def test_quotient_keeps_divisibility():
     zp = ogroup([1], closed=[0], prime=2)
     g = lex_compose(zp, cyclic(1))
-    part = convex_core(g, (0, 1), 2)
+    part = convex_core(g, (0, 1))
     # g modulo its convex part at cut ell is the image on the leading ell
     q = project(g, 0, part.cut_index)
     assert same_group(q, ogroup([1], closed=[0], prime=2))

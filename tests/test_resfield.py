@@ -3,7 +3,8 @@ import random
 import pytest
 
 from vallab.errors import ValidationError
-from vallab.resfield import ResField, _reduced, resfield_from_json
+from vallab.resfield import (ResField, _pgcd, _pmul, _pnorm, _reduced,
+                             resfield_from_json)
 
 
 def rand_elem(field, rng, deg=4):
@@ -155,3 +156,27 @@ def test_json_roundtrip():
     for f in (ResField(3), ResField(3, "finite", q=27), ResField(2, "ratfun"),
               ResField(5, "perflevel", level=2)):
         assert resfield_from_json(f.to_json()) == f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pgcd_matches_sympy_monic_gcd(p):
+    # a planted common factor makes most gcds nontrivial
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(40 + p)
+
+    def poly():
+        d = rng.randint(0, 4)
+        return _pnorm({**{e: rng.randrange(p) for e in range(d)},
+                       d: rng.randrange(1, p)}, p)
+
+    def to_sympy(a):
+        return sympy.Poly.from_dict({(e,): c for e, c in a.items()}, x,
+                                    modulus=p)
+
+    for _ in range(300):
+        f = poly()
+        a, b = _pmul(f, poly(), p), _pmul(f, poly(), p)
+        want = to_sympy(a).gcd(to_sympy(b))
+        want = {m[0]: int(c) % p for m, c in want.terms()}
+        assert _pgcd(a, b, p) == want, (a, b)

@@ -13,14 +13,16 @@ import pytest
 
 from vallab.constructions import (build_2ext, build_as_resf, build_as_valgp,
                                   build_lemma_3_3)
+from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
 from vallab.resfield import ResField
-from vallab.tower import (TElem, Tower, adjoin_root, as_expansion_terms,
-                          certificate, eval_expansion, ostrowski_m, residue,
-                          resolve_pending, val, vlb)
+from vallab.tower import (TElem, Tower, adjoin_root, certificate,
+                          ostrowski_m, residue, resolve_pending, val, vlb)
 from vallab.values import INFINITE, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem
+
+from helpers import as_expansion_terms, eval_expansion
 
 
 def laurent(p, denom=1, closed=False, ratfun=False):
@@ -278,12 +280,71 @@ def test_residue_termwise_uses_stored_generator_data():
         residue(x)  # value -1/3, not 0
 
 
-def test_val_budget_exhaustion_raises():
+def test_val_budget_exhaustion_raises(monkeypatch):
     base, tw = as_pending(3, 2)
     b1 = tw.gen_elem(0) - tw.from_base(base.monomial(Fraction(-1, 3)))
-    assert val(b1, budget=1) == Fraction(-1, 9)
-    with pytest.raises(PrecisionError):
-        val(b1, budget=0)
+    monkeypatch.setattr(tower, "r4_budget", lambda x: 1)
+    assert val(b1) == Fraction(-1, 9)
+    monkeypatch.setattr(tower, "r4_budget", lambda x: 0)
+    with pytest.raises(ValidationError):
+        val(b1)
+
+
+def as_witness(base, tw, n):
+    """x - t^(-1/p) - ... - t^(-1/p^n), which needs exactly n R4 steps."""
+    w = tw.gen_elem(0)
+    for k in range(1, n + 1):
+        w = w - tw.from_base(base.monomial(Fraction(-1, tw.p ** k)))
+    return w
+
+
+def test_r4_budget_is_derived_from_the_tower(monkeypatch):
+    # exponents (1/27) Z: p-exponent 3, plus one generator of value -1/3
+    base, tw = as_pending(3, 3)
+    assert tower.r4_budget(Tower(base).one()) == 3
+    assert tower.r4_budget(tw.gen_elem(0)) == 4
+    # the as-valgp witness at level n needs exactly n R4 steps
+    for n in range(1, 6):
+        base, tw = as_pending(3, n)
+        w = as_witness(base, tw, n)
+        monkeypatch.setattr(tower, "r4_budget", lambda x: n)
+        assert val(w) == Fraction(-1, 3 ** (n + 1))
+        monkeypatch.setattr(tower, "r4_budget", lambda x: n - 1)
+        with pytest.raises(ValidationError):
+            val(w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_r4_budget_reads_coefficient_exponents_over_a_p_closed_group(n):
+    # Z[1/3] has the generator 1, so only the witness's own exponents
+    # t^(-1/3^k) show how many steps the tie takes
+    base = laurent(3, closed=True)
+    t0 = Tower(base)
+    tw = adjoin_root(t0, "as", t0.from_base(base.monomial(-1)), "x").tower
+    w = as_witness(base, tw, n)
+    assert tower.r4_budget(w) == n + 1
+    assert val(w) == Fraction(-1, 3 ** (n + 1))
+
+
+def test_r4_exhaustion_is_a_validation_error(monkeypatch):
+    # no precision cap runs out on an exact build, so the CLI exits 1
+    base, tw = as_pending(3, 2)
+    b1 = tw.gen_elem(0) - tw.from_base(base.monomial(Fraction(-1, 3)))
+    y = b1 * tw.from_base(base.monomial(Fraction(1, 9)))  # value 0
+    monkeypatch.setattr(tower, "r4_budget", lambda x: 1)
+    assert residue(y).to_text() == "1"
+    monkeypatch.setattr(tower, "r4_budget", lambda x: 0)
+    with pytest.raises(ValidationError, match="a value tie outlasts the R4 "
+                       "budget of 0") as info:
+        val(b1)
+    assert not isinstance(info.value, PrecisionError)
+    assert "the largest p-exponent of a value denominator" in str(info.value)
+    # residue's own R4 loop, past a value known to be 0
+    monkeypatch.setattr(tower, "val", lambda x: 0)
+    with pytest.raises(ValidationError, match="a residue tie outlasts the R4 "
+                       "budget of 0") as info:
+        residue(y)
+    assert not isinstance(info.value, PrecisionError)
 
 
 def test_val_additivity_on_monomials():

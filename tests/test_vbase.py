@@ -28,6 +28,15 @@ def plain_laurent(p, closed=False):
 # -- series ------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_bases_reject_a_non_prime_characteristic(p):
+    # p = 1 used to hang: digit carries and p-exponents never end
+    with pytest.raises(ValidationError, match="got %d" % p):
+        PadicBase(p, 1)
+    with pytest.raises(ValidationError, match="got %d" % p):
+        EqBase(p, ResField(2), ogroup([F(1)]))
+
+
 def test_series_val_and_zero():
     b = plain_laurent(3)
     t = b.monomial(1)
@@ -213,6 +222,26 @@ def test_padic_division_needs_cap():
         b.one() / b.from_int(4)
 
 
+def test_division_to_a_finite_cap_has_no_step_limit():
+    # every step raises the remainder's leading position, so a cap of 450
+    # ends each division; a fixed 400-step limit used to stop both
+    b = q3()
+    y = b.from_int(4)
+    x = b.from_digits({0: 1}, prec=450)
+    q = x / y
+    assert q.prec == 450
+    assert isinstance((q * y - x).val(), Indeterminate)
+    s = plain_laurent(3)
+    t = s.monomial(1)
+    q = s.series({0: 1}, prec=F(450)) / (s.one() + t)
+    assert q.prec == 450 and len(q.terms) == 450
+    # exact / exact has no target: the limit stays, and its message names it
+    with pytest.raises(PrecisionError, match="passed 400 quotient digits"):
+        b.one() / y
+    with pytest.raises(PrecisionError, match="passed 400 quotient terms"):
+        s.one() / (s.one() + t)
+
+
 def test_padic_nonmonomial_digit_division_rejected():
     g = PadicBase(3, 2, twist=-1, gauss=True)
     y = g.u_elem() + g.one()
@@ -355,10 +384,28 @@ def test_lambda_p3_closed_form():
 
 def test_kummer_valgp_certificate_prints_the_true_inverse_lambda():
     text = "w^(-1) + 1 + 2*w + O(w^2)"
-    built = build_kummer_valgp(3, depth=1)
+    built = build_kummer_valgp(3, depth=1, padic_cap=4)
     assert built.extras["a0"].to_text() == text
     minpolys = [row["minpoly"] for row in built.to_json()["rows"]]
     assert all("((%s))" % text in mp for mp in minpolys)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_printed_inverse_lambda_is_true_to_its_printed_precision(p):
+    # the text used to stop at 24 positions yet claim O(w^prec) for the
+    # whole cap; parse it back and multiply by a much longer lambda
+    for cap in (2 * p, 4 * p, 8 * p):
+        a0 = build_kummer_valgp(p, 1, padic_cap=cap).extras["a0"]
+        parsed = padic_from_text(a0.base, a0.to_text())
+        assert parsed.prec == a0.prec == cap - 2
+        assert parsed * zeta_lambda(a0.base, 200) - 1 == a0.base.zero(), cap
+
+
+def test_exact_text_shows_a_bounded_digit_stream():
+    # w^E = +p: -1 carries into an endless stream of p - 1 digits
+    b = PadicBase(3, 1)
+    assert b.from_int(-1).to_text().endswith("2*w^23 + ...")
+    assert b.from_int(5).to_text() == "2 + w"
 
 
 def test_lambda_products_count(monkeypatch):
