@@ -8,10 +8,12 @@ Exit codes: 0 success, 1 validation or precondition failure (the
 diagnostic names the violated inequality), 2 precision exhaustion.
 JSON output is deterministic for fixed flags; TSV is a projection of
 certificate rows.  --padic-cap sets kummer-valgp's p-adic digit cap
-(default p, the least that lambda = zeta_p - 1 needs).
+(default p, the least that lambda = zeta_p - 1 needs).  --depth or
+--padic-cap on an example that does not take it is a validation error.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -28,9 +30,6 @@ from .vbase import require_prime
 
 _TSV_COLUMNS = ("n", "name", "kind", "degree", "e", "f", "m",
                 "new_value", "new_residue", "witness")
-
-_DEPTH_DEFAULTS = {"as-valgp": 3, "as-resf": 2, "kummer-valgp": 2,
-                   "kummer-resf": 2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,7 +64,26 @@ def _tsv_text(cert_json: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _construct_options(args) -> dict:
+    """The given --depth/--padic-cap as builder keywords; an option the
+    example does not take is an error, not a silent no-op."""
+    takes = () if args.example == "compose-desc" else \
+        inspect.signature(BUILDERS[args.example]).parameters
+    kwargs = {name: value for name, value in (("depth", args.depth),
+                                              ("padic_cap", args.padic_cap))
+              if value is not None}
+    for name in kwargs:
+        if name not in takes:
+            raise ValidationError("--%s does not apply to --example %s"
+                                  % (name.replace("_", "-"), args.example))
+    if kwargs.get("padic_cap", 1) < 1:
+        raise ValidationError("--padic-cap must be at least 1, got %d"
+                              % args.padic_cap)
+    return kwargs
+
+
 def _cmd_construct(args) -> int:
+    kwargs = _construct_options(args)
     _check_writable(args.out)
     if args.example == "compose-desc":
         if args.format == "tsv":
@@ -75,14 +93,7 @@ def _cmd_construct(args) -> int:
         desc = build_counterexample_descriptor(tame_core(args.p))
         _emit(_json_text(desc.to_json()), args.out)
         return 0
-    builder = BUILDERS[args.example]
-    kwargs = {"p": args.p}
-    if args.example in _DEPTH_DEFAULTS:
-        kwargs["depth"] = args.depth if args.depth is not None \
-            else _DEPTH_DEFAULTS[args.example]
-    if args.example == "kummer-valgp" and args.padic_cap is not None:
-        kwargs["padic_cap"] = args.padic_cap
-    built = builder(**kwargs)
+    built = BUILDERS[args.example](args.p, **kwargs)
     cert = built.certificate.to_json()
     if args.format == "tsv":
         _emit(_tsv_text(cert), args.out)

@@ -3,7 +3,7 @@
 Everything here works on lists of row vectors (ints or Fractions) and is
 sized for the rank <= 4 lattices this library manipulates, so clarity
 wins over asymptotics.  The two workhorses are row_echelon (integer row
-reduction with an optional unimodular transform) and
+reduction with its unimodular transform) and
 diagonalize_with_basis, which returns a diagonal presentation of a row
 lattice together with an ambient basis adapted to it.  Over Q, rref is
 the one elimination; rational_solve is kept apart as the membership hot
@@ -16,17 +16,16 @@ import math
 from fractions import Fraction
 
 
-def row_echelon(rows, track=False):
+def row_echelon(rows):
     """Integer row echelon form by euclidean row operations.
 
-    Returns (echelon, transform); transform is None unless track is set,
-    otherwise it is a unimodular matrix T (list of rows) with
-    echelon = T * rows.  Zero rows sink to the bottom.
+    Returns (echelon, transform), the transform a unimodular matrix T
+    (list of rows) with echelon = T * rows.  Zero rows sink to the bottom.
     """
     a = [list(map(int, r)) for r in rows]
     n = len(a)
     ncols = len(a[0]) if a else 0
-    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if track else None
+    t = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     piv = 0
     for col in range(ncols):
         if piv >= n:
@@ -39,15 +38,13 @@ def row_echelon(rows, track=False):
             best = min(nz, key=lambda i: abs(a[i][col]))
             if best != piv:
                 a[piv], a[best] = a[best], a[piv]
-                if track:
-                    t[piv], t[best] = t[best], t[piv]
+                t[piv], t[best] = t[best], t[piv]
             done = True
             for i in range(piv + 1, n):
                 if a[i][col] != 0:
                     q = a[i][col] // a[piv][col]
                     a[i] = [x - q * y for x, y in zip(a[i], a[piv])]
-                    if track:
-                        t[i] = [x - q * y for x, y in zip(t[i], t[piv])]
+                    t[i] = [x - q * y for x, y in zip(t[i], t[piv])]
                     if a[i][col] != 0:
                         done = False
             if done:
@@ -55,8 +52,7 @@ def row_echelon(rows, track=False):
         if piv < n and a[piv][col] != 0:
             if a[piv][col] < 0:
                 a[piv] = [-x for x in a[piv]]
-                if track:
-                    t[piv] = [-x for x in t[piv]]
+                t[piv] = [-x for x in t[piv]]
             piv += 1
     return a, t
 
@@ -70,7 +66,7 @@ def int_kernel(rows):
     rows = [list(map(int, r)) for r in rows]
     if not rows:
         return []
-    ech, t = row_echelon(rows, track=True)
+    ech, t = row_echelon(rows)
     return [t[i] for i in range(len(rows)) if not any(x != 0 for x in ech[i])]
 
 

@@ -168,7 +168,7 @@ def _canon(g: OGroup) -> _Canon:
     div_gen_vecs = list(closed)
     free_basis = []
     if free:
-        ech2, t2 = row_echelon(int_proj, track=True)
+        ech2, t2 = row_echelon(int_proj)
         for i in range(len(free)):
             combo = t2[i]
             vec = [sum(x * v[c] for x, v in zip(combo, free) if x)

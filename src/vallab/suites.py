@@ -89,12 +89,12 @@ def _random_padic(rng: random.Random, base: PadicBase):
     return base.from_digits(digits)
 
 
-def suite_congruence(seed: int = 0, trials: int = 200) -> SuiteResult:
+def suite_congruence(seed: int = 0) -> SuiteResult:
     res = SuiteResult("congruence")
     rng = random.Random(seed)
     for p in (2, 3, 5):
         base = PadicBase(p, p)
-        for t in range(trials):
+        for t in range(200):
             terms = [_random_padic(rng, base)
                      for _ in range(rng.randint(2, 4))]
             total = base.zero()
@@ -114,10 +114,10 @@ def suite_congruence(seed: int = 0, trials: int = 200) -> SuiteResult:
 # newton: sum of root values against the coefficient values
 
 
-def suite_newton(seed: int = 0, trials: int = 100) -> SuiteResult:
+def suite_newton(seed: int = 0) -> SuiteResult:
     res = SuiteResult("newton")
     rng = random.Random(seed)
-    for t in range(trials):
+    for t in range(100):
         deg = rng.randint(1, 6)
         vals = []
         for i in range(deg + 1):
@@ -218,10 +218,10 @@ def _coset_count(m, cap=200):
     return len(reps)
 
 
-def suite_ogroup(seed: int = 0, trials: int = 100) -> SuiteResult:
+def suite_ogroup(seed: int = 0) -> SuiteResult:
     res = SuiteResult("ogroup")
     rng = random.Random(seed)
-    for t in range(trials):
+    for t in range(100):
         p = rng.choice((2, 3))
         if t % 2 == 0:
             # rank 1, possibly with a p-divisibly closed generator

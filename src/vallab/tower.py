@@ -609,12 +609,3 @@ def step_row(n: int, step: TowerStep) -> dict:
         row["witness"] = step.witness
     return row
 
-
-def certificate(tower: Tower, construction: str, params: dict,
-                absorption: list, limit_claim: str,
-                precision: dict) -> DefectCertificate:
-    if tower.pending:
-        raise ValidationError("cannot certify a tower with a pending step")
-    rows = [step_row(i + 1, s) for i, s in enumerate(tower.steps)]
-    return DefectCertificate(construction, tower.p, params, rows,
-                             list(absorption), limit_claim, precision)

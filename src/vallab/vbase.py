@@ -1,27 +1,34 @@
 """Base valued fields: coefficient series and twisted p-adic digit rings.
 
 Two element models share one interface (val, residue, ring arithmetic,
-restricted division):
+restricted division), and one class, _Elem, implements it.  Each model
+supplies only its lowest determinate term, the value of a position, the
+residue of a leading coefficient, one quotient term, and its own +, *,
+unary - and text:
 
 * equal characteristic: finite sums  sum c_gamma * t^gamma  with residue
-  field coefficients and exponents in a fixed rank-1 group;
+  field coefficients and exponents in a fixed rank-1 group; a position
+  is the exponent gamma itself;
 * mixed characteristic: sparse integer polynomials in a uniformizer w
   with w^E = s*p (s = +-1), so v(w) = 1/E when v(p) = 1.  An element is
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
   transcendental residue u, and a plain ring is the case u-exponent = 0.
   The integers are kept uncarried; a lazy carry walk produces the reduced
-  digits, {u-exponent: 1..p-1} per position, on demand.
+  digits, {u-exponent: 1..p-1} per position, on demand.  Position k has
+  value k/E.
 
-Precision is a position bound: coefficients at value >= prec (series) or
-digit position >= prec (p-adic) are unknown.  INFINITE prec means exact.
+Precision is a position bound in both models: coefficients at exponent
+>= prec (series) or digit position >= prec (p-adic) are unknown, and
+the caps of products and quotients are computed on positions.  INFINITE
+prec means exact.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import is_prime
@@ -29,7 +36,7 @@ from .ogroup import OGroup, contains as group_contains, ogroup
 from .resfield import RElem, ResField, power
 from .values import INFINITE, Indeterminate, fr
 
-# a division of two exact elements has no target position; it stops here
+# a division of two exact elements has no cap to reach; it stops here
 _MAX_DIV_STEPS = 400
 # an exact element shows its digits below max(0, its lowest position) + 24
 _EXACT_SHOWN = 24
@@ -40,11 +47,133 @@ def require_prime(p: int):
         raise ValidationError("p must be a prime, got %r" % (p,))
 
 
-def _power(x, n: int):
-    """x**n by square-and-multiply; a negative n inverts x first."""
-    if n < 0:
-        x, n = x.base.one() / x, -n
-    return power(x, n, x.base.one)
+class _Elem:
+    """The interface both element models share.
+
+    A model has the slots base and prec, a constructor (base, terms,
+    prec) over its own term dict, the names _RING (for messages) and
+    _DIV_LIMIT (the exact-division guard's message), and supplies _lead
+    (the lowest determinate position and its coefficient, or None),
+    _value (the value of a position), _residue (of a leading
+    coefficient), _unit (what a division step needs of the divisor's
+    leading coefficient) and _quotient_term, plus +, *, unary - and
+    to_text.
+    """
+
+    __slots__ = ()
+
+    # -- valuation data ------------------------------------------------------
+
+    def _low(self):
+        """The lead position, or the cap when no term below it is known."""
+        lead = self._lead()
+        return self.prec if lead is None else lead[0]
+
+    def val(self):
+        lead = self._lead()
+        if lead is not None:
+            return self._value(lead[0])
+        if self.prec == INFINITE:
+            return INFINITE
+        return Indeterminate(self._value(self.prec))
+
+    def is_zero(self) -> bool:
+        return self.prec == INFINITE and self._lead() is None
+
+    def residue(self) -> RElem:
+        lead = self._lead()
+        if lead is None:
+            raise ValidationError("residue of (indistinguishable from) zero")
+        v = self._value(lead[0])
+        if v != 0:
+            raise ValidationError("residue requires value exactly 0, got %s" % (v,))
+        return self._residue(lead[1])
+
+    # -- arithmetic ----------------------------------------------------------
+
+    def _coerce(self, x):
+        """x in this ring: an element of the same base, an int, or (for a
+        series) a residue field element."""
+        if isinstance(x, _Elem):
+            if x.base is not self.base and x.base != self.base:
+                raise ValidationError("mixed %ss" % self._RING)
+            return x
+        if isinstance(x, int):
+            return self.base.from_int(x)
+        if isinstance(x, RElem) and self.base.eq_char:
+            return self.base.monomial(0, x)
+        raise ValidationError("cannot coerce %r into the %s" % (x, self._RING))
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __pow__(self, n: int):
+        """x**n by square-and-multiply; a negative n inverts x first."""
+        x = self
+        if n < 0:
+            x, n = self.base.one() / self, -n
+        return power(x, n, self.base.one)
+
+    def _product_prec(self, other):
+        """The cap of self*other: each finite cap plus the other factor's
+        lead position, which is read only when that cap is finite."""
+        cap = INFINITE
+        if other.prec != INFINITE:
+            cap = other.prec + self._low()
+        if self.prec != INFINITE:
+            cap = min(cap, self.prec + other._low())
+        return cap
+
+    def __truediv__(self, other):
+        return self._divide(self._coerce(other))
+
+    def _divide(self, other):
+        """Long division, one leading term of the quotient per step.
+
+        Each step cancels the remainder's lead, so the lead rises and a
+        capped operand ends the loop.  With y's lead at k0, the first step
+        caps the remainder at min(x.prec, lead(x) + y.prec - k0) (the
+        product cap) and later steps keep that cap.  So the quotient's
+        cap, the final remainder's less k0, is
+        min(x.prec - k0, lead(x) + y.prec - 2*k0), where
+        d(x/y) = (dx*y - x*dy)/y^2 puts the errors of x/y.
+        """
+        lead = other._lead()
+        if lead is None:
+            raise PrecisionError("division by (indistinguishable from) zero")
+        k0, c0 = lead
+        unit = other._unit(c0)
+        exact = self.prec == INFINITE and other.prec == INFINITE
+        cls, q, r, steps = type(self), {}, self, 0
+        while True:
+            lead = r._lead()
+            if lead is None:
+                return cls(self.base, q, r.prec - k0)
+            steps += 1
+            if exact and steps > _MAX_DIV_STEPS:
+                raise PrecisionError(self._DIV_LIMIT % _MAX_DIV_STEPS)
+            term = self._quotient_term(lead[0] - k0, lead[1], unit)
+            q.update(term)
+            r = r - cls(self.base, term, INFINITE) * other
+
+    def __eq__(self, other):
+        """Indistinguishability: no determinate term separates the two."""
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self - other)._lead() is None
+
+    __hash__ = None  # approximate elements do not hash consistently
+
+    def __repr__(self):
+        return self.to_text()
+
+
+def _pow_text(name: str, g) -> str:
+    if g == 1:
+        return name
+    if getattr(g, "denominator", 1) == 1 and g >= 0:
+        return "%s^%s" % (name, g)
+    return "%s^(%s)" % (name, g)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +188,6 @@ class EqBase:
     p: int
     res: ResField
     group: OGroup
-    name: str = "t"
 
     def __post_init__(self):
         require_prime(self.p)
@@ -111,8 +239,13 @@ class EqBase:
         return SeriesElem(self, out, prec)
 
 
-class SeriesElem:
+_EXPONENT = itemgetter(0)
+
+
+class SeriesElem(_Elem):
     __slots__ = ("base", "terms", "prec")
+    _RING = "series ring"
+    _DIV_LIMIT = "exact series division passed %d quotient terms; cap an operand"
 
     def __init__(self, base: EqBase, terms: dict, prec):
         self.base = base
@@ -120,33 +253,27 @@ class SeriesElem:
                       if not c.is_zero() and (prec == INFINITE or g < prec)}
         self.prec = prec
 
-    # -- valuation data ------------------------------------------------------
+    def _lead(self):
+        # the minimal (exponent, coefficient) pair: looking the coefficient
+        # up by its exponent would hash a Fraction, which costs more
+        return min(self.terms.items(), key=_EXPONENT) if self.terms else None
 
-    def val(self):
-        if self.terms:
-            return min(self.terms)
-        if self.prec == INFINITE:
-            return INFINITE
-        return Indeterminate(self.prec)
+    def _value(self, g):
+        return g
 
-    def is_zero(self) -> bool:
-        return not self.terms and self.prec == INFINITE
+    def _residue(self, c) -> RElem:
+        return c
 
-    def residue(self) -> RElem:
-        v = self.val()
-        if v == INFINITE or isinstance(v, Indeterminate):
-            raise ValidationError("residue of (indistinguishable from) zero")
-        if v != 0:
-            raise ValidationError("residue requires value exactly 0, got %s" % (v,))
-        return self.terms[fr(0)]
+    def _unit(self, c0):
+        return c0
+
+    def _quotient_term(self, g, c, c0) -> dict:
+        return {g: c / c0}
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _binop_prec(self, other):
-        return min(self.prec, other.prec)
-
     def __add__(self, other):
-        other = _as_series(self.base, other)
+        other = self._coerce(other)
         out = dict(self.terms)
         for g, c in other.terms.items():
             s = out.get(g, self.base.res.zero()) + c
@@ -154,17 +281,14 @@ class SeriesElem:
                 out.pop(g, None)
             else:
                 out[g] = s
-        return SeriesElem(self.base, out, self._binop_prec(other))
+        return SeriesElem(self.base, out, min(self.prec, other.prec))
 
     def __neg__(self):
         return SeriesElem(self.base, {g: -c for g, c in self.terms.items()}, self.prec)
 
-    def __sub__(self, other):
-        return self + (-_as_series(self.base, other))
-
     def __mul__(self, other):
-        other = _as_series(self.base, other)
-        prec = _prec_of_product(self, self.prec, other, other.prec)
+        other = self._coerce(other)
+        prec = self._product_prec(other)
         out = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
@@ -177,42 +301,6 @@ class SeriesElem:
                 else:
                     out[g] = s
         return SeriesElem(self.base, out, prec)
-
-    def __pow__(self, n: int):
-        return _power(self, n)
-
-    def __truediv__(self, other):
-        other = _as_series(self.base, other)
-        vy = other.val()
-        if isinstance(vy, Indeterminate) or vy == INFINITE:
-            raise PrecisionError("division by (indistinguishable from) zero")
-        target = _prec_of_quotient(self.val(), self.prec, vy, other.prec)
-        q = {}
-        r = self
-        steps = 0
-        while True:
-            vr = r.val()
-            if vr == INFINITE:
-                return SeriesElem(self.base, q, target)
-            if isinstance(vr, Indeterminate):
-                return SeriesElem(self.base, q, min(target, vr.bound - vy))
-            if target != INFINITE and vr - vy >= target:
-                return SeriesElem(self.base, q, target)
-            steps += 1
-            if target == INFINITE and steps > _MAX_DIV_STEPS:
-                raise PrecisionError("exact series division passed %d quotient "
-                                     "terms; cap an operand" % _MAX_DIV_STEPS)
-            cq = r.terms[vr] / other.terms[vy]
-            q[vr - vy] = cq
-            r = r - SeriesElem(self.base, {vr - vy: cq}, INFINITE) * other
-
-    def __eq__(self, other):
-        """Indistinguishability: no determinate term separates the two."""
-        if not isinstance(other, SeriesElem):
-            return NotImplemented
-        return not (self - other).terms
-
-    __hash__ = None  # approximate elements do not hash consistently
 
     # -- characteristic-p structure -------------------------------------------
 
@@ -232,7 +320,6 @@ class SeriesElem:
     # -- display ---------------------------------------------------------------
 
     def to_text(self) -> str:
-        name = self.base.name
         parts = []
         for g in sorted(self.terms):
             c = self.terms[g]
@@ -242,59 +329,13 @@ class SeriesElem:
             if g == 0:
                 parts.append(ct)
             elif ct == "1":
-                parts.append(_pow_text(name, g))
+                parts.append(_pow_text("t", g))
             else:
-                parts.append("%s*%s" % (ct, _pow_text(name, g)))
+                parts.append("%s*%s" % (ct, _pow_text("t", g)))
         body = " + ".join(parts) if parts else "0"
         if self.prec == INFINITE:
             return body
-        return "%s + O(%s)" % (body, _pow_text(name, self.prec))
-
-    def __repr__(self):
-        return self.to_text()
-
-
-def _pow_text(name: str, g) -> str:
-    if g == 1:
-        return name
-    if getattr(g, "denominator", 1) == 1 and g >= 0:
-        return "%s^%s" % (name, g)
-    return "%s^(%s)" % (name, g)
-
-
-def _as_series(base: EqBase, x) -> SeriesElem:
-    if isinstance(x, SeriesElem):
-        return x
-    if isinstance(x, int):
-        return base.from_int(x)
-    if isinstance(x, RElem):
-        return base.monomial(fr(0), x)
-    raise ValidationError("cannot coerce %r into the series ring" % (x,))
-
-
-def _prec_of_product(a, pa, b, pb):
-    """Precision of a*b: each factor's cap plus the other factor's value.
-
-    A factor's value is read only when the other factor is capped.
-    """
-    terms = []
-    for cap, x in ((pb, a), (pa, b)):
-        if cap != INFINITE:
-            v = x.val()
-            terms.append(cap + (v.bound if isinstance(v, Indeterminate) else v))
-    return min(terms, default=INFINITE)
-
-
-def _prec_of_quotient(va, pa, vy, py):
-    # x/y: d(x/y) = (dx*y - x*dy)/y^2 -> error terms at pa - vy and va + py - 2vy
-    terms = []
-    if pa != INFINITE:
-        terms.append(pa - vy)
-    if py != INFINITE:
-        v = va.bound if isinstance(va, Indeterminate) else va
-        if v != INFINITE:
-            terms.append(v + py - 2 * vy)
-    return min(terms) if terms else INFINITE
+        return "%s + O(%s)" % (body, _pow_text("t", self.prec))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +356,6 @@ class PadicBase:
     E: int
     twist: int = 1
     gauss: bool = False
-    name: str = "w"
 
     def __post_init__(self):
         require_prime(self.p)
@@ -386,7 +426,7 @@ def _relem_to_digit(r: RElem) -> dict:
     return {e - shift: c for e, c in r.num}
 
 
-class PadicElem:
+class PadicElem(_Elem):
     """The sum of c * w^k * u^e over digits = {(k, e): c}, known below position prec.
 
     Coefficients are arbitrary integers and are not carried; the lazy walk
@@ -395,13 +435,13 @@ class PadicElem:
     """
 
     __slots__ = ("base", "digits", "prec")
+    _RING = "digit ring"
+    _DIV_LIMIT = "exact digit division passed %d quotient digits; cap an operand"
 
     def __init__(self, base: PadicBase, digits: dict, prec):
         self.base = base
         self.digits = {ke: c for ke, c in digits.items() if c and ke[0] < prec}
         self.prec = prec
-
-    # -- normalization -------------------------------------------------------
 
     def _norm_iter(self):
         """Yield (position, reduced digit) ascending, carrying base p."""
@@ -425,36 +465,32 @@ class PadicElem:
             if r:
                 yield k, r
 
-    def _first(self):
-        for k, d in self._norm_iter():
-            return k, d
-        return None
+    def _lead(self):
+        return next(self._norm_iter(), None)
 
-    # -- valuation data --------------------------------------------------------
+    def _value(self, k):
+        return Fraction(k, self.base.E)
 
-    def val(self):
-        first = self._first()
-        if first is not None:
-            return Fraction(first[0], self.base.E)
-        if self.prec == INFINITE:
-            return INFINITE
-        return Indeterminate(Fraction(self.prec, self.base.E))
+    def _residue(self, d) -> RElem:
+        return self.base.residue_field.elem(d)
 
-    def is_zero(self) -> bool:
-        return self.prec == INFINITE and self._first() is None
+    def _unit(self, d0):
+        if len(d0) != 1:
+            raise ValidationError(
+                "division by a non-monomial leading digit is not supported")
+        (e0, c0), = d0.items()
+        p = self.base.p
+        return e0, pow(c0, p - 2, p)
 
-    def residue(self) -> RElem:
-        v = self.val()
-        if v == INFINITE or isinstance(v, Indeterminate):
-            raise ValidationError("residue of (indistinguishable from) zero")
-        if v != 0:
-            raise ValidationError("residue requires value exactly 0, got %s" % (v,))
-        return self.base.residue_field.elem(self._first()[1])
+    def _quotient_term(self, k, d, unit) -> dict:
+        e0, inv = unit
+        p = self.base.p
+        return {(k, e - e0): c * inv % p for e, c in d.items()}
 
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_padic(self.base, other)
+        other = self._coerce(other)
         out = dict(self.digits)
         for ke, c in other.digits.items():
             out[ke] = out.get(ke, 0) + c
@@ -464,30 +500,19 @@ class PadicElem:
         return PadicElem(self.base, {ke: -c for ke, c in self.digits.items()},
                          self.prec)
 
-    def __sub__(self, other):
-        return self + (-_as_padic(self.base, other))
-
     def __mul__(self, other):
-        other = _as_padic(self.base, other)
-        E = self.base.E
-        pa = INFINITE if self.prec == INFINITE else Fraction(self.prec, E)
-        pb = INFINITE if other.prec == INFINITE else Fraction(other.prec, E)
-        prec = _prec_of_product(self, pa, other, pb)
-        pos_cap = INFINITE if prec == INFINITE else math.ceil(prec * E)
+        other = self._coerce(other)
+        cap = self._product_prec(other)
         out = {}
         for (k1, e1), c1 in self.digits.items():
             for (k2, e2), c2 in other.digits.items():
-                if k1 + k2 < pos_cap:
+                if k1 + k2 < cap:
                     ke = (k1 + k2, e1 + e2)
                     out[ke] = out.get(ke, 0) + c1 * c2
-        return PadicElem(self.base, out, pos_cap)
-
-    def __pow__(self, n: int):
-        return _power(self, n)
+        return PadicElem(self.base, out, cap)
 
     def __truediv__(self, other):
-        other = _as_padic(self.base, other)
-        p, E = self.base.p, self.base.E
+        other = self._coerce(other)
         if len(other.digits) == 1 and other.prec == INFINITE:
             (k0, e0), c0 = next(iter(other.digits.items()))
             if c0 in (1, -1):
@@ -496,46 +521,7 @@ class PadicElem:
                 digits = {(k - k0, e - e0): c * c0
                           for (k, e), c in self.digits.items()}
                 return PadicElem(self.base, digits, self.prec - k0)
-        lead = other._first()
-        if lead is None:
-            raise PrecisionError("division by (indistinguishable from) zero")
-        k0, d0 = lead
-        if len(d0) != 1:
-            raise ValidationError(
-                "division by a non-monomial leading digit is not supported")
-        (e0, c0), = d0.items()
-        inv = pow(c0, p - 2, p)
-        va = self.val()
-        pa = INFINITE if self.prec == INFINITE else Fraction(self.prec, E)
-        py = INFINITE if other.prec == INFINITE else Fraction(other.prec, E)
-        target_v = _prec_of_quotient(va, pa, Fraction(k0, E), py)
-        target = INFINITE if target_v == INFINITE else int(math.floor(target_v * E))
-        q = {}
-        r = self
-        steps = 0
-        while True:
-            first = r._first()
-            if first is None:
-                return PadicElem(self.base, q, min(target, r.prec - k0))
-            vr, dr = first
-            if vr - k0 >= target:
-                return PadicElem(self.base, q, target)
-            steps += 1
-            if target == INFINITE and steps > _MAX_DIV_STEPS:
-                raise PrecisionError("exact digit division passed %d quotient "
-                                     "digits; cap an operand" % _MAX_DIV_STEPS)
-            qd = {(vr - k0, e - e0): c * inv % p for e, c in dr.items()}
-            for ke, c in qd.items():
-                q[ke] = q.get(ke, 0) + c
-            r = r - PadicElem(self.base, qd, INFINITE) * other
-
-    def __eq__(self, other):
-        """Indistinguishability: no determinate digit separates the two."""
-        if not isinstance(other, PadicElem):
-            return NotImplemented
-        return (self - other)._first() is None
-
-    __hash__ = None  # approximate elements do not hash consistently
+        return self._divide(other)
 
     # -- display ------------------------------------------------------------------
 
@@ -543,7 +529,6 @@ class PadicElem:
         """Every digit below a finite cap, then + O(w^prec).  An exact
         element's carried digits can go on forever (-1 when w^E = +p), so
         it prints those below the _EXACT_SHOWN bound, then + ... if more."""
-        name = self.base.name
         cap = self.prec
         if cap == INFINITE:
             floor = min((k for k, _ in self.digits), default=0)
@@ -557,15 +542,12 @@ class PadicElem:
             if k == 0:
                 parts.append(dt)
             else:
-                pw = _pow_text(name, k)
+                pw = _pow_text("w", k)
                 parts.append(pw if dt == "1" else "%s*%s" % (dt, pw))
         body = " + ".join(parts) if parts else "0"
         if self.prec != INFINITE:
-            return "%s + O(%s)" % (body, _pow_text(name, self.prec))
+            return "%s + O(%s)" % (body, _pow_text("w", self.prec))
         return body + " + ..." if more else body
-
-    def __repr__(self):
-        return self.to_text()
 
 
 def _digit_text(d: dict) -> str:
@@ -580,16 +562,6 @@ def _digit_text(d: dict) -> str:
             ue = "u" if e == 1 else "u^%d" % e if e > 0 else "u^(%d)" % e
             parts.append(ue if c == 1 else "%d*%s" % (c, ue))
     return "(%s)" % " + ".join(parts)
-
-
-def _as_padic(base: PadicBase, x) -> PadicElem:
-    if isinstance(x, PadicElem):
-        if x.base != base:
-            raise ValidationError("mixed digit rings")
-        return x
-    if isinstance(x, int):
-        return base.from_int(x)
-    raise ValidationError("cannot coerce %r into the digit ring" % (x,))
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +588,9 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
     """
 
     p, E, s = base.p, base.E, base.twist
-    if p == 2:
-        return base.from_int(-2)  # zeta_2 = -1 exactly
     if E % (p - 1):
         raise ValidationError("ring cannot host zeta_%d (need (p-1) | E)" % p)
-    if s != -1:
+    if s != -1 and p != 2:
         raise ValidationError("ring cannot host zeta_%d (need w^E = -p)" % p)
     if prec <= E:
         # Phi_p(1+X) has the constant term p, at position E: a cap <= E
@@ -628,6 +598,8 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
         raise PrecisionError(
             "lambda = zeta_%d - 1 needs a p-adic cap above %d digit positions "
             "(at least %d), got %d" % (p, E, E + 1, prec))
+    if p == 2:
+        return base.from_int(-2)  # zeta_2 = -1 exactly
     m = E // (p - 1)
     # G(y) = sum_j g[j] * y^j and G'(y) = sum_j dg[j] * y^j
     g = [base.from_digits({j * m: math.comb(p, j + 1) // p})
@@ -648,112 +620,3 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
         y = yn - horner(g, yn) / horner(dg, y)
     return PadicElem(base, {(k + m, e): c for (k, e), c in y.digits.items()},
                      prec)
-
-
-# ---------------------------------------------------------------------------
-# parsing (round-trip for report text)
-# ---------------------------------------------------------------------------
-
-_TERM_RE = re.compile(r"^(?:\((?P<cpar>[^()]*)\)|(?P<cnum>-?\d+))?"
-                      r"(?:\*?(?P<var>[A-Za-z]+)"
-                      r"(?:\^(?:\((?P<epar>-?[\d/]+)\)|(?P<enum>-?\d+)))?)?$")
-
-_VAR_RE = re.compile(r"^(?:\*?(?P<var>[A-Za-z]+)"
-                     r"(?:\^(?:\((?P<epar>-?[\d/]+)\)|(?P<enum>-?\d+)))?)?$")
-
-
-def _split_depth0(text: str, sep: str = " + "):
-    parts, cur, depth, i = [], [], 0, 0
-    while i < len(text):
-        if depth == 0 and text.startswith(sep, i):
-            parts.append("".join(cur))
-            cur = []
-            i += len(sep)
-            continue
-        ch = text[i]
-        depth += ch == "("
-        depth -= ch == ")"
-        cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
-    return parts
-
-
-def _parse_chunk(chunk: str):
-    chunk = chunk.strip()
-    if chunk.startswith("("):
-        depth = 0
-        for i, ch in enumerate(chunk):
-            depth += ch == "("
-            depth -= ch == ")"
-            if depth == 0:
-                break
-        coeff, rest = chunk[1:i], chunk[i + 1:]
-    else:
-        m = re.match(r"-?\d+", chunk)
-        coeff = m.group(0) if m else None
-        rest = chunk[m.end():] if m else chunk
-    m = _VAR_RE.match(rest)
-    if not m:
-        raise ValidationError("cannot parse term %r" % chunk)
-    exp = Fraction(0)
-    if m.group("var"):
-        if m.group("epar") is not None:
-            exp = Fraction(m.group("epar"))
-        elif m.group("enum") is not None:
-            exp = Fraction(m.group("enum"))
-        else:
-            exp = Fraction(1)
-    return exp, coeff if coeff is not None else "1"
-
-
-def _parse_terms(text: str):
-    text = text.strip()
-    prec = INFINITE
-    m = re.search(r"\+\s*O\(([A-Za-z]+)(?:\^\(?(-?[\d/]+)\)?)?\)\s*$", text)
-    if m:
-        prec = Fraction(m.group(2)) if m.group(2) else Fraction(1)
-        text = text[: m.start()].strip()
-    if text in ("", "0"):
-        return [], prec
-    return [_parse_chunk(c) for c in _split_depth0(text)], prec
-
-
-def _parse_u_poly(text: str) -> dict:
-    out = {}
-    for chunk in text.split(" + "):
-        m = _TERM_RE.match(chunk.strip())
-        if not m or (m.group("var") not in (None, "u")):
-            raise ValidationError("cannot parse digit %r" % chunk)
-        c = int(m.group("cnum") if m.group("cnum") is not None else 1)
-        e = 0
-        if m.group("var"):
-            e = int(m.group("epar") or m.group("enum") or 1)
-        out[e] = out.get(e, 0) + c
-    return out
-
-
-def series_from_text(base: EqBase, text: str) -> SeriesElem:
-    terms, prec = _parse_terms(text)
-    out = {}
-    for exp, coeff in terms:
-        if coeff.lstrip("-").isdigit():
-            c = base.res.elem(int(coeff))
-        else:
-            c = base.res.elem(_parse_u_poly(coeff))
-        out[exp] = out.get(exp, base.res.zero()) + c
-    return base.series(out, prec)
-
-
-def padic_from_text(base: PadicBase, text: str) -> PadicElem:
-    terms, prec = _parse_terms(text)
-    digits = {}
-    for exp, coeff in terms:
-        if exp.denominator != 1:
-            raise ValidationError("digit positions must be integers")
-        poly = {0: int(coeff)} if coeff.lstrip("-").isdigit() else _parse_u_poly(coeff)
-        d = digits.setdefault(int(exp), {})
-        for e, c in poly.items():
-            d[e] = d.get(e, 0) + c
-    pp = INFINITE if prec == INFINITE else int(prec)
-    return base.from_digits(digits, pp)

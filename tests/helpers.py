@@ -4,9 +4,11 @@ Everything here is deliberately naive: bounded coefficient searches,
 permutation-sum determinants and back-substitution against an echelon
 form for the linear-algebra layer, and closed-form series expansions of
 tower generators for the valuation rules, independent of the
-implementations under test.
+implementations under test.  It also parses the text that
+SeriesElem.to_text and PadicElem.to_text print back into elements.
 """
 
+import re
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -14,7 +16,7 @@ from vallab.errors import ValidationError
 from vallab.intlinalg import row_echelon
 from vallab.ogroup import contains
 from vallab.values import INFINITE, Indeterminate
-from vallab.vbase import SeriesElem
+from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
 
 def brute_contains(free, closed, p, x, bound=10, kmax=6):
@@ -116,7 +118,7 @@ def lattice_solve(rows, target):
     rows = [list(map(int, r)) for r in rows]
     if not rows:
         return None if any(v != 0 for v in target) else []
-    ech, tr = row_echelon(rows, track=True)
+    ech, tr = row_echelon(rows)
     t = list(map(int, target))
     coeffs = [0] * len(rows)
     for r, row in enumerate(ech):
@@ -190,3 +192,110 @@ def eval_expansion(x, gen_series: list, exp_base):
                 term = term * gen_series[i]
         total = total + term
     return total
+
+
+# parsers for printed series and digit text (round-trips of to_text)
+
+_TERM_RE = re.compile(r"^(?:\((?P<cpar>[^()]*)\)|(?P<cnum>-?\d+))?"
+                      r"(?:\*?(?P<var>[A-Za-z]+)"
+                      r"(?:\^(?:\((?P<epar>-?[\d/]+)\)|(?P<enum>-?\d+)))?)?$")
+
+_VAR_RE = re.compile(r"^(?:\*?(?P<var>[A-Za-z]+)"
+                     r"(?:\^(?:\((?P<epar>-?[\d/]+)\)|(?P<enum>-?\d+)))?)?$")
+
+
+def _split_depth0(text: str, sep: str = " + "):
+    parts, cur, depth, i = [], [], 0, 0
+    while i < len(text):
+        if depth == 0 and text.startswith(sep, i):
+            parts.append("".join(cur))
+            cur = []
+            i += len(sep)
+            continue
+        ch = text[i]
+        depth += ch == "("
+        depth -= ch == ")"
+        cur.append(ch)
+        i += 1
+    parts.append("".join(cur))
+    return parts
+
+
+def _parse_chunk(chunk: str):
+    chunk = chunk.strip()
+    if chunk.startswith("("):
+        depth = 0
+        for i, ch in enumerate(chunk):
+            depth += ch == "("
+            depth -= ch == ")"
+            if depth == 0:
+                break
+        coeff, rest = chunk[1:i], chunk[i + 1:]
+    else:
+        m = re.match(r"-?\d+", chunk)
+        coeff = m.group(0) if m else None
+        rest = chunk[m.end():] if m else chunk
+    m = _VAR_RE.match(rest)
+    if not m:
+        raise ValidationError("cannot parse term %r" % chunk)
+    exp = Fraction(0)
+    if m.group("var"):
+        if m.group("epar") is not None:
+            exp = Fraction(m.group("epar"))
+        elif m.group("enum") is not None:
+            exp = Fraction(m.group("enum"))
+        else:
+            exp = Fraction(1)
+    return exp, coeff if coeff is not None else "1"
+
+
+def _parse_terms(text: str):
+    text = text.strip()
+    prec = INFINITE
+    m = re.search(r"\+\s*O\(([A-Za-z]+)(?:\^\(?(-?[\d/]+)\)?)?\)\s*$", text)
+    if m:
+        prec = Fraction(m.group(2)) if m.group(2) else Fraction(1)
+        text = text[: m.start()].strip()
+    if text in ("", "0"):
+        return [], prec
+    return [_parse_chunk(c) for c in _split_depth0(text)], prec
+
+
+def _parse_u_poly(text: str) -> dict:
+    out = {}
+    for chunk in text.split(" + "):
+        m = _TERM_RE.match(chunk.strip())
+        if not m or (m.group("var") not in (None, "u")):
+            raise ValidationError("cannot parse digit %r" % chunk)
+        c = int(m.group("cnum") if m.group("cnum") is not None else 1)
+        e = 0
+        if m.group("var"):
+            e = int(m.group("epar") or m.group("enum") or 1)
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def series_from_text(base: EqBase, text: str) -> SeriesElem:
+    terms, prec = _parse_terms(text)
+    out = {}
+    for exp, coeff in terms:
+        if coeff.lstrip("-").isdigit():
+            c = base.res.elem(int(coeff))
+        else:
+            c = base.res.elem(_parse_u_poly(coeff))
+        out[exp] = out.get(exp, base.res.zero()) + c
+    return base.series(out, prec)
+
+
+def padic_from_text(base: PadicBase, text: str) -> PadicElem:
+    terms, prec = _parse_terms(text)
+    digits = {}
+    for exp, coeff in terms:
+        if exp.denominator != 1:
+            raise ValidationError("digit positions must be integers")
+        poly = {0: int(coeff)} if coeff.lstrip("-").isdigit() else _parse_u_poly(coeff)
+        d = digits.setdefault(int(exp), {})
+        for e, c in poly.items():
+            d[e] = d.get(e, 0) + c
+    pp = INFINITE if prec == INFINITE else int(prec)
+    return base.from_digits(digits, pp)

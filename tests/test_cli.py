@@ -46,6 +46,16 @@ def test_construct_lambda_cap_below_E_exits_two():
     assert "at least 7" in res.stderr
 
 
+def test_construct_lambda_cap_at_E_exits_two_for_p2():
+    # lambda = -2 sits at position E = 1; a cap of 1 used to turn it into
+    # an indeterminate and fail later as a division by zero
+    res = run("construct", "--example", "kummer-valgp", "--p", "2",
+              "--padic-cap", "1")
+    assert res.returncode == 2
+    assert "precision exhausted: lambda = zeta_2 - 1" in res.stderr
+    assert "at least 2" in res.stderr
+
+
 def test_construct_deterministic_output():
     a = run("construct", "--example", "kummer-resf", "--p", "2",
             "--depth", "1")
@@ -209,12 +219,32 @@ def test_hull_malformed_group(tmp_path):
      {"p_closed": [0], "prime": -3}, "prime -3 is neither 1 nor a prime"),
     (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
      {"p_closed": [0], "prime": 4}, "prime 4 is neither 1 nor a prime"),
+    # construct used to drop an option its example does not take
+    (("construct", "--example", "lemma33", "--p", "3", "--depth", "7",
+      "--padic-cap", "9"), {}, "--depth does not apply to --example lemma33"),
+    (("construct", "--example", "two-ext", "--p", "3", "--depth", "2"), {},
+     "--depth does not apply to --example two-ext"),
+    (("construct", "--example", "compose-desc", "--p", "3", "--depth", "2"),
+     {}, "--depth does not apply to --example compose-desc"),
+    (("construct", "--example", "as-valgp", "--p", "3", "--padic-cap", "9"),
+     {}, "--padic-cap does not apply to --example as-valgp"),
+    (("construct", "--example", "compose-desc", "--p", "3", "--padic-cap",
+      "9"), {}, "--padic-cap does not apply to --example compose-desc"),
+    # a cap below 1 used to exit 2 as if a cap had run out
+    (("construct", "--example", "kummer-valgp", "--p", "3", "--padic-cap",
+      "0"), {}, "--padic-cap must be at least 1, got 0"),
+    (("construct", "--example", "kummer-valgp", "--p", "3", "--padic-cap",
+      "-5"), {}, "--padic-cap must be at least 1, got -5"),
 ], ids=["hull-negative-level", "hull-exact-prime-to-p", "hull-p1",
         "hull-composite-p", "compose-desc-p1", "hull-float-rational",
         "descriptor-no-char", "descriptor-no-residue-field",
         "descriptor-unknown-residue-kind", "descriptor-float-rational",
         "hull-p-closed-out-of-range", "hull-group-prime-0",
-        "hull-group-prime-negative", "hull-group-prime-composite"])
+        "hull-group-prime-negative", "hull-group-prime-composite",
+        "construct-depth-on-lemma33", "construct-depth-on-two-ext",
+        "construct-depth-on-compose-desc", "construct-cap-on-as-valgp",
+        "construct-cap-on-compose-desc", "construct-cap-zero",
+        "construct-cap-negative"])
 def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
     # hull reads a rank-1 group file and classify reads laurent-f3, each
     # with the keys in `patch` dropped (None) or replaced

@@ -18,7 +18,7 @@ from helpers import lattice_solve, perm_det
 
 def test_row_echelon_shape_and_transform():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
-    ech, t = row_echelon(rows, track=True)
+    ech, t = row_echelon(rows)
     # transform is unimodular and reproduces the echelon
     assert abs(rref(t)[2]) == 1
     for i in range(len(rows)):

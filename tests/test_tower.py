@@ -17,8 +17,8 @@ from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
 from vallab.resfield import ResField
-from vallab.tower import (TElem, Tower, adjoin_root, certificate,
-                          ostrowski_m, residue, resolve_pending, val, vlb)
+from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
+                          resolve_pending, val, vlb)
 from vallab.values import INFINITE, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem
 
@@ -379,26 +379,6 @@ def test_ostrowski_m_frozen_and_guards():
         ostrowski_m(6, 4, 1, 2)
     with pytest.raises(ValidationError):
         ostrowski_m(6, 1, 1, 5)
-
-
-def test_certificate_shape():
-    base, tw = as_pending(3, 2)
-    b2 = tw.gen_elem(0) - tw.from_base(base.monomial(Fraction(-1, 3))) \
-        - tw.from_base(base.monomial(Fraction(-1, 9)))
-    done = resolve_pending(tw, b2, "b2")
-    cert = certificate(done, "as-valgp", {"depth": 2}, [True],
-                       "values escape every finite level", {"exact": True})
-    data = cert.to_json()
-    assert data["schema"] == 1
-    assert data["construction"] == "as-valgp"
-    assert data["p"] == 3
-    row = data["rows"][0]
-    assert row["n"] == 1
-    assert row["kind"] == "ramified"
-    assert row["new_value"] == "-1/27"
-    assert set(row) >= {"name", "minpoly", "degree", "e", "f", "m", "witness"}
-    with pytest.raises(ValidationError):
-        certificate(tw, "as-valgp", {}, [], "", {})  # pending tower
 
 
 # -- explicit expansions --------------------------------------------------------

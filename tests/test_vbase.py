@@ -9,8 +9,9 @@ from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import ogroup
 from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
-from vallab.vbase import (EqBase, PadicBase, PadicElem, SeriesElem,
-                          padic_from_text, series_from_text, zeta_lambda)
+from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, zeta_lambda
+
+from helpers import padic_from_text, series_from_text
 
 
 def laurent(p, closed=False, level=0):
@@ -430,22 +431,161 @@ def test_lambda_rejects_positive_twist(p):
 
 
 def test_product_reads_values_only_for_capped_factors(monkeypatch):
-    # the precision of a*b needs v(a) only when b is capped, and vice versa
+    # the precision of a*b needs a's lead only when b is capped, and vice versa
     s = laurent(3)
     q = q3()
     cases = ((SeriesElem, s.monomial(1) + s.from_int(2), s.series({2: 1}, prec=F(5))),
              (PadicElem, q.from_digits({0: 2, 1: 1}), q.from_digits({0: 1}, prec=4)))
     for cls, exact, capped in cases:
         calls = []
-        orig = cls.val
+        orig = cls._lead
 
         def counted(self, orig=orig):
             calls.append(self)
             return orig(self)
 
-        monkeypatch.setattr(cls, "val", counted)
+        monkeypatch.setattr(cls, "_lead", counted)
         exact * exact
         assert calls == []
         capped * exact
         assert calls == [exact]
         monkeypatch.undo()
+
+
+def test_lambda_p2_needs_cap_above_E():
+    # lambda = -2 sits at position E = 1: a cap of 1 cannot tell it from 0
+    with pytest.raises(PrecisionError, match=r"at least 2\), got 1"):
+        zeta_lambda(PadicBase(2, 1, twist=1), 1)
+    assert zeta_lambda(PadicBase(2, 1, twist=1), 2) == PadicBase(2, 1).from_int(-2)
+
+
+# -- ring mixing -----------------------------------------------------------------
+
+
+def test_series_of_different_bases_do_not_mix():
+    # t^(1/3) lies outside a's value group Z; + used to return t^(1/3) + t on a
+    a = EqBase(3, ResField(3), ogroup([F(1)], prime=3))
+    b = EqBase(3, ResField(3), ogroup([F(1, 3)], prime=3))
+    x, y = a.monomial(1), b.monomial(F(1, 3))
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y,
+               lambda: y + x, lambda: y * x, lambda: y / x):
+        with pytest.raises(ValidationError, match="mixed series rings"):
+            op()
+    # an equal base built separately is the same ring
+    assert x + EqBase(3, ResField(3), ogroup([F(1)], prime=3)).monomial(1) == x * 2
+
+
+# -- independent oracles for digit-ring arithmetic ----------------------------------
+
+
+def _vp(n: int, p: int) -> int:
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
+
+
+def _operand(rng, p, cap, unit=False):
+    """Raw (uncarried) digits {(k, 0): c} below cap; a unit has a digit
+    prime to p at position 0."""
+    low = 0 if unit else rng.randint(0, 2)
+    digits = {(k, 0): rng.randint(-p * p, p * p) for k in range(low, cap)}
+    if unit:
+        digits[0, 0] = rng.choice([c for c in range(-p * p, p * p) if c % p])
+    return digits
+
+
+def _lift(rng, p, digits, cap):
+    """Another element that the same digits stand for below position cap."""
+    out = dict(digits)
+    for k in range(cap, cap + 3):
+        out[k, 0] = out.get((k, 0), 0) + rng.randint(-p * p, p * p)
+    return out
+
+
+ORACLE_PRIMES = (2, 3, 5, 7)
+
+
+def _divisors(rng, p, E, nb):
+    """(raw digits, cap, lead position) of divisors: a capped unit, a
+    capped w^j * unit, p^k (long division) and w^(kE) (exact shift)."""
+    du = _operand(rng, p, nb, unit=True)
+    j, k = rng.randint(1, 2), rng.randint(0, 2)
+    return [(du, nb, 0),
+            ({(i + j, e): c for (i, e), c in du.items()}, nb + j, j),
+            ({(0, 0): p ** k}, INFINITE, k * E),
+            ({(k * E, 0): 1}, INFINITE, k * E)]
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("twist", (1, -1))
+def test_plain_digit_ring_agrees_with_integers_mod_p_power(p, twist):
+    # E = 1: w = twist*p, so digits {(k, 0): c} stand for the rational
+    # sum c*(twist*p)^k, and an element capped at N is known mod p^N.
+    # Each result must agree, to its claimed cap, with the operation on
+    # any integers that the capped operands stand for.
+    base = PadicBase(p, 1, twist)
+
+    def num(digits):
+        return sum(F(c) * F(twist * p) ** k for (k, _), c in digits.items())
+
+    def agrees(res, exact):
+        diff = num(res.digits) - exact
+        return diff == 0 or _vp(diff.numerator, p) - _vp(diff.denominator, p) >= res.prec
+
+    rng = random.Random(1000 + p)
+    for _ in range(40):
+        na, nb = rng.randint(1, 10), rng.randint(1, 10)
+        da, db = _operand(rng, p, na), _operand(rng, p, nb)
+        a, b = PadicElem(base, da, na), PadicElem(base, db, nb)
+        divisors = _divisors(rng, p, 1, nb)
+        for _ in range(2):
+            A, B = num(_lift(rng, p, da, na)), num(_lift(rng, p, db, nb))
+            s, prod = a + b, a * b
+            assert s.prec == min(na, nb) and agrees(s, A + B)
+            assert prod.prec >= min(na, nb) and agrees(prod, A * B)
+            for dy, ny, j in divisors:
+                Y = num(dy if ny == INFINITE else _lift(rng, p, dy, ny))
+                q = a / PadicElem(base, dy, ny)
+                assert q.prec >= min(na, nb) - 2 * j and agrees(q, A / Y)
+
+
+@pytest.mark.parametrize("p", ORACLE_PRIMES)
+@pytest.mark.parametrize("E,twist", ((2, -1), (3, 1)))
+def test_ramified_digit_ring_agrees_with_sympy(p, E, twist):
+    # E > 1: the ring is Z_p[x]/(x^E - twist*p) with w = x; sympy reduces
+    # integer polynomials modulo x^E - twist*p, and a reduced sum
+    # a_0 + ... + a_(E-1) x^(E-1) sits at position min_j(E*v_p(a_j) + j)
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    modulus = sympy.Poly(x ** E - twist * p, x, domain="ZZ")
+    base = PadicBase(p, E, twist)
+
+    def poly(digits, shift=0):
+        return sympy.Poly(sum((c * x ** (k + shift) for (k, _), c in digits.items()),
+                              sympy.Integer(0)), x, domain="ZZ")
+
+    def position(f):
+        coeffs = f.rem(modulus).all_coeffs()[::-1]
+        return min((E * _vp(int(a), p) + j for j, a in enumerate(coeffs) if a),
+                   default=INFINITE)
+
+    rng = random.Random(2000 + 10 * p + E)
+    for _ in range(12):
+        na, nb = rng.randint(1, 3 * E), rng.randint(1, 3 * E)
+        da, db = _operand(rng, p, na), _operand(rng, p, nb)
+        a, b = PadicElem(base, da, na), PadicElem(base, db, nb)
+        A, B = poly(_lift(rng, p, da, na)), poly(_lift(rng, p, db, nb))
+        s, prod = a + b, a * b
+        assert s.prec == min(na, nb) and position(poly(s.digits) - A - B) >= s.prec
+        assert prod.prec >= min(na, nb)
+        assert position(poly(prod.digits) - A * B) >= prod.prec
+        for dy, ny, j in _divisors(rng, p, E, nb):
+            Y = poly(dy if ny == INFINITE else _lift(rng, p, dy, ny))
+            q = a / PadicElem(base, dy, ny)
+            # q = A/Y to q.prec, so q*Y - A vanishes below q.prec + j; q
+            # may have negative positions, so compare x^m times both
+            m = max([0] + [-k for k, _ in q.digits])
+            assert q.prec >= min(na, nb) - 2 * j
+            assert position(poly(q.digits, m) * Y - A * x ** m) >= q.prec + j + m
