@@ -223,7 +223,7 @@ def descriptor_from_json(d: dict) -> FieldDescriptor:
         comp = tuple(descriptor_from_json(json_get(comp, k, "composition"))
                      for k in ("outer", "core"))
     return FieldDescriptor(
-        name=d.get("name", "descriptor"),
+        name=json_get(d, "name", what, str, "descriptor"),
         char=json_get(d, "char", what, int),
         res_char=json_get(d, "res_char", what, int),
         value_group=group,
@@ -231,7 +231,7 @@ def descriptor_from_json(d: dict) -> FieldDescriptor:
         residue_field=_residue_from_json(json_get(d, "residue_field", what)),
         oracle_flags=dict(json_get(d, "oracle_flags", what, dict, {})),
         composition=comp or None,
-        note=d.get("note", ""),
+        note=json_get(d, "note", what, str, ""),
     )
 
 

@@ -14,8 +14,10 @@ Values are computed by four rules:
   R2  a unique minimal monomial decides the value;
   R3  residues multiply through stored (mu, rho) data per generator;
   R4  ties fall back to v(x) = v(x^p)/p, iterated within the budget
-      below; in equal characteristic x^p is taken by Frobenius, sum c^p
-      * prod (gen_i^p)^{e_i}, with no generic products of x.
+      below; one walk of p-th powers serves both val and residue, which
+      reads the residue off the power that val stops at.  In equal
+      characteristic x^p is taken by Frobenius, sum c^p * prod
+      (gen_i^p)^{e_i}, with no generic products of x.
 
 Each R4 step multiplies values by p.  A tie that persists approximates a
 generator by terms whose value denominators carry powers of p, and each
@@ -50,7 +52,7 @@ from .values import INFINITE, Indeterminate, fr
 class GenInfo:
     name: str
     relation: str                   # "as" or "kummer"
-    rhs: tuple                      # coords of gen^p over the previous tower
+    rhs: tuple                      # coords of gen^p, padded by the Tower
     value: Fraction
     mu: object = None               # base monomial of the same value, if any
     rho: RElem = None               # residue of gen/mu, if known
@@ -100,6 +102,11 @@ class Tower:
         self.res_desc = res_desc if res_desc is not None else base.residue_field
         if len(self.steps) not in (len(self.gens), len(self.gens) - 1):
             raise ValidationError("steps out of sync with generators")
+        # gen_i^p as an element of this tower: the exponents in g.rhs are
+        # only as long as the tower was when gen_i was attached
+        n = len(self.gens)
+        self.rhs = tuple(TElem(self, {e + (0,) * (n - len(e)): c
+                                      for e, c in g.rhs}) for g in self.gens)
 
     @property
     def p(self) -> int:
@@ -115,10 +122,7 @@ class Tower:
     # -- element constructors -----------------------------------------------
 
     def from_base(self, c) -> "TElem":
-        zero = (0,) * len(self.gens)
-        if c.is_zero():
-            return TElem(self, {})
-        return TElem(self, {zero: c})
+        return TElem(self, {(0,) * len(self.gens): c})
 
     def from_int(self, n: int) -> "TElem":
         return self.from_base(self.base.from_int(n))
@@ -162,11 +166,7 @@ class TElem:
         out = dict(self.coords)
         for e, c in other.coords.items():
             s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
+            out[e] = c if s is None else s + c
         return TElem(self.tower, out)
 
     def __neg__(self):
@@ -215,22 +215,18 @@ class TElem:
 
 
 def _reduce_into(tower: Tower, e: tuple, c, out: dict):
+    """Accumulate c * gen^e into out, rewriting p-th powers of generators
+    by their relations; the TElem built from out drops the zero sums."""
     p = tower.p
     for i, ei in enumerate(e):
         if ei >= p:
             low = tuple(x - p if j == i else x for j, x in enumerate(e))
-            for re_, rc in tower.gens[i].rhs:
-                # rhs tuples are as long as the tower was at attach time
-                ee = tuple(a + (re_[j] if j < len(re_) else 0)
-                           for j, a in enumerate(low))
+            for re_, rc in tower.rhs[i].coords.items():
+                ee = tuple(a + b for a, b in zip(low, re_))
                 _reduce_into(tower, ee, c * rc, out)
             return
     s = out.get(e)
-    s = c if s is None else s + c
-    if s.is_zero():
-        out.pop(e, None)
-    else:
-        out[e] = s
+    out[e] = c if s is None else s + c
 
 
 def _frobenius(x: TElem) -> TElem:
@@ -241,17 +237,12 @@ def _frobenius(x: TElem) -> TElem:
     with itself is formed.
     """
     tower = x.tower
-    n = len(tower.gens)
     out = {}
     for e, c in x.coords.items():
         term = tower.from_base(c.frobenius())
         for i, ei in enumerate(e):
-            if ei:
-                # rhs tuples are as long as the tower was at attach time
-                rhs = TElem(tower, {re_ + (0,) * (n - len(re_)): rc
-                                    for re_, rc in tower.gens[i].rhs})
-                for _ in range(ei):
-                    term = term * rhs
+            for _ in range(ei):
+                term = term * tower.rhs[i]
         for te, tc in term.coords.items():
             _reduce_into(tower, te, tc, out)
     return TElem(tower, out)
@@ -318,49 +309,52 @@ def r4_budget(x: TElem) -> int:
         (p_exponent(v.denominator, t.p) for v in vals), default=0)
 
 
-def _r4_powers(x: TElem, what: str):
-    """(k, x^(p^k)) for k = 0 up to r4_budget(x), then a ValidationError."""
-    yield 0, x
-    budget = r4_budget(x)
-    for k in range(1, budget + 1):
-        x = x ** x.tower.p
-        yield k, x
-    raise ValidationError(
-        "%s outlasts the R4 budget of %d p-th powers: the generator count "
-        "plus the largest p-exponent of a value denominator" % (what, budget))
-
-
-def val(x: TElem):
-    """Exact value via R2 (unique minimum) with R4 fallback (p-th powers)."""
-    for k, y in _r4_powers(x, "a value tie"):
+def _r4_walk(x: TElem):
+    """(k, y, m) for the first y = x^(p^k) whose least monomial bound m is
+    attained by one monomial (R2), so v(x) = m/p^k; m is INFINITE for 0.
+    Passing r4_budget(x) p-th powers is a ValidationError."""
+    y, k, budget = x, 0, None
+    while True:
         bounds = _monomial_bounds(y)
         if not bounds:
-            return INFINITE
+            return k, y, INFINITE
         m = min(b for b, _, _, _ in bounds)
         at_min = [t for t in bounds if t[0] == m]
         if any(not t[1] for t in at_min):
             raise PrecisionError(
                 "value tied with an indeterminate coefficient at %s" % (m,))
         if len(at_min) == 1:
-            return m / x.tower.p ** k
+            return k, y, m
+        budget = r4_budget(x) if budget is None else budget
+        if k == budget:
+            raise ValidationError(
+                "a value tie outlasts the R4 budget of %d p-th powers: the "
+                "generator count plus the largest p-exponent of a value "
+                "denominator" % budget)
+        y, k = y ** x.tower.p, k + 1
+
+
+def val(x: TElem):
+    """Exact value via R2 (unique minimum) with R4 fallback (p-th powers)."""
+    k, _, m = _r4_walk(x)
+    return m / x.tower.p ** k
 
 
 def residue(x: TElem) -> RElem:
     """Residue of a value-0 element, via R3 on stored (mu, rho) data.
 
-    Monomials of positive value drop out; if any monomial sits below 0
-    the p-power rule applies first (residues of p-th powers pull back
-    along the Frobenius, which is injective here).
+    The R4 walk stops at y = x^(p^k) with a unique least monomial bound m,
+    and v(x) = 0 exactly when m = 0.  Then every monomial of y has a bound
+    >= 0: those of positive value drop out, and the residue of y pulls
+    back through k p-th roots (the Frobenius is injective here).
     """
-    v = val(x)
-    if v != 0:
-        raise ValidationError("residue requires value exactly 0, got %s" % (v,))
-    for k, x in _r4_powers(x, "a residue tie"):
-        if all(b >= 0 for b, _, _, _ in _monomial_bounds(x)):
-            break
+    k, y, m = _r4_walk(x)
+    if m != 0:
+        raise ValidationError("residue requires value exactly 0, got %s"
+                              % (m / x.tower.p ** k,))
     total = None
-    for e, c in x.coords.items():
-        term = _monomial_residue(x.tower, e, c)
+    for e, c in y.coords.items():
+        term = _monomial_residue(y.tower, e, c)
         if term is None:
             continue
         total = term if total is None else total + term
@@ -448,8 +442,8 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
 
     if not group_contains(tower.group, (beta,)):
         new = _attach(tower, relation, a, name, beta, None, None, mp_text)
-        step = TowerStep(name, mp_text, "ramified", p, p, 1, 0, new_value=beta)
-        return Adjunction("ramified", _finalize(new, step), value=beta)
+        return Adjunction("ramified", _finalize(new, "ramified", new_value=beta),
+                          value=beta)
 
     # beta already in the group: probe the residue equation through a base
     # monomial of the same value, when one exists
@@ -475,10 +469,9 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
         # residue jump: f = p via the inseparable equation y^p = rbar
         rho = rbar.pth_root_extend()
         new = _attach(tower, relation, a, name, beta, mu, rho, mp_text)
-        step = TowerStep(name, mp_text, "residue", p, 1, p, 0,
-                         new_residue=rho.to_text())
-        return Adjunction("residue", _finalize(new, step), value=beta,
-                          residue_root=rho)
+        return Adjunction("residue", _finalize(new, "residue",
+                                               new_residue=rho.to_text()),
+                          value=beta, residue_root=rho)
     # the residue equation already has a root: nothing is forced
     new = _attach(tower, relation, a, name, beta, mu, root, mp_text)
     return Adjunction("no_step_detected", new, value=beta, residue_root=root,
@@ -489,42 +482,38 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
 def _attach(tower: Tower, relation: str, a: TElem, name: str,
             beta, mu, rho, mp_text: str) -> Tower:
     """Tower with the new generator attached and the step left open."""
-    n = len(tower.gens)
-    rhs = {e + (0,): c for e, c in a.coords.items()}
+    rhs = dict(a.coords)
     if relation == "as":
-        gen_exp = tuple(1 if i == n else 0 for i in range(n + 1))
-        rhs[gen_exp] = tower.base.from_int(1)
+        rhs[(0,) * len(tower.gens) + (1,)] = tower.base.from_int(1)
     gi = GenInfo(name, relation, tuple(rhs.items()), beta, mu, rho, mp_text)
     return Tower(tower.base, tower.gens + (gi,), tower.steps,
                  tower.group, tower.res_desc)
 
 
-def _finalize(tower: Tower, step: TowerStep) -> Tower:
-    """Attach the step of the last generator, updating group and residue."""
-    if not tower.pending:
-        raise ValidationError("no pending generator to finalize")
-    gi = tower.gens[-1]
-    group = tower.group
-    res_desc = tower.res_desc
-    e = f = 1
-    values = [gi.value]
-    if step.new_value is not None:
-        values.append(step.new_value)
-    bigger = join(group, [(v,) for v in values])
-    idx = group_index(bigger, group)
+def _finalize(tower: Tower, kind: str, new_value=None, new_residue=None,
+              witness=None) -> Tower:
+    """Record the pending step as `kind`, growing the group and residue field.
+
+    The step's (e, f, m) is derived here and nowhere else: e is the index of
+    the group grown by the generator's value (and new_value), f is p for a
+    residue jump and 1 otherwise, and m comes from ostrowski_m.  A ramified
+    step brings a value outside the group, so e >= 2, and since the degree
+    p is prime ostrowski_m then admits only (p, 1, 0); a residue jump has
+    f = p, which forces e = 1 and m = 0.
+    """
+    gi, p = tower.gens[-1], tower.p
+    values = [gi.value] + ([new_value] if new_value is not None else [])
+    bigger = join(tower.group, [(v,) for v in values])
+    idx = group_index(bigger, tower.group)
     if idx == INFINITE:
         raise ValidationError("ramification index is not finite")
-    e = int(idx)
-    if step.kind == "residue":
-        f = tower.p
+    e, f, res_desc = int(idx), 1, tower.res_desc
+    if kind == "residue":
+        f = p
         res_desc = res_desc.at_level(tower.res_level() + 1) \
             if res_desc.has_variable() else res_desc
-    m = ostrowski_m(step.degree, e, f, tower.p)
-    if (e, f, m) != (step.e, step.f, step.m):
-        raise ValidationError(
-            "step bookkeeping (e=%d, f=%d, m=%d) disagrees with the group and "
-            "residue computation (e=%d, f=%d, m=%d)"
-            % (step.e, step.f, step.m, e, f, m))
+    step = TowerStep(gi.name, gi.minpoly_text, kind, p, e, f,
+                     ostrowski_m(p, e, f, p), new_value, new_residue, witness)
     return Tower(tower.base, tower.gens, tower.steps + (step,), bigger, res_desc)
 
 
@@ -538,16 +527,11 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
     """
     if not tower.pending:
         raise ValidationError("tower has no pending step")
-    gi = tower.gens[-1]
-    p = tower.p
     v = val(witness)
     if v == INFINITE:
         raise ValidationError("witness vanishes")
-    mp_text = gi.minpoly_text
     if not group_contains(tower.group, (v,)):
-        step = TowerStep(gi.name, mp_text, "ramified", p, p, 1, 0,
-                         new_value=v, witness=witness_text)
-        return _finalize(tower, step)
+        return _finalize(tower, "ramified", new_value=v, witness=witness_text)
     if divisor is None:
         raise ValidationError(
             "witness value %s stays in the group; need a divisor to read a "
@@ -557,9 +541,8 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
     if lvl <= tower.res_level():
         raise ValidationError(
             "witness residue %s lies in the current residue field" % (r,))
-    step = TowerStep(gi.name, mp_text, "residue", p, 1, p, 0,
-                     new_residue=r.to_text(), witness=witness_text)
-    return _finalize(tower, step)
+    return _finalize(tower, "residue", new_residue=r.to_text(),
+                     witness=witness_text)
 
 
 # ---------------------------------------------------------------------------

@@ -226,17 +226,7 @@ class EqBase:
         gamma = fr(gamma)
         if not group_contains(self.group, (gamma,)):
             raise ValidationError("exponent %s outside the value group" % (gamma,))
-        c = self._coeff(coeff)
-        return SeriesElem(self, {gamma: c} if not c.is_zero() else {}, INFINITE)
-
-    def series(self, terms: dict, prec=INFINITE) -> "SeriesElem":
-        out = {}
-        for g, c in terms.items():
-            g = fr(g)
-            c = self._coeff(c)
-            if not c.is_zero() and (prec == INFINITE or g < prec):
-                out[g] = c
-        return SeriesElem(self, out, prec)
+        return SeriesElem(self, {gamma: self._coeff(coeff)}, INFINITE)
 
 
 _EXPONENT = itemgetter(0)
@@ -276,11 +266,8 @@ class SeriesElem(_Elem):
         other = self._coerce(other)
         out = dict(self.terms)
         for g, c in other.terms.items():
-            s = out.get(g, self.base.res.zero()) + c
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
+            s = out.get(g)
+            out[g] = c if s is None else s + c
         return SeriesElem(self.base, out, min(self.prec, other.prec))
 
     def __neg__(self):
@@ -295,21 +282,11 @@ class SeriesElem(_Elem):
                 g = g1 + g2
                 if prec != INFINITE and g >= prec:
                     continue
-                s = out.get(g, self.base.res.zero()) + c1 * c2
-                if s.is_zero():
-                    out.pop(g, None)
-                else:
-                    out[g] = s
+                s = out.get(g)
+                out[g] = c1 * c2 if s is None else s + c1 * c2
         return SeriesElem(self.base, out, prec)
 
     # -- characteristic-p structure -------------------------------------------
-
-    def pth_root(self) -> "SeriesElem":
-        """Termwise p-th root; coefficients may climb one perfection level."""
-        p = self.base.p
-        terms = {g / p: c.pth_root_extend() for g, c in self.terms.items()}
-        prec = INFINITE if self.prec == INFINITE else self.prec / p
-        return SeriesElem(self.base, terms, prec)
 
     def frobenius(self) -> "SeriesElem":
         p = self.base.p

@@ -4,8 +4,9 @@ Everything here is deliberately naive: bounded coefficient searches,
 permutation-sum determinants and back-substitution against an echelon
 form for the linear-algebra layer, and closed-form series expansions of
 tower generators for the valuation rules, independent of the
-implementations under test.  It also parses the text that
-SeriesElem.to_text and PadicElem.to_text print back into elements.
+implementations under test.  It also builds series from term dicts (with
+no value-group check) and parses the text that SeriesElem.to_text and
+PadicElem.to_text print back into elements.
 """
 
 import re
@@ -15,7 +16,7 @@ from itertools import permutations, product
 from vallab.errors import ValidationError
 from vallab.intlinalg import row_echelon
 from vallab.ogroup import contains
-from vallab.values import INFINITE, Indeterminate
+from vallab.values import INFINITE, Indeterminate, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
 
@@ -137,6 +138,23 @@ def lattice_solve(rows, target):
     return coeffs
 
 
+# series built without the value-group check of EqBase.monomial
+
+
+def series(base, terms: dict, prec=INFINITE) -> SeriesElem:
+    """The series sum c * t^g over terms {g: c}, known below prec."""
+    out = {fr(g): base._coeff(c) for g, c in terms.items()}
+    return SeriesElem(base, out, prec)
+
+
+def pth_root(x: SeriesElem) -> SeriesElem:
+    """Termwise p-th root; coefficients may climb one perfection level."""
+    p = x.base.p
+    terms = {g / p: c.pth_root_extend() for g, c in x.terms.items()}
+    return SeriesElem(x.base, terms, INFINITE if x.prec == INFINITE
+                      else x.prec / p)
+
+
 # closed-form expansions of tower generators (independent cross-checks)
 
 
@@ -155,7 +173,7 @@ def as_expansion_terms(c, count: int):
     if vc < 0:
         t = c
         for _ in range(count):
-            t = t.pth_root()
+            t = pth_root(t)
             out.append(t)
         return out
     if vc > 0:
@@ -284,7 +302,7 @@ def series_from_text(base: EqBase, text: str) -> SeriesElem:
         else:
             c = base.res.elem(_parse_u_poly(coeff))
         out[exp] = out.get(exp, base.res.zero()) + c
-    return base.series(out, prec)
+    return series(base, out, prec)
 
 
 def padic_from_text(base: PadicBase, text: str) -> PadicElem:

@@ -195,6 +195,10 @@ def test_hull_malformed_group(tmp_path):
     assert "malformed" in res.stderr
 
 
+# a patch value that writes a JSON null, since None drops the key
+_NULL = object()
+
+
 @pytest.mark.parametrize("args,patch,needle", [
     (("hull", "--kind", "p_div", "--p", "3", "--level", "-1"), {}, ""),
     (("hull", "--kind", "p_prime_div", "--p", "3", "--level", "exact"), {}, ""),
@@ -209,6 +213,13 @@ def test_hull_malformed_group(tmp_path):
     (("classify",), {"residue_field": {"kind": "weird"}},
      "unknown residue field kind 'weird'"),
     (("classify",), {"vp": [1, 1.0]}, "vp must be an integer, got 1.0"),
+    # a name that is not a string used to reach the audit's sort or a hash
+    (("classify", "--audit"), {"name": 7}, "key 'name' must be a str, got 7"),
+    (("classify", "--audit"), {"name": [1]}, "key 'name' must be a str"),
+    (("classify", "--audit"), {"name": {"a": 1}}, "key 'name' must be a str"),
+    (("classify", "--audit"), {"name": _NULL},
+     "key 'name' must be a str, got None"),
+    (("classify",), {"note": 5}, "key 'note' must be a str, got 5"),
     # a p_closed index past the generators used to be dropped silently
     (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
      {"p_closed": [5], "prime": 3}, "p_closed index 5 is out of range"),
@@ -239,6 +250,8 @@ def test_hull_malformed_group(tmp_path):
         "hull-composite-p", "compose-desc-p1", "hull-float-rational",
         "descriptor-no-char", "descriptor-no-residue-field",
         "descriptor-unknown-residue-kind", "descriptor-float-rational",
+        "descriptor-int-name", "descriptor-list-name", "descriptor-dict-name",
+        "descriptor-null-name", "descriptor-int-note",
         "hull-p-closed-out-of-range", "hull-group-prime-0",
         "hull-group-prime-negative", "hull-group-prime-composite",
         "construct-depth-on-lemma33", "construct-depth-on-two-ext",
@@ -247,7 +260,7 @@ def test_hull_malformed_group(tmp_path):
         "construct-cap-negative"])
 def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
     # hull reads a rank-1 group file and classify reads laurent-f3, each
-    # with the keys in `patch` dropped (None) or replaced
+    # with the keys in `patch` dropped (None) or replaced (_NULL by null)
     inputs = {"hull": ("--group", {"rank": 1, "gens": [[1, 1]],
                                    "p_closed": [], "prime": 1}),
               "classify": ("--descriptor",
@@ -258,7 +271,7 @@ def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
             if value is None:
                 del data[key]
             else:
-                data[key] = value
+                data[key] = None if value is _NULL else value
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         args += (flag, str(path))

@@ -61,6 +61,37 @@ def test_as_valgp_series_mul_count(monkeypatch):
     assert len(calls) <= 500
 
 
+def test_kummer_resf_is_zero_count(monkeypatch):
+    # zero coefficients are dropped only where elements are built; when the
+    # sums and the tower reduction dropped them too, each digit-ring
+    # coefficient was checked twice or more: 22,980 questions here
+    calls = []
+    is_zero = vbase._Elem.is_zero
+
+    def counting(self):
+        calls.append(None)
+        return is_zero(self)
+
+    monkeypatch.setattr(vbase._Elem, "is_zero", counting)
+    build_kummer_resf(7, 4)
+    assert len(calls) <= 3000
+
+
+def test_as_resf_pth_power_count(monkeypatch):
+    # val and residue share one walk of p-th powers; when residue walked
+    # its own after val's, the build took 19 p-th powers
+    calls = []
+    pow_ = TElem.__pow__
+
+    def counting(self, n):
+        calls.append(n)
+        return pow_(self, n)
+
+    monkeypatch.setattr(TElem, "__pow__", counting)
+    build_as_resf(3, 3)
+    assert calls.count(3) <= 13
+
+
 def test_lemma33_frozen():
     for p in (2, 3):
         r = build_lemma_3_3(p)

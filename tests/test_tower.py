@@ -22,7 +22,7 @@ from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
 from vallab.values import INFINITE, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem
 
-from helpers import as_expansion_terms, eval_expansion
+from helpers import as_expansion_terms, eval_expansion, series
 
 
 def laurent(p, denom=1, closed=False, ratfun=False):
@@ -280,6 +280,19 @@ def test_residue_termwise_uses_stored_generator_data():
         residue(x)  # value -1/3, not 0
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_residue_of_a_tie_is_read_where_the_value_walk_stops(p):
+    # 1 and gen/t tie at value 0; every monomial bound is already >= 0, so
+    # a residue loop of its own could stop at k = 0, one p-th power before
+    # the value walk, which reads the residue off z^p
+    tw = build_lemma_3_3(p).towers[0]
+    z = tw.one() + tw.gen_elem(0) / tw.base.monomial(-1)
+    assert val(z) == 0
+    r = residue(z)
+    assert r.to_text() == "1 + u^(1/%d)" % p
+    assert r.level() == 1
+
+
 def test_val_budget_exhaustion_raises(monkeypatch):
     base, tw = as_pending(3, 2)
     b1 = tw.gen_elem(0) - tw.from_base(base.monomial(Fraction(-1, 3)))
@@ -339,12 +352,6 @@ def test_r4_exhaustion_is_a_validation_error(monkeypatch):
         val(b1)
     assert not isinstance(info.value, PrecisionError)
     assert "the largest p-exponent of a value denominator" in str(info.value)
-    # residue's own R4 loop, past a value known to be 0
-    monkeypatch.setattr(tower, "val", lambda x: 0)
-    with pytest.raises(ValidationError, match="a residue tie outlasts the R4 "
-                       "budget of 0") as info:
-        residue(y)
-    assert not isinstance(info.value, PrecisionError)
 
 
 def test_val_additivity_on_monomials():
@@ -450,7 +457,7 @@ def _rand_coeff(base, rng, denom):
         else:
             c = res.elem(rng.randrange(1, base.p))
         terms[Fraction(rng.randrange(-3, 4), denom)] = c
-    return base.series(terms)
+    return series(base, terms)
 
 
 def _rand_telem(tower, rng, denom):
@@ -479,7 +486,7 @@ def test_frobenius_power_sharpens_capped_coefficients():
         tower = build_as_valgp(p, 1).towers[-1]
         base = tower.base
         cap = Fraction(2)
-        c = base.series({Fraction(-1, p): 1, fr(1): 1}, prec=cap)
+        c = series(base, {Fraction(-1, p): 1, fr(1): 1}, prec=cap)
         x = TElem(tower, {(0,): c, (p - 1,): base.monomial(fr(1))})
         frob, prod = x ** p, _pfold(x, p)
         zero = base.zero()
