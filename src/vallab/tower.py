@@ -15,8 +15,9 @@ Values are computed by four rules:
   R3  residues multiply through stored (mu, rho) data per generator;
   R4  ties fall back to v(x) = v(x^p)/p, iterated within the budget
       below; one walk of p-th powers serves both val and residue, which
-      reads the residue off the power that val stops at.  In equal
-      characteristic x^p is taken by Frobenius, sum c^p * prod
+      reads the residue off the one monomial that decides the value at
+      the power val stops at.  An element keeps its x^p once taken.  In
+      equal characteristic x^p is taken by Frobenius, sum c^p * prod
       (gen_i^p)^{e_i}, with no generic products of x.
 
 Each R4 step multiplies values by p.  A tie that persists approximates a
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import p_exponent
@@ -107,6 +109,9 @@ class Tower:
         n = len(self.gens)
         self.rhs = tuple(TElem(self, {e + (0,) * (n - len(e)): c
                                       for e, c in g.rhs}) for g in self.gens)
+        # generator values as integers over one denominator, for R1 shifts
+        self.val_den = lcm(*(g.value.denominator for g in self.gens))
+        self.val_nums = tuple(int(g.value * self.val_den) for g in self.gens)
 
     @property
     def p(self) -> int:
@@ -146,11 +151,12 @@ class Tower:
 
 
 class TElem:
-    __slots__ = ("tower", "coords")
+    __slots__ = ("tower", "coords", "_pth")
 
     def __init__(self, tower: Tower, coords: dict):
         self.tower = tower
         self.coords = {e: c for e, c in coords.items() if not c.is_zero()}
+        self._pth = None                # x**p, kept once it is taken
 
     # -- ring structure ------------------------------------------------------
 
@@ -187,9 +193,13 @@ class TElem:
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative tower powers are not supported")
-        if n == self.tower.p and self.tower.base.eq_char:
-            return _frobenius(self)  # a ring map only in characteristic p
-        return power(self, n, self.tower.one)
+        if n != self.tower.p:
+            return power(self, n, self.tower.one)
+        if self._pth is None:
+            # Frobenius is a ring map only in characteristic p
+            self._pth = _frobenius(self) if self.tower.base.eq_char \
+                else power(self, n, self.tower.one)
+        return self._pth
 
     def __truediv__(self, other):
         """Division by a base element (or base-constant tower element)."""
@@ -274,13 +284,12 @@ def to_text(x: TElem) -> str:
 
 def _monomial_bounds(x: TElem):
     """[(bound, determinate, exps, coeff_val)] per monomial, R1."""
-    out = []
+    out, t = [], x.tower
     for e, c in x.coords.items():
         cv = c.val()
-        shift = sum((fr(ei) * x.tower.gens[i].value for i, ei in enumerate(e)
-                     if ei), fr(0))
         if cv == INFINITE:
             continue
+        shift = Fraction(sum(ei * n for ei, n in zip(e, t.val_nums)), t.val_den)
         if isinstance(cv, Indeterminate):
             out.append((cv.bound + shift, False, e, cv))
         else:
@@ -310,21 +319,21 @@ def r4_budget(x: TElem) -> int:
 
 
 def _r4_walk(x: TElem):
-    """(k, y, m) for the first y = x^(p^k) whose least monomial bound m is
-    attained by one monomial (R2), so v(x) = m/p^k; m is INFINITE for 0.
-    Passing r4_budget(x) p-th powers is a ValidationError."""
+    """(k, y, m, e) for the first y = x^(p^k) whose least monomial bound m
+    is attained by one monomial, gen^e (R2), so v(x) = m/p^k; m is INFINITE
+    and e None for 0.  Passing r4_budget(x) p-th powers is a ValidationError."""
     y, k, budget = x, 0, None
     while True:
         bounds = _monomial_bounds(y)
         if not bounds:
-            return k, y, INFINITE
+            return k, y, INFINITE, None
         m = min(b for b, _, _, _ in bounds)
         at_min = [t for t in bounds if t[0] == m]
         if any(not t[1] for t in at_min):
             raise PrecisionError(
                 "value tied with an indeterminate coefficient at %s" % (m,))
         if len(at_min) == 1:
-            return k, y, m
+            return k, y, m, at_min[0][2]
         budget = r4_budget(x) if budget is None else budget
         if k == budget:
             raise ValidationError(
@@ -336,7 +345,7 @@ def _r4_walk(x: TElem):
 
 def val(x: TElem):
     """Exact value via R2 (unique minimum) with R4 fallback (p-th powers)."""
-    k, _, m = _r4_walk(x)
+    k, _, m, _ = _r4_walk(x)
     return m / x.tower.p ** k
 
 
@@ -344,30 +353,24 @@ def residue(x: TElem) -> RElem:
     """Residue of a value-0 element, via R3 on stored (mu, rho) data.
 
     The R4 walk stops at y = x^(p^k) with a unique least monomial bound m,
-    and v(x) = 0 exactly when m = 0.  Then every monomial of y has a bound
-    >= 0: those of positive value drop out, and the residue of y pulls
-    back through k p-th roots (the Frobenius is injective here).
+    attained by gen^e, and v(x) = 0 exactly when m = 0.  Every other
+    monomial of y then has a bound > m = 0, so its value is positive and it
+    adds nothing: the residue of y is that of its deciding monomial alone,
+    and it pulls back through k p-th roots (the Frobenius is injective here).
     """
-    k, y, m = _r4_walk(x)
+    k, y, m, e = _r4_walk(x)
     if m != 0:
         raise ValidationError("residue requires value exactly 0, got %s"
                               % (m / x.tower.p ** k,))
-    total = None
-    for e, c in y.coords.items():
-        term = _monomial_residue(y.tower, e, c)
-        if term is None:
-            continue
-        total = term if total is None else total + term
-    if total is None or total.is_zero():
-        raise ValidationError("residue computation cancelled to zero")
+    r = _monomial_residue(y.tower, e, y.coords[e])
     for _ in range(k):
-        total = total.pth_root_extend()
-    return total
+        r = r.pth_root_extend()
+    return r
 
 
-def _monomial_residue(tower: Tower, e: tuple, c):
-    """Residue of c * prod gen^e when its value is >= 0 (None if > 0)."""
-    scaled = c
+def _monomial_residue(tower: Tower, e: tuple, c) -> RElem:
+    """Residue of c * prod gen^e, a monomial of value 0 (R3): the base
+    residue of c * prod mu^e times prod rho^e."""
     rho_part = None
     for i, ei in enumerate(e):
         if not ei:
@@ -377,19 +380,10 @@ def _monomial_residue(tower: Tower, e: tuple, c):
             raise ValidationError(
                 "generator %s carries no residue data" % (g.name,))
         for _ in range(ei):
-            scaled = scaled * g.mu
+            c = c * g.mu
         rp = g.rho ** ei
         rho_part = rp if rho_part is None else rho_part * rp
-    v = scaled.val()
-    if v == INFINITE or (not isinstance(v, Indeterminate) and v > 0):
-        return None
-    if isinstance(v, Indeterminate):
-        if v.bound > 0:
-            return None
-        raise PrecisionError("monomial residue below the precision cap")
-    if v < 0:
-        raise ValidationError("negative monomial in a residue computation")
-    base_res = scaled.residue()
+    base_res = c.residue()
     return base_res if rho_part is None else base_res * rho_part
 
 
@@ -421,7 +415,7 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
         raise ValidationError("unknown relation kind %r" % (relation,))
     if tower.pending:
         raise ValidationError("resolve the pending step before adjoining")
-    a = tower.zero()._join(a) if not isinstance(a, TElem) else a
+    a = tower.zero()._join(a)  # lifts a prefix element, rejects any other
     p = tower.p
     va = val(a)
     if va == INFINITE:

@@ -4,7 +4,9 @@ Everything here is deliberately naive: bounded coefficient searches,
 permutation-sum determinants and back-substitution against an echelon
 form for the linear-algebra layer, and closed-form series expansions of
 tower generators for the valuation rules, independent of the
-implementations under test.  It also builds series from term dicts (with
+implementations under test.  The tower's value and residue rules are kept
+here in their earlier termwise form, as references for the fast paths.
+It also builds series from term dicts (with
 no value-group check) and parses the text that SeriesElem.to_text and
 PadicElem.to_text print back into elements.
 """
@@ -13,7 +15,7 @@ import re
 from fractions import Fraction
 from itertools import permutations, product
 
-from vallab.errors import ValidationError
+from vallab.errors import PrecisionError, ValidationError
 from vallab.intlinalg import row_echelon
 from vallab.ogroup import contains
 from vallab.values import INFINITE, Indeterminate, fr
@@ -209,6 +211,97 @@ def eval_expansion(x, gen_series: list, exp_base):
             for _ in range(ei):
                 term = term * gen_series[i]
         total = total + term
+    return total
+
+
+# the tower's valuation rules in their earlier termwise form (references)
+
+
+def monomial_bounds_fraction_sum(x):
+    """[(bound, determinate)] per monomial, R1, each shift summed as
+    Fractions over the generator values."""
+    out = []
+    for e, c in x.coords.items():
+        cv = c.val()
+        if cv == INFINITE:
+            continue
+        shift = sum((Fraction(ei) * x.tower.gens[i].value
+                     for i, ei in enumerate(e) if ei), Fraction(0))
+        if isinstance(cv, Indeterminate):
+            out.append((cv.bound + shift, False))
+        else:
+            out.append((cv + shift, True))
+    return out
+
+
+def vlb_fraction_sum(x):
+    bounds = monomial_bounds_fraction_sum(x)
+    return min(b for b, _ in bounds) if bounds else INFINITE
+
+
+def r4_walk_by_products(x, budget):
+    """(k, y, m) for the first y = x^(p^k) with a unique least bound m,
+    each p-th power a plain product of p - 1 factors (no Frobenius and no
+    kept x**p); a tie or an indeterminate minimum past budget raises."""
+    y, p = x, x.tower.p
+    for k in range(budget + 1):
+        bounds = monomial_bounds_fraction_sum(y)
+        if not bounds:
+            return k, y, INFINITE
+        m = min(b for b, _ in bounds)
+        at_min = [det for b, det in bounds if b == m]
+        if not all(at_min):
+            raise PrecisionError("indeterminate minimum")
+        if len(at_min) == 1:
+            return k, y, m
+        z = y
+        for _ in range(p - 1):
+            z = z * y
+        y = z
+    raise ValidationError("tie outlasts %d p-th powers" % budget)
+
+
+def val_fraction_sum(x, budget):
+    k, _, m = r4_walk_by_products(x, budget)
+    return m / x.tower.p ** k
+
+
+def residue_termwise(x, budget):
+    """Residue of a value-0 tower element as the sum of the R3 residues of
+    every monomial of value >= 0 in the p-th power where the walk stops."""
+    k, y, m = r4_walk_by_products(x, budget)
+    if m != 0:
+        raise ValidationError("residue requires value exactly 0")
+    total = None
+    for e, c in y.coords.items():
+        scaled, rho_part = c, None
+        for i, ei in enumerate(e):
+            if not ei:
+                continue
+            g = y.tower.gens[i]
+            if g.mu is None or g.rho is None:
+                raise ValidationError("generator %s carries no residue data"
+                                      % (g.name,))
+            for _ in range(ei):
+                scaled = scaled * g.mu
+            rp = g.rho ** ei
+            rho_part = rp if rho_part is None else rho_part * rp
+        v = scaled.val()
+        if v == INFINITE or (not isinstance(v, Indeterminate) and v > 0):
+            continue
+        if isinstance(v, Indeterminate):
+            if v.bound > 0:
+                continue
+            raise PrecisionError("monomial residue below the precision cap")
+        if v < 0:
+            raise ValidationError("negative monomial in a residue computation")
+        term = scaled.residue()
+        term = term if rho_part is None else term * rho_part
+        total = term if total is None else total + term
+    if total is None or total.is_zero():
+        raise ValidationError("residue computation cancelled to zero")
+    for _ in range(k):
+        total = total.pth_root_extend()
     return total
 
 

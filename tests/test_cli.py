@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from vallab.cli import main
+from vallab.constructions import BUILDERS
 from vallab.corpus import corpus_member, corpus_names
 
 BASE = [sys.executable, "-m", "vallab.cli"]
@@ -309,3 +310,89 @@ def test_classify_output_bytes_are_pinned(capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+# sha256 of the certificate JSON printed by `vallab construct`, recorded
+# before witness residues were read off their deciding monomial: every
+# family at p in {2, 3, 5, 7}, kummer-valgp at cap 4p and the largest builds
+CONSTRUCT_DIGESTS = {
+    "--example as-valgp --p 2":
+        "38f223d0db71840a2d211f07060fa4800b4df230df1c6765edddf1ee80545884",
+    "--example lemma33 --p 2":
+        "8b6089b3c08edb76e0429cbc6c1fea6ba8a579606d11391c334074c1da9977cb",
+    "--example as-resf --p 2":
+        "d1c03b8ddd93c7b1c78b163bbd38deea042af025b829fe3f0845af1288d789b8",
+    "--example kummer-valgp --p 2":
+        "b3d71b7878b209d24a2c3963b2c73d5ea22582120c2ef6c6ae3a1478e0a673c9",
+    "--example two-ext --p 2":
+        "62afa92b525f04b9fe45e86608ad62c1ac5878393e8f426d5c7d156480914fa8",
+    "--example kummer-resf --p 2":
+        "60198b48fa77dae4a9be8235791316042a3350f82ac53ac37340228528f44049",
+    "--example compose-desc --p 2":
+        "85e4a84ef95b3ed7570d78c37f06638481577d2682191426b6f026310d7e0e6c",
+    "--example as-valgp --p 3":
+        "98773eb8b5fadcaadb0fe70fba4d300a8a6c413166d252fd4ebc716e239dcc6e",
+    "--example lemma33 --p 3":
+        "ea834fec0d480cfd2dafcf84fffdc6ea30ed18b28b9e17a473d11c43e53f39c2",
+    "--example as-resf --p 3":
+        "6ee305a3afd292569e65cc5fd63ef6d400c116140a533953298d86fc6eb2b507",
+    "--example kummer-valgp --p 3":
+        "5974fe3dd2b6b2bf6e286dd51eab8465a7fcd43f476b9cd05042c5bc8d867d56",
+    "--example two-ext --p 3":
+        "16f4fd98336d17fb2c032fd2b49e81314bc8c8aebc0902335ea5fe79a0ea1960",
+    "--example kummer-resf --p 3":
+        "769a3031f415269c9b496bd714442855efdf454ae975cdfe180535f798219d1f",
+    "--example compose-desc --p 3":
+        "ad82b47ec5d050b82a3474efd96b54e2eba0612fb86f413297cba3b8281a5bf4",
+    "--example as-valgp --p 5":
+        "8ecf95d80ca4e3946be434541541898d1146464948983c078ddc11c5d4d31fda",
+    "--example lemma33 --p 5":
+        "0a6949191cfd41fd4c53b787f8eeadff683ec228403214ae1c9cd279dec91f2b",
+    "--example as-resf --p 5":
+        "cda0edb7bbda7486b7f2d645e0a12ebbd8736f896f4cd4beb82fac14c08019ad",
+    "--example kummer-valgp --p 5":
+        "a914967b3248df5af9af719aa70997c771a9ab3dc365268400236726f2d47378",
+    "--example two-ext --p 5":
+        "c83196f3119531434f16c819864501591d2939c9d8eb4d221ed9077a166d356f",
+    "--example kummer-resf --p 5":
+        "a15fad0974a49c7aa5df3b01564f914af5acf7b4bb5bffcc2cf3b0eb38db2b29",
+    "--example compose-desc --p 5":
+        "f7f4e7c497a350cc2ab7eb608fdd939e3b1a8def1791b0266d0a21e27caae873",
+    "--example as-valgp --p 7":
+        "b3db0efd175576d77953baf5348d8a482245ac255e8cf6e118ec034933b3df42",
+    "--example lemma33 --p 7":
+        "0c81c32396afffc0a9ee65b68a078681c2ff36665c095b76197bfcf51c23e940",
+    "--example as-resf --p 7":
+        "0b3202d3e1d298bb6718b4c55c149cf31f2131eeb2205262bbd3f8d44fbcf14d",
+    "--example kummer-valgp --p 7":
+        "933c331f6bb8a2a49b92fbef8523b3b61755d9ed1c294bb7b282969677d11096",
+    "--example two-ext --p 7":
+        "0a9e9c614db22a289ef2276b0f9e31f952705c744bbc298831127bcbbe1537bc",
+    "--example kummer-resf --p 7":
+        "40e44307a43b30e4e3a5db0fc086a1a3095b4a25a59c4356a2642f6aba085eb2",
+    "--example compose-desc --p 7":
+        "397ee76350a3a7506597d9495d9ed02b81ae9bae37ad257598d03a8255ed8658",
+    "--example kummer-valgp --p 2 --padic-cap 8":
+        "b8aaa64c6f1315a2044d174ff433acd7700111a9837efef320a3c2b358ce97ec",
+    "--example kummer-valgp --p 3 --padic-cap 12":
+        "d5f9cd670b73b304f1c5b5648041082e0973b34580c0285942328a3bcd46afa3",
+    "--example kummer-valgp --p 5 --padic-cap 20":
+        "431fda6627d0ba9ef5dadb13b7635233e4a9442dd47f1a1a63d6d43febe92739",
+    "--example kummer-valgp --p 7 --padic-cap 28":
+        "65bc64177880726a89b9d31df6bef248d9a1617dbc68aa739c88139f5586fe53",
+    "--example kummer-valgp --p 11 --depth 2 --padic-cap 88":
+        "8aa4ba9838f19abb1733ae66bea7d2320fec1fd822f894b659158040ec253820",
+    "--example as-valgp --p 3 --depth 12":
+        "8d9d5fecf925b77683047db48ab3e61f1156c3a90097df5e4e685c139c751c5c",
+    "--example kummer-resf --p 5 --depth 3":
+        "41c7f4f0bff5c113ad819ebc218a101918b1ef8e806bb49a745bc207351e4766",
+}
+
+
+def test_construct_output_bytes_are_pinned(capsys):
+    families = {argv.split()[1] for argv in CONSTRUCT_DIGESTS}
+    assert families == set(BUILDERS) | {"compose-desc"}
+    for argv, digest in CONSTRUCT_DIGESTS.items():
+        assert main(["construct"] + argv.split() + ["--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv

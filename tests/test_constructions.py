@@ -9,6 +9,7 @@ from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_as_valgp, build_kummer_resf,
                                   build_kummer_valgp, build_lemma_3_3)
 from vallab.errors import PrecisionError, ValidationError
+from vallab.resfield import RElem
 from vallab.tower import TElem, val
 
 
@@ -90,6 +91,45 @@ def test_as_resf_pth_power_count(monkeypatch):
     monkeypatch.setattr(TElem, "__pow__", counting)
     build_as_resf(3, 3)
     assert calls.count(3) <= 13
+
+
+def _count_calls(monkeypatch, cls, name, build):
+    calls = []
+    orig = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(None)
+        return orig(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    build()
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_kummer_resf_products_count(monkeypatch):
+    # a residue is read off the one monomial that decides the value, and a
+    # witness keeps its p-th power: summing the residues of all 117
+    # monomials of the witness's p-th power made 3,529 residue-field
+    # products, and taking that power again for val, resolve_pending and
+    # the builder made 20 tower products
+    build = lambda: build_kummer_resf(7, 4)
+    assert _count_calls(monkeypatch, RElem, "__mul__", build) <= 20
+    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 12
+
+
+def test_kummer_valgp_products_count(monkeypatch):
+    # the witness's p-th power is taken once for vlb, val and
+    # resolve_pending; taking it for each made 10 tower products
+    build = lambda: build_kummer_valgp(11, 2, padic_cap=44)
+    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 5
+
+
+@pytest.mark.parametrize("family", ["as-resf", "kummer-valgp", "kummer-resf"])
+def test_witness_keeps_its_pth_power(family):
+    # by Frobenius in equal characteristic, by products over digit rings
+    w = BUILDERS[family](3, 2).extras["witness"]
+    assert w ** 3 is w ** 3
 
 
 def test_lemma33_frozen():

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from vallab.constructions import (build_2ext, build_as_resf, build_as_valgp,
+                                  build_kummer_resf, build_kummer_valgp,
                                   build_lemma_3_3)
 from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
@@ -22,7 +23,8 @@ from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
 from vallab.values import INFINITE, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem
 
-from helpers import as_expansion_terms, eval_expansion, series
+from helpers import (as_expansion_terms, eval_expansion, residue_termwise,
+                     series, val_fraction_sum, vlb_fraction_sum)
 
 
 def laurent(p, denom=1, closed=False, ratfun=False):
@@ -161,6 +163,20 @@ def test_adjoin_beta_zero_artin_schreier_rejected():
         adjoin_root(t0, "as", t0.from_base(base.monomial(0, base.res.gen())), "x")
 
 
+def test_adjoin_root_rejects_a_sibling_tower_element():
+    # y of a sibling tower would be read as x, its exponent (1,) in the
+    # tower it is adjoined over
+    base = laurent(3)
+    t0 = Tower(base)
+    ta = adjoin_root(t0, "as", t0.from_base(base.monomial(-1)), "x").tower
+    tb = adjoin_root(t0, "as", t0.from_base(base.monomial(-2)), "y").tower
+    with pytest.raises(ValidationError, match="prefix tower"):
+        adjoin_root(ta, "as", tb.gen_elem(0), "z")
+    # an element of a prefix tower is lifted: t^-2 has a root of value -2/3
+    adj = adjoin_root(ta, "as", t0.from_base(base.monomial(-2)), "z")
+    assert adj.value == Fraction(-2, 3)
+
+
 def test_adjoin_on_pending_tower_rejected():
     base = laurent(3, denom=3)
     t0 = Tower(base)
@@ -291,6 +307,90 @@ def test_residue_of_a_tie_is_read_where_the_value_walk_stops(p):
     r = residue(z)
     assert r.to_text() == "1 + u^(1/%d)" % p
     assert r.level() == 1
+
+
+def test_residue_ignores_monomials_of_positive_value():
+    # t*x has value 2/3 > 0, so x's missing residue data does not matter
+    base = laurent(3)
+    t0 = Tower(base)
+    tw = adjoin_root(t0, "as", t0.from_base(base.monomial(-1)), "x").tower
+    assert tw.gens[0].mu is None and val(tw.gen_elem(0)) == Fraction(-1, 3)
+    z = tw.one() + tw.gen_elem(0) * tw.from_base(base.monomial(1))
+    assert residue(z).to_text() == "1"
+    with pytest.raises(ValidationError, match="no residue data"):
+        residue_termwise(z, 4)
+
+
+def _base_monomial_from(base, v, coeff):
+    """A base monomial of value v, or of the least group value above v."""
+    try:
+        return base.monomial(v, coeff)
+    except ValidationError:
+        unit = base.value_group.gens[0][0]
+        return base.monomial(-((-v) // unit) * unit, coeff)
+
+
+def _seeded_elements(tw, rng, count, lifts, coeffs):
+    """Sums of one to three monomials c*gen^e, each c a base monomial of
+    value -v(gen^e) + lift (rounded up into the base group)."""
+    out = []
+    while len(out) < count:
+        z = tw.zero()
+        for _ in range(rng.randrange(1, 4)):
+            e = tuple(rng.randrange(tw.p) for _ in tw.gens)
+            shift = sum(ei * g.value for ei, g in zip(e, tw.gens))
+            c = _base_monomial_from(tw.base, rng.choice(lifts) - shift,
+                                    rng.choice(coeffs))
+            z = z + TElem(tw, {e: c})
+        if not z.is_zero():
+            out.append(z)
+    return out
+
+
+def _differential_cases():
+    """(tower, coefficients) in equal characteristic and over p-adic digit
+    rings, with residue jumps (ties at value 0) and ramified generators."""
+    cases = []
+    for p in (2, 3):
+        u = ResField(p, "ratfun").gen()
+        cases += [(build_lemma_3_3(p).towers[0], [1, u]),
+                  (build_as_resf(p, 2).towers[-1], list(range(1, p))),
+                  (build_as_valgp(p, 2).towers[0], list(range(1, p))),
+                  (build_kummer_resf(p, 2).towers[-1], [1, {1: 1}]),
+                  (build_kummer_valgp(p, 1).towers[-1], list(range(1, p)))]
+    cases += [(t, [1, 2]) for t in build_2ext(3).towers]
+    return cases
+
+
+def test_residue_matches_the_termwise_reference():
+    # the residue is read off the deciding monomial alone; the reference
+    # sums the residues of every monomial of value >= 0
+    rng = random.Random(20261)
+    compared = ties = 0
+    for tw, coeffs in _differential_cases():
+        for z in _seeded_elements(tw, rng, 12, [fr(0), fr(0), fr(1)], coeffs):
+            try:
+                want = residue_termwise(z, tower.r4_budget(z))
+            except (ValidationError, PrecisionError):
+                continue
+            got = residue(z)
+            assert (got.to_text(), got.level()) == (want.to_text(), want.level())
+            compared += 1
+            ties += tower._r4_walk(z)[0] >= 1
+    assert compared >= 80 and ties >= 20
+
+
+def test_vlb_and_val_match_the_fraction_sum_shift():
+    rng = random.Random(20262)
+    lifts = [fr(-1), fr(0), Fraction(1, 2), fr(1)]
+    for tw, coeffs in _differential_cases():
+        for z in _seeded_elements(tw, rng, 8, lifts, coeffs):
+            assert vlb(z) == vlb_fraction_sum(z)
+            try:
+                want = val_fraction_sum(z, tower.r4_budget(z))
+            except (ValidationError, PrecisionError):
+                continue
+            assert val(z) == want
 
 
 def test_val_budget_exhaustion_raises(monkeypatch):
