@@ -339,15 +339,16 @@ def check(d: FieldDescriptor) -> ClassReport:
     v["TF3"] = tv(flags["defectless"])
     ev["TF3"] = "oracle: defectless flag = %s" % flags["defectless"]
 
+    frob = flags["frobenius_surjective_on_completion_mod_p"]
+    v["rdr_1"] = tv(frob)
+    ev["rdr_1"] = "oracle: frobenius flag = %s" % frob
+
     if p == 0:
         v["TF1"] = TRUE
         ev["TF1"] = ("derived: residue characteristic 0, there is no prime "
                      "to divide by")
         v["RTF1"] = TRUE
         ev["RTF1"] = ev["TF1"]
-        v["rdr_1"] = tv(flags["frobenius_surjective_on_completion_mod_p"])
-        ev["rdr_1"] = ("oracle: frobenius flag = %s"
-                       % flags["frobenius_surjective_on_completion_mod_p"])
         v["rdr_2"] = TRUE
         ev["rdr_2"] = ("derived: vacuous in residue characteristic 0")
         v["semitame"] = TRUE
@@ -373,9 +374,6 @@ def check(d: FieldDescriptor) -> ClassReport:
             ev["RTF1"] = ("computed: convex core of v(p) (cut %d) %s "
                           "%d-divisible" % (part.cut_index,
                                             "is" if rr else "is not", p))
-        v["rdr_1"] = tv(flags["frobenius_surjective_on_completion_mod_p"])
-        ev["rdr_1"] = ("oracle: frobenius flag = %s"
-                       % flags["frobenius_surjective_on_completion_mod_p"])
         if d.char == p:
             v["rdr_2"] = TRUE
             ev["rdr_2"] = ("derived: v(p) is infinite in equal "

@@ -15,6 +15,7 @@ certificate rows.  --padic-cap sets kummer-valgp's p-adic digit cap
 import argparse
 import inspect
 import json
+import os
 import sys
 
 from .classify import (build_counterexample_descriptor, check,
@@ -39,18 +40,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, "%s: error: %s\n" % (self.prog, message))
 
 
-def _emit(text: str, out_path):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out_path, mode: str = "w"):
+    if not out_path:
         sys.stdout.write(text)
+        return
+    try:
+        with open(out_path, mode) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError("cannot write --out %r: %s"
+                              % (out_path, exc.strerror))
 
 
 def _check_writable(out_path):
+    """Fail on an unwritable --out before the work starts; a file the check
+    creates is removed again, so a command that fails leaves none behind."""
     if out_path:
-        with open(out_path, "a"):
-            pass
+        existed = os.path.exists(out_path)
+        _emit("", out_path, "a")
+        if not existed:
+            os.remove(out_path)
 
 
 def _json_text(obj) -> str:

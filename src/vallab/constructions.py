@@ -34,6 +34,46 @@ def _check(cond: bool, msg: str):
         raise ValidationError("construction self-check failed: " + msg)
 
 
+def _adjoin(tower: Tower, relation: str, a, name: str, outcome: str):
+    """adjoin_root, checked for the outcome the construction predicts."""
+    adj = adjoin_root(tower, relation, a, name)
+    _check(adj.outcome == outcome, "adjoining %s should give %s, got %s"
+           % (name, outcome, adj.outcome))
+    return adj
+
+
+def _row(rows: list, n: int, tower: Tower, kind: str):
+    """Check the tower's last step as a `kind` step and append its row n.
+
+    The shape follows from the kind: a ramified step is (e, f, m) =
+    (p, 1, 0), a residue jump (1, p, 0); the degree is p either way.  A
+    residue jump's residue sits one perfection level up, at the level the
+    step gave the tower.
+    """
+    step, p = tower.steps[-1], tower.p
+    shape = (p, 1, 0) if kind == "ramified" else (1, p, 0)
+    _check(step.kind == kind and
+           (step.degree, step.e, step.f, step.m) == (p,) + shape,
+           "step %d (%s) should be %s with (e, f, m) = %s"
+           % (n, step.name, kind, shape))
+    _check(kind == "ramified" or
+           step.new_residue._canonical()[0] == tower.res_level(),
+           "the residue of step %d should sit one perfection level up" % n)
+    rows.append(step_row(n, step))
+    return step
+
+
+def _chase(tower: Tower, depth: int):
+    """The witness top - sum of the floors over a tower of `depth` floors
+    and a top generator, checked for v(w^p + last floor) >= 0."""
+    w = tower.gen_elem(depth)
+    for i in range(depth):
+        w = w - tower.gen_elem(i)
+    bound = vlb(w ** tower.p + tower.gen_elem(depth - 1))
+    _check(bound >= 0, "v(w^p + last floor) >= 0 fails: bound %s" % (bound,))
+    return w
+
+
 # ---------------------------------------------------------------------------
 # equal characteristic, growing value group
 # ---------------------------------------------------------------------------
@@ -55,31 +95,24 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
         base = EqBase(p, ResField(p), ogroup([Fraction(1, p ** n)], prime=p))
         t0 = Tower(base)
         a = t0.from_base(base.monomial(-1))
-        adj = adjoin_root(t0, "as", a, "x")
         if n == 0:
-            _check(adj.outcome == "ramified", "level 0 should ramify")
-            done = adj.tower
+            done = _adjoin(t0, "as", a, "x", "ramified").tower
             w = done.gen_elem(0)
         else:
-            _check(adj.outcome == "no_step_detected",
-                   "level %d polygon should stay in the group" % n)
-            tw = adj.tower
+            tw = _adjoin(t0, "as", a, "x", "no_step_detected").tower
             w = tw.gen_elem(0)
             for k in range(1, n + 1):
                 w = w - tw.from_base(base.monomial(Fraction(-1, p ** k)))
             text = "b%d = x - sum_(k=1..%d) t^(-1/p^k)" % (n, n)
             done = resolve_pending(tw, w, text)
-        step = done.steps[-1]
         val_n = Fraction(-1, p ** (n + 1))
-        _check(val(w) == val_n, "witness value at level %d" % n)
+        _check(_row(rows, n, done, "ramified").new_value == val_n,
+               "witness value at level %d" % n)
         rhs = base.monomial(Fraction(-1, p ** n))
         _check((w ** p - w - done.from_base(rhs)).is_zero(),
                "witness relation at level %d" % n)
-        _check((step.e, step.f, step.m) == (p, 1, 0),
-               "level %d should be (e, f, m) = (p, 1, 0)" % n)
         next_group = ogroup([Fraction(1, p ** (n + 1))], prime=p)
         absorb.append(contains(next_group, (val_n,)))
-        rows.append(step_row(n, step))
         towers.append(done)
         witnesses.append(w)
     cert = DefectCertificate(
@@ -111,19 +144,17 @@ def build_lemma_3_3(p: int, vd: int = -1) -> BuildResult:
     base = EqBase(p, ResField(p, "ratfun"), ogroup([fr(1)], prime=p))
     t0 = Tower(base)
     a = t0.from_base(base.monomial(p * vd, base.res.gen()))
-    adj = adjoin_root(t0, "as", a, "x")
-    _check(adj.outcome == "residue", "twisted relation should jump the residue")
-    done = adj.tower
-    step = done.steps[0]
-    _check((step.e, step.f, step.m) == (1, p, 0), "step shape")
+    adj = _adjoin(t0, "as", a, "x", "residue")
+    rows = []
+    _row(rows, 1, adj.tower, "residue")
     _check(adj.residue_root == base.res.gen().pth_root_extend(),
            "residue root should be u^(1/p)")
     cert = DefectCertificate(
-        "lemma33", p, {"vd": vd}, [step_row(1, step)], [True],
+        "lemma33", p, {"vd": vd}, rows, [True],
         "a single inseparable residue jump: e = 1, f = p, m = 0; the root "
         "u^(1/p) lies in the perfect hull of the residue field",
         {"mode": "exact"})
-    return BuildResult(cert, [done], {"residue_root": adj.residue_root})
+    return BuildResult(cert, [adj.tower], {"residue_root": adj.residue_root})
 
 
 def build_as_resf(p: int, depth: int = 2) -> BuildResult:
@@ -141,29 +172,20 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
     res = ResField(p, "ratfun")
     base = EqBase(p, res, ogroup([fr(1)], closed={0}, prime=p))
     tw = Tower(base)
-    rows, absorb, roots = [], [], []
+    rows, roots = [], []
     for i in range(1, depth + 1):
         rhs = tw.from_base(base.monomial(0, res.gen())) if i == 1 \
             else tw.gen_elem(i - 2)
-        adj = adjoin_root(tw, "kummer", rhs, "c%d" % i)
-        _check(adj.outcome == "residue", "floor %d should jump the residue" % i)
+        adj = _adjoin(tw, "kummer", rhs, "c%d" % i, "residue")
         tw = adj.tower
-        step = tw.steps[-1]
-        _check((step.e, step.f, step.m) == (1, p, 0), "floor %d shape" % i)
-        rows.append(step_row(i, step))
-        absorb.append(True)
+        _row(rows, i, tw, "residue")
         roots.append(adj.residue_root)
     a = tw.from_base(base.monomial(-1, res.gen()))
-    adj = adjoin_root(tw, "as", a, "x")
     if depth == 0:
-        _check(adj.outcome == "residue", "depth 0 should jump directly")
-        done = adj.tower
+        done = _adjoin(tw, "as", a, "x", "residue").tower
         w = done.gen_elem(0)
-        wres = adj.residue_root
     else:
-        _check(adj.outcome == "no_step_detected",
-               "with floors the relation alone forces nothing")
-        tw = adj.tower
+        tw = _adjoin(tw, "as", a, "x", "no_step_detected").tower
         w = tw.gen_elem(depth)
         coeff = res.gen()
         for k in range(1, depth + 1):
@@ -172,20 +194,13 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
         divisor = tw.from_base(base.monomial(Fraction(-1, p ** (depth + 1))))
         text = "b%d = x - sum_(k=1..%d) u^(1/p^k) t^(-1/p^k)" % (depth, depth)
         done = resolve_pending(tw, w, text, divisor)
-        wres = residue(done.lift(w) / done.lift(divisor))
-    step = done.steps[-1]
-    _check((step.e, step.f, step.m) == (1, p, 0), "top step shape")
-    _check(val(w) == Fraction(-1, p ** (depth + 1)), "witness value")
-    if depth:
         mtop = base.monomial(Fraction(-1, p ** depth), coeff)
         _check((w ** p - w - done.from_base(mtop)).is_zero(),
                "witness relation at depth %d" % depth)
-    _check(wres._canonical()[0] == depth + 1,
-           "witness residue should sit one perfection level up")
-    rows.append(step_row(depth + 1, step))
-    absorb.append(True)
+    wres = _row(rows, depth + 1, done, "residue").new_residue
+    _check(val(w) == Fraction(-1, p ** (depth + 1)), "witness value")
     cert = DefectCertificate(
-        "as-resf", p, {"depth": depth}, rows, absorb,
+        "as-resf", p, {"depth": depth}, rows, [True] * (depth + 1),
         "each level adds one inseparable residue jump e = 1, f = p and the "
         "witness residue u^(1/p^(depth+1)) is absorbed one level up; over "
         "the perfect hull the relation becomes immediate with defect p",
@@ -234,36 +249,20 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
     _check(a0.val() == alpha, "v(1/lambda) should be -1/(p-1)")
 
     tw = Tower(base)
-    rows, absorb, avals = [], [], []
+    rows = []
     for i in range(1, depth + 1):
         rhs = tw.from_base(a0) if i == 1 else -tw.gen_elem(i - 2)
-        adj = adjoin_root(tw, "as", rhs, "a%d" % i)
-        _check(adj.outcome == "ramified", "floor %d should ramify" % i)
-        tw = adj.tower
-        step = tw.steps[-1]
-        _check((step.e, step.f, step.m) == (p, 1, 0), "floor %d shape" % i)
-        _check(step.new_value == alpha / p ** i, "floor %d value" % i)
-        rows.append(step_row(i, step))
-        avals.append(alpha / p ** i)
-    adj = adjoin_root(tw, "kummer", tw.from_base(a0), "a")
-    _check(adj.outcome == "unsupported_step",
-           "the top value is only reached by tower monomials")
-    tw = adj.tower
-    w = tw.gen_elem(depth)
-    for i in range(depth):
-        w = w - tw.gen_elem(i)
-    ak = tw.gen_elem(depth - 1)
-    bound = vlb(w ** p + ak)
-    _check(bound >= 0, "v(b_k^p + a_k) >= 0 fails: bound %s" % (bound,))
+        tw = _adjoin(tw, "as", rhs, "a%d" % i, "ramified").tower
+        _check(_row(rows, i, tw, "ramified").new_value == alpha / p ** i,
+               "floor %d value" % i)
+    tw = _adjoin(tw, "kummer", tw.from_base(a0), "a", "unsupported_step").tower
+    w = _chase(tw, depth)
     done = resolve_pending(tw, w, "b%d = a - sum_(i=1..%d) a_i" % (depth, depth))
-    step = done.steps[-1]
-    _check((step.e, step.f, step.m) == (p, 1, 0), "top step shape")
     top_val = alpha / p ** (depth + 1)
-    _check(step.new_value == top_val, "top witness value")
-    rows.append(step_row(depth + 1, step))
-    avals.append(top_val)
-    for v in avals:
-        absorb.append(contains(done.group, (v,)))
+    _check(_row(rows, depth + 1, done, "ramified").new_value == top_val,
+           "top witness value")
+    absorb = [contains(done.group, (alpha / p ** i,))
+              for i in range(1, depth + 2)]
     cert = DefectCertificate(
         "kummer-valgp", p, {"depth": depth}, rows, absorb,
         "all steps are ramified with e = p, f = 1 and the witness value "
@@ -290,29 +289,23 @@ def build_2ext(p: int) -> BuildResult:
     d = base.monomial(Fraction(-1, E))
     rhs0 = base.u_elem() * d ** (p * p)
 
+    rows = []
     t0 = Tower(base)
-    tK = adjoin_root(t0, "kummer", t0.from_base(rhs0), "x")
-    _check(tK.outcome == "residue", "Kummer side should jump the residue")
+    tK = _adjoin(t0, "kummer", t0.from_base(rhs0), "x", "residue")
+    _row(rows, 1, tK.tower, "residue")
     t1 = Tower(base)
-    tA = adjoin_root(t1, "as", t1.from_base(rhs0), "y")
-    _check(tA.outcome == "residue", "Artin-Schreier side should jump too")
+    tA = _adjoin(t1, "as", t1.from_base(rhs0), "y", "residue")
+    _row(rows, 2, tA.tower, "residue")
     u_p = base.residue_field.gen().pth_root_extend()
     _check(tK.residue_root == u_p and tA.residue_root == u_p,
            "both residue roots should be u^(1/p)")
-    for adj in (tK, tA):
-        s = adj.tower.steps[0]
-        _check((s.degree, s.e, s.f, s.m) == (p, 1, p, 0), "side step shape")
 
-    comp = adjoin_root(tK.tower, "as", tK.tower.from_base(rhs0), "y")
-    _check(comp.outcome == "no_step_detected",
-           "over the first jump the second relation forces nothing alone")
-    tw = comp.tower
+    tw = _adjoin(tK.tower, "as", tK.tower.from_base(rhs0), "y",
+                 "no_step_detected").tower
     e_el = tw.gen_elem(1) - tw.gen_elem(0)
     _check(val(e_el) == Fraction(-1, E), "witness value should be -v(w)")
     done = resolve_pending(tw, e_el, "e = y - x", tw.from_base(d))
-    step = done.steps[-1]
-    _check((step.e, step.f, step.m) == (1, p, 0), "composite step shape")
-    wres = residue(done.lift(e_el) / done.from_base(d))
+    wres = _row(rows, 3, done, "residue").new_residue
     _check(wres == u_p.pth_root_extend(), "composite residue should be u^(1/p^2)")
 
     xK = tK.tower.gen_elem(0)
@@ -321,8 +314,6 @@ def build_2ext(p: int) -> BuildResult:
     rA = residue(yA / tA.tower.from_base(d ** p))
     _check(rK == u_p and rA == u_p, "unit residues x/d^p and y/d^p")
 
-    rows = [step_row(1, tK.tower.steps[0]), step_row(2, tA.tower.steps[0]),
-            step_row(3, step)]
     cert = DefectCertificate(
         "two-ext", p, {}, rows, [True, True, True],
         "each side adjoins u^(1/p) with e = 1, f = p; over either side the "
@@ -356,45 +347,26 @@ def build_kummer_resf(p: int, depth: int = 2) -> BuildResult:
     _check(b0.val() == fr(-1), "v(u/p) should be -1")
 
     tw = Tower(base)
-    rows, absorb, unit_res = [], [], []
+    rows, unit_res = [], []
     for i in range(1, depth + 1):
         rhs = tw.from_base(b0) if i == 1 else -tw.gen_elem(i - 2)
-        adj = adjoin_root(tw, "as", rhs, "b%d" % i)
-        _check(adj.outcome == "residue", "floor %d should jump the residue" % i)
-        tw = adj.tower
-        step = tw.steps[-1]
-        _check((step.e, step.f, step.m) == (1, p, 0), "floor %d shape" % i)
+        tw = _adjoin(tw, "as", rhs, "b%d" % i, "residue").tower
+        _row(rows, i, tw, "residue")
         bi = tw.gen_elem(i - 1)
         _check(val(bi) == Fraction(-1, p ** i), "floor %d value" % i)
         ri = residue(bi / tw.from_base(dd[i]))
         _check(ri._canonical()[0] == i,
                "residue of b%d/d%d should sit at perfection level %d" % (i, i, i))
         unit_res.append(ri)
-        rows.append(step_row(i, step))
-        absorb.append(True)
-    adj = adjoin_root(tw, "kummer", tw.from_base(b0), "b")
-    _check(adj.outcome == "no_step_detected",
-           "with floors the top relation forces nothing alone")
-    tw = adj.tower
-    w = tw.gen_elem(depth)
-    for i in range(depth):
-        w = w - tw.gen_elem(i)
-    bk = tw.gen_elem(depth - 1)
-    bound = vlb(w ** p + bk)
-    _check(bound >= 0, "v(c_k^p + b_k) >= 0 fails: bound %s" % (bound,))
+    tw = _adjoin(tw, "kummer", tw.from_base(b0), "b", "no_step_detected").tower
+    w = _chase(tw, depth)
     _check(val(w) == Fraction(-1, p ** (depth + 1)), "witness value")
     done = resolve_pending(
         tw, w, "c%d = x - sum_(i=1..%d) b_i" % (depth, depth),
         tw.from_base(dd[depth + 1]))
-    step = done.steps[-1]
-    _check((step.e, step.f, step.m) == (1, p, 0), "top step shape")
-    wres = residue(done.lift(w) / done.from_base(dd[depth + 1]))
-    _check(wres._canonical()[0] == depth + 1,
-           "witness residue should sit one perfection level up")
-    rows.append(step_row(depth + 1, step))
-    absorb.append(True)
+    wres = _row(rows, depth + 1, done, "residue").new_residue
     cert = DefectCertificate(
-        "kummer-resf", p, {"depth": depth}, rows, absorb,
+        "kummer-resf", p, {"depth": depth}, rows, [True] * (depth + 1),
         "every level is an inseparable residue jump e = 1, f = p and the "
         "witness residue at the top sits one perfection level up, absorbed "
         "by the next stage; over the perfect hull the relation becomes "

@@ -266,37 +266,33 @@ def composed_discrete_core() -> FieldDescriptor:
     )
 
 
-_MAKERS = (
-    laurent_f3,
-    laurent_f2u,
-    hahn_f3_perfected,
-    hahn_f3u,
-    ratfun_f2_t,
-    laurent_q,
-    q2,
-    q3_zeta3,
-    q3_deep,
-    tame_core_abstract,
-    composed_counterexample,
-    composed_discrete_core,
-)
+_CORPUS = {
+    "laurent-f3": laurent_f3,
+    "laurent-f2u": laurent_f2u,
+    "hahn-f3-perfected": hahn_f3_perfected,
+    "hahn-f3u": hahn_f3u,
+    "ratfun-f2-t": ratfun_f2_t,
+    "laurent-q": laurent_q,
+    "q2": q2,
+    "q3-zeta3": q3_zeta3,
+    "q3-deep": q3_deep,
+    "tame-core-abstract": tame_core_abstract,
+    "composed-counterexample": composed_counterexample,
+    "composed-discrete-core": composed_discrete_core,
+}
 
 
 def shipped_corpus():
     """The 12 descriptors, in a fixed order."""
-    return [mk() for mk in _MAKERS]
+    return [mk() for mk in _CORPUS.values()]
 
 
 def corpus_member(name: str) -> FieldDescriptor:
-    for mk in _MAKERS:
-        d = mk()
-        if d.name == name:
-            return d
-    raise KeyError(name)
+    return _CORPUS[name]()
 
 
 def corpus_names():
-    return [mk().name for mk in _MAKERS]
+    return list(_CORPUS)
 
 
 def tame_core(p: int) -> FieldDescriptor:

@@ -71,7 +71,7 @@ class TowerStep:
     f: int
     m: int
     new_value: Fraction = None
-    new_residue: str = None
+    new_residue: RElem = None
     witness: str = None
 
 
@@ -463,9 +463,8 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
         # residue jump: f = p via the inseparable equation y^p = rbar
         rho = rbar.pth_root_extend()
         new = _attach(tower, relation, a, name, beta, mu, rho, mp_text)
-        return Adjunction("residue", _finalize(new, "residue",
-                                               new_residue=rho.to_text()),
-                          value=beta, residue_root=rho)
+        done = _finalize(new, "residue", new_residue=rho)
+        return Adjunction("residue", done, value=beta, residue_root=rho)
     # the residue equation already has a root: nothing is forced
     new = _attach(tower, relation, a, name, beta, mu, root, mp_text)
     return Adjunction("no_step_detected", new, value=beta, residue_root=root,
@@ -517,7 +516,7 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
 
     A witness value outside the current group finalizes a ramified step;
     otherwise the residue of witness/divisor must land outside the current
-    residue field, finalizing a residue jump.
+    residue field, finalizing a residue jump that keeps it as new_residue.
     """
     if not tower.pending:
         raise ValidationError("tower has no pending step")
@@ -535,8 +534,7 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
     if lvl <= tower.res_level():
         raise ValidationError(
             "witness residue %s lies in the current residue field" % (r,))
-    return _finalize(tower, "residue", new_residue=r.to_text(),
-                     witness=witness_text)
+    return _finalize(tower, "residue", new_residue=r, witness=witness_text)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +579,7 @@ def step_row(n: int, step: TowerStep) -> dict:
     if step.new_value is not None:
         row["new_value"] = str(step.new_value)
     if step.new_residue is not None:
-        row["new_residue"] = step.new_residue
+        row["new_residue"] = step.new_residue.to_text()
     if step.witness is not None:
         row["witness"] = step.witness
     return row

@@ -125,6 +125,13 @@ def test_corpus_has_twelve_members():
     assert corpus_names() == list(CORPUS_TABLE)
 
 
+def test_corpus_member_carries_its_key_as_name():
+    for name in corpus_names():
+        assert corpus_member(name).name == name
+    with pytest.raises(KeyError):
+        corpus_member("no-such-field")
+
+
 def test_corpus_verdicts_match_hand_table():
     for d in shipped_corpus():
         v = check(d).verdicts

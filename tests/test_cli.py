@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from vallab.cli import main
+from vallab.classify import FieldDescriptor
+from vallab.cli import _load_descriptor, build_parser, main
 from vallab.constructions import BUILDERS
 from vallab.corpus import corpus_member, corpus_names
 
@@ -84,6 +85,28 @@ def test_construct_out_file(tmp_path):
     assert res.stdout == ""
     cert = json.loads(target.read_text())
     assert cert["rows"][0]["new_residue"] == "u^(1/3)"
+
+
+def test_failed_construct_leaves_no_out_file(tmp_path):
+    # the writability check used to leave an empty file behind
+    target = tmp_path / "e.json"
+    res = run("construct", "--example", "kummer-valgp", "--p", "2",
+              "--padic-cap", "1", "--out", str(target))
+    assert res.returncode == 2
+    assert not target.exists()
+
+
+def test_build_parser_builds_no_descriptor(monkeypatch):
+    # the help text lists the corpus names; reading each off a built
+    # descriptor used to build all 12 (17 with their parts)
+    calls = []
+    post_init = FieldDescriptor.__post_init__
+    monkeypatch.setattr(FieldDescriptor, "__post_init__",
+                        lambda d: calls.append(d.name) or post_init(d))
+    build_parser()
+    assert calls == []
+    _load_descriptor("q2")
+    assert calls == ["q2"]
 
 
 def test_construct_rejects_composite_p():
@@ -247,6 +270,13 @@ _NULL = object()
       "0"), {}, "--padic-cap must be at least 1, got 0"),
     (("construct", "--example", "kummer-valgp", "--p", "3", "--padic-cap",
       "-5"), {}, "--padic-cap must be at least 1, got -5"),
+    # an --out that cannot be opened used to raise from the writability check
+    (("construct", "--example", "lemma33", "--p", "3", "--out",
+      "/nonexistent/x.json"), {}, "cannot write --out '/nonexistent/x.json'"),
+    (("construct", "--example", "lemma33", "--p", "3", "--out", "/tmp"), {},
+     "cannot write --out '/tmp'"),
+    (("classify", "--audit", "--out", "/nonexistent/x.json"), {},
+     "cannot write --out '/nonexistent/x.json'"),
 ], ids=["hull-negative-level", "hull-exact-prime-to-p", "hull-p1",
         "hull-composite-p", "compose-desc-p1", "hull-float-rational",
         "descriptor-no-char", "descriptor-no-residue-field",
@@ -258,7 +288,8 @@ _NULL = object()
         "construct-depth-on-lemma33", "construct-depth-on-two-ext",
         "construct-depth-on-compose-desc", "construct-cap-on-as-valgp",
         "construct-cap-on-compose-desc", "construct-cap-zero",
-        "construct-cap-negative"])
+        "construct-cap-negative", "construct-out-missing-dir",
+        "construct-out-directory", "classify-out-missing-dir"])
 def test_bad_input_exits_one_without_traceback(tmp_path, args, patch, needle):
     # hull reads a rank-1 group file and classify reads laurent-f3, each
     # with the keys in `patch` dropped (None) or replaced (_NULL by null)

@@ -112,10 +112,27 @@ def test_kummer_resf_products_count(monkeypatch):
     # witness keeps its p-th power: summing the residues of all 117
     # monomials of the witness's p-th power made 3,529 residue-field
     # products, and taking that power again for val, resolve_pending and
-    # the builder made 20 tower products
+    # the builder made 20 tower products; reading the witness residue again
+    # in the builder, instead of off the step, made 12
     build = lambda: build_kummer_resf(7, 4)
     assert _count_calls(monkeypatch, RElem, "__mul__", build) <= 20
-    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 12
+    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 8
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: build_2ext(7), 8), (lambda: build_as_resf(5, 3), 6)],
+    ids=["two-ext", "as-resf"])
+def test_witness_residue_products_count(monkeypatch, build, bound):
+    # the witness residue is read once, by resolve_pending; the builder
+    # reading it again on a lifted quotient made 12 and 9 tower products
+    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= bound
+
+
+@pytest.mark.parametrize("family", ["as-resf", "two-ext", "kummer-resf"])
+def test_witness_residue_is_the_steps(family):
+    r = BUILDERS[family](3)
+    done = r.towers[-1]
+    assert r.extras["witness_residue"] is done.steps[-1].new_residue
 
 
 def test_kummer_valgp_products_count(monkeypatch):

@@ -264,7 +264,7 @@ def test_resolve_pending_residue_row():
     step = done.steps[-1]
     assert step.kind == "residue"
     assert (step.e, step.f, step.m) == (1, 3, 0)
-    assert step.new_residue == "u^(1/9)"
+    assert step.new_residue.to_text() == "u^(1/9)"
     assert done.res_level() == 2
 
 
