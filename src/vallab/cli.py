@@ -135,10 +135,11 @@ def _cmd_classify(args) -> int:
         desc = _load_descriptor(args.descriptor)
         out = check(desc).to_json()
     if args.audit:
-        corpus = shipped_corpus()
-        if desc is not None and desc.name not in corpus_names():
-            corpus.append(desc)
-        audit = audit_implications(corpus)
+        corpus = {d.name: d for d in shipped_corpus()}
+        if desc is not None:
+            # a file named like a shipped member is audited in its place
+            corpus[desc.name] = desc
+        audit = audit_implications(list(corpus.values()))
         if desc is not None:
             out = {"schema": 1, "classification": out, "audit": audit}
         else:

@@ -16,9 +16,13 @@ Values are computed by four rules:
   R4  ties fall back to v(x) = v(x^p)/p, iterated within the budget
       below; one walk of p-th powers serves both val and residue, which
       reads the residue off the one monomial that decides the value at
-      the power val stops at.  An element keeps its x^p once taken.  In
-      equal characteristic x^p is taken by Frobenius, sum c^p * prod
-      (gen_i^p)^{e_i}, with no generic products of x.
+      the power val stops at.  There is one x^p, by the multinomial
+      theorem: each monomial's pure term is c^p * prod (gen_i^p)^{e_i},
+      and each mixed term has a multinomial divisible by p, so it
+      vanishes in equal characteristic (x^p is the Frobenius) and is
+      walked once in mixed characteristic, unless x is so dense that
+      square-and-multiply forms fewer products.  An element keeps its x^p
+      once taken, and a quotient by a base element keeps x^p / d^p.
 
 Each R4 step multiplies values by p.  A tie that persists approximates a
 generator by terms whose value denominators carry powers of p, and each
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import p_exponent
@@ -196,20 +200,27 @@ class TElem:
         if n != self.tower.p:
             return power(self, n, self.tower.one)
         if self._pth is None:
-            # Frobenius is a ring map only in characteristic p
-            self._pth = _frobenius(self) if self.tower.base.eq_char \
-                else power(self, n, self.tower.one)
+            self._pth = _pth_power(self)
         return self._pth
 
     def __truediv__(self, other):
-        """Division by a base element (or base-constant tower element)."""
-        if isinstance(other, TElem):
+        """Division by a base element (or base-constant tower element).
+
+        A quotient keeps the p-th power of the dividend, divided by the
+        divisor's: (x/d)^p = x^p / d^p.
+        """
+        if isinstance(other, int):
+            other = self.tower.base.from_int(other)
+        elif isinstance(other, TElem):
             if any(any(e) for e in other.coords):
                 raise ValidationError("tower division only by base elements")
             other = next(iter(other.coords.values())) if other.coords else None
             if other is None:
                 raise ZeroDivisionError("division by zero")
-        return TElem(self.tower, {e: c / other for e, c in self.coords.items()})
+        q = TElem(self.tower, {e: c / other for e, c in self.coords.items()})
+        if self._pth is not None:
+            q._pth = self._pth / _coeff_pth(self.tower, other)
+        return q
 
     def __eq__(self, other):
         other = self._join(other)
@@ -239,23 +250,87 @@ def _reduce_into(tower: Tower, e: tuple, c, out: dict):
     out[e] = c if s is None else s + c
 
 
-def _frobenius(x: TElem) -> TElem:
-    """x^p in characteristic p: sum of c^p * prod (gen_i^p)^{e_i}.
+def _coeff_pth(tower: Tower, c):
+    """c^p for a base coefficient: the Frobenius in equal characteristic."""
+    return c.frobenius() if tower.base.eq_char else c ** tower.p
 
-    The freshman's dream makes x -> x^p additive and multiplicative, and
-    gen_i^p is the stored relation right-hand side, so no product of x
-    with itself is formed.
+
+def _pth_power(x: TElem) -> TElem:
+    """x^p by the multinomial theorem over the monomials c_j * gen^e_j of x.
+
+    A pure term (c_j * gen^e_j)^p is c_j^p * prod rhs_i^e_ij, since gen_i^p
+    is the stored relation right-hand side.  Every other term has all k_j
+    < p: multinom(p; k) * prod c_j^k_j * gen^(sum k_j * e_j).  Its
+    multinomial is divisible by p, so in characteristic p it vanishes and
+    x -> x^p is the Frobenius.  The compositions k are walked monomial by
+    monomial, so terms with a common prefix share its product, and no
+    product of x with itself is formed, unless _walk_pays finds x so dense
+    that square-and-multiply forms fewer.
     """
-    tower = x.tower
+    tower, p = x.tower, x.tower.p
+    items = list(x.coords.items())
+    mixed_terms = not tower.base.eq_char and len(items) > 1
+    if mixed_terms and not _walk_pays(len(items), p, len(tower.gens)):
+        return power(x, p, tower.one)
     out = {}
-    for e, c in x.coords.items():
-        term = tower.from_base(c.frobenius())
+    for e, c in items:
+        term = tower.from_base(_coeff_pth(tower, c))
         for i, ei in enumerate(e):
             for _ in range(ei):
                 term = term * tower.rhs[i]
         for te, tc in term.coords.items():
             _reduce_into(tower, te, tc, out)
+    if not mixed_terms:
+        return TElem(tower, out)
+
+    n = len(items)
+    powers = []                      # powers[j][k - 1] = c_j^k, k < p
+    for _, c in items:
+        pw = [c]
+        for _ in range(p - 2):
+            pw.append(pw[-1] * c)
+        powers.append(pw)
+    mixed = {}                       # unreduced exponent -> coefficient
+
+    def walk(j, left, e, c, mult):
+        """Give monomial j a part k of `left`, each part below p."""
+        ej, least = items[j][0], max(0, left - (p - 1) * (n - 1 - j))
+        for k in range(least, min(left, p - 1) + 1):
+            ek, ck, mk = e, c, mult * comb(left, k)
+            if k:
+                ek = tuple(a + k * b for a, b in zip(e, ej))
+                ck = powers[j][k - 1] if c is None else c * powers[j][k - 1]
+            if k < left:
+                walk(j + 1, left - k, ek, ck, mk)
+            else:
+                s = mixed.get(ek)
+                mixed[ek] = ck * mk if s is None else s + ck * mk
+
+    walk(0, p, (0,) * len(tower.gens), None, 1)
+    for e, c in mixed.items():
+        _reduce_into(tower, e, c, out)
     return TElem(tower, out)
+
+
+def _walk_pays(n: int, p: int, g: int) -> bool:
+    """Whether the p-th power of an n-monomial element over g generators
+    forms fewer coefficient products by the composition walk than by
+    square-and-multiply.  The walk forms one per mixed term, C(n+p-1, p) - n;
+    square-and-multiply forms |x^a| * |x^b| per product x^a * x^b, where
+    x^a has at most min(C(n+a-1, a), p^g) monomials.  A dense element, with
+    n near p^g, is cheaper by squaring."""
+    def size(a):
+        return min(comb(n + a - 1, a), p ** g)
+    cost, a, done, k = 0, 1, 0, p     # as resfield.power walks the bits of p
+    while True:
+        if k & 1:
+            cost += size(done) * size(a) if done else 0
+            done += a
+        k >>= 1
+        if not k:
+            return comb(n + p - 1, p) - n <= cost
+        cost += size(a) ** 2
+        a *= 2
 
 
 def to_text(x: TElem) -> str:

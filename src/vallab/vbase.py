@@ -14,8 +14,8 @@ unary - and text:
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
   transcendental residue u, and a plain ring is the case u-exponent = 0.
   The integers are kept uncarried; a lazy carry walk produces the reduced
-  digits, {u-exponent: 1..p-1} per position, on demand.  Position k has
-  value k/E.
+  digits, {u-exponent: 1..p-1} per position, on demand, and an element
+  keeps its lowest one once read.  Position k has value k/E.
 
 Precision is a position bound in both models: coefficients at exponent
 >= prec (series) or digit position >= prec (p-adic) are unknown, and
@@ -40,6 +40,8 @@ from .values import INFINITE, Indeterminate, fr
 _MAX_DIV_STEPS = 400
 # an exact element shows its digits below max(0, its lowest position) + 24
 _EXACT_SHOWN = 24
+# a digit-ring lead not read yet (None is the lead of an element with none)
+_UNREAD = object()
 
 
 def require_prime(p: int):
@@ -286,6 +288,15 @@ class SeriesElem(_Elem):
                 out[g] = c1 * c2 if s is None else s + c1 * c2
         return SeriesElem(self.base, out, prec)
 
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if len(other.terms) == 1 and other.prec == INFINITE:
+            # divisor c0*t^g0: each term shifts, with no remainder to walk
+            (g0, c0), = other.terms.items()
+            return SeriesElem(self.base, {g - g0: c / c0 for g, c in
+                                          self.terms.items()}, self.prec - g0)
+        return self._divide(other)
+
     # -- characteristic-p structure -------------------------------------------
 
     def frobenius(self) -> "SeriesElem":
@@ -411,7 +422,7 @@ class PadicElem(_Elem):
     dict, in ascending position.
     """
 
-    __slots__ = ("base", "digits", "prec")
+    __slots__ = ("base", "digits", "prec", "_first")
     _RING = "digit ring"
     _DIV_LIMIT = "exact digit division passed %d quotient digits; cap an operand"
 
@@ -419,6 +430,7 @@ class PadicElem(_Elem):
         self.base = base
         self.digits = {ke: c for ke, c in digits.items() if c and ke[0] < prec}
         self.prec = prec
+        self._first = _UNREAD           # _lead, kept once read
 
     def _norm_iter(self):
         """Yield (position, reduced digit) ascending, carrying base p."""
@@ -443,7 +455,10 @@ class PadicElem(_Elem):
                 yield k, r
 
     def _lead(self):
-        return next(self._norm_iter(), None)
+        # digits are never changed after construction, so one walk serves
+        if self._first is _UNREAD:
+            self._first = next(self._norm_iter(), None)
+        return self._first
 
     def _value(self, k):
         return Fraction(k, self.base.E)

@@ -171,6 +171,20 @@ def test_classify_audit_with_descriptor_combines():
     assert both["audit"]["violations"] == []
 
 
+def test_classify_audit_checks_a_file_named_like_a_member(tmp_path, capsys):
+    # the file takes the shipped member's place in the audit; it used to be
+    # dropped, and the audit checked the shipped q2 without a word
+    d = corpus_member("q2").to_json()
+    d["oracle_flags"]["defectless"] = False
+    path = tmp_path / "q2.json"
+    path.write_text(json.dumps(d))
+    assert main(["classify", "--descriptor", str(path), "--audit"]) == 0
+    both = json.loads(capsys.readouterr().out)
+    assert both["classification"]["verdicts"]["TF3"] == "false"
+    assert both["audit"]["checked"] == 12
+    assert both["audit"]["verdicts"]["q2"] == both["classification"]["verdicts"]
+
+
 def test_classify_needs_input():
     res = run("classify")
     assert res.returncode == 1

@@ -113,19 +113,40 @@ def test_kummer_resf_products_count(monkeypatch):
     # monomials of the witness's p-th power made 3,529 residue-field
     # products, and taking that power again for val, resolve_pending and
     # the builder made 20 tower products; reading the witness residue again
-    # in the builder, instead of off the step, made 12
+    # in the builder, instead of off the step, made 12; taking the
+    # quotient's p-th power again in resolve_pending, instead of carrying
+    # the witness's through the division, made 8
     build = lambda: build_kummer_resf(7, 4)
     assert _count_calls(monkeypatch, RElem, "__mul__", build) <= 20
-    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 8
+    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 5
 
 
 @pytest.mark.parametrize("build,bound", [
-    (lambda: build_2ext(7), 8), (lambda: build_as_resf(5, 3), 6)],
+    (lambda: build_2ext(7), 2), (lambda: build_as_resf(5, 3), 3)],
     ids=["two-ext", "as-resf"])
 def test_witness_residue_products_count(monkeypatch, build, bound):
-    # the witness residue is read once, by resolve_pending; the builder
-    # reading it again on a lifted quotient made 12 and 9 tower products
+    # the witness residue is read once, by resolve_pending, on a quotient
+    # that keeps the witness's p-th power; the builder reading it again on
+    # a lifted quotient made 12 and 9 tower products, and squaring
+    # mixed-characteristic powers and powering the quotient again 8 and 6
     assert _count_calls(monkeypatch, TElem, "__mul__", build) <= bound
+
+
+@pytest.mark.parametrize("depth,bound", [(3, 500), (6, 6000)])
+def test_kummer_resf_digit_products_count(monkeypatch, depth, bound):
+    # each p-th power is formed once, term by term by the multinomial
+    # theorem, and carried through the division by the witness's divisor;
+    # square-and-multiply, taken again on the quotient, made 1,803 and
+    # 37,546 digit-ring products
+    build = lambda: build_kummer_resf(7, depth)
+    assert _count_calls(monkeypatch, vbase.PadicElem, "__mul__", build) <= bound
+
+
+def test_kummer_resf_carry_walks_count(monkeypatch):
+    # a digit-ring element keeps its lead once read; walking the carries
+    # again for each val, cap and division step made 1,073 walks
+    build = lambda: build_kummer_resf(7, 3)
+    assert _count_calls(monkeypatch, vbase.PadicElem, "_norm_iter", build) <= 350
 
 
 @pytest.mark.parametrize("family", ["as-resf", "two-ext", "kummer-resf"])
@@ -137,14 +158,16 @@ def test_witness_residue_is_the_steps(family):
 
 def test_kummer_valgp_products_count(monkeypatch):
     # the witness's p-th power is taken once for vlb, val and
-    # resolve_pending; taking it for each made 10 tower products
+    # resolve_pending, by the multinomial theorem; taking it for each made
+    # 10 tower products, and by square-and-multiply 5
     build = lambda: build_kummer_valgp(11, 2, padic_cap=44)
-    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 5
+    assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 3
 
 
 @pytest.mark.parametrize("family", ["as-resf", "kummer-valgp", "kummer-resf"])
 def test_witness_keeps_its_pth_power(family):
-    # by Frobenius in equal characteristic, by products over digit rings
+    # by Frobenius in equal characteristic, by the multinomial theorem
+    # over digit rings
     w = BUILDERS[family](3, 2).extras["witness"]
     assert w ** 3 is w ** 3
 

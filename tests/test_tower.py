@@ -6,6 +6,7 @@ v(a)/p when v(a) < 0, and witness recursions like b^p = b' tie the values
 together exactly.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,9 +18,9 @@ from vallab.constructions import (build_2ext, build_as_resf, build_as_valgp,
 from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
-from vallab.resfield import ResField
+from vallab.resfield import ResField, power
 from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
-                          resolve_pending, val, vlb)
+                          resolve_pending, to_text, val, vlb)
 from vallab.values import INFINITE, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem
 
@@ -596,6 +597,89 @@ def test_frobenius_power_sharpens_capped_coefficients():
             assert a.prec >= b.prec
         assert frob.coords[(0,)].prec == p * cap > prod.coords[(0,)].prec
 
+
+
+def _agrees_with_cap_at_least(got, want):
+    """Every determinate coefficient of got and want agrees and got's cap is
+    at least want's on each monomial; returns the monomials where it is
+    higher."""
+    zero = got.tower.base.zero()
+    higher = 0
+    for e in set(got.coords) | set(want.coords):
+        a, b = got.coords.get(e, zero), want.coords.get(e, zero)
+        assert a == b and a.prec >= b.prec, (to_text(got), to_text(want), e)
+        higher += a.prec > b.prec
+    return higher
+
+
+def _power_cases():
+    """(tower, coefficients, extra base term) over towers of every
+    family, both characteristics, with capped kummer-valgp towers whose
+    1/lambda is the extra term."""
+    cases = []
+    for p in (2, 3, 5):
+        u = ResField(p, "ratfun").gen()
+        cases += [(build_lemma_3_3(p).towers[0], [1, u], None),
+                  (build_as_resf(p, 2).towers[-1], list(range(1, p)), None),
+                  (build_as_valgp(p, 2).towers[-1], list(range(1, p)), None),
+                  (build_kummer_resf(p, 2).towers[-1], [1, {1: 1}], None),
+                  (build_2ext(p).towers[-1], [1, {1: 1}], None)]
+        for cap in (None, 2 * p):
+            r = build_kummer_valgp(p, 2, padic_cap=cap)
+            cases.append((r.towers[-1], list(range(1, p)), r.extras["a0"]))
+    return cases
+
+
+def test_pth_power_matches_square_and_multiply():
+    # x**p by the multinomial walk (Frobenius in equal characteristic)
+    # against power(x, p, one); a quotient's power, carried through the
+    # division, against the power taken again on the quotient
+    rng = random.Random(20263)
+    walked = higher = quotients = 0
+    for tw, coeffs, extra in _power_cases():
+        p = tw.p
+        zs = _seeded_elements(tw, rng, 6, [fr(-1), fr(0), fr(1)], coeffs)
+        if extra is not None:
+            zs += [z + tw.from_base(extra) for z in zs[:3]]
+        for z in zs + [tw.zero()]:
+            higher += _agrees_with_cap_at_least(z ** p, power(z, p, tw.one))
+            walked += (not tw.base.eq_char and len(z.coords) > 1 and
+                       tower._walk_pays(len(z.coords), p, len(tw.gens)))
+        # an exact divisor, as resolve_pending's are: u or -1 times a monomial
+        dc = coeffs[-1] if not isinstance(coeffs[-1], int) else -1
+        d = _base_monomial_from(tw.base, fr(1), dc)
+        for z in zs:
+            carried = (z / d) ** p             # z keeps z**p from above
+            again = (TElem(tw, z.coords) / d) ** p
+            assert carried is not again
+            _agrees_with_cap_at_least(carried, again)
+            quotients += 1
+        assert (tw.zero() ** p).is_zero()
+    assert walked >= 60 and higher >= 900 and quotients >= 140
+
+
+def test_pth_power_of_a_dense_element_squares(monkeypatch):
+    # the walk forms C(n+p-1, p) - n mixed terms; an element with n near
+    # p^g monomials is cheaper by square-and-multiply, whose products have
+    # at most p^g monomials each (at p = 5, n = 125: about 2.8e8 terms
+    # against 3 * 125^2 coefficient products)
+    assert tower._walk_pays(6, 11, 6)   # the kummer-resf p = 11 depth 5 witness
+    assert not tower._walk_pays(125, 5, 3)
+    tw = build_kummer_resf(3, 2).towers[-1]
+    x = TElem(tw, {e: tw.base.from_int(1) for e in
+                   itertools.product(range(3), repeat=3)})
+    assert not tower._walk_pays(len(x.coords), 3, 3)
+    want = x * x * x
+    calls = []
+    mul = TElem.__mul__
+
+    def counting(self, other):
+        calls.append(None)
+        return mul(self, other)
+
+    monkeypatch.setattr(TElem, "__mul__", counting)
+    assert x ** 3 == want
+    assert len(calls) == 2
 
 
 def test_power_products_count(monkeypatch):

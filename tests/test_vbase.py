@@ -125,6 +125,22 @@ def test_series_division_needs_cap():
         b.one() / (b.one() + t)
 
 
+def test_series_monomial_division_matches_long_division():
+    # an exact monomial divisor shifts each term; long division, which
+    # walks the remainder term by term, is the reference
+    rng = random.Random(11)
+    b = laurent(3)
+    for _ in range(30):
+        terms = {F(rng.randrange(-4, 5), rng.choice([1, 3])):
+                 b.res.elem({rng.randrange(3): rng.randrange(1, 3)})
+                 for _ in range(4)}
+        x = series(b, terms, prec=rng.choice([INFINITE, F(5)]))
+        d = b.monomial(rng.randrange(-2, 3),
+                       b.res.elem({rng.randrange(2): rng.randrange(1, 3)}))
+        q, want = x / d, x._divide(d)
+        assert (q.to_text(), q.prec) == (want.to_text(), want.prec)
+
+
 def test_series_ring_axioms_sampled():
     rng = random.Random(3)
     b = plain_laurent(3)
