@@ -2,7 +2,7 @@
 
 from .classify import (AbstractResidue, ClassReport, FieldDescriptor,
                        audit_implications, build_counterexample_descriptor,
-                       check, core_field, descriptor_from_json)
+                       check, descriptor_from_json)
 from .constructions import (BUILDERS, build_2ext, build_as_resf,
                             build_as_valgp, build_kummer_resf,
                             build_kummer_valgp, build_lemma_3_3)
@@ -24,7 +24,7 @@ __all__ = [
     "build_2ext", "build_as_resf", "build_as_valgp",
     "build_counterexample_descriptor", "build_kummer_resf",
     "build_kummer_valgp", "build_lemma_3_3", "check", "contains",
-    "convex_core", "core_field", "corpus_member", "corpus_names",
+    "convex_core", "corpus_member", "corpus_names",
     "descriptor_from_json", "hull", "index", "is_p_divisible",
     "lex_compose", "ogroup", "residue",
     "resolve_pending", "run_suite", "shipped_corpus", "val",

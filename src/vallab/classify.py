@@ -9,7 +9,7 @@ verdicts are "true", "false" or "unknown", each backed by an evidence
 string naming the computation, oracle flag or derivation behind it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError, json_fraction, json_get
@@ -248,46 +248,6 @@ class ClassReport:
             "verdicts": {k: self.verdicts[k] for k in VERDICT_KEYS},
             "evidence": {k: self.evidence[k] for k in VERDICT_KEYS},
         }
-
-
-# ---------------------------------------------------------------------------
-# core fields
-
-
-def core_field(d: FieldDescriptor) -> FieldDescriptor:
-    """The residue field of the finest coarsening with res char 0.
-
-    In equal characteristic and residue characteristic 0 the coarsening
-    is trivial and the core is the field itself; likewise when vp is
-    archimedean-equivalent to the largest values (cut index 0).  For a
-    composed descriptor the core part is returned, with henselian and
-    defectless flags passed down from the composed field when the core
-    leaves them open.
-    """
-    if d.res_char == 0 or d.char == d.res_char:
-        return d
-    part = convex_core(d.value_group, d.vp)
-    if part.cut_index == 0:
-        return d
-    if d.composition is None:
-        raise ValidationError("descriptor has a proper coarsening but no "
-                              "composition data to name its core")
-    outer, core = d.composition
-    flags = dict(core.oracle_flags)
-    passed = [k for k in ("henselian", "defectless")
-              if d.oracle_flags[k] is True and flags[k] is None]
-    for k in passed:
-        flags[k] = True
-    out = core
-    if passed:
-        note = core.note
-        extra = "%s passed down from the composed field" % " and ".join(passed)
-        out = replace(core, oracle_flags=flags,
-                      note=(note + "; " + extra) if note else extra)
-    if part.cut_index == outer.value_group.rank:
-        return out
-    # vp sits deeper than the outer block: the core splits further
-    return core_field(out)
 
 
 # ---------------------------------------------------------------------------

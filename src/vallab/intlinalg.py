@@ -6,8 +6,7 @@ wins over asymptotics.  The two workhorses are row_echelon (integer row
 reduction with its unimodular transform) and
 diagonalize_with_basis, which returns a diagonal presentation of a row
 lattice together with an ambient basis adapted to it.  Over Q, rref is
-the one elimination; rational_solve is kept apart as the membership hot
-path.
+the one elimination.
 """
 
 from __future__ import annotations
@@ -68,44 +67,6 @@ def int_kernel(rows):
         return []
     ech, t = row_echelon(rows)
     return [t[i] for i in range(len(rows)) if not any(x != 0 for x in ech[i])]
-
-
-def rational_solve(cols, target):
-    """Solve sum_i x_i * cols[i] = target over Q for independent cols.
-
-    cols is a list of column vectors.  Returns a list of Fractions, or
-    None if the system is inconsistent.  Raises if cols are dependent.
-    """
-    k = len(cols)
-    if k == 0:
-        return [] if all(Fraction(v) == 0 for v in target) else None
-    m = len(cols[0])
-    aug = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-           for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        sel = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                sel = i
-                break
-        if sel is None:
-            raise ValueError("dependent columns in rational_solve")
-        aug[row], aug[sel] = aug[sel], aug[row]
-        pv = aug[row][col]
-        aug[row] = [x / pv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
-        pivots.append(row)
-        row += 1
-    # consistency: remaining rows must have zero rhs
-    for i in range(row, m):
-        if aug[i][k] != 0:
-            return None
-    return [aug[r][k] for r in pivots]
 
 
 def rref(rows):

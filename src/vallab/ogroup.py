@@ -15,6 +15,10 @@ with b_i, c_j jointly Q-independent.  Membership, index, p-divisibility,
 convex subgroups and hulls all reduce to linear algebra against this
 form.  The divisible summand is the maximal p-divisible subgroup, which
 is what makes the decomposition canonical enough for index computations.
+Membership, inclusion and index read one coordinate map, cached with the
+canonical form, and join presents its result by the canonical basis
+followed by the new generators, so a group grown one value at a time
+keeps a presentation of bounded size.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from .intlinalg import (
     int_kernel,
     is_prime,
     prime_to_p_part,
-    rational_solve,
     reduce_mod_span,
     row_echelon,
     rref,
@@ -140,12 +143,32 @@ def cyclic(q, rank=1) -> OGroup:
 
 
 class _Canon:
-    __slots__ = ("div", "free", "cols")
+    """The canonical basis and its coordinate map.
 
-    def __init__(self, div, free):
+    The map is one rref of the basis augmented by the identity, giving
+    rows [E | T] with E = T * basis in reduced echelon form.  A vector in
+    the Q-span is the sum of its pivot entries times the rows of E, so
+    its coordinates are those entries times T.
+    """
+    __slots__ = ("div", "free", "basis", "ech", "piv", "transform")
+
+    def __init__(self, div, free, rank):
         self.div = div      # tuple of Fraction vectors, Z[1/p] summand basis
         self.free = free    # tuple of Fraction vectors, Z summand basis
-        self.cols = [list(v) for v in div] + [list(v) for v in free]
+        self.basis = div + free
+        n = len(self.basis)
+        aug, self.piv, _ = rref([list(v) + [int(i == j) for j in range(n)]
+                                 for i, v in enumerate(self.basis)])
+        self.ech = [r[:rank] for r in aug]
+        self.transform = [r[rank:] for r in aug]
+
+    def coords(self, vec):
+        """(divisible, free) coordinates of vec, or None outside the Q-span."""
+        if any(reduce_mod_span(vec, self.ech, self.piv)):
+            return None
+        lead = [(vec[c], t) for c, t in zip(self.piv, self.transform) if vec[c]]
+        sol = [sum(a * t[i] for a, t in lead) for i in range(len(self.basis))]
+        return sol[:len(self.div)], sol[len(self.div):]
 
 
 def _scale_to_int(vecs):
@@ -191,58 +214,64 @@ def _canon(g: OGroup) -> _Canon:
             div_basis.append([Fraction(m * c, denom) for c in u])
 
     return _Canon(tuple(tuple(v) for v in div_basis),
-                  tuple(tuple(v) for v in free_basis))
+                  tuple(tuple(v) for v in free_basis), g.rank)
 
 
-def _solve_in_canon(g: OGroup, vec):
-    """Coordinates of vec in the canonical basis, or None if outside span."""
-    c = _canon(g)
-    if not c.cols:
-        return ([], []) if all(x == 0 for x in vec) else None
-    sol = rational_solve(c.cols, list(vec))
+def _fits(sol, p, divisible=False) -> bool:
+    """Whether canonical coordinates (or None, outside the Q-span) name an
+    element of the group, or of its divisible part: Z[1/p] divisible
+    coordinates, and free ones integral (zero for the divisible part)."""
     if sol is None:
-        return None
-    s = len(c.div)
-    return sol[:s], sol[s:]
+        return False
+    divc, freec = sol
+    return (all(prime_to_p_part(q.denominator, p) == 1 for q in divc)
+            and all(q == 0 if divisible else q.denominator == 1
+                    for q in freec))
 
 
 def contains(g: OGroup, x) -> bool:
     """Membership test against the canonical decomposition."""
-    vec = _coerce_vec(x, g.rank)
-    sol = _solve_in_canon(g, vec)
-    if sol is None:
-        return False
-    divc, freec = sol
-    return (all(prime_to_p_part(q.denominator, g.prime) == 1 for q in divc)
-            and all(q.denominator == 1 for q in freec))
+    return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime)
 
 
 def in_divisible_part(g: OGroup, x) -> bool:
     """Membership in the maximal p-divisible subgroup of g."""
-    vec = _coerce_vec(x, g.rank)
-    sol = _solve_in_canon(g, vec)
-    if sol is None:
-        return False
-    divc, freec = sol
-    return (all(prime_to_p_part(q.denominator, g.prime) == 1 for q in divc)
-            and all(q == 0 for q in freec))
+    return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime,
+                 divisible=True)
+
+
+def _coordinate_matrices(g: OGroup, h: OGroup):
+    """h's canonical vectors in g's canonical coordinates, or None.
+
+    Returns (mdiv, mfree): the divisible coordinates of h's divisible
+    basis and the free coordinates of h's free basis.  None when h is not
+    a subgroup of g: a Z[1/p] vector of h must lie in g's divisible part,
+    a Z vector in g.
+    """
+    if g.rank != h.rank:
+        raise ValidationError("rank mismatch")
+    cg, ch = _canon(g), _canon(h)
+    if ch.div and g.prime != h.prime:
+        # a q-divisible nonzero element cannot sit inside a group whose
+        # divisible summand is closed under a different prime only
+        return None
+    mdiv, mfree = [], []
+    for vec in ch.div:
+        sol = cg.coords(vec)
+        if not _fits(sol, g.prime, divisible=True):
+            return None
+        mdiv.append(sol[0])
+    for vec in ch.free:
+        sol = cg.coords(vec)
+        if not _fits(sol, g.prime):
+            return None
+        mfree.append(sol[1])
+    return mdiv, mfree
 
 
 def subset(g: OGroup, h: OGroup) -> bool:
-    """Whether h is contained in g (h's closed gens must land divisibly)."""
-    if g.rank != h.rank:
-        raise ValidationError("rank mismatch")
-    if h.p_closed and g.prime != h.prime:
-        # a q-divisible nonzero element cannot sit inside a group whose
-        # divisible summand is closed under a different prime only
-        return False
-    for i, gen in enumerate(h.gens):
-        if i in h.p_closed:
-            if not in_divisible_part(g, gen):
-                return False
-        elif not contains(g, gen):
-            return False
-    return True
+    """Whether h is contained in g, read off h's canonical basis."""
+    return _coordinate_matrices(g, h) is not None
 
 
 def same_group(g: OGroup, h: OGroup) -> bool:
@@ -257,44 +286,17 @@ def index(g: OGroup, h: OGroup):
     the index splits as prime-to-p part of the divisible determinant
     times the free determinant.
     """
-    if g.rank != h.rank:
-        raise ValidationError("rank mismatch")
-    if not subset(g, h):
+    mats = _coordinate_matrices(g, h)
+    if mats is None:
         raise ValidationError("h is not a subgroup of g")
-    cg, ch = _canon(g), _canon(h)
-    if len(cg.div) != len(ch.div) or len(cg.cols) != len(ch.cols):
+    mdiv, mfree = mats
+    cg = _canon(g)
+    if len(mdiv) != len(cg.div) or len(mfree) != len(cg.free):
         return INFINITE
-    if not cg.cols:
-        return 1
-    s = len(cg.div)
-    mdiv = []
-    mfree = []
-    for vec in ch.div:
-        sol = rational_solve(cg.cols, list(vec))
-        assert sol is not None
-        assert all(q == 0 for q in sol[s:]), "divisible part escaped its span"
-        mdiv.append(sol[:s])
-    for vec in ch.free:
-        sol = rational_solve(cg.cols, list(vec))
-        assert sol is not None
-        mfree.append(sol[s:])
-    idx = 1
-    if s:
-        d = rref(mdiv)[2]
-        if d == 0:
-            return INFINITE
-        p = g.prime
-        num = prime_to_p_part(d.numerator, p)
-        den = prime_to_p_part(d.denominator, p)
-        assert den == 1, "divisible coordinates must lie in Z[1/p]"
-        idx *= num
-    if mfree:
-        d = rref(mfree)[2]
-        if d == 0:
-            return INFINITE
-        assert d.denominator == 1, "free coordinates must be integral"
-        idx *= abs(d.numerator)
-    return idx
+    # equal spans and equal divisible spans: both matrices are square and
+    # invertible, the divisible one over Z[1/p] and the free one over Z
+    ddiv, dfree = rref(mdiv)[2], rref(mfree)[2]
+    return prime_to_p_part(ddiv.numerator, g.prime) * abs(dfree.numerator)
 
 
 def is_p_divisible(g: OGroup, p: int) -> bool:
@@ -308,13 +310,18 @@ def is_p_divisible(g: OGroup, p: int) -> bool:
 
 
 def join(g: OGroup, extra_gens, closed=()) -> OGroup:
-    """The group generated by g and additional generators."""
-    gens = list(g.gens) + [(_coerce_vec(x, g.rank)) for x in extra_gens]
-    cl = set(g.p_closed) | {len(g.gens) + i for i in closed}
-    prime = g.prime
-    if cl and prime == 1:
+    """The group generated by g and additional generators.
+
+    It is presented by g's canonical basis followed by the new nonzero
+    values, so repeated joins keep at most rank + len(extra_gens)
+    generators.
+    """
+    c = _canon(g)
+    extra = [_coerce_vec(x, g.rank) for x in extra_gens]
+    cl = set(range(len(c.div))) | {len(c.basis) + i for i in closed}
+    if cl and g.prime == 1:
         raise ValidationError("cannot close generators without a prime")
-    return OGroup(rank=g.rank, gens=tuple(gens), p_closed=frozenset(cl), prime=prime)
+    return ogroup(list(c.basis) + extra, closed=cl, prime=g.prime, rank=g.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,7 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
     c = _canon(g)
     p = g.prime
     s, t = len(c.div), len(c.free)
-    k = int_kernel(_scale_to_int([v[:ell] for v in c.cols])[0])
+    k = int_kernel(_scale_to_int([v[:ell] for v in c.basis])[0])
     k_free = [kv[s:] for kv in k]
     diag, _ = diagonalize_with_basis(k_free, t)
     pe = max((d // prime_to_p_part(d, p) for d in diag), default=1)
@@ -364,8 +371,8 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
 
     def combine(y, scale=1):
         coords = [Fraction(sum(yi * kv[j] for yi, kv in zip(y, k)), scale)
-                  for j in range(len(c.cols))]
-        return [sum(q * v[i] for q, v in zip(coords, c.cols) if q)
+                  for j in range(len(c.basis))]
+        return [sum(q * v[i] for q, v in zip(coords, c.basis) if q)
                 for i in range(g.rank)]
 
     closed = [combine(y) for y in int_kernel(k_free)]

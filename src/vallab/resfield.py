@@ -163,13 +163,6 @@ class ResField:
             raise ValidationError("no transcendental in a finite field")
         return RElem(self, _freeze({self.char ** self.level: 1}), _freeze({0: 1}))
 
-    def elements(self):
-        """All field elements; prime fields only (used by brute force)."""
-        self._require_prime_arith()
-        if self.has_variable():
-            raise ValidationError("cannot enumerate an infinite field")
-        return [self.elem(c) for c in range(self.char)]
-
     def to_json(self) -> dict:
         if self.kind == "finite":
             return {"char": self.char, "kind": "finite", "q": self.q}

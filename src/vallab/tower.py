@@ -57,7 +57,6 @@ from .values import INFINITE, Indeterminate, fr
 @dataclass(frozen=True)
 class GenInfo:
     name: str
-    relation: str                   # "as" or "kummer"
     rhs: tuple                      # coords of gen^p, padded by the Tower
     value: Fraction
     mu: object = None               # base monomial of the same value, if any
@@ -358,7 +357,7 @@ def to_text(x: TElem) -> str:
 
 
 def _monomial_bounds(x: TElem):
-    """[(bound, determinate, exps, coeff_val)] per monomial, R1."""
+    """[(bound, determinate, exps)] per monomial, R1."""
     out, t = [], x.tower
     for e, c in x.coords.items():
         cv = c.val()
@@ -366,9 +365,9 @@ def _monomial_bounds(x: TElem):
             continue
         shift = Fraction(sum(ei * n for ei, n in zip(e, t.val_nums)), t.val_den)
         if isinstance(cv, Indeterminate):
-            out.append((cv.bound + shift, False, e, cv))
+            out.append((cv.bound + shift, False, e))
         else:
-            out.append((cv + shift, True, e, cv))
+            out.append((cv + shift, True, e))
     return out
 
 
@@ -377,7 +376,7 @@ def vlb(x: TElem):
     bounds = _monomial_bounds(x)
     if not bounds:
         return INFINITE
-    return min(b for b, _, _, _ in bounds)
+    return min(b for b, _, _ in bounds)
 
 
 def r4_budget(x: TElem) -> int:
@@ -402,7 +401,7 @@ def _r4_walk(x: TElem):
         bounds = _monomial_bounds(y)
         if not bounds:
             return k, y, INFINITE, None
-        m = min(b for b, _, _, _ in bounds)
+        m = min(b for b, _, _ in bounds)
         at_min = [t for t in bounds if t[0] == m]
         if any(not t[1] for t in at_min):
             raise PrecisionError(
@@ -553,7 +552,7 @@ def _attach(tower: Tower, relation: str, a: TElem, name: str,
     rhs = dict(a.coords)
     if relation == "as":
         rhs[(0,) * len(tower.gens) + (1,)] = tower.base.from_int(1)
-    gi = GenInfo(name, relation, tuple(rhs.items()), beta, mu, rho, mp_text)
+    gi = GenInfo(name, tuple(rhs.items()), beta, mu, rho, mp_text)
     return Tower(tower.base, tower.gens + (gi,), tower.steps,
                  tower.group, tower.res_desc)
 

@@ -5,7 +5,8 @@ permutation-sum determinants and back-substitution against an echelon
 form for the linear-algebra layer, and closed-form series expansions of
 tower generators for the valuation rules, independent of the
 implementations under test.  The tower's value and residue rules are kept
-here in their earlier termwise form, as references for the fast paths.
+here in their earlier termwise form, and the group inclusion test in its
+earlier per-generator form, as references for the fast paths.
 It also builds series from term dicts (with
 no value-group check) and parses the text that SeriesElem.to_text and
 PadicElem.to_text print back into elements.
@@ -17,7 +18,7 @@ from itertools import permutations, product
 
 from vallab.errors import PrecisionError, ValidationError
 from vallab.intlinalg import row_echelon
-from vallab.ogroup import contains
+from vallab.ogroup import contains, in_divisible_part
 from vallab.values import INFINITE, Indeterminate, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
@@ -72,6 +73,20 @@ def rank1_member(free, closed, p, x, kcap=20):
         if not closed:
             return False
     return False
+
+
+def subset_per_generator(g, h):
+    """Whether h is contained in g, one presented generator of h at a time.
+
+    A p-closed generator must lie in g's divisible part, any other in g;
+    a generator closed under another prime than g's never fits.
+    """
+    if g.rank != h.rank:
+        raise ValidationError("rank mismatch")
+    if h.p_closed and g.prime != h.prime:
+        return False
+    return all(in_divisible_part(g, v) if i in h.p_closed else contains(g, v)
+               for i, v in enumerate(h.gens))
 
 
 def perm_det(rows):

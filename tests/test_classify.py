@@ -1,11 +1,10 @@
-"""Descriptor classification: verdicts, core fields, audits.
+"""Descriptor classification: verdicts and audits.
 
 The corpus verdicts are pinned against hand-derived truth tables; the
 rdr_2 cases were worked out by hand from the group presentations
 before the checker existed.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ import pytest
 from vallab.classify import (AbstractResidue, FieldDescriptor,
                              audit_implications,
                              build_counterexample_descriptor, check,
-                             core_field, descriptor_from_json, tv, and3)
+                             descriptor_from_json, tv, and3)
 from vallab.corpus import (composed_counterexample, corpus_member,
                            corpus_names, q2, q3_deep, shipped_corpus,
                            tame_core)
@@ -250,46 +249,6 @@ def test_report_json_shape():
     assert data["schema"] == 1
     assert set(data["verdicts"]) == set(data["evidence"])
     assert len(data["verdicts"]) == 12
-
-
-# -- core fields ---------------------------------------------------------
-
-
-def test_core_field_of_composed_is_the_core():
-    d = composed_counterexample()
-    core = core_field(d)
-    assert core.name == "tame-core-abstract"
-    assert same_group(core.value_group, ogroup([1], closed=(0,), prime=3))
-    assert core_field(core) is core
-
-
-def test_core_field_passes_down_henselian_and_defectless():
-    core = tame_core(3)
-    stripped = replace(core, oracle_flags=dict(core.oracle_flags,
-                                               henselian=None,
-                                               defectless=None))
-    d = build_counterexample_descriptor(core)
-    d = replace(d, composition=(d.composition[0], stripped))
-    out = core_field(d)
-    assert out.oracle_flags["henselian"] is True
-    assert out.oracle_flags["defectless"] is True
-    assert "passed down" in out.note
-
-
-def test_core_field_identity_cases():
-    eq = corpus_member("laurent-f3")
-    assert core_field(eq) is eq
-    rank1 = q2()
-    assert core_field(rank1) is rank1       # (vK)_vp = vK
-    q0 = corpus_member("laurent-q")
-    assert core_field(q0) is q0
-
-
-def test_core_field_needs_composition_data():
-    d = FieldDescriptor("anon", 0, 3, lex_compose(cyclic(1), cyclic(1)),
-                        vp=(0, 1), residue_field=ResField(3))
-    with pytest.raises(ValidationError, match="composition data"):
-        core_field(d)
 
 
 # -- audits -------------------------------------------------------------

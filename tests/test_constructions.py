@@ -172,6 +172,18 @@ def test_witness_keeps_its_pth_power(family):
     assert w ** 3 is w ** 3
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_kummer_valgp(5, 4), lambda: build_kummer_resf(7, 6),
+    lambda: build_as_resf(3, 4)], ids=["kummer-valgp", "kummer-resf", "as-resf"])
+def test_tower_group_keeps_a_canonical_presentation(build):
+    # each step joins its values to the group's canonical basis; joining
+    # them to every earlier generator grew the top groups to 11, 8 and 6
+    # generators, four of them zero in as-resf
+    group = build().towers[-1].group
+    assert group.rank == 1 and len(group.gens) <= 3
+    assert all(any(v) for v in group.gens)
+
+
 def test_lemma33_frozen():
     for p in (2, 3):
         r = build_lemma_3_3(p)

@@ -7,7 +7,6 @@ from vallab.intlinalg import (
     diagonalize_with_basis,
     int_kernel,
     prime_to_p_part,
-    rational_solve,
     reduce_mod_span,
     row_echelon,
     rref,
@@ -67,16 +66,6 @@ def test_int_kernel_saturated():
     a, b = ker[0]
     from math import gcd
     assert gcd(a, b) == 1
-
-
-def test_rational_solve():
-    cols = [[1, 0, 2], [0, 1, 1]]
-    sol = rational_solve(cols, [3, 4, 10])
-    assert sol == [Fraction(3), Fraction(4)]
-    assert rational_solve(cols, [1, 1, 100]) is None
-    with pytest.raises(ValueError):
-        rational_solve([[1, 2], [2, 4]], [1, 2])
-    assert rational_solve([], [0, 0]) == []
 
 
 def test_det_against_permutation_sum():

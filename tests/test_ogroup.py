@@ -4,7 +4,10 @@ from itertools import product
 
 import pytest
 
+from vallab.errors import ValidationError
+from vallab.intlinalg import rref
 from vallab.ogroup import (
+    _canon,
     contains,
     convex_core,
     cyclic,
@@ -24,7 +27,7 @@ from vallab.ogroup import (
 )
 from vallab.values import INFINITE
 
-from helpers import rank1_member, sample_elements
+from helpers import rank1_member, sample_elements, subset_per_generator
 
 F = Fraction
 
@@ -169,6 +172,106 @@ def test_index_multiplicative_on_chains():
         k = ogroup([m1 * m2 * q for q in gens], closed=range(nclosed),
                    prime=p if nclosed else 1)
         assert index(g, k) == index(g, h) * index(h, k)
+
+
+def _seeded_group(rng, rank, prime):
+    """A group of the given rank with 0-3 generators, some p-closed."""
+    gens = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3, prime)))
+                  for _ in range(rank)) for _ in range(rng.randint(0, 3))]
+    nclosed = rng.randint(0, len(gens)) if rng.random() < 0.5 else 0
+    return ogroup(gens, closed=range(nclosed), prime=prime if nclosed else 1,
+                  rank=rank)
+
+
+def _seeded_candidate(rng, g):
+    """A group of g's rank: a subgroup of g, or one that may not be."""
+    rank, p = g.rank, g.prime if g.prime > 1 else rng.choice((2, 3))
+    kind = rng.randrange(4)
+    if kind == 0:
+        # integer combinations of g's generators, and p-closed multiples of
+        # its p-closed ones: a subgroup
+        free = [tuple(rng.randint(-2, 2) * c for c in v) for v in g.gens]
+        free = [v for v in free if any(v)]
+        sub = sample_elements(rng, free, [], p, count=rng.randint(0, 2)) \
+            if free else []
+        closed = [tuple(rng.randint(1, 3) * c for c in v)
+                  for v in g.closed_gens()][:rng.randint(0, len(g.p_closed))]
+        return ogroup(closed + sub, closed=range(len(closed)),
+                      prime=p if closed else 1, rank=rank)
+    if kind == 1:
+        # g's generators, one of them (possibly) nudged off the group
+        gens = list(g.gens) or [(F(0),) * rank]
+        i = rng.randrange(len(gens))
+        gens[i] = tuple(c + F(rng.randint(0, 1), rng.choice((2, 5)))
+                        for c in gens[i])
+        closed = [j for j in g.p_closed if rng.random() < 0.5]
+        return ogroup(gens, closed=closed, prime=g.prime, rank=rank)
+    if kind == 2:
+        # g's p-closed generators closed under another prime
+        q = 5 if p != 5 else 2
+        gens = g.closed_gens() or list(g.gens[:1])
+        return ogroup(gens, closed=range(len(gens)), prime=q, rank=rank)
+    return _seeded_group(rng, rank, p)
+
+
+def test_subset_and_index_match_per_generator_reference():
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        rank = rng.randint(1, 3)
+        g = _seeded_group(rng, rank, rng.choice((2, 3)))
+        h = _seeded_candidate(rng, g)
+        want = subset_per_generator(g, h)
+        seen[want] += 1
+        assert subset(g, h) == want, (g, h)
+        if not want:
+            with pytest.raises(ValidationError, match="not a subgroup"):
+                index(g, h)
+            continue
+        idx = index(g, h)
+        assert idx == INFINITE or (isinstance(idx, int) and idx >= 1)
+        if subset_per_generator(h, g):
+            assert idx == 1, (g, h)
+    assert min(seen.values()) >= 60, seen
+
+
+def test_coordinate_map_solves_in_the_canonical_basis():
+    rng = random.Random(37)
+    for _ in range(120):
+        rank = rng.randint(1, 3)
+        g = _seeded_group(rng, rank, rng.choice((2, 3)))
+        c = _canon(g)
+        basis = list(c.div + c.free)
+        for _ in range(4):
+            inside = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
+            vec = tuple(sum((q * b[k] for q, b in zip(inside, basis)), F(0))
+                        for k in range(rank))
+            if rng.random() < 0.5:
+                vec = tuple(F(rng.randint(-5, 5), rng.randint(1, 3))
+                            for _ in range(rank))
+            sol = c.coords(vec)
+            outside = len(rref(basis + [list(vec)])[0]) > len(basis)
+            assert (sol is None) == outside, (g, vec)
+            if sol is not None:
+                coords = sol[0] + sol[1]
+                assert len(sol[0]) == len(c.div)
+                assert tuple(sum((q * b[k] for q, b in zip(coords, basis)),
+                                 F(0)) for k in range(rank)) == vec
+    trivial = _canon(ogroup([], rank=2))
+    assert trivial.coords((F(0), F(0))) == ([], [])
+    assert trivial.coords((F(0), F(1, 2))) is None
+
+
+def test_join_presents_the_canonical_basis():
+    # a tower's group gains one value per step; joining to the canonical
+    # basis keeps the presentation at rank + 1 generators
+    g = ogroup([1], closed=[0], prime=3)
+    for k in range(1, 12):
+        g = join(g, [F(-1, 2 ** k), F(0)])
+        assert len(g.gens) <= 2 and all(any(v) for v in g.gens)
+    assert same_group(g, ogroup([1, F(1, 2 ** 11)], closed=[0], prime=3))
+    with pytest.raises(ValidationError, match="without a prime"):
+        join(cyclic(1), [F(1, 2)], closed=[0])
 
 
 def test_is_p_divisible():
