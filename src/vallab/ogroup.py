@@ -16,7 +16,8 @@ convex subgroups and hulls all reduce to linear algebra against this
 form.  The divisible summand is the maximal p-divisible subgroup, which
 is what makes the decomposition canonical enough for index computations.
 Membership, inclusion and index read one coordinate map, cached with the
-canonical form, and join presents its result by the canonical basis
+canonical form and kept in integers (numerators over one denominator),
+and join presents its result by the canonical basis
 followed by the new generators, so a group grown one value at a time
 keeps a presentation of bounded size.
 """
@@ -143,14 +144,15 @@ def cyclic(q, rank=1) -> OGroup:
 
 
 class _Canon:
-    """The canonical basis and its coordinate map.
+    """The canonical basis and its coordinate map, kept in integers.
 
     The map is one rref of the basis augmented by the identity, giving
-    rows [E | T] with E = T * basis in reduced echelon form.  A vector in
-    the Q-span is the sum of its pivot entries times the rows of E, so
-    its coordinates are those entries times T.
+    rows [E | T] with E = T * basis in reduced echelon form; it is stored
+    as integer numerators over one denominator each, E = en/de and
+    T = tn/dt.  A vector in the Q-span is the sum of its pivot entries
+    times the rows of E, so its coordinates are those entries times T.
     """
-    __slots__ = ("div", "free", "basis", "ech", "piv", "transform")
+    __slots__ = ("div", "free", "basis", "piv", "en", "de", "tn", "dt")
 
     def __init__(self, div, free, rank):
         self.div = div      # tuple of Fraction vectors, Z[1/p] summand basis
@@ -159,21 +161,36 @@ class _Canon:
         n = len(self.basis)
         aug, self.piv, _ = rref([list(v) + [int(i == j) for j in range(n)]
                                  for i, v in enumerate(self.basis)])
-        self.ech = [r[:rank] for r in aug]
-        self.transform = [r[rank:] for r in aug]
+        self.en, self.de = _scale_to_int([r[:rank] for r in aug])
+        self.tn, self.dt = _scale_to_int([r[rank:] for r in aug])
 
     def coords(self, vec):
-        """(divisible, free) coordinates of vec, or None outside the Q-span."""
-        if any(reduce_mod_span(vec, self.ech, self.piv)):
-            return None
-        lead = [(vec[c], t) for c, t in zip(self.piv, self.transform) if vec[c]]
-        sol = [sum(a * t[i] for a, t in lead) for i in range(len(self.basis))]
-        return sol[:len(self.div)], sol[len(self.div):]
+        """(divisible, free, den): vec's coordinates as integer numerators
+        over one denominator, or None outside the Q-span.
+
+        With vec = vn/dv, vec lies in the span exactly when
+        de * vn = sum of vn[pivot_i] * en_i, and then its coordinates are
+        (sum of vn[pivot_i] * tn_i) / (dv * dt).
+        """
+        (vn,), dv = _scale_to_int([vec])
+        lead = [(vn[c], i) for i, c in enumerate(self.piv) if vn[c]]
+        de, en = self.de, self.en
+        for k, x in enumerate(vn):
+            if x * de != sum(a * en[i][k] for a, i in lead):
+                return None
+        tn = self.tn
+        nums = [sum(a * tn[i][j] for a, i in lead)
+                for j in range(len(self.basis))]
+        s = len(self.div)
+        return nums[:s], nums[s:], dv * self.dt
 
 
 def _scale_to_int(vecs):
+    """Integer numerators of rational vectors over their least common
+    denominator, and that denominator."""
     denom = math.lcm(*(c.denominator for v in vecs for c in v))
-    return [[int(c * denom) for c in v] for v in vecs], denom
+    return [[c.numerator * (denom // c.denominator) for c in v]
+            for v in vecs], denom
 
 
 @lru_cache(maxsize=4096)
@@ -220,13 +237,17 @@ def _canon(g: OGroup) -> _Canon:
 def _fits(sol, p, divisible=False) -> bool:
     """Whether canonical coordinates (or None, outside the Q-span) name an
     element of the group, or of its divisible part: Z[1/p] divisible
-    coordinates, and free ones integral (zero for the divisible part)."""
+    coordinates, and free ones integral (zero for the divisible part).
+
+    Over the common denominator den, a numerator names a Z[1/p]
+    coordinate exactly when den's prime-to-p part divides it.
+    """
     if sol is None:
         return False
-    divc, freec = sol
-    return (all(prime_to_p_part(q.denominator, p) == 1 for q in divc)
-            and all(q == 0 if divisible else q.denominator == 1
-                    for q in freec))
+    divn, freen, den = sol
+    m = prime_to_p_part(den, p)
+    return (all(n % m == 0 for n in divn)
+            and all(n == 0 if divisible else n % den == 0 for n in freen))
 
 
 def contains(g: OGroup, x) -> bool:
@@ -243,10 +264,10 @@ def in_divisible_part(g: OGroup, x) -> bool:
 def _coordinate_matrices(g: OGroup, h: OGroup):
     """h's canonical vectors in g's canonical coordinates, or None.
 
-    Returns (mdiv, mfree): the divisible coordinates of h's divisible
-    basis and the free coordinates of h's free basis.  None when h is not
-    a subgroup of g: a Z[1/p] vector of h must lie in g's divisible part,
-    a Z vector in g.
+    Returns (mdiv, mfree), integer matrices: the divisible coordinates of
+    h's divisible basis, each row scaled by a power of p, and the free
+    coordinates of h's free basis.  None when h is not a subgroup of g: a
+    Z[1/p] vector of h must lie in g's divisible part, a Z vector in g.
     """
     if g.rank != h.rank:
         raise ValidationError("rank mismatch")
@@ -260,12 +281,13 @@ def _coordinate_matrices(g: OGroup, h: OGroup):
         sol = cg.coords(vec)
         if not _fits(sol, g.prime, divisible=True):
             return None
-        mdiv.append(sol[0])
+        m = prime_to_p_part(sol[2], g.prime)
+        mdiv.append([n // m for n in sol[0]])
     for vec in ch.free:
         sol = cg.coords(vec)
         if not _fits(sol, g.prime):
             return None
-        mfree.append(sol[1])
+        mfree.append([n // sol[2] for n in sol[1]])
     return mdiv, mfree
 
 
@@ -294,9 +316,13 @@ def index(g: OGroup, h: OGroup):
     if len(mdiv) != len(cg.div) or len(mfree) != len(cg.free):
         return INFINITE
     # equal spans and equal divisible spans: both matrices are square and
-    # invertible, the divisible one over Z[1/p] and the free one over Z
-    ddiv, dfree = rref(mdiv)[2], rref(mfree)[2]
-    return prime_to_p_part(ddiv.numerator, g.prime) * abs(dfree.numerator)
+    # invertible, the free one over Z and the divisible one over Z[1/p]
+    # once its rows' powers of p are divided back out, which leaves the
+    # prime-to-p part of its determinant alone; each |det| is the product
+    # of the integer echelon form's diagonal
+    ddiv, dfree = (math.prod(r[i] for i, r in enumerate(row_echelon(m)[0]))
+                   for m in (mdiv, mfree))
+    return prime_to_p_part(ddiv, g.prime) * dfree
 
 
 def is_p_divisible(g: OGroup, p: int) -> bool:
@@ -377,8 +403,10 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
 
     closed = [combine(y) for y in int_kernel(k_free)]
     free = [combine(z[:len(k)], pe) for z in int_kernel(mod_pe)]
-    raw = _canon(ogroup(closed + free, closed=range(len(closed)),
-                        prime=p if closed else 1, rank=g.rank))
+    # the kernel presentation is thrown away, so its canonical form takes
+    # no cache slot; the part's own form is cached on first use
+    raw = _canon.__wrapped__(ogroup(closed + free, closed=range(len(closed)),
+                                    prime=p if closed else 1, rank=g.rank))
     basis = [v if _lex_positive(v) else tuple(-x for x in v)
              for v in raw.div + raw.free]
     return ogroup(basis, closed=range(len(raw.div)),

@@ -144,23 +144,22 @@ def suite_newton(seed: int = 0) -> SuiteResult:
 
 
 def _rank1_member(free, closed, p, x, kcap=24):
-    """Membership in a rank-1 group by gcd arithmetic."""
-    x = Fraction(x)
+    """Membership in a rank-1 group by integer gcd arithmetic.
+
+    Over the common denominator d, x lies in sum Z f + sum Z h / p^k
+    exactly when p^k * x * d is a multiple of gcd(p^k * f * d, h * d),
+    tried for each k below kcap.
+    """
+    vals = [x, *free, *closed]
+    d = lcm(*(q.denominator for q in vals))
+    xn, *nums = [q.numerator * (d // q.denominator) for q in vals]
+    if not nums:
+        return xn == 0
+    gf, gh = gcd(*nums[:len(free)]), gcd(*nums[len(free):])
     for k in range(kcap if closed else 1):
-        gens = [Fraction(g) for g in free]
-        gens += [Fraction(h) / p ** k for h in closed]
-        if not gens:
-            return x == 0
-        d = lcm(x.denominator, *(g.denominator for g in gens))
-        ints = [int(g * d) for g in gens]
-        g0 = ints[0]
-        for n in ints[1:]:
-            g0 = gcd(g0, n)
-        g0 = abs(g0)
-        if g0 == 0:
-            if x == 0:
-                return True
-        elif int(x * d) % g0 == 0:
+        pk = p ** k
+        g0 = gcd(pk * gf, gh)
+        if (pk * xn % g0 == 0) if g0 else xn == 0:
             return True
     return False
 
@@ -189,33 +188,30 @@ def _det2(m):
 def _coset_count(m, cap=200):
     """Order of Z^2 / mZ^2 by breadth-first enumeration.
 
-    Membership in the image lattice is decided by inverting m over the
-    rationals; representatives are kept verbatim and compared pairwise,
-    which is fine at the suite's determinant sizes.
+    y lies in the image lattice exactly when adj(m) y = 0 mod det(m), so
+    two points share a coset exactly when adj(m) y mod |det(m)| agrees;
+    the walk keys each point by that pair and keeps the set of keys seen.
     """
-    det = _det2(m)
-    inv = ((Fraction(m[1][1], det), Fraction(-m[0][1], det)),
-           (Fraction(-m[1][0], det), Fraction(m[0][0], det)))
+    det = abs(_det2(m))
+    (a, b), (c, e) = m
 
-    def in_lattice(y):
-        a = inv[0][0] * y[0] + inv[0][1] * y[1]
-        b = inv[1][0] * y[0] + inv[1][1] * y[1]
-        return a.denominator == 1 and b.denominator == 1
+    def key(y):
+        return (e * y[0] - b * y[1]) % det, (a * y[1] - c * y[0]) % det
 
-    reps = [(0, 0)]
+    seen = {key((0, 0))}
     queue = [(0, 0)]
     while queue:
         cur = queue.pop()
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             nxt = (cur[0] + dx, cur[1] + dy)
-            if any(in_lattice((nxt[0] - r[0], nxt[1] - r[1]))
-                   for r in reps):
+            k = key(nxt)
+            if k in seen:
                 continue
-            reps.append(nxt)
+            seen.add(k)
             queue.append(nxt)
-            if len(reps) > cap:
+            if len(seen) > cap:
                 raise RuntimeError("coset enumeration exceeded the cap")
-    return len(reps)
+    return len(seen)
 
 
 def suite_ogroup(seed: int = 0) -> SuiteResult:

@@ -5,8 +5,10 @@ permutation-sum determinants and back-substitution against an echelon
 form for the linear-algebra layer, and closed-form series expansions of
 tower generators for the valuation rules, independent of the
 implementations under test.  The tower's value and residue rules are kept
-here in their earlier termwise form, and the group inclusion test in its
-earlier per-generator form, as references for the fast paths.
+here in their earlier termwise form, the group inclusion test in its
+earlier per-generator form, and the group coordinate map and the verify
+suite's rank-1 membership and coset-count oracles in their earlier
+Fraction forms, as references for the fast paths.
 It also builds series from term dicts (with
 no value-group check) and parses the text that SeriesElem.to_text and
 PadicElem.to_text print back into elements.
@@ -15,10 +17,11 @@ PadicElem.to_text print back into elements.
 import re
 from fractions import Fraction
 from itertools import permutations, product
+from math import gcd, lcm
 
 from vallab.errors import PrecisionError, ValidationError
-from vallab.intlinalg import row_echelon
-from vallab.ogroup import contains, in_divisible_part
+from vallab.intlinalg import prime_to_p_part, reduce_mod_span, row_echelon, rref
+from vallab.ogroup import _canon, _coerce_vec, contains, in_divisible_part
 from vallab.values import INFINITE, Indeterminate, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
@@ -49,30 +52,90 @@ def brute_contains(free, closed, p, x, bound=10, kmax=6):
     return False
 
 
-def rank1_member(free, closed, p, x, kcap=20):
-    """Exact membership for rank-1 groups via gcd arithmetic.
+def rank1_member(free, closed, p, x, kcap=24):
+    """Membership in a rank-1 group by Fraction gcd arithmetic.
 
-    Complete as long as x needs no p-power denominator beyond p**kcap.
+    For each k below kcap, scale x and the generators free + closed/p^k
+    to integers over their common denominator and test x against the gcd.
+    This is the verify suite's earlier oracle, kept as the reference for
+    its integer form.
     """
-    from math import gcd, lcm
-
     x = Fraction(x)
-    free = [Fraction(g) for g in free]
-    closed = [Fraction(h) for h in closed]
-    for k in range(kcap):
-        gens = free + [h / p ** k for h in closed]
+    for k in range(kcap if closed else 1):
+        gens = [Fraction(g) for g in free]
+        gens += [Fraction(h) / p ** k for h in closed]
         if not gens:
             return x == 0
         d = lcm(x.denominator, *(g.denominator for g in gens))
         ints = [int(g * d) for g in gens]
-        g0 = gcd(*ints) if len(ints) > 1 else abs(ints[0])
+        g0 = ints[0]
+        for n in ints[1:]:
+            g0 = gcd(g0, n)
+        g0 = abs(g0)
         if g0 == 0:
-            return x == 0
-        if int(x * d) % g0 == 0:
+            if x == 0:
+                return True
+        elif int(x * d) % g0 == 0:
             return True
-        if not closed:
-            return False
     return False
+
+
+def coset_count_pairwise(m, cap=200):
+    """Order of Z^2 / mZ^2 by breadth-first enumeration.
+
+    Membership in the image lattice is decided by inverting m over the
+    rationals, and each new point is compared with every representative
+    so far.  This is the verify suite's earlier oracle, kept as the
+    reference for its keyed form.
+    """
+    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+    inv = ((Fraction(m[1][1], det), Fraction(-m[0][1], det)),
+           (Fraction(-m[1][0], det), Fraction(m[0][0], det)))
+
+    def in_lattice(y):
+        a = inv[0][0] * y[0] + inv[0][1] * y[1]
+        b = inv[1][0] * y[0] + inv[1][1] * y[1]
+        return a.denominator == 1 and b.denominator == 1
+
+    reps = [(0, 0)]
+    queue = [(0, 0)]
+    while queue:
+        cur = queue.pop()
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            nxt = (cur[0] + dx, cur[1] + dy)
+            if any(in_lattice((nxt[0] - r[0], nxt[1] - r[1]))
+                   for r in reps):
+                continue
+            reps.append(nxt)
+            queue.append(nxt)
+            if len(reps) > cap:
+                raise RuntimeError("coset enumeration exceeded the cap")
+    return len(reps)
+
+
+def member_fraction(g, x, divisible=False):
+    """Membership in g, or in its divisible part, solved in Fractions.
+
+    Takes g's canonical basis, solves x against it by one rational rref
+    of the basis augmented by the identity, and tests the coordinates:
+    Z[1/p] on the divisible basis, integral (zero for the divisible
+    part) on the free one.  This is the coordinate map in its earlier
+    Fraction form, kept as the reference for the integer one.
+    """
+    c = _canon(g)
+    vec = _coerce_vec(x, g.rank)
+    n = len(c.basis)
+    aug, piv, _ = rref([list(v) + [int(i == j) for j in range(n)]
+                        for i, v in enumerate(c.basis)])
+    ech = [r[:g.rank] for r in aug]
+    if any(reduce_mod_span(vec, ech, piv)):
+        return False
+    sol = [sum((vec[col] * r[g.rank + i] for col, r in zip(piv, aug)),
+               Fraction(0)) for i in range(n)]
+    divc, freec = sol[:len(c.div)], sol[len(c.div):]
+    return (all(prime_to_p_part(q.denominator, g.prime) == 1 for q in divc)
+            and all(q == 0 if divisible else q.denominator == 1
+                    for q in freec))
 
 
 def subset_per_generator(g, h):

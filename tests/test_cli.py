@@ -441,3 +441,20 @@ def test_construct_output_bytes_are_pinned(capsys):
         assert main(["construct"] + argv.split() + ["--format", "json"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of the report printed by `vallab verify --suite all`, recorded
+# before the value-group oracles and the coordinate map moved to integers
+VERIFY_DIGESTS = {
+    0: "b59cf1f6ff273edfd81a71795015ef8f9c02b819280c6ae807e49aa5ab5484ce",
+    1: "44969582ec4038d0c3b26f96bf25b00235df28a6b3fc544942c16391a5f01ac4",
+    2: "8a0b9c7830abc8ef1722034c3cc427ba6f4a007ce0c2005deb10781303edecc7",
+    3: "3874d30ad74bdb0d2cbc47eac6cc9697436214546983499508f18d8871c49d8e",
+}
+
+
+def test_verify_output_bytes_are_pinned(capsys):
+    for seed, digest in VERIFY_DIGESTS.items():
+        assert main(["verify", "--suite", "all", "--seed", str(seed)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed

@@ -25,9 +25,11 @@ from vallab.ogroup import (
     subset,
     to_json,
 )
+from vallab.suites import _coset_count, _rank1_member
 from vallab.values import INFINITE
 
-from helpers import rank1_member, sample_elements, subset_per_generator
+from helpers import (coset_count_pairwise, member_fraction, rank1_member,
+                     sample_elements, subset_per_generator)
 
 F = Fraction
 
@@ -253,13 +255,80 @@ def test_coordinate_map_solves_in_the_canonical_basis():
             outside = len(rref(basis + [list(vec)])[0]) > len(basis)
             assert (sol is None) == outside, (g, vec)
             if sol is not None:
-                coords = sol[0] + sol[1]
-                assert len(sol[0]) == len(c.div)
+                divn, freen, den = sol
+                assert all(isinstance(n, int) for n in divn + freen + [den])
+                coords = [F(n, den) for n in divn + freen]
+                assert len(divn) == len(c.div)
                 assert tuple(sum((q * b[k] for q, b in zip(coords, basis)),
                                  F(0)) for k in range(rank)) == vec
     trivial = _canon(ogroup([], rank=2))
-    assert trivial.coords((F(0), F(0))) == ([], [])
+    assert trivial.coords((F(0), F(0))) == ([], [], 1)
     assert trivial.coords((F(0), F(1, 2))) is None
+
+
+def test_contains_matches_the_fraction_coordinate_map():
+    # the integer coordinate map against the same map solved in Fractions
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    groups = [ogroup([], rank=r) for r in (1, 2, 3)]
+    for _ in range(150):
+        groups.append(_seeded_group(rng, rng.randint(1, 3),
+                                    rng.choice((2, 3, 5))))
+    for g in groups:
+        c = _canon(g)
+        pool = [F(rng.randint(-3, 3), rng.choice((1, 2, 3, 7, g.prime,
+                                                    g.prime ** 2)))
+                for _ in range(len(c.basis))]
+        for _ in range(6):
+            vec = tuple(sum((q * b[k] for q, b in zip(pool, c.basis)), F(0))
+                        for k in range(g.rank))
+            if rng.random() < 0.3:
+                vec = tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 7)))
+                            for _ in range(g.rank))
+            for divisible in (False, True):
+                want = member_fraction(g, vec, divisible)
+                seen[want] += 1
+                got = in_divisible_part(g, vec) if divisible \
+                    else contains(g, vec)
+                assert got == want, (g, vec, divisible)
+            rng.shuffle(pool)
+    assert min(seen.values()) >= 300, seen
+
+
+def test_rank1_oracle_matches_the_fraction_reference():
+    rng = random.Random(43)
+    seen = {True: 0, False: 0}
+    for _ in range(5000):
+        p = rng.choice((2, 3, 5))
+        free = [F(rng.randint(-6, 6) or 1, rng.choice((1, 2, 3, p, p * p)))
+                for _ in range(rng.randint(0, 2))]
+        closed = [F(rng.randint(-6, 6) or 1, rng.choice((1, 2, 3, p)))
+                  for _ in range(rng.randint(0, 2))]
+        x = F(rng.randint(-12, 12),
+              rng.choice((1, 2, 3, p, p ** 2, p ** 3, 7, 7 * p)))
+        want = rank1_member(free, closed, p, x)
+        seen[want] += 1
+        assert _rank1_member(free, closed, p, x) == want, (free, closed, p, x)
+    assert min(seen.values()) >= 1000, seen
+
+
+def test_coset_count_matches_the_pairwise_reference():
+    # the suite draws its matrices from the entries -3..3: all of them
+    mats = [((a, b), (c, d)) for a, b, c, d in product(range(-3, 4), repeat=4)
+            if a * d - b * c != 0]
+    assert len(mats) == 2112
+    for m in mats:
+        assert _coset_count(m) == coset_count_pairwise(m) \
+            == abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]), m
+
+
+def test_convex_core_canonicalises_its_part_once():
+    g = lex_compose(cyclic(1), ogroup([1], closed=[0], prime=3))
+    _canon.cache_clear()
+    part = convex_core(g, (0, 1))
+    assert is_p_divisible(part.group, 3)
+    # one canonical form for g, one for the part
+    assert _canon.cache_info().misses == 2
 
 
 def test_join_presents_the_canonical_basis():
