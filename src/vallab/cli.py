@@ -119,9 +119,9 @@ def _load_descriptor(token: str):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read descriptor %r: %s" % (token, exc))
-    except json.JSONDecodeError as exc:
-        raise ValidationError("descriptor %r is not valid JSON: %s"
-                              % (token, exc))
+    except ValueError as exc:
+        # bad JSON, or an integer longer than sys.get_int_max_str_digits()
+        raise ValidationError("descriptor %r is malformed: %s" % (token, exc))
     return descriptor_from_json(data)
 
 

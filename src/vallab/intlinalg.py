@@ -1,18 +1,18 @@
 """Exact integer and rational linear algebra on small dense matrices.
 
-Everything here works on lists of row vectors (ints or Fractions) and is
-sized for the rank <= 4 lattices this library manipulates, so clarity
-wins over asymptotics.  The two workhorses are row_echelon (integer row
-reduction with its unimodular transform) and
-diagonalize_with_basis, which returns a diagonal presentation of a row
-lattice together with an ambient basis adapted to it.  Over Q, rref is
-the one elimination.
+Everything here works on lists of integer row vectors and is sized for
+the rank <= 4 lattices this library manipulates, so clarity wins over
+asymptotics.  The two workhorses are row_echelon (integer row
+reduction with its unimodular transform) and diagonalize_with_basis,
+which returns a diagonal presentation of a row lattice together with an
+ambient basis adapted to it.  Over Q, int_rref is the one elimination:
+fraction-free, it gives a rational echelon as integer rows over one
+denominator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 def row_echelon(rows):
@@ -69,48 +69,37 @@ def int_kernel(rows):
     return [t[i] for i in range(len(rows)) if not any(x != 0 for x in ech[i])]
 
 
-def rref(rows):
-    """Reduced rational row echelon form of rows, and its determinant.
+def int_rref(rows):
+    """Fraction-free reduced row echelon form of integer rows.
 
-    Returns (echelon, pivot_cols, det).  echelon holds the nonzero rows,
-    each with a 1 in its pivot column and 0 in every other pivot column.
-    det is the determinant when rows is a square matrix of full rank,
-    and 0 otherwise.
+    Returns (echelon, pivot_cols, den) with den > 0: echelon holds the
+    nonzero rows, each with den in its pivot column and 0 in every other
+    pivot column, so echelon / den is the rational reduced echelon form.
+    Each step divides exactly by the previous pivot (Bareiss), which keeps
+    every entry a minor of rows; den is |det| when rows is square of full
+    rank.
     """
-    a = [[Fraction(c) for c in r] for r in rows]
+    a = [list(map(int, r)) for r in rows]
     ncols = len(a[0]) if a else 0
     piv_cols = []
-    det = Fraction(1)
+    den = 1
     row = 0
     for col in range(ncols):
-        sel = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
+        sel = next((i for i in range(row, len(a)) if a[i][col]), None)
         if sel is None:
             continue
-        if sel != row:
-            a[row], a[sel] = a[sel], a[row]
-            det = -det
+        a[row], a[sel] = a[sel], a[row]
         pv = a[row][col]
-        det *= pv
-        a[row] = [x / pv for x in a[row]]
         for i in range(len(a)):
-            if i != row and a[i][col] != 0:
+            if i != row:
                 f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+                a[i] = [(pv * x - f * y) // den for x, y in zip(a[i], a[row])]
+        den = pv
         piv_cols.append(col)
         row += 1
-    if not (row == len(a) == ncols):
-        det = Fraction(0)
-    return a[:row], piv_cols, det
-
-
-def reduce_mod_span(x, ech, piv_cols):
-    """Canonical representative of x modulo the row span of rref's echelon."""
-    x = list(x)
-    for r, col in zip(ech, piv_cols):
-        f = x[col]
-        if f != 0:
-            x = [a - f * b for a, b in zip(x, r)]
-    return x
+    if den < 0:
+        a, den = [[-x for x in r] for r in a], -den
+    return a[:row], piv_cols, den
 
 
 def diagonalize_with_basis(rows, n):

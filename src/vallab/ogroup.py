@@ -25,6 +25,7 @@ keeps a presentation of bounded size.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,11 +34,10 @@ from .errors import ValidationError, json_fraction, json_get, json_int
 from .intlinalg import (
     diagonalize_with_basis,
     int_kernel,
+    int_rref,
     is_prime,
     prime_to_p_part,
-    reduce_mod_span,
     row_echelon,
-    rref,
 )
 from .values import INFINITE, fr
 
@@ -146,23 +146,25 @@ def cyclic(q, rank=1) -> OGroup:
 class _Canon:
     """The canonical basis and its coordinate map, kept in integers.
 
-    The map is one rref of the basis augmented by the identity, giving
-    rows [E | T] with E = T * basis in reduced echelon form; it is stored
-    as integer numerators over one denominator each, E = en/de and
-    T = tn/dt.  A vector in the Q-span is the sum of its pivot entries
-    times the rows of E, so its coordinates are those entries times T.
+    The map is one int_rref of the basis numerators bn = dn * basis
+    augmented by the identity.  Its rows [en | t] over its denominator de
+    give E = en/de in reduced echelon form with E = (t/de) * bn, so
+    E = T * basis for T = tn/de, tn = dn * t.  A vector in the Q-span is
+    the sum of its pivot entries times the rows of E, so its coordinates
+    are those entries times T.
     """
-    __slots__ = ("div", "free", "basis", "piv", "en", "de", "tn", "dt")
+    __slots__ = ("div", "free", "basis", "piv", "en", "tn", "de")
 
     def __init__(self, div, free, rank):
         self.div = div      # tuple of Fraction vectors, Z[1/p] summand basis
         self.free = free    # tuple of Fraction vectors, Z summand basis
         self.basis = div + free
         n = len(self.basis)
-        aug, self.piv, _ = rref([list(v) + [int(i == j) for j in range(n)]
-                                 for i, v in enumerate(self.basis)])
-        self.en, self.de = _scale_to_int([r[:rank] for r in aug])
-        self.tn, self.dt = _scale_to_int([r[rank:] for r in aug])
+        bn, dn = _scale_to_int(self.basis)
+        aug, self.piv, self.de = int_rref(
+            [v + [int(i == j) for j in range(n)] for i, v in enumerate(bn)])
+        self.en = [r[:rank] for r in aug]
+        self.tn = [[dn * x for x in r[rank:]] for r in aug]
 
     def coords(self, vec):
         """(divisible, free, den): vec's coordinates as integer numerators
@@ -170,7 +172,7 @@ class _Canon:
 
         With vec = vn/dv, vec lies in the span exactly when
         de * vn = sum of vn[pivot_i] * en_i, and then its coordinates are
-        (sum of vn[pivot_i] * tn_i) / (dv * dt).
+        (sum of vn[pivot_i] * tn_i) / (dv * de).
         """
         (vn,), dv = _scale_to_int([vec])
         lead = [(vn[c], i) for i, c in enumerate(self.piv) if vn[c]]
@@ -182,7 +184,7 @@ class _Canon:
         nums = [sum(a * tn[i][j] for a, i in lead)
                 for j in range(len(self.basis))]
         s = len(self.div)
-        return nums[:s], nums[s:], dv * self.dt
+        return nums[:s], nums[s:], dv * self.de
 
 
 def _scale_to_int(vecs):
@@ -197,38 +199,33 @@ def _scale_to_int(vecs):
 def _canon(g: OGroup) -> _Canon:
     closed = [list(v) for v in g.closed_gens()]
     free = [list(v) for v in g.free_gens()]
-    p = g.prime
 
-    # complement of the divisible span, for projecting the free part
-    ech, piv, _ = rref(closed)
-
-    proj_free = [reduce_mod_span(v, ech, piv) for v in free]
-    int_proj, _ = _scale_to_int(proj_free)
+    # the free generators modulo the divisible span, as the integer rows
+    # d * v - sum of v[c_i] * ech_i, all scaled by one positive factor;
+    # row_echelon compares absolute values and takes floor quotients, so
+    # on c * M it makes the same choices, and the same transform, as on M
+    ints, _ = _scale_to_int(closed + free)
+    ech, piv, d = int_rref(ints[:len(closed)])
+    int_proj = [[d * x - sum(v[c] * e[k] for e, c in zip(ech, piv))
+                 for k, x in enumerate(v)] for v in ints[len(closed):]]
 
     div_gen_vecs = list(closed)
     free_basis = []
-    if free:
-        ech2, t2 = row_echelon(int_proj)
-        for i in range(len(free)):
-            combo = t2[i]
-            vec = [sum(x * v[c] for x, v in zip(combo, free) if x)
-                   for c in range(g.rank)]
-            if any(x != 0 for x in ech2[i]):
-                free_basis.append(vec)
-            else:
-                # lands in the divisible span: joins the Z[1/p] summand,
-                # legitimately, by the Bezout identity  Z x + Z[1/p] m x = Z[1/p] x
-                # applied after diagonalization below
-                if any(c != 0 for c in vec):
-                    div_gen_vecs.append(vec)
+    ech2, t2 = row_echelon(int_proj)
+    for row, combo in zip(ech2, t2):
+        vec = [sum(x * v[c] for x, v in zip(combo, free) if x)
+               for c in range(g.rank)]
+        if any(row):
+            free_basis.append(vec)
+        elif any(vec):
+            # lands in the divisible span: joins the Z[1/p] summand,
+            # legitimately, by the Bezout identity  Z x + Z[1/p] m x = Z[1/p] x
+            # applied after diagonalization below
+            div_gen_vecs.append(vec)
 
-    div_basis = []
-    if div_gen_vecs:
-        int_div, denom = _scale_to_int(div_gen_vecs)
-        diag, basis = diagonalize_with_basis(int_div, g.rank)
-        for d, u in zip(diag, basis):
-            m = prime_to_p_part(d, p)
-            div_basis.append([Fraction(m * c, denom) for c in u])
+    int_div, denom = _scale_to_int(div_gen_vecs)
+    div_basis = [[Fraction(prime_to_p_part(d, g.prime) * c, denom) for c in u]
+                 for d, u in zip(*diagonalize_with_basis(int_div, g.rank))]
 
     return _Canon(tuple(tuple(v) for v in div_basis),
                   tuple(tuple(v) for v in free_basis), g.rank)
@@ -253,12 +250,6 @@ def _fits(sol, p, divisible=False) -> bool:
 def contains(g: OGroup, x) -> bool:
     """Membership test against the canonical decomposition."""
     return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime)
-
-
-def in_divisible_part(g: OGroup, x) -> bool:
-    """Membership in the maximal p-divisible subgroup of g."""
-    return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime,
-                 divisible=True)
 
 
 def _coordinate_matrices(g: OGroup, h: OGroup):
@@ -463,8 +454,12 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
     closes completely, an integer level k scales generators by p**-k.
     kind "p_prime_div": divide by all integers up to level that are
     coprime to p (level must be a positive integer; "exact" is not a
-    finitely presented group).
+    finitely presented group).  A hull that needs an integer longer than
+    the interpreter converts to text (sys.get_int_max_str_digits(), 0 for
+    no limit) is refused, its scale given up once it passes that length.
     """
+    limit = sys.get_int_max_str_digits()
+    bound = 10 ** limit if limit else math.inf
     if kind == "p_div":
         if level == "exact":
             if p <= 1:
@@ -475,20 +470,30 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
         k = int(level)
         if k < 0:
             raise ValidationError("negative hull level")
-        scale = Fraction(1, p ** k)
-        return ogroup([tuple(c * scale for c in v) for v in g.gens],
-                      closed=g.p_closed, prime=g.prime, rank=g.rank)
-    if kind == "p_prime_div":
+        # p**k >= 2**(k * (bits(p) - 1)), so past the bound it is not built
+        den = p ** k if k * (p.bit_length() - 1) < math.log2(bound) else bound
+    elif kind == "p_prime_div":
         if level == "exact":
             raise ValidationError("the full prime-to-p hull is not finitely presented")
         n = int(level)
         if n < 1:
             raise ValidationError("hull level must be positive")
-        scale = Fraction(1, math.lcm(*(m for m in range(1, n + 1)
-                                        if p <= 1 or m % p != 0)))
-        return ogroup([tuple(c * scale for c in v) for v in g.gens],
-                      closed=g.p_closed, prime=g.prime, rank=g.rank)
-    raise ValidationError("unknown hull kind: %r" % (kind,))
+        den = 1
+        for m in range(1, n + 1):
+            if p <= 1 or m % p != 0:
+                den = math.lcm(den, m)
+            if den >= bound:
+                break
+    else:
+        raise ValidationError("unknown hull kind: %r" % (kind,))
+    gens = [tuple(c / den for c in v) for v in g.gens] if den < bound else []
+    if den >= bound or any(max(abs(c.numerator), c.denominator) >= bound
+                           for v in gens for c in v):
+        raise ValidationError(
+            "hull level %s needs an integer of more than %d digits, the limit "
+            "for converting one to text (sys.get_int_max_str_digits())"
+            % (level, limit))
+    return ogroup(gens, closed=g.p_closed, prime=g.prime, rank=g.rank)
 
 
 def lex_compose(outer: OGroup, inner: OGroup) -> OGroup:

@@ -6,22 +6,26 @@ form for the linear-algebra layer, and closed-form series expansions of
 tower generators for the valuation rules, independent of the
 implementations under test.  The tower's value and residue rules are kept
 here in their earlier termwise form, the group inclusion test in its
-earlier per-generator form, and the group coordinate map and the verify
-suite's rank-1 membership and coset-count oracles in their earlier
-Fraction forms, as references for the fast paths.
+earlier per-generator form, and the rational row echelon, the canonical
+group basis, the group coordinate map and the verify suite's rank-1
+membership and coset-count oracles in their earlier Fraction forms, as
+references for the fast paths.
 It also builds series from term dicts (with
-no value-group check) and parses the text that SeriesElem.to_text and
-PadicElem.to_text print back into elements.
+no value-group check), parses the text that SeriesElem.to_text and
+PadicElem.to_text print back into elements, and draws seeded
+mixed-characteristic descriptors.
 """
 
+import random
 import re
 from fractions import Fraction
 from itertools import permutations, product
 from math import gcd, lcm
 
 from vallab.errors import PrecisionError, ValidationError
-from vallab.intlinalg import prime_to_p_part, reduce_mod_span, row_echelon, rref
-from vallab.ogroup import _canon, _coerce_vec, contains, in_divisible_part
+from vallab.intlinalg import (diagonalize_with_basis, prime_to_p_part,
+                              row_echelon)
+from vallab.ogroup import _canon, _coerce_vec, _fits, _scale_to_int, contains
 from vallab.values import INFINITE, Indeterminate, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
@@ -113,6 +117,84 @@ def coset_count_pairwise(m, cap=200):
     return len(reps)
 
 
+def rref(rows):
+    """Reduced rational row echelon form of rows.
+
+    Returns (echelon, pivot_cols): the nonzero rows, each with a 1 in its
+    pivot column and 0 in every other pivot column.  This is the rational
+    elimination the library used before its fraction-free one, kept as
+    the reference for intlinalg.int_rref.
+    """
+    a = [[Fraction(c) for c in r] for r in rows]
+    ncols = len(a[0]) if a else 0
+    piv_cols = []
+    row = 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, len(a)) if a[i][col] != 0), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        pv = a[row][col]
+        a[row] = [x / pv for x in a[row]]
+        for i in range(len(a)):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        piv_cols.append(col)
+        row += 1
+    return a[:row], piv_cols
+
+
+def reduce_mod_span(x, ech, piv_cols):
+    """Canonical representative of x modulo the row span of rref's echelon."""
+    x = list(x)
+    for r, col in zip(ech, piv_cols):
+        f = x[col]
+        if f != 0:
+            x = [a - f * b for a, b in zip(x, r)]
+    return x
+
+
+def canon_fraction(g):
+    """The canonical (div, free) basis of g, projected in Fractions.
+
+    The free generators are reduced modulo the rational echelon of the
+    p-closed ones and scaled to integers over their common denominator
+    before the integer row echelon; the rest is the library's own
+    canonical form.  This is that form as it was computed before the
+    fraction-free elimination, kept as the reference for it.
+    """
+    closed = [list(v) for v in g.closed_gens()]
+    free = [list(v) for v in g.free_gens()]
+    ech, piv = rref(closed)
+    int_proj, _ = _scale_to_int([reduce_mod_span(v, ech, piv) for v in free])
+    div_gen_vecs = list(closed)
+    free_basis = []
+    if free:
+        ech2, t2 = row_echelon(int_proj)
+        for i in range(len(free)):
+            vec = [sum(x * v[c] for x, v in zip(t2[i], free) if x)
+                   for c in range(g.rank)]
+            if any(ech2[i]):
+                free_basis.append(vec)
+            elif any(vec):
+                div_gen_vecs.append(vec)
+    div_basis = []
+    if div_gen_vecs:
+        int_div, denom = _scale_to_int(div_gen_vecs)
+        for d, u in zip(*diagonalize_with_basis(int_div, g.rank)):
+            m = prime_to_p_part(d, g.prime)
+            div_basis.append([Fraction(m * c, denom) for c in u])
+    return (tuple(tuple(v) for v in div_basis),
+            tuple(tuple(v) for v in free_basis))
+
+
+def in_divisible_part(g, x):
+    """Membership in the maximal p-divisible subgroup of g."""
+    return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime,
+                 divisible=True)
+
+
 def member_fraction(g, x, divisible=False):
     """Membership in g, or in its divisible part, solved in Fractions.
 
@@ -125,8 +207,8 @@ def member_fraction(g, x, divisible=False):
     c = _canon(g)
     vec = _coerce_vec(x, g.rank)
     n = len(c.basis)
-    aug, piv, _ = rref([list(v) + [int(i == j) for j in range(n)]
-                        for i, v in enumerate(c.basis)])
+    aug, piv = rref([list(v) + [int(i == j) for j in range(n)]
+                     for i, v in enumerate(c.basis)])
     ech = [r[:g.rank] for r in aug]
     if any(reduce_mod_span(vec, ech, piv)):
         return False
@@ -150,6 +232,43 @@ def subset_per_generator(g, h):
         return False
     return all(in_divisible_part(g, v) if i in h.p_closed else contains(g, v)
                for i, v in enumerate(h.gens))
+
+
+def seeded_mixed_descriptor(seed):
+    """A mixed-characteristic descriptor over a seeded rank-2 or rank-3
+    group with p-closed generators, vp a positive group element."""
+    rng = random.Random(seed)
+    p = rng.choice((2, 3, 5))
+    rank = rng.randint(2, 3)
+    gens = []
+    while len(gens) < rng.randint(rank, rank + 2) or not any(map(any, gens)):
+        gens.append([Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, p)))
+                     for _ in range(rank)])
+    closed = sorted(rng.sample(range(len(gens)),
+                               rng.randint(1, len(gens) - 1)))
+    while True:
+        coeffs = [rng.randint(-2, 2) for _ in gens]
+        vp = [sum((a * g[k] for a, g in zip(coeffs, gens)), Fraction(0))
+              for k in range(rank)]
+        lead = next((c for c in vp if c), 0)
+        if lead:
+            vp = [c if lead > 0 else -c for c in vp]
+            break
+
+    def pair(q):
+        return [q.numerator, q.denominator]
+
+    flags = {k: rng.choice((True, False, None)) for k in
+             ("henselian", "defectless", "tame",
+              "frobenius_surjective_on_completion_mod_p")}
+    residue = rng.choice(({"kind": "finite", "char": p, "q": p},
+                          {"kind": "abstract", "perfect": True}))
+    return {"name": "seeded-%d" % seed, "char": 0, "res_char": p,
+            "value_group": {"rank": rank, "gens": [[pair(c) for c in g]
+                                                   for g in gens],
+                            "p_closed": closed, "prime": p},
+            "vp": [pair(c) for c in vp], "residue_field": residue,
+            "oracle_flags": flags}
 
 
 def perm_det(rows):

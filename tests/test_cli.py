@@ -12,6 +12,8 @@ from vallab.cli import _load_descriptor, build_parser, main
 from vallab.constructions import BUILDERS
 from vallab.corpus import corpus_member, corpus_names
 
+from helpers import seeded_mixed_descriptor
+
 BASE = [sys.executable, "-m", "vallab.cli"]
 
 
@@ -355,6 +357,87 @@ def test_classify_output_bytes_are_pinned(capsys):
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--descriptor"),
+    ("hull", "--kind", "p_div", "--level", "10000", "--p", "3", "--group"),
+    ("hull", "--kind", "p_prime_div", "--level", "12000", "--p", "3",
+     "--group"),
+    ("hull", "--kind", "p_prime_div", "--level", "100000000", "--p", "3",
+     "--group"),
+], ids=["descriptor-5000-digits", "hull-p-div-level-10000",
+        "hull-p-prime-div-level-12000", "hull-p-prime-div-level-1e8"])
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="the interpreter converts integers of any length")
+def test_oversized_integers_exit_one_without_traceback(tmp_path, args):
+    # the default limit on converting an integer to or from text is 4300
+    # digits: a longer numerator in a descriptor used to end in a
+    # traceback from the JSON reader, a hull past it in one from the JSON
+    # writer, and the prime-to-p scale at level 10^8 was built in full
+    if args[0] == "classify":
+        data = corpus_member("q2").to_json()
+        data["value_group"]["gens"] = [["N", 1]]
+        text = json.dumps(data).replace('"N"', "7" * 5000)
+    else:
+        text = json.dumps({"rank": 1, "gens": [[1, 2]], "p_closed": [],
+                           "prime": 1})
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    res = subprocess.run(BASE + list(args) + [str(path)], capture_output=True,
+                         text=True, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: ")
+    assert "digits" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+# sha256 of the JSON printed by `vallab classify` for 30 seeded
+# mixed-characteristic descriptors (helpers.seeded_mixed_descriptor),
+# recorded before the value-group layer's elimination became fraction-free;
+# their convex-part evidence prints the canonical basis
+SEEDED_CLASSIFY_DIGESTS = [
+    "8138db1c46e17b6cb8b4a74f648747e8ca2e27e3e6b409e0c2c2b19f333b0c01",
+    "d989a1c3d0cf681f16aff0c9ef1b3b18b0903781ba6bf3756f98b2209c1d0575",
+    "03857ed7d6ba587931c0eab1c6932f69d41dd54c408d185c3b7d40cef4450369",
+    "b0a9bdd39a1243a9b51a7d8d1aba195520bc1007a7408c7953c97cd6633cfd62",
+    "9fb0696f749ae54cbfb7ade8ded87dcfa645cb79f096fdfd9de4517998cd1017",
+    "8e97ce840152da12b4fcff04eda15032b8559531313e66238390c660c337e214",
+    "9ecc014acb89325b0fde472b8dc1b95063b4218ac002f2bd1a943b01e415f656",
+    "d2aa16057e4fdb5460fb972dce49cc82ecd242d3def77b1afdb016c56829f184",
+    "4d5b551ee2d0d3d799e6e646a29b61e549c048388bfaad094ecddd559231335c",
+    "3259a4e0993039a3016b90c3246ed9ff08ed36a70004e819dfa2d8ea30043b1e",
+    "91e52704500ed33b0ffab962dbb81d6ae86ed7ae270047b7e5019d9be72cd622",
+    "9b9bce1eb075eed1d3fb462fb8c960e453b7c591de8238f66bb13bdbd8493445",
+    "77e94b0ffcb15202aa44e34cea06c173fbb4110ca7a7deb4e6e881e05ed917ce",
+    "fcb842485c35590c84fe19027dc943c78fe27f3d0f2523d5d2104676e7c56741",
+    "f2f399d72f1167991bb085ff81911638cc0975b3a27cad11c9f43ed010587bd7",
+    "896cd126f020bca3dce9d08abd4083d0a4ee6c32d7d11c3b4d1658cd4300e3ce",
+    "3c380957a8b8634d8647773af075cdc1a89d975a9aac940f58c2dd462030f671",
+    "3d7e5638d8d71352b767b96c8c1a5ab64ec9249019ee91fb8ea99c1602bdd762",
+    "0f4a0cf7bb29fdd8c5cf9f854828b1bbc611dd2b0434855bd2df2a7a144248fd",
+    "2484dede3a12f04439f0cca8d945f20f4fc9d888d3436ebe7356b7d49a943dca",
+    "77495cbc7fe809521c9ff5353845e9f019808afe0b943b02055adae38a49979b",
+    "35024c95d4156f3965c4372f9585c7c9418458fa019da71edb92030822d12e05",
+    "4c042a5681e56b3bdbff9efff95ae138123ae25e3ae21965b21981cfaf7e0249",
+    "20a59abda606a00a14aa85c952555eb2b4a5c1ea44e0c9076777590f159400aa",
+    "18585a5e5b31ccb8dde929c99f1bef6d74cf9536e2d0af98b91d5f65d97b5fa5",
+    "cf2477a3f005cb3db1e9532186b24dad7e1f3cf4f8b384c307ba607a05d58c1d",
+    "83bd7e5420f9bca8c4a6f7abf954b84de9a40a7cc6c38b9886cd27852b0d167d",
+    "6adf17dc2310dd5f6efece0d1ea2e5b5e4602268936ca676f03dd06155e3a59c",
+    "4aa03b661f4600192f2a207aeb4fff0040df52955259e576245163d2e3879ecf",
+    "8d79804e4d9aadc7864a11b03b60925ed8a6d0b0e1522542fc58b00b1df3b6fb",
+]
+
+
+def test_seeded_classify_output_bytes_are_pinned(tmp_path, capsys):
+    path = tmp_path / "descriptor.json"
+    for seed, digest in enumerate(SEEDED_CLASSIFY_DIGESTS):
+        path.write_text(json.dumps(seeded_mixed_descriptor(seed)))
+        assert main(["classify", "--descriptor", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "convex" in out, seed
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
 
 
 # sha256 of the certificate JSON printed by `vallab construct`, recorded

@@ -6,20 +6,19 @@ import pytest
 from vallab.intlinalg import (
     diagonalize_with_basis,
     int_kernel,
+    int_rref,
     prime_to_p_part,
-    reduce_mod_span,
     row_echelon,
-    rref,
 )
 
-from helpers import lattice_solve, perm_det
+from helpers import lattice_solve, perm_det, reduce_mod_span, rref
 
 
 def test_row_echelon_shape_and_transform():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     ech, t = row_echelon(rows)
     # transform is unimodular and reproduces the echelon
-    assert abs(rref(t)[2]) == 1
+    assert int_rref(t)[2] == 1
     for i in range(len(rows)):
         combo = [sum(t[i][j] * rows[j][c] for j in range(len(rows)))
                  for c in range(3)]
@@ -69,15 +68,16 @@ def test_int_kernel_saturated():
 
 
 def test_det_against_permutation_sum():
+    # int_rref's denominator is |det| on a square matrix of full rank
     rng = random.Random(4)
-    for _ in range(40):
-        n = rng.randint(1, 3)
-        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                 for _ in range(n)] for _ in range(n)]
-        assert rref(rows)[2] == perm_det(rows)
-    # a non-square matrix has no determinant
-    assert rref([[1, 2]])[2] == 0
-    assert rref([[1], [2]])[2] == 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        det = perm_det(rows)
+        _, piv, den = int_rref(rows)
+        assert len(piv) == n if det else len(piv) < n
+        if det:
+            assert den == abs(det)
 
 
 def test_rref_reduces_modulo_the_span():
@@ -85,7 +85,7 @@ def test_rref_reduces_modulo_the_span():
     for _ in range(30):
         rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                  for _ in range(3)] for _ in range(rng.randint(1, 3))]
-        ech, piv, _ = rref(rows)
+        ech, piv = rref(rows)
         for r, col in zip(ech, piv):
             assert [r[c] for c in piv] == [int(c == col) for c in piv]
         # every input row reduces to zero, and a reduced vector is fixed
@@ -95,6 +95,28 @@ def test_rref_reduces_modulo_the_span():
         y = reduce_mod_span(x, ech, piv)
         assert reduce_mod_span(y, ech, piv) == y
         assert all(y[c] == 0 for c in piv)
+
+
+def test_int_rref_matches_the_rational_rref():
+    rng = random.Random(8)
+    cases = [[], [[0, 0, 0]], [[0], [0]], [[3]], [[2, 4], [1, 2]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.5:
+            # a row that is a combination of the others: rank deficient
+            a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+            rows[-1] = [a * x + b * y
+                        for x, y in zip(rows[0], rows[1 % (m - 1)])]
+        if rng.random() < 0.2:
+            rows[rng.randrange(m)] = [0] * n
+        cases.append(rows)
+    for rows in cases:
+        ech, piv, den = int_rref(rows)
+        want, want_piv = rref(rows)
+        assert den > 0 and all(isinstance(x, int) for r in ech for x in r)
+        assert piv == want_piv, rows
+        assert [[Fraction(x, den) for x in r] for r in ech] == want, rows
 
 
 def test_diagonalize_with_basis_two_sided():

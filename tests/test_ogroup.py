@@ -1,11 +1,14 @@
+import importlib
+import json
+import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from vallab.errors import ValidationError
-from vallab.intlinalg import rref
 from vallab.ogroup import (
     _canon,
     contains,
@@ -13,7 +16,6 @@ from vallab.ogroup import (
     cyclic,
     from_json,
     hull,
-    in_divisible_part,
     index,
     is_p_divisible,
     join,
@@ -28,8 +30,12 @@ from vallab.ogroup import (
 from vallab.suites import _coset_count, _rank1_member
 from vallab.values import INFINITE
 
-from helpers import (coset_count_pairwise, member_fraction, rank1_member,
-                     sample_elements, subset_per_generator)
+from helpers import (canon_fraction, coset_count_pairwise, in_divisible_part,
+                     member_fraction, rank1_member, rref, sample_elements,
+                     subset_per_generator)
+
+# the package exports the function ogroup under the module's name
+ogroup_module = importlib.import_module("vallab.ogroup")
 
 F = Fraction
 
@@ -322,6 +328,43 @@ def test_coset_count_matches_the_pairwise_reference():
             == abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]), m
 
 
+def test_canon_matches_the_fraction_projection(monkeypatch):
+    # the fraction-free projection against the rational one, on seeded
+    # groups and on the kernel presentations their convex parts build
+    canon = _canon
+    kernels = []
+
+    class Spy:
+        __call__ = staticmethod(canon)
+
+        @staticmethod
+        def __wrapped__(g):
+            kernels.append(g)
+            return canon.__wrapped__(g)
+
+    monkeypatch.setattr(ogroup_module, "_canon", Spy())
+    rng = random.Random(53)
+    groups = []
+    for _ in range(1000):
+        rank, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        gens = [tuple(F(rng.randint(-4, 4), rng.choice((1, 2, 3, p, p * p)))
+                      for _ in range(rank)) for _ in range(rng.randint(1, 5))]
+        nclosed = rng.randint(0, len(gens))
+        groups.append(ogroup(gens, closed=range(nclosed),
+                             prime=p if nclosed else 1, rank=rank))
+    for g in groups:
+        c = canon.__wrapped__(g)
+        assert (c.div, c.free) == canon_fraction(g), g
+        for ell in range(1, g.rank):
+            ogroup_module._convex_at(g, ell)
+    assert sum(1 for g in groups if g.p_closed) >= 400
+    assert sum(1 for g in groups if not g.p_closed) >= 100
+    assert len(kernels) >= 1000
+    for k in kernels:
+        c = canon.__wrapped__(k)
+        assert (c.div, c.free) == canon_fraction(k), k
+
+
 def test_convex_core_canonicalises_its_part_once():
     g = lex_compose(cyclic(1), ogroup([1], closed=[0], prime=3))
     _canon.cache_clear()
@@ -513,6 +556,25 @@ def test_hull_p_prime_div():
         hull(g, "p_prime_div", "exact", 3)
     with pytest.raises(ValueError):
         hull(g, "nonsense", 1, 3)
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="the interpreter converts integers of any length")
+def test_hull_refuses_exactly_what_cannot_print():
+    # a hull needing an integer longer than the interpreter converts to
+    # text is refused: <1/2> at level k has the denominator 2 * 3^k
+    bound = 10 ** sys.get_int_max_str_digits()
+    k = int(math.log(bound // 2, 3))
+    while 2 * 3 ** (k + 1) < bound:
+        k += 1
+    while 2 * 3 ** k >= bound:
+        k -= 1
+    g = cyclic(F(1, 2))
+    assert json.dumps(to_json(hull(g, "p_div", k, 3)))
+    with pytest.raises(ValidationError, match="get_int_max_str_digits"):
+        hull(g, "p_div", k + 1, 3)
+    with pytest.raises(ValidationError, match="get_int_max_str_digits"):
+        hull(g, "p_div", 10 ** 9, 3)
 
 
 def test_lex_compose():
