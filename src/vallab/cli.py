@@ -246,6 +246,11 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         sys.stderr.write("precision exhausted: %s\n" % exc)
         return 2
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):  # str() of an int
+            raise
+        sys.stderr.write("error: a result is too long to print: %s\n" % exc)
+        return 1
 
 
 if __name__ == "__main__":

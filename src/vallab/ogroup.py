@@ -454,9 +454,9 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
     closes completely, an integer level k scales generators by p**-k.
     kind "p_prime_div": divide by all integers up to level that are
     coprime to p (level must be a positive integer; "exact" is not a
-    finitely presented group).  A hull that needs an integer longer than
-    the interpreter converts to text (sys.get_int_max_str_digits(), 0 for
-    no limit) is refused, its scale given up once it passes that length.
+    finitely presented group).  A hull whose scale needs an integer longer
+    than the interpreter converts to text (sys.get_int_max_str_digits(), 0
+    for no limit) is refused, the scale given up once it passes that length.
     """
     limit = sys.get_int_max_str_digits()
     bound = 10 ** limit if limit else math.inf
@@ -486,14 +486,13 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
                 break
     else:
         raise ValidationError("unknown hull kind: %r" % (kind,))
-    gens = [tuple(c / den for c in v) for v in g.gens] if den < bound else []
-    if den >= bound or any(max(abs(c.numerator), c.denominator) >= bound
-                           for v in gens for c in v):
+    if den >= bound:
         raise ValidationError(
             "hull level %s needs an integer of more than %d digits, the limit "
             "for converting one to text (sys.get_int_max_str_digits())"
             % (level, limit))
-    return ogroup(gens, closed=g.p_closed, prime=g.prime, rank=g.rank)
+    return ogroup([tuple(c / den for c in v) for v in g.gens],
+                  closed=g.p_closed, prime=g.prime, rank=g.rank)
 
 
 def lex_compose(outer: OGroup, inner: OGroup) -> OGroup:

@@ -359,31 +359,56 @@ def test_classify_output_bytes_are_pinned(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, name
 
 
-@pytest.mark.parametrize("args", [
-    ("classify", "--descriptor"),
-    ("hull", "--kind", "p_div", "--level", "10000", "--p", "3", "--group"),
-    ("hull", "--kind", "p_prime_div", "--level", "12000", "--p", "3",
-     "--group"),
-    ("hull", "--kind", "p_prime_div", "--level", "100000000", "--p", "3",
-     "--group"),
-], ids=["descriptor-5000-digits", "hull-p-div-level-10000",
-        "hull-p-prime-div-level-12000", "hull-p-prime-div-level-1e8"])
-@pytest.mark.skipif(not sys.get_int_max_str_digits(),
-                    reason="the interpreter converts integers of any length")
-def test_oversized_integers_exit_one_without_traceback(tmp_path, args):
-    # the default limit on converting an integer to or from text is 4300
-    # digits: a longer numerator in a descriptor used to end in a
-    # traceback from the JSON reader, a hull past it in one from the JSON
-    # writer, and the prime-to-p scale at level 10^8 was built in full
-    if args[0] == "classify":
+def _oversized_input(case):
+    """The input file text of each case of the test below."""
+    if case == "descriptor-5000-digits":
         data = corpus_member("q2").to_json()
         data["value_group"]["gens"] = [["N", 1]]
-        text = json.dumps(data).replace('"N"', "7" * 5000)
-    else:
-        text = json.dumps({"rank": 1, "gens": [[1, 2]], "p_closed": [],
-                           "prime": 1})
+        return json.dumps(data).replace('"N"', "7" * 5000)
+    if case == "classify-computed-5001-digits":
+        # every input integer has 2,501 digits, but the convex core's
+        # leading-coordinate image <1/(N1*N2)> printed in the rdr_2
+        # evidence has a 5,001-digit denominator
+        data = corpus_member("q2").to_json()
+        data["value_group"] = {"rank": 2, "p_closed": [], "prime": 1,
+                               "gens": [[[1, 1], [0, 1]], [[0, 1], [1, "A"]],
+                                        [[0, 1], [1, "B"]]]}
+        data["vp"] = [[0, 1], [1, "A"]]
+        return json.dumps(data).replace('"A"', str(10 ** 2500 + 1)) \
+            .replace('"B"', str(10 ** 2500 + 3))
+    if case == "hull-generator-past-limit":
+        # the scale 3^1000 is short; the hull's denominator is not
+        return json.dumps({"rank": 1, "gens": [[1, "D"]], "p_closed": [],
+                           "prime": 1}).replace('"D"', str(10 ** 4000 + 1))
+    return json.dumps({"rank": 1, "gens": [[1, 2]], "p_closed": [],
+                       "prime": 1})
+
+
+@pytest.mark.parametrize("case,args", [pytest.param(case, args, id=case)
+                                       for case, args in [
+    ("descriptor-5000-digits", ("classify", "--descriptor")),
+    ("classify-computed-5001-digits", ("classify", "--descriptor")),
+    ("hull-p-div-level-10000",
+     ("hull", "--kind", "p_div", "--level", "10000", "--p", "3", "--group")),
+    ("hull-p-prime-div-level-12000",
+     ("hull", "--kind", "p_prime_div", "--level", "12000", "--p", "3",
+      "--group")),
+    ("hull-p-prime-div-level-1e8",
+     ("hull", "--kind", "p_prime_div", "--level", "100000000", "--p", "3",
+      "--group")),
+    ("hull-generator-past-limit",
+     ("hull", "--kind", "p_div", "--level", "1000", "--p", "3", "--group")),
+]])
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="the interpreter converts integers of any length")
+def test_oversized_integers_exit_one_without_traceback(tmp_path, case, args):
+    # the default limit on converting an integer to or from text is 4300
+    # digits: a longer numerator in a descriptor used to end in a
+    # traceback from the JSON reader, a computed value past it in one from
+    # the JSON writer or from str() in the evidence, and the prime-to-p
+    # scale at level 10^8 was built in full
     path = tmp_path / "input.json"
-    path.write_text(text)
+    path.write_text(_oversized_input(case))
     res = subprocess.run(BASE + list(args) + [str(path)], capture_output=True,
                          text=True, timeout=60)
     assert res.returncode == 1

@@ -17,8 +17,10 @@ from helpers import lattice_solve, perm_det, reduce_mod_span, rref
 def test_row_echelon_shape_and_transform():
     rows = [[2, 4, 4], [-6, 6, 12], [10, 4, 16]]
     ech, t = row_echelon(rows)
-    # transform is unimodular and reproduces the echelon
-    assert int_rref(t)[2] == 1
+    # transform is unimodular (square, full rank, |det| = 1) and
+    # reproduces the echelon
+    _, piv, den = int_rref(t)
+    assert len(piv) == len(t) == len(rows) and den == 1
     for i in range(len(rows)):
         combo = [sum(t[i][j] * rows[j][c] for j in range(len(rows)))
                  for c in range(3)]

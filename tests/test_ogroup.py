@@ -560,21 +560,24 @@ def test_hull_p_prime_div():
 
 @pytest.mark.skipif(not sys.get_int_max_str_digits(),
                     reason="the interpreter converts integers of any length")
-def test_hull_refuses_exactly_what_cannot_print():
-    # a hull needing an integer longer than the interpreter converts to
-    # text is refused: <1/2> at level k has the denominator 2 * 3^k
+def test_hull_refuses_exactly_a_scale_that_cannot_print():
+    # a hull whose scale needs an integer longer than the interpreter
+    # converts to text is refused, without building the scale: <1> at
+    # level k has the scale 3^k
     bound = 10 ** sys.get_int_max_str_digits()
-    k = int(math.log(bound // 2, 3))
-    while 2 * 3 ** (k + 1) < bound:
+    k = int(math.log(bound, 3))
+    while 3 ** (k + 1) < bound:
         k += 1
-    while 2 * 3 ** k >= bound:
+    while 3 ** k >= bound:
         k -= 1
-    g = cyclic(F(1, 2))
+    g = cyclic(1)
     assert json.dumps(to_json(hull(g, "p_div", k, 3)))
     with pytest.raises(ValidationError, match="get_int_max_str_digits"):
         hull(g, "p_div", k + 1, 3)
     with pytest.raises(ValidationError, match="get_int_max_str_digits"):
         hull(g, "p_div", 10 ** 9, 3)
+    with pytest.raises(ValidationError, match="get_int_max_str_digits"):
+        hull(g, "p_prime_div", 10 ** 8, 3)
 
 
 def test_lex_compose():
