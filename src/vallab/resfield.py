@@ -10,6 +10,7 @@ exponent scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import ValidationError, json_get
 
@@ -199,10 +200,18 @@ def _reduced(field: ResField, num: dict, den: dict) -> "RElem":
         raise ZeroDivisionError("zero denominator")
     if not num:
         return RElem(field, _freeze({}), _freeze({0: 1}))
-    g = _pgcd(num, den, p)
-    if _pdeg(g) > 0 or g.get(0, 1) != 1:
-        num, _ = _pdivmod(num, g, p)
-        den, _ = _pdivmod(den, g, p)
+    if len(den) == 1:
+        # gcd(num, c*w^k) = w^s with s = min(k, ord_w num): a shift
+        (k, c), = den.items()
+        s = min(k, min(num))
+        if s:
+            num = {e - s: x for e, x in num.items()}
+            den = {k - s: c}
+    else:
+        g = _pgcd(num, den, p)
+        if _pdeg(g) > 0 or g.get(0, 1) != 1:
+            num, _ = _pdivmod(num, g, p)
+            den, _ = _pdivmod(den, g, p)
     lead = den[_pdeg(den)]
     if lead != 1:
         inv = pow(lead, p - 2, p)
@@ -247,6 +256,10 @@ class RElem:
     def __add__(self, other):
         a, b = coerce_pair(self, other)
         p = a.field.char
+        if a.den == b.den == ((0, 1),):
+            # a sum of polynomials is already reduced
+            return RElem(a.field, _freeze(_padd(_thaw(a.num), _thaw(b.num), p)),
+                         a.den)
         num = _padd(_pmul(_thaw(a.num), _thaw(b.den), p),
                     _pmul(_thaw(b.num), _thaw(a.den), p), p)
         den = _pmul(_thaw(a.den), _thaw(b.den), p)
@@ -263,6 +276,10 @@ class RElem:
     def __mul__(self, other):
         a, b = coerce_pair(self, other)
         p = a.field.char
+        if a.den == b.den == ((0, 1),):
+            # a product of polynomials is already reduced
+            return RElem(a.field, _freeze(_pmul(_thaw(a.num), _thaw(b.num), p)),
+                         a.den)
         num = _pmul(_thaw(a.num), _thaw(b.num), p)
         den = _pmul(_thaw(a.den), _thaw(b.den), p)
         return _reduced(a.field, num, den)
@@ -338,7 +355,6 @@ class RElem:
         scale = p ** self.level()
         parts = []
         for e, c in sorted(d.items()):
-            from fractions import Fraction
             ee = Fraction(e, scale)
             if ee == 0:
                 parts.append(str(c))
@@ -361,6 +377,8 @@ class RElem:
 def coerce_pair(a: RElem, b) -> tuple:
     if isinstance(b, int):
         b = a.field.elem(b)
+    elif a.field == b.field:
+        return a, b
     if a.field.char != b.field.char:
         raise ValidationError("characteristic mismatch")
     if a.field.has_variable() != b.field.has_variable():

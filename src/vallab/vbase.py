@@ -153,7 +153,8 @@ class _Elem:
                 return cls(self.base, q, r.prec - k0)
             steps += 1
             if exact and steps > _MAX_DIV_STEPS:
-                raise PrecisionError(self._DIV_LIMIT % _MAX_DIV_STEPS)
+                # no cap ran out: the caller must cap an operand
+                raise ValidationError(self._DIV_LIMIT % _MAX_DIV_STEPS)
             term = self._quotient_term(lead[0] - k0, lead[1], unit)
             q.update(term)
             r = r - cls(self.base, term, INFINITE) * other
@@ -226,7 +227,8 @@ class EqBase:
 
     def monomial(self, gamma, coeff=1) -> "SeriesElem":
         gamma = fr(gamma)
-        if not group_contains(self.group, (gamma,)):
+        # 0 lies in every group
+        if gamma and not group_contains(self.group, (gamma,)):
             raise ValidationError("exponent %s outside the value group" % (gamma,))
         return SeriesElem(self, {gamma: self._coeff(coeff)}, INFINITE)
 
@@ -244,6 +246,9 @@ class SeriesElem(_Elem):
         self.terms = {g: c for g, c in terms.items()
                       if not c.is_zero() and (prec == INFINITE or g < prec)}
         self.prec = prec
+
+    def is_zero(self) -> bool:
+        return self.prec == INFINITE and not self.terms
 
     def _lead(self):
         # the minimal (exponent, coefficient) pair: looking the coefficient

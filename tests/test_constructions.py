@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from vallab import vbase
+from vallab import resfield, vbase
 from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_as_valgp, build_kummer_resf,
                                   build_kummer_valgp, build_lemma_3_3)
 from vallab.errors import PrecisionError, ValidationError
-from vallab.resfield import RElem
+from vallab.ogroup import ogroup
+from vallab.resfield import ResField, RElem
 from vallab.tower import TElem, val
 
 
@@ -147,6 +148,29 @@ def test_kummer_resf_carry_walks_count(monkeypatch):
     # again for each val, cap and division step made 1,073 walks
     build = lambda: build_kummer_resf(7, 3)
     assert _count_calls(monkeypatch, vbase.PadicElem, "_norm_iter", build) <= 350
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_as_valgp(7, 5), lambda: build_as_resf(7, 3),
+    lambda: build_lemma_3_3(7)], ids=["as-valgp", "as-resf", "lemma33"])
+def test_eqchar_builds_run_no_euclid(monkeypatch, build):
+    # every denominator these builds meet is one monomial c*u^k, reduced by
+    # an exponent shift, and a sum or product of polynomials is not
+    # reduced at all; Euclid on every fraction ran 67, 59 and 6 times
+    assert _count_calls(monkeypatch, resfield, "_pgcd", build) == 0
+
+
+def test_monomial_at_zero_skips_membership(monkeypatch):
+    # 0 lies in every value group, so these three made 3 membership tests;
+    # any other exponent is still checked
+    base = vbase.EqBase(3, ResField(3), ogroup([Fraction(1, 9)], prime=3))
+    assert _count_calls(monkeypatch, vbase, "group_contains",
+                        lambda: (base.one(), base.from_int(2),
+                                 base.monomial(0, 2))) == 0
+    assert _count_calls(monkeypatch, vbase, "group_contains",
+                        lambda: base.monomial(Fraction(1, 9))) == 1
+    with pytest.raises(ValidationError, match="outside the value group"):
+        base.monomial(Fraction(1, 27))
 
 
 @pytest.mark.parametrize("family", ["as-resf", "two-ext", "kummer-resf"])

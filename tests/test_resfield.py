@@ -2,9 +2,12 @@ import random
 
 import pytest
 
+from vallab import resfield
 from vallab.errors import ValidationError
-from vallab.resfield import (ResField, _pgcd, _pmul, _pnorm, _reduced,
-                             resfield_from_json)
+from vallab.resfield import (ResField, _padd, _pgcd, _pmul, _pnorm, _pscale,
+                             _reduced, resfield_from_json)
+
+from helpers import reduced_by_euclid
 
 
 def rand_elem(field, rng, deg=4):
@@ -180,3 +183,140 @@ def test_pgcd_matches_sympy_monic_gcd(p):
         want = to_sympy(a).gcd(to_sympy(b))
         want = {m[0]: int(c) % p for m, c in want.terms()}
         assert _pgcd(a, b, p) == want, (a, b)
+
+
+def _poly(rng, p, shape):
+    """A sparse polynomial: a constant, one monomial, or several terms."""
+    if shape == "const":
+        return {0: rng.randrange(1, p)}
+    if shape == "mono":
+        return {rng.randrange(6): rng.randrange(1, p)}
+    exps = rng.sample(range(7), rng.randint(2, 4))
+    return {e: rng.randrange(1, p) for e in exps}
+
+
+_SHAPES = ("const", "mono", "multi")
+
+
+def _same(got, want):
+    assert got.field == want.field
+    assert (got.num, got.den) == (want.num, want.den)
+    assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduced_matches_euclid(p):
+    # a planted common factor of each shape makes most reductions cancel
+    rng = random.Random(60 + p)
+    fields = [ResField(p)] + [ResField(p, "ratfun").at_level(lv)
+                              for lv in range(3)]
+    for f in fields:
+        shapes = _SHAPES if f.has_variable() else ("const",)
+        for _ in range(120):
+            g = _poly(rng, p, rng.choice(shapes))
+            num = _pmul(g, _poly(rng, p, rng.choice(shapes)), p)
+            den = _pmul(g, _poly(rng, p, rng.choice(shapes)), p)
+            if rng.random() < 0.1:
+                num = {}
+            _same(_reduced(f, num, den), reduced_by_euclid(f, num, den))
+
+
+def _elem(rng, f):
+    """x = num/den built through ResField.elem, negative exponents too."""
+    p = f.char
+    if not f.has_variable():
+        return f.elem(rng.randrange(p))
+    num = {e - 3: c for e, c in _poly(rng, p, rng.choice(_SHAPES)).items()}
+    if rng.random() < 0.1:
+        num = {0: 0}
+    x = f.elem(num)
+    shift = max(-min((e for e in num if num[e] % p), default=0), 0)
+    _same(x, reduced_by_euclid(f, {e + shift: c for e, c in num.items()},
+                               {shift: 1}))
+    if rng.random() < 0.5:
+        return x
+    return x / f.elem(_poly(rng, p, rng.choice(_SHAPES)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_arithmetic_matches_euclid(p):
+    # every result against the fraction the arithmetic forms, reduced by
+    # Euclid; operands may sit at different perfection levels
+    rng = random.Random(70 + p)
+    fields = [ResField(p)] + [ResField(p, "ratfun").at_level(lv)
+                              for lv in range(3)]
+    for _ in range(150):
+        fx = rng.choice(fields)
+        fy = rng.choice(fields[1:] if fx.has_variable() else fields[:1])
+        x, y = _elem(rng, fx), _elem(rng, fy)
+        lv = max(x.level(), y.level())
+        a, b = x.at_level(lv), y.at_level(lv)
+        f = a.field
+        an, ad, bn, bd = (dict(t) for t in (a.num, a.den, b.num, b.den))
+        cross = _pmul(an, bd, p), _pmul(bn, ad, p)
+        _same(x + y, reduced_by_euclid(f, _padd(*cross, p), _pmul(ad, bd, p)))
+        _same(x - y, reduced_by_euclid(
+            f, _padd(cross[0], _pscale(cross[1], -1, p), p), _pmul(ad, bd, p)))
+        _same(x * y, reduced_by_euclid(f, _pmul(an, bn, p), _pmul(ad, bd, p)))
+        _same(-x, reduced_by_euclid(x.field, _pscale(dict(x.num), -1, p),
+                                    dict(x.den)))
+        _same(x.frobenius(), reduced_by_euclid(
+            x.field, {e * p: c for e, c in x.num}, {e * p: c for e, c in x.den}))
+        if not y.is_zero():
+            _same(x / y, reduced_by_euclid(f, cross[0], _pmul(ad, bn, p)))
+            _same(y.inverse(), reduced_by_euclid(y.field, dict(y.den),
+                                                 dict(y.num)))
+        for z in (x, x ** p):
+            root = z.pth_root()
+            exps = [e for e, _ in z.num + z.den]
+            if any(e % p for e in exps):
+                assert root is None
+            else:
+                _same(root, reduced_by_euclid(
+                    z.field, {e // p: c for e, c in z.num},
+                    {e // p: c for e, c in z.den}))
+
+
+def test_euclid_runs_only_for_a_multi_term_denominator(monkeypatch):
+    # 1/(1 + u) needs the polynomial gcd; a monomial denominator is a shift
+    calls = []
+    pgcd = resfield._pgcd
+    monkeypatch.setattr(resfield, "_pgcd",
+                        lambda *args: calls.append(None) or pgcd(*args))
+    f = ResField(3, "ratfun")
+    u = f.gen()
+    assert (u * u / (u * 2)).to_text() == "2*u"
+    assert (u / f.elem({3: 1})).to_text() == "(1)/(u^2)"
+    assert not calls
+    x = f.one() / (f.one() + u)
+    assert calls and x.to_text() == "(1)/(1 + u)"
+    assert x * (u + 1) == f.one()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_reduced_matches_sympy_cancel(p):
+    # the reduced fraction is num/g over den/g for the monic gcd g, scaled
+    # to a monic denominator
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(80 + p)
+    f = ResField(p, "ratfun")
+
+    def to_sympy(a):
+        return sympy.Poly.from_dict({(e,): c for e, c in a.items()}, x,
+                                    modulus=p)
+
+    def from_sympy(a):
+        return _pnorm({m[0]: int(c) for m, c in a.terms()}, p)
+
+    for _ in range(150):
+        g = _poly(rng, p, rng.choice(_SHAPES))
+        num = _pmul(g, _poly(rng, p, rng.choice(_SHAPES)), p)
+        den = _pmul(g, _poly(rng, p, rng.choice(_SHAPES)), p)
+        sn, sd = to_sympy(num), to_sympy(den)
+        h = sn.gcd(sd)
+        sn, sd = sn.quo(h), sd.quo(h)
+        inv = pow(int(sd.LC()) % p, p - 2, p)
+        want = (from_sympy(sn * inv), from_sympy(sd * inv))
+        got = _reduced(f, num, den)
+        assert (dict(got.num), dict(got.den)) == want, (num, den)

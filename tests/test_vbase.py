@@ -121,7 +121,8 @@ def test_series_division_truncated():
 def test_series_division_needs_cap():
     b = plain_laurent(3)
     t = b.monomial(1)
-    with pytest.raises(PrecisionError):
+    # no cap runs out: the caller must cap an operand (exit 1)
+    with pytest.raises(ValidationError, match="cap an operand"):
         b.one() / (b.one() + t)
 
 
@@ -235,7 +236,8 @@ def test_padic_unit_division_truncated():
 
 def test_padic_division_needs_cap():
     b = q3()
-    with pytest.raises(PrecisionError):
+    # no cap runs out: the caller must cap an operand (exit 1)
+    with pytest.raises(ValidationError, match="cap an operand"):
         b.one() / b.from_int(4)
 
 
@@ -252,10 +254,11 @@ def test_division_to_a_finite_cap_has_no_step_limit():
     t = s.monomial(1)
     q = series(s, {0: 1}, prec=F(450)) / (s.one() + t)
     assert q.prec == 450 and len(q.terms) == 450
-    # exact / exact has no target: the limit stays, and its message names it
-    with pytest.raises(PrecisionError, match="passed 400 quotient digits"):
+    # exact / exact has no target: the limit stays, and its message names it;
+    # no cap ran out, so it is a validation error (exit 1), not exit 2
+    with pytest.raises(ValidationError, match="passed 400 quotient digits"):
         b.one() / y
-    with pytest.raises(PrecisionError, match="passed 400 quotient terms"):
+    with pytest.raises(ValidationError, match="passed 400 quotient terms"):
         s.one() / (s.one() + t)
 
 
