@@ -5,7 +5,8 @@ classify (verdicts for a descriptor file or shipped corpus member),
 verify (seeded property suites) and hull (divisible hulls of a group).
 
 Exit codes: 0 success, 1 validation or precondition failure (the
-diagnostic names the violated inequality), 2 precision exhaustion.
+diagnostic names the violated inequality), 2 precision exhaustion, which
+only a p-adic cap can cause: every equal-characteristic series is exact.
 JSON output is deterministic for fixed flags; TSV is a projection of
 certificate rows.  --padic-cap sets kummer-valgp's p-adic digit cap
 (default p, the least that lambda = zeta_p - 1 needs).  --depth or

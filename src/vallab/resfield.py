@@ -2,9 +2,9 @@
 
 Elements are reduced fractions of sparse polynomials in the single
 variable w = u^{1/p^k}, where k is the field's perfection level.  All
-coefficient arithmetic is mod p.  Coercion between levels substitutes
-w -> w^{p^(k'-k)}, so an element's data never changes meaning, only its
-exponent scale.
+coefficient arithmetic is mod p.  Coercion moves only between levels: it
+substitutes w -> w^{p^(k'-k)}, so an element's data never changes meaning,
+only its exponent scale.  An F_p element never meets an F_p(u) one.
 """
 
 from __future__ import annotations
@@ -137,8 +137,6 @@ class ResField:
 
     def elem(self, x) -> "RElem":
         self._require_prime_arith()
-        if isinstance(x, RElem):
-            return coerce_pair(self.zero(), x)[1]
         if isinstance(x, int):
             num = _pnorm({0: x}, self.char)
             return RElem(self, _freeze(num), _freeze({0: 1}))
@@ -287,7 +285,13 @@ class RElem:
     def inverse(self) -> "RElem":
         if self.is_zero():
             raise ZeroDivisionError("inverting zero residue element")
-        return _reduced(self.field, _thaw(self.den), _thaw(self.num))
+        # the swapped pair stays coprime: only the new denominator's lead
+        # needs scaling to 1
+        p = self.field.char
+        num, den = _thaw(self.den), _thaw(self.num)
+        inv = pow(den[_pdeg(den)], p - 2, p)
+        return RElem(self.field, _freeze(_pscale(num, inv, p)),
+                     _freeze(_pscale(den, inv, p)))
 
     def __truediv__(self, other):
         a, b = coerce_pair(self, other)
@@ -375,23 +379,16 @@ class RElem:
 
 
 def coerce_pair(a: RElem, b) -> tuple:
+    """a and b in one field: an int joins a's field, and two elements of
+    F_p(u) meet at the finer of their perfection levels."""
     if isinstance(b, int):
-        b = a.field.elem(b)
-    elif a.field == b.field:
+        return a, a.field.elem(b)
+    if a.field == b.field:
         return a, b
     if a.field.char != b.field.char:
         raise ValidationError("characteristic mismatch")
-    if a.field.has_variable() != b.field.has_variable():
-        # a constant can live in either world
-        if not a.field.has_variable() and _pdeg(_thaw(b.num)) <= 0 \
-                and _pdeg(_thaw(b.den)) <= 0:
-            b = RElem(a.field, b.num, b.den)
-        elif not b.field.has_variable() and _pdeg(_thaw(a.num)) <= 0 \
-                and _pdeg(_thaw(a.den)) <= 0:
-            a = RElem(b.field, a.num, a.den)
-        elif not b.field.has_variable():
-            b = RElem(a.field, b.num, b.den)
-        elif not a.field.has_variable():
-            a = RElem(b.field, a.num, a.den)
+    if not (a.field.has_variable() and b.field.has_variable()):
+        raise ValidationError("residues of F_%d and F_%d(u) do not mix"
+                              % (a.field.char, a.field.char))
     lv = max(a.level(), b.level())
     return a.at_level(lv), b.at_level(lv)

@@ -1,14 +1,15 @@
 """Base valued fields: coefficient series and twisted p-adic digit rings.
 
 Two element models share one interface (val, residue, ring arithmetic,
-restricted division), and one class, _Elem, implements it.  Each model
-supplies only its lowest determinate term, the value of a position, the
-residue of a leading coefficient, one quotient term, and its own +, *,
-unary - and text:
+restricted division), and one class, _Elem, holds what both use.  Each
+model supplies its lowest determinate term, the value of a position, the
+residue of a leading coefficient, and its own +, *, /, unary - and text:
 
-* equal characteristic: finite sums  sum c_gamma * t^gamma  with residue
-  field coefficients and exponents in a fixed rank-1 group; a position
-  is the exponent gamma itself;
+* equal characteristic: exact finite sums  sum c_gamma * t^gamma  with
+  residue field coefficients and exponents in a fixed rank-1 group; a
+  position is the exponent gamma itself.  The Artin-Schreier relations
+  rewrite every p-th power exactly, so no term is ever unknown, and a
+  series divides only by a monomial, which shifts each term;
 * mixed characteristic: sparse integer polynomials in a uniformizer w
   with w^E = s*p (s = +-1), so v(w) = 1/E when v(p) = 1.  An element is
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
@@ -17,10 +18,9 @@ unary - and text:
   digits, {u-exponent: 1..p-1} per position, on demand, and an element
   keeps its lowest one once read.  Position k has value k/E.
 
-Precision is a position bound in both models: coefficients at exponent
->= prec (series) or digit position >= prec (p-adic) are unknown, and
-the caps of products and quotients are computed on positions.  INFINITE
-prec means exact.
+Precision is a p-adic digit position: digits at position >= prec are
+unknown, and the caps of products and quotients (by long division) are
+computed on positions.  INFINITE prec means exact, and every series has it.
 """
 
 from __future__ import annotations
@@ -52,24 +52,16 @@ def require_prime(p: int):
 class _Elem:
     """The interface both element models share.
 
-    A model has the slots base and prec, a constructor (base, terms,
-    prec) over its own term dict, the names _RING (for messages) and
-    _DIV_LIMIT (the exact-division guard's message), and supplies _lead
-    (the lowest determinate position and its coefficient, or None),
-    _value (the value of a position), _residue (of a leading
-    coefficient), _unit (what a division step needs of the divisor's
-    leading coefficient) and _quotient_term, plus +, *, unary - and
-    to_text.
+    A model has base and prec (the class constant INFINITE for a series),
+    the name _RING (for messages), and supplies _lead (the lowest
+    determinate position and its coefficient, or None), _value (the value
+    of a position) and _residue (of a leading coefficient), plus +, *, /,
+    unary - and to_text.
     """
 
     __slots__ = ()
 
     # -- valuation data ------------------------------------------------------
-
-    def _low(self):
-        """The lead position, or the cap when no term below it is known."""
-        lead = self._lead()
-        return self.prec if lead is None else lead[0]
 
     def val(self):
         lead = self._lead()
@@ -94,16 +86,13 @@ class _Elem:
     # -- arithmetic ----------------------------------------------------------
 
     def _coerce(self, x):
-        """x in this ring: an element of the same base, an int, or (for a
-        series) a residue field element."""
+        """x in this ring: an element of the same base, or an int."""
         if isinstance(x, _Elem):
             if x.base is not self.base and x.base != self.base:
                 raise ValidationError("mixed %ss" % self._RING)
             return x
         if isinstance(x, int):
             return self.base.from_int(x)
-        if isinstance(x, RElem) and self.base.eq_char:
-            return self.base.monomial(0, x)
         raise ValidationError("cannot coerce %r into the %s" % (x, self._RING))
 
     def __sub__(self, other):
@@ -115,49 +104,6 @@ class _Elem:
         if n < 0:
             x, n = self.base.one() / self, -n
         return power(x, n, self.base.one)
-
-    def _product_prec(self, other):
-        """The cap of self*other: each finite cap plus the other factor's
-        lead position, which is read only when that cap is finite."""
-        cap = INFINITE
-        if other.prec != INFINITE:
-            cap = other.prec + self._low()
-        if self.prec != INFINITE:
-            cap = min(cap, self.prec + other._low())
-        return cap
-
-    def __truediv__(self, other):
-        return self._divide(self._coerce(other))
-
-    def _divide(self, other):
-        """Long division, one leading term of the quotient per step.
-
-        Each step cancels the remainder's lead, so the lead rises and a
-        capped operand ends the loop.  With y's lead at k0, the first step
-        caps the remainder at min(x.prec, lead(x) + y.prec - k0) (the
-        product cap) and later steps keep that cap.  So the quotient's
-        cap, the final remainder's less k0, is
-        min(x.prec - k0, lead(x) + y.prec - 2*k0), where
-        d(x/y) = (dx*y - x*dy)/y^2 puts the errors of x/y.
-        """
-        lead = other._lead()
-        if lead is None:
-            raise PrecisionError("division by (indistinguishable from) zero")
-        k0, c0 = lead
-        unit = other._unit(c0)
-        exact = self.prec == INFINITE and other.prec == INFINITE
-        cls, q, r, steps = type(self), {}, self, 0
-        while True:
-            lead = r._lead()
-            if lead is None:
-                return cls(self.base, q, r.prec - k0)
-            steps += 1
-            if exact and steps > _MAX_DIV_STEPS:
-                # no cap ran out: the caller must cap an operand
-                raise ValidationError(self._DIV_LIMIT % _MAX_DIV_STEPS)
-            term = self._quotient_term(lead[0] - k0, lead[1], unit)
-            q.update(term)
-            r = r - cls(self.base, term, INFINITE) * other
 
     def __eq__(self, other):
         """Indistinguishability: no determinate term separates the two."""
@@ -216,8 +162,8 @@ class EqBase:
             return c
         return self.res.elem(c)
 
-    def zero(self, prec=INFINITE) -> "SeriesElem":
-        return SeriesElem(self, {}, prec)
+    def zero(self) -> "SeriesElem":
+        return SeriesElem(self, {})
 
     def one(self) -> "SeriesElem":
         return self.monomial(fr(0))
@@ -230,25 +176,25 @@ class EqBase:
         # 0 lies in every group
         if gamma and not group_contains(self.group, (gamma,)):
             raise ValidationError("exponent %s outside the value group" % (gamma,))
-        return SeriesElem(self, {gamma: self._coeff(coeff)}, INFINITE)
+        return SeriesElem(self, {gamma: self._coeff(coeff)})
 
 
 _EXPONENT = itemgetter(0)
 
 
 class SeriesElem(_Elem):
-    __slots__ = ("base", "terms", "prec")
-    _RING = "series ring"
-    _DIV_LIMIT = "exact series division passed %d quotient terms; cap an operand"
+    """The exact sum of c * t^g over terms = {g: c}."""
 
-    def __init__(self, base: EqBase, terms: dict, prec):
+    __slots__ = ("base", "terms")
+    _RING = "series ring"
+    prec = INFINITE
+
+    def __init__(self, base: EqBase, terms: dict):
         self.base = base
-        self.terms = {g: c for g, c in terms.items()
-                      if not c.is_zero() and (prec == INFINITE or g < prec)}
-        self.prec = prec
+        self.terms = {g: c for g, c in terms.items() if not c.is_zero()}
 
     def is_zero(self) -> bool:
-        return self.prec == INFINITE and not self.terms
+        return not self.terms
 
     def _lead(self):
         # the minimal (exponent, coefficient) pair: looking the coefficient
@@ -261,12 +207,6 @@ class SeriesElem(_Elem):
     def _residue(self, c) -> RElem:
         return c
 
-    def _unit(self, c0):
-        return c0
-
-    def _quotient_term(self, g, c, c0) -> dict:
-        return {g: c / c0}
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -275,40 +215,37 @@ class SeriesElem(_Elem):
         for g, c in other.terms.items():
             s = out.get(g)
             out[g] = c if s is None else s + c
-        return SeriesElem(self.base, out, min(self.prec, other.prec))
+        return SeriesElem(self.base, out)
 
     def __neg__(self):
-        return SeriesElem(self.base, {g: -c for g, c in self.terms.items()}, self.prec)
+        return SeriesElem(self.base, {g: -c for g, c in self.terms.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
-        prec = self._product_prec(other)
         out = {}
         for g1, c1 in self.terms.items():
             for g2, c2 in other.terms.items():
                 g = g1 + g2
-                if prec != INFINITE and g >= prec:
-                    continue
                 s = out.get(g)
                 out[g] = c1 * c2 if s is None else s + c1 * c2
-        return SeriesElem(self.base, out, prec)
+        return SeriesElem(self.base, out)
 
     def __truediv__(self, other):
+        """Division by a monomial c0*t^g0, which shifts each term."""
         other = self._coerce(other)
-        if len(other.terms) == 1 and other.prec == INFINITE:
-            # divisor c0*t^g0: each term shifts, with no remainder to walk
-            (g0, c0), = other.terms.items()
-            return SeriesElem(self.base, {g - g0: c / c0 for g, c in
-                                          self.terms.items()}, self.prec - g0)
-        return self._divide(other)
+        if len(other.terms) != 1:
+            if not other.terms:
+                raise ZeroDivisionError("series division by zero")
+            raise ValidationError("series division needs a monomial divisor")
+        (g0, c0), = other.terms.items()
+        return SeriesElem(self.base, {g - g0: c / c0 for g, c in self.terms.items()})
 
     # -- characteristic-p structure -------------------------------------------
 
     def frobenius(self) -> "SeriesElem":
         p = self.base.p
-        terms = {g * p: c.frobenius() for g, c in self.terms.items()}
-        prec = INFINITE if self.prec == INFINITE else self.prec * p
-        return SeriesElem(self.base, terms, prec)
+        return SeriesElem(self.base, {g * p: c.frobenius()
+                                      for g, c in self.terms.items()})
 
     # -- display ---------------------------------------------------------------
 
@@ -325,10 +262,7 @@ class SeriesElem(_Elem):
                 parts.append(_pow_text("t", g))
             else:
                 parts.append("%s*%s" % (ct, _pow_text("t", g)))
-        body = " + ".join(parts) if parts else "0"
-        if self.prec == INFINITE:
-            return body
-        return "%s + O(%s)" % (body, _pow_text("t", self.prec))
+        return " + ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +304,12 @@ class PadicBase:
         return ResField(self.p, "ratfun") if self.gauss else ResField(self.p)
 
     def _as_digit(self, c) -> dict:
-        """One position's digit (int, {u-exponent: int} or RElem) as a dict."""
-        if isinstance(c, RElem):
-            c = _relem_to_digit(c)
-        elif isinstance(c, int):
+        """One position's digit (int or {u-exponent: int}) as a dict."""
+        if isinstance(c, int):
             c = {0: c}
+        elif not isinstance(c, dict):
+            raise ValidationError("a digit is an int or a {u-exponent: int}, "
+                                  "got %r" % (c,))
         d = {e: int(x) for e, x in c.items() if int(x)}
         if not self.gauss and any(e != 0 for e in d):
             raise ValidationError("polynomial digits need a Gauss ring")
@@ -390,7 +325,7 @@ class PadicBase:
         return PadicElem(self, {(0, 0): n}, INFINITE)
 
     def from_digits(self, digits: dict, prec=INFINITE) -> "PadicElem":
-        """{position: digit}, each digit an int, a {u-exponent: int} or an RElem."""
+        """{position: digit}, each digit an int or a {u-exponent: int}."""
         terms = {(int(k), e): x for k, c in digits.items()
                  for e, x in self._as_digit(c).items()}
         return PadicElem(self, terms, prec)
@@ -408,17 +343,6 @@ class PadicBase:
         return self.from_digits({0: {j: 1}})
 
 
-def _relem_to_digit(r: RElem) -> dict:
-    """A residue field element as a digit lift (ints mod p, monomial dens)."""
-    den = dict(r.den)
-    if list(den.values()) != [1] or len(den) != 1:
-        raise ValidationError("only monomial-denominator residues lift to digits")
-    if r.level() != 0:
-        raise ValidationError("residue lift must live at perfection level 0")
-    shift, = den
-    return {e - shift: c for e, c in r.num}
-
-
 class PadicElem(_Elem):
     """The sum of c * w^k * u^e over digits = {(k, e): c}, known below position prec.
 
@@ -429,7 +353,6 @@ class PadicElem(_Elem):
 
     __slots__ = ("base", "digits", "prec", "_first")
     _RING = "digit ring"
-    _DIV_LIMIT = "exact digit division passed %d quotient digits; cap an operand"
 
     def __init__(self, base: PadicBase, digits: dict, prec):
         self.base = base
@@ -471,18 +394,10 @@ class PadicElem(_Elem):
     def _residue(self, d) -> RElem:
         return self.base.residue_field.elem(d)
 
-    def _unit(self, d0):
-        if len(d0) != 1:
-            raise ValidationError(
-                "division by a non-monomial leading digit is not supported")
-        (e0, c0), = d0.items()
-        p = self.base.p
-        return e0, pow(c0, p - 2, p)
-
-    def _quotient_term(self, k, d, unit) -> dict:
-        e0, inv = unit
-        p = self.base.p
-        return {(k, e - e0): c * inv % p for e, c in d.items()}
+    def _low(self):
+        """The lead position, or the cap when no digit below it is known."""
+        lead = self._lead()
+        return self.prec if lead is None else lead[0]
 
     # -- arithmetic --------------------------------------------------------------
 
@@ -496,6 +411,16 @@ class PadicElem(_Elem):
     def __neg__(self):
         return PadicElem(self.base, {ke: -c for ke, c in self.digits.items()},
                          self.prec)
+
+    def _product_prec(self, other):
+        """The cap of self*other: each finite cap plus the other factor's
+        lead position, which is read only when that cap is finite."""
+        cap = INFINITE
+        if other.prec != INFINITE:
+            cap = other.prec + self._low()
+        if self.prec != INFINITE:
+            cap = min(cap, self.prec + other._low())
+        return cap
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -519,6 +444,45 @@ class PadicElem(_Elem):
                           for (k, e), c in self.digits.items()}
                 return PadicElem(self.base, digits, self.prec - k0)
         return self._divide(other)
+
+    def _divide(self, other):
+        """Long division, one leading digit of the quotient per step.
+
+        Each step cancels the remainder's lead, so the lead rises and a
+        capped operand ends the loop.  With y's lead at k0, the first step
+        caps the remainder at min(x.prec, lead(x) + y.prec - k0) (the
+        product cap) and later steps keep that cap.  So the quotient's
+        cap, the final remainder's less k0, is
+        min(x.prec - k0, lead(x) + y.prec - 2*k0), where
+        d(x/y) = (dx*y - x*dy)/y^2 puts the errors of x/y.
+        """
+        lead = other._lead()
+        if lead is None:
+            if other.prec == INFINITE:
+                raise ZeroDivisionError("digit division by zero")
+            raise PrecisionError("division by (indistinguishable from) zero")
+        k0, d0 = lead
+        if len(d0) != 1:
+            raise ValidationError(
+                "division by a non-monomial leading digit is not supported")
+        (e0, c0), = d0.items()
+        p = self.base.p
+        inv = pow(c0, p - 2, p)
+        exact = self.prec == INFINITE and other.prec == INFINITE
+        q, r, steps = {}, self, 0
+        while True:
+            lead = r._lead()
+            if lead is None:
+                return PadicElem(self.base, q, r.prec - k0)
+            steps += 1
+            if exact and steps > _MAX_DIV_STEPS:
+                # no cap ran out: the caller must cap an operand
+                raise ValidationError("exact digit division passed %d quotient "
+                                      "digits; cap an operand" % _MAX_DIV_STEPS)
+            k, d = lead
+            term = {(k - k0, e - e0): c * inv % p for e, c in d.items()}
+            q.update(term)
+            r = r - PadicElem(self.base, term, INFINITE) * other
 
     # -- display ------------------------------------------------------------------
 

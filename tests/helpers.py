@@ -367,18 +367,17 @@ def lattice_solve(rows, target):
 # series built without the value-group check of EqBase.monomial
 
 
-def series(base, terms: dict, prec=INFINITE) -> SeriesElem:
-    """The series sum c * t^g over terms {g: c}, known below prec."""
+def series(base, terms: dict) -> SeriesElem:
+    """The exact series sum c * t^g over terms {g: c}."""
     out = {fr(g): base._coeff(c) for g, c in terms.items()}
-    return SeriesElem(base, out, prec)
+    return SeriesElem(base, out)
 
 
 def pth_root(x: SeriesElem) -> SeriesElem:
     """Termwise p-th root; coefficients may climb one perfection level."""
     p = x.base.p
     terms = {g / p: c.pth_root_extend() for g, c in x.terms.items()}
-    return SeriesElem(x.base, terms, INFINITE if x.prec == INFINITE
-                      else x.prec / p)
+    return SeriesElem(x.base, terms)
 
 
 # closed-form expansions of tower generators (independent cross-checks)
@@ -418,15 +417,15 @@ def rebase(c, base):
     for g in c.terms:
         if not contains(base.group, (g,)):
             raise ValidationError("exponent %s outside the target group" % (g,))
-    return SeriesElem(base, dict(c.terms), c.prec)
+    return SeriesElem(base, dict(c.terms))
 
 
 def eval_expansion(x, gen_series: list, exp_base):
     """Substitute explicit base expansions for the generators.
 
     gen_series[i] is an element of exp_base standing for gen_i.  The
-    result is exact arithmetic in exp_base (use capped series to keep it
-    finite); useful as an independent check of engine values.
+    result is exact arithmetic in exp_base; useful as an independent check
+    of engine values.
     """
     total = exp_base.zero()
     for e, c in x.coords.items():
@@ -611,7 +610,11 @@ def _parse_u_poly(text: str) -> dict:
 
 
 def series_from_text(base: EqBase, text: str) -> SeriesElem:
+    """The exact series that SeriesElem.to_text printed; a series has no
+    cap, so a trailing O(...) is refused."""
     terms, prec = _parse_terms(text)
+    if prec != INFINITE:
+        raise ValidationError("a series is exact; cannot parse an O(...) cap")
     out = {}
     for exp, coeff in terms:
         if coeff.lstrip("-").isdigit():
@@ -619,7 +622,7 @@ def series_from_text(base: EqBase, text: str) -> SeriesElem:
         else:
             c = base.res.elem(_parse_u_poly(coeff))
         out[exp] = out.get(exp, base.res.zero()) + c
-    return series(base, out, prec)
+    return series(base, out)
 
 
 def padic_from_text(base: PadicBase, text: str) -> PadicElem:

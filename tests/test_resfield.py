@@ -293,6 +293,55 @@ def test_euclid_runs_only_for_a_multi_term_denominator(monkeypatch):
     assert x * (u + 1) == f.one()
 
 
+def test_inverse_runs_no_euclid(monkeypatch):
+    # a reduced fraction's swap is already coprime: inverting only scales
+    # the new denominator to monic, and a quotient reduces once, in its
+    # product
+    calls = []
+    pgcd = resfield._pgcd
+    monkeypatch.setattr(resfield, "_pgcd",
+                        lambda *args: calls.append(None) or pgcd(*args))
+    f = ResField(3, "ratfun")
+    y = f.one() + f.gen()
+    assert y.inverse().to_text() == "(1)/(1 + u)"
+    assert len(calls) == 0
+    assert (f.one() / y).to_text() == "(1)/(1 + u)"
+    assert len(calls) == 1
+    assert (y * 2).inverse().to_text() == "(2)/(1 + u)"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_inverse_matches_euclid(p):
+    # the swapped pair reduced by Euclid is the reference; the inverse's
+    # denominator (the old numerator) has one term or several
+    rng = random.Random(90 + p)
+    for lv in range(3):
+        f = ResField(p, "ratfun").at_level(lv)
+        for shape in _SHAPES:
+            for _ in range(40):
+                g = _poly(rng, p, rng.choice(_SHAPES))
+                num = _pmul(g, _poly(rng, p, shape), p)
+                den = _pmul(g, _poly(rng, p, rng.choice(_SHAPES)), p)
+                x = reduced_by_euclid(f, num, den)
+                _same(x.inverse(), reduced_by_euclid(f, dict(x.den),
+                                                     dict(x.num)))
+
+
+def test_prime_field_and_ratfun_residues_do_not_mix():
+    # coercion moves only between perfection levels of F_p(u)
+    fp, fu = ResField(3), ResField(3, "ratfun")
+    pairs = ((fp.one(), fu.one()), (fu.gen(), fp.elem(2)),
+             (fp.elem(2), fu.gen().pth_root_extend()))
+    for a, b in pairs:
+        for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+                   lambda: a / b, lambda: a == b):
+            with pytest.raises(ValidationError, match="do not mix"):
+                op()
+    with pytest.raises(ValidationError, match="cannot build"):
+        fu.elem(fp.one())
+    assert fu.gen() + fu.gen().pth_root_extend() ** 3 == fu.gen() * 2
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_reduced_matches_sympy_cancel(p):
     # the reduced fraction is num/g over den/g for the monic gcd g, scaled

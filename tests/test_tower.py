@@ -582,23 +582,6 @@ def test_frobenius_power_matches_pfold_product(p):
             assert x ** p == _pfold(x, p)
 
 
-def test_frobenius_power_sharpens_capped_coefficients():
-    for p in (2, 3, 5, 7):
-        tower = build_as_valgp(p, 1).towers[-1]
-        base = tower.base
-        cap = Fraction(2)
-        c = series(base, {Fraction(-1, p): 1, fr(1): 1}, prec=cap)
-        x = TElem(tower, {(0,): c, (p - 1,): base.monomial(fr(1))})
-        frob, prod = x ** p, _pfold(x, p)
-        zero = base.zero()
-        for e in set(frob.coords) | set(prod.coords):
-            a, b = frob.coords.get(e, zero), prod.coords.get(e, zero)
-            assert a == b                  # every determinate term agrees
-            assert a.prec >= b.prec
-        assert frob.coords[(0,)].prec == p * cap > prod.coords[(0,)].prec
-
-
-
 def _agrees_with_cap_at_least(got, want):
     """Every determinate coefficient of got and want agrees and got's cap is
     at least want's on each monomial; returns the monomials where it is
