@@ -12,13 +12,14 @@ string naming the computation, oracle flag or derivation behind it.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationError, json_fraction, json_get
+from .errors import ValidationError, json_get, printable_power
 from .intlinalg import is_prime
 from .ogroup import (ConvexPart, OGroup, _coerce_vec, _lex_positive,
                      contains, convex_core, cyclic, is_p_divisible,
                      lex_compose, project, project_trailing, same_group)
 from .ogroup import from_json as group_from_json
 from .ogroup import to_json as group_to_json
+from .ogroup import vec_from_json, vec_to_json
 from .resfield import ResField, resfield_from_json
 
 TRUE = "true"
@@ -80,7 +81,8 @@ def _residue_text(rf) -> str:
         return "F_%d" % rf.q
     if rf.kind == "ratfun":
         return "F_%d(u)" % rf.char
-    return "F_%d(u^(1/%d))" % (rf.char, rf.char ** rf.level)
+    return "F_%d(u^(1/%d))" % (rf.char, printable_power(
+        rf.char, rf.level, "perfection level %d" % rf.level))
 
 
 @dataclass
@@ -183,20 +185,13 @@ class FieldDescriptor:
     # -- serialization ------------------------------------------------------
 
     def to_json(self) -> dict:
-        def enc_vp(vp, rank):
-            if vp is None:
-                return None
-            if rank == 1:
-                return [vp[0].numerator, vp[0].denominator]
-            return [[c.numerator, c.denominator] for c in vp]
-
         out = {
             "schema": 1,
             "name": self.name,
             "char": self.char,
             "res_char": self.res_char,
             "value_group": group_to_json(self.value_group),
-            "vp": enc_vp(self.vp, self.value_group.rank),
+            "vp": None if self.vp is None else vec_to_json(self.vp),
             "residue_field": self.residue_field.to_json(),
             "oracle_flags": dict(self.oracle_flags),
             "note": self.note,
@@ -214,10 +209,7 @@ def descriptor_from_json(d: dict) -> FieldDescriptor:
     group = group_from_json(json_get(d, "value_group", what))
     vp = json_get(d, "vp", what, default=None)
     if vp is not None:
-        if isinstance(vp, list) and vp and isinstance(vp[0], list):
-            vp = tuple(json_fraction(c, "descriptor vp") for c in vp)
-        else:
-            vp = json_fraction(vp, "descriptor vp")
+        vp = vec_from_json(vp, "descriptor vp")
     comp = json_get(d, "composition", what, dict, None)
     if comp:
         comp = tuple(descriptor_from_json(json_get(comp, k, "composition"))

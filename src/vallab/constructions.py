@@ -57,7 +57,7 @@ def _row(rows: list, n: int, tower: Tower, kind: str):
            "step %d (%s) should be %s with (e, f, m) = %s"
            % (n, step.name, kind, shape))
     _check(kind == "ramified" or
-           step.new_residue._canonical()[0] == tower.res_level(),
+           step.new_residue.least_level() == tower.res_level(),
            "the residue of step %d should sit one perfection level up" % n)
     rows.append(step_row(n, step))
     return step
@@ -355,7 +355,7 @@ def build_kummer_resf(p: int, depth: int = 2) -> BuildResult:
         bi = tw.gen_elem(i - 1)
         _check(val(bi) == Fraction(-1, p ** i), "floor %d value" % i)
         ri = residue(bi / tw.from_base(dd[i]))
-        _check(ri._canonical()[0] == i,
+        _check(ri.least_level() == i,
                "residue of b%d/d%d should sit at perfection level %d" % (i, i, i))
         unit_res.append(ri)
     tw = _adjoin(tw, "kummer", tw.from_base(b0), "b", "no_step_detected").tower

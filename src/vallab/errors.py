@@ -1,5 +1,7 @@
-"""Shared exception types, and the JSON input checks that raise them."""
+"""Shared exception types, and the input checks that raise them."""
 
+import math
+import sys
 from fractions import Fraction
 
 
@@ -58,3 +60,27 @@ def json_fraction(pair, what: str) -> Fraction:
     if den == 0:
         raise ValidationError("%s has denominator 0" % what)
     return Fraction(num, den)
+
+
+def int_text_bound():
+    """The least integer with more digits than the interpreter converts to
+    text (sys.get_int_max_str_digits(); inf when there is no limit)."""
+    limit = sys.get_int_max_str_digits()
+    return 10 ** limit if limit else math.inf
+
+
+def too_long_to_print(what: str) -> ValidationError:
+    """The error for `what` needing an integer too long to convert to text."""
+    return ValidationError(
+        "%s needs an integer of more than %d digits, the limit for converting "
+        "one to text (sys.get_int_max_str_digits())"
+        % (what, sys.get_int_max_str_digits()))
+
+
+def printable_power(p: int, k: int, what: str) -> int:
+    """p**k for p, k >= 0, or too_long_to_print(what) before it is built."""
+    bound = int_text_bound()
+    # p**k >= 2**(k * (bits(p) - 1)), so past the bound it is not built
+    if k * (p.bit_length() - 1) < math.log2(bound) and (n := p ** k) < bound:
+        return n
+    raise too_long_to_print(what)

@@ -25,12 +25,12 @@ keeps a presentation of bounded size.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import ValidationError, json_fraction, json_get, json_int
+from .errors import (ValidationError, int_text_bound, json_fraction, json_get,
+                     json_int, printable_power, too_long_to_print)
 from .intlinalg import (
     diagonalize_with_basis,
     int_kernel,
@@ -458,8 +458,6 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
     than the interpreter converts to text (sys.get_int_max_str_digits(), 0
     for no limit) is refused, the scale given up once it passes that length.
     """
-    limit = sys.get_int_max_str_digits()
-    bound = 10 ** limit if limit else math.inf
     if kind == "p_div":
         if level == "exact":
             if p <= 1:
@@ -470,27 +468,21 @@ def hull(g: OGroup, kind: str, level, p: int) -> OGroup:
         k = int(level)
         if k < 0:
             raise ValidationError("negative hull level")
-        # p**k >= 2**(k * (bits(p) - 1)), so past the bound it is not built
-        den = p ** k if k * (p.bit_length() - 1) < math.log2(bound) else bound
+        den = printable_power(p, k, "hull level %s" % (level,))
     elif kind == "p_prime_div":
         if level == "exact":
             raise ValidationError("the full prime-to-p hull is not finitely presented")
         n = int(level)
         if n < 1:
             raise ValidationError("hull level must be positive")
-        den = 1
+        bound, den = int_text_bound(), 1
         for m in range(1, n + 1):
             if p <= 1 or m % p != 0:
                 den = math.lcm(den, m)
             if den >= bound:
-                break
+                raise too_long_to_print("hull level %s" % (level,))
     else:
         raise ValidationError("unknown hull kind: %r" % (kind,))
-    if den >= bound:
-        raise ValidationError(
-            "hull level %s needs an integer of more than %d digits, the limit "
-            "for converting one to text (sys.get_int_max_str_digits())"
-            % (level, limit))
     return ogroup([tuple(c / den for c in v) for v in g.gens],
                   closed=g.p_closed, prime=g.prime, rank=g.rank)
 
@@ -525,17 +517,24 @@ def lex_compose(outer: OGroup, inner: OGroup) -> OGroup:
 # serialization
 
 
-def to_json(g: OGroup) -> dict:
-    def enc(q: Fraction):
-        return [q.numerator, q.denominator]
+def vec_to_json(v) -> list:
+    """A vector as JSON: one [numerator, denominator] pair at rank 1, a list
+    of pairs otherwise."""
+    pairs = [[q.numerator, q.denominator] for q in v]
+    return pairs[0] if len(pairs) == 1 else pairs
 
-    if g.rank == 1:
-        gens = [enc(v[0]) for v in g.gens]
-    else:
-        gens = [[enc(c) for c in v] for v in g.gens]
+
+def vec_from_json(item, what: str) -> tuple:
+    """vec_to_json's form read back: a pair, or a list of pairs."""
+    coords = item if isinstance(item, list) and item and \
+        isinstance(item[0], list) else [item]
+    return tuple(json_fraction(c, what) for c in coords)
+
+
+def to_json(g: OGroup) -> dict:
     return {
         "rank": g.rank,
-        "gens": gens,
+        "gens": [vec_to_json(v) for v in g.gens],
         "p_closed": sorted(g.p_closed),
         "prime": g.prime,
     }
@@ -545,12 +544,8 @@ def from_json(d: dict) -> OGroup:
     """A group from to_json's form; each generator a pair or a list of pairs."""
     what = "value group"
     rank = json_get(d, "rank", what, int)
-    gens = []
-    for i, item in enumerate(json_get(d, "gens", what, list)):
-        coords = item if isinstance(item, list) and item and \
-            isinstance(item[0], list) else [item]
-        gens.append(tuple(json_fraction(c, "%s generator %d" % (what, i))
-                          for c in coords))
+    gens = [vec_from_json(item, "%s generator %d" % (what, i))
+            for i, item in enumerate(json_get(d, "gens", what, list))]
     closed = [json_int(i, "%s p_closed index" % what)
               for i in json_get(d, "p_closed", what, list, [])]
     return ogroup(gens, closed=closed, prime=json_get(d, "prime", what, int, 1),

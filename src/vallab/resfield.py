@@ -1,10 +1,14 @@
 """Residue field arithmetic: F_p, F_p(u), and perfection levels F_p(u^{1/p^k}).
 
-Elements are reduced fractions of sparse polynomials in the single
-variable w = u^{1/p^k}, where k is the field's perfection level.  All
-coefficient arithmetic is mod p.  Coercion moves only between levels: it
-substitutes w -> w^{p^(k'-k)}, so an element's data never changes meaning,
-only its exponent scale.  An F_p element never meets an F_p(u) one.
+An element is one Laurent polynomial in the single variable w = u^{1/p^k},
+where k is the field's perfection level: a sorted tuple of (exponent,
+coefficient) pairs, exponents possibly negative, coefficients in 1..p-1.
+All coefficient arithmetic is mod p.  Every residue the base rings
+produce is such a polynomial, and every division the library makes is by
+a monomial c*w^e, whose inverse is c^-1 * w^-e; any other divisor is
+refused.  Coercion moves only between levels: it substitutes
+w -> w^{p^(k'-k)}, so an element's data never changes meaning, only its
+exponent scale.  An F_p element never meets an F_p(u) one.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError, json_get
+from .intlinalg import is_prime, p_exponent
 
 
 def power(x, n: int, one):
@@ -31,90 +36,43 @@ def power(x, n: int, one):
         x = x * x
 
 
-# sparse polynomials: dict {exponent >= 0: coefficient in 1..p-1}
-
-
-def _pnorm(d: dict, p: int) -> dict:
-    return {e: c % p for e, c in d.items() if c % p}
-
-
-def _padd(a: dict, b: dict, p: int) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + c
-    return _pnorm(out, p)
-
-
-def _pscale(a: dict, c: int, p: int) -> dict:
-    return _pnorm({e: x * c for e, x in a.items()}, p)
-
-
-def _pmul(a: dict, b: dict, p: int) -> dict:
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    return _pnorm(out, p)
-
-
-def _pdeg(a: dict) -> int:
-    return max(a) if a else -1
-
-
-def _pdivmod(a: dict, b: dict, p: int):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv = pow(b[_pdeg(b)], p - 2, p)
-    q = {}
-    r = dict(a)
-    db = _pdeg(b)
-    while r and _pdeg(r) >= db:
-        dr = _pdeg(r)
-        c = (r[dr] * inv) % p
-        q[dr - db] = c
-        for e, x in b.items():
-            r[e + dr - db] = r.get(e + dr - db, 0) - c * x
-        r = _pnorm(r, p)
-    return q, r
-
-
-def _pgcd(a: dict, b: dict, p: int) -> dict:
-    a, b = dict(a), dict(b)
-    while b:
-        _, r = _pdivmod(a, b, p)
-        a, b = b, r
-    if a:
-        a = _pscale(a, pow(a[_pdeg(a)], p - 2, p), p)  # monic
-    return a
+def _terms(d: dict, p: int) -> tuple:
+    """The sorted (exponent, coefficient mod p) pairs of d, zeros dropped."""
+    return tuple(sorted((e, c % p) for e, c in d.items() if c % p))
 
 
 @dataclass(frozen=True)
 class ResField:
     """Descriptor of a residue field.
 
-    kind "finite": F_q with q = p^d (arithmetic implemented for d = 1);
-    kind "ratfun": F_p(u); kind "perflevel": F_p(u^{1/p^level}).
+    kind "finite": F_q with q = p^d, d >= 1 (arithmetic implemented for
+    d = 1); kind "ratfun": F_p(u); kind "perflevel": F_p(u^{1/p^level}).
+    The characteristic p is a prime.
     """
 
     char: int
     kind: str = "finite"
-    q: int = 0
+    q: int = None
     level: int = 0
 
     def __post_init__(self):
         if self.kind not in ("finite", "ratfun", "perflevel"):
             raise ValidationError("unknown residue field kind %r" % (self.kind,))
+        if not is_prime(self.char):
+            raise ValidationError("residue field characteristic must be a "
+                                  "prime, got %r" % (self.char,))
         if self.kind == "perflevel" and self.level < 1:
             raise ValidationError("perfection level must be at least 1")
-        if self.kind == "finite" and self.q == 0:
-            object.__setattr__(self, "q", self.char)
+        if self.kind == "finite":
+            if self.q is None:
+                object.__setattr__(self, "q", self.char)
+            if self.q < self.char or \
+                    self.char ** p_exponent(self.q, self.char) != self.q:
+                raise ValidationError(
+                    "finite residue field size q must be p^d with d >= 1 for "
+                    "its characteristic p = %d, got q = %r" % (self.char, self.q))
 
     # -- structure ---------------------------------------------------------
-
-    @property
-    def p(self) -> int:
-        return self.char
 
     def is_perfect(self) -> bool:
         return self.kind == "finite"
@@ -136,18 +94,15 @@ class ResField:
     # -- constructors ------------------------------------------------------
 
     def elem(self, x) -> "RElem":
+        """An int, or a dict {w-exponent: coefficient} (exponents may be
+        negative) read mod p."""
         self._require_prime_arith()
         if isinstance(x, int):
-            num = _pnorm({0: x}, self.char)
-            return RElem(self, _freeze(num), _freeze({0: 1}))
+            return RElem(self, _terms({0: x}, self.char))
         if isinstance(x, dict):
             if not self.has_variable() and any(e != 0 for e in x):
                 raise ValidationError("prime field element cannot involve u")
-            shift = -min((e for e in x if x[e] % self.char), default=0)
-            shift = max(shift, 0)
-            num = _pnorm({e + shift: c for e, c in x.items()}, self.char)
-            den = {shift: 1}
-            return _reduced(self, num, den)
+            return RElem(self, _terms(x, self.char))
         raise ValidationError("cannot build a residue element from %r" % (x,))
 
     def zero(self) -> "RElem":
@@ -160,7 +115,7 @@ class ResField:
         """The transcendental u, expressed at this field's level."""
         if not self.has_variable():
             raise ValidationError("no transcendental in a finite field")
-        return RElem(self, _freeze({self.char ** self.level: 1}), _freeze({0: 1}))
+        return RElem(self, ((self.char ** self.level, 1),))
 
     def to_json(self) -> dict:
         if self.kind == "finite":
@@ -183,51 +138,27 @@ def resfield_from_json(d: dict) -> ResField:
     return ResField(char, kind)
 
 
-def _freeze(d: dict) -> tuple:
-    return tuple(sorted(d.items()))
-
-
-def _thaw(t: tuple) -> dict:
-    return dict(t)
-
-
-def _reduced(field: ResField, num: dict, den: dict) -> "RElem":
-    p = field.char
-    num, den = _pnorm(num, p), _pnorm(den, p)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return RElem(field, _freeze({}), _freeze({0: 1}))
-    if len(den) == 1:
-        # gcd(num, c*w^k) = w^s with s = min(k, ord_w num): a shift
-        (k, c), = den.items()
-        s = min(k, min(num))
-        if s:
-            num = {e - s: x for e, x in num.items()}
-            den = {k - s: c}
-    else:
-        g = _pgcd(num, den, p)
-        if _pdeg(g) > 0 or g.get(0, 1) != 1:
-            num, _ = _pdivmod(num, g, p)
-            den, _ = _pdivmod(den, g, p)
-    lead = den[_pdeg(den)]
-    if lead != 1:
-        inv = pow(lead, p - 2, p)
-        num = _pscale(num, inv, p)
-        den = _pscale(den, inv, p)
-    return RElem(field, _freeze(num), _freeze(den))
-
-
 @dataclass(frozen=True)
 class RElem:
+    """The Laurent polynomial sum c * w^e over terms, the sorted (e, c)."""
+
     field: ResField
-    num: tuple
-    den: tuple
+    terms: tuple
 
     # -- conversions -------------------------------------------------------
 
     def level(self) -> int:
         return self.field.level if self.field.kind == "perflevel" else 0
+
+    def least_level(self) -> int:
+        """The least perfection level that holds this element: one level
+        down while every exponent is divisible by p."""
+        p, lv = self.field.char, self.level()
+        exps = [e for e, _ in self.terms]
+        while lv > 0 and all(e % p == 0 for e in exps):
+            exps = [e // p for e in exps]
+            lv -= 1
+        return lv
 
     def at_level(self, level: int) -> "RElem":
         """Rewrite in the variable of a finer level (data scales up)."""
@@ -237,61 +168,49 @@ class RElem:
         if level < lv:
             raise ValidationError("cannot coarsen a residue element")
         s = self.field.char ** (level - lv)
-        num = {e * s: c for e, c in self.num}
-        den = {e * s: c for e, c in self.den}
-        return RElem(self.field.at_level(level), _freeze(num), _freeze(den))
+        return RElem(self.field.at_level(level),
+                     tuple((e * s, c) for e, c in self.terms))
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.num
-
-    def __bool__(self):
-        return not self.is_zero()
+        return not self.terms
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
         a, b = coerce_pair(self, other)
-        p = a.field.char
-        if a.den == b.den == ((0, 1),):
-            # a sum of polynomials is already reduced
-            return RElem(a.field, _freeze(_padd(_thaw(a.num), _thaw(b.num), p)),
-                         a.den)
-        num = _padd(_pmul(_thaw(a.num), _thaw(b.den), p),
-                    _pmul(_thaw(b.num), _thaw(a.den), p), p)
-        den = _pmul(_thaw(a.den), _thaw(b.den), p)
-        return _reduced(a.field, num, den)
+        out = dict(a.terms)
+        for e, c in b.terms:
+            out[e] = out.get(e, 0) + c
+        return RElem(a.field, _terms(out, a.field.char))
 
     def __neg__(self):
-        return RElem(self.field, _freeze(_pscale(_thaw(self.num), -1, self.field.char)),
-                     self.den)
+        p = self.field.char
+        return RElem(self.field, tuple((e, p - c) for e, c in self.terms))
 
     def __sub__(self, other):
-        a, b = coerce_pair(self, other)
-        return a + (-b)
+        return self + (-other)
 
     def __mul__(self, other):
         a, b = coerce_pair(self, other)
-        p = a.field.char
-        if a.den == b.den == ((0, 1),):
-            # a product of polynomials is already reduced
-            return RElem(a.field, _freeze(_pmul(_thaw(a.num), _thaw(b.num), p)),
-                         a.den)
-        num = _pmul(_thaw(a.num), _thaw(b.num), p)
-        den = _pmul(_thaw(a.den), _thaw(b.den), p)
-        return _reduced(a.field, num, den)
+        out = {}
+        for e1, c1 in a.terms:
+            for e2, c2 in b.terms:
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return RElem(a.field, _terms(out, a.field.char))
 
     def inverse(self) -> "RElem":
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero residue element")
-        # the swapped pair stays coprime: only the new denominator's lead
-        # needs scaling to 1
+        """c^-1 * w^-e for a monomial c * w^e; other divisors are refused."""
+        if len(self.terms) != 1:
+            if not self.terms:
+                raise ZeroDivisionError("inverting zero residue element")
+            raise ValidationError("residue division needs a monomial divisor, "
+                                  "got %s" % (self.to_text(),))
+        (e, c), = self.terms
         p = self.field.char
-        num, den = _thaw(self.den), _thaw(self.num)
-        inv = pow(den[_pdeg(den)], p - 2, p)
-        return RElem(self.field, _freeze(_pscale(num, inv, p)),
-                     _freeze(_pscale(den, inv, p)))
+        return RElem(self.field, ((-e, pow(c, p - 2, p)),))
 
     def __truediv__(self, other):
         a, b = coerce_pair(self, other)
@@ -308,39 +227,27 @@ class RElem:
         if not isinstance(other, RElem):
             return NotImplemented
         a, b = coerce_pair(self, other)
-        return a.num == b.num and a.den == b.den
+        return a.terms == b.terms
 
     def __hash__(self):
-        # hash at the canonical (reduced, level-minimal) form: exponent gcd
-        return hash((self.field.char, self._canonical()))
-
-    def _canonical(self):
-        p = self.field.char
-        lv = self.level()
-        exps = [e for e, _ in self.num] + [e for e, _ in self.den]
-        while lv > 0 and all(e % p == 0 for e in exps):
-            exps = [e // p for e in exps]
-            lv -= 1
-        k = p ** (self.level() - lv)
-        return (lv,
-                tuple(sorted((e // k, c) for e, c in self.num)),
-                tuple(sorted((e // k, c) for e, c in self.den)))
+        # hash at the least level, where elements equal across levels agree
+        lv = self.least_level()
+        k = self.field.char ** (self.level() - lv)
+        return hash((self.field.char, lv,
+                     tuple((e // k, c) for e, c in self.terms)))
 
     # -- characteristic-p structure -----------------------------------------
 
     def frobenius(self) -> "RElem":
+        # over F_p, f(w)^p = f(w^p)
         p = self.field.char
-        # over F_p, f(w^p) = f(w)^p keeps a coprime pair coprime and monic
-        return RElem(self.field, tuple((e * p, c) for e, c in self.num),
-                     tuple((e * p, c) for e, c in self.den))
+        return RElem(self.field, tuple((e * p, c) for e, c in self.terms))
 
     def pth_root(self):
         """The unique y in the SAME field with y^p = x, or None."""
         p = self.field.char
-        if all(e % p == 0 for e, _ in self.num) and all(e % p == 0 for e, _ in self.den):
-            num = {e // p: c for e, c in self.num}
-            den = {e // p: c for e, c in self.den}
-            return _reduced(self.field, num, den)
+        if all(e % p == 0 for e, _ in self.terms):
+            return RElem(self.field, tuple((e // p, c) for e, c in self.terms))
         return None
 
     def pth_root_extend(self):
@@ -349,16 +256,15 @@ class RElem:
         if r is not None:
             return r
         # at level k+1 the same data reads as exponents scaled by p, so the
-        # root is literally the same fraction one level up
-        return RElem(self.field.at_level(self.level() + 1), self.num, self.den)
+        # root is literally the same polynomial one level up
+        return RElem(self.field.at_level(self.level() + 1), self.terms)
 
     # -- display -----------------------------------------------------------
 
-    def _poly_text(self, d: dict) -> str:
-        p = self.field.char
-        scale = p ** self.level()
+    def _poly_text(self, terms) -> str:
+        scale = self.field.char ** self.level()
         parts = []
-        for e, c in sorted(d.items()):
+        for e, c in terms:
             ee = Fraction(e, scale)
             if ee == 0:
                 parts.append(str(c))
@@ -369,10 +275,12 @@ class RElem:
         return " + ".join(parts) if parts else "0"
 
     def to_text(self) -> str:
-        num = self._poly_text(_thaw(self.num))
-        if _thaw(self.den) == {0: 1}:
-            return num
-        return "(%s)/(%s)" % (num, self._poly_text(_thaw(self.den)))
+        """The polynomial; a least exponent -s < 0 prints as (u^s * x)/(u^s)."""
+        s = -self.terms[0][0] if self.terms else 0
+        if s <= 0:
+            return self._poly_text(self.terms)
+        return "(%s)/(%s)" % (self._poly_text((e + s, c) for e, c in self.terms),
+                              self._poly_text(((s, 1),)))
 
     def __repr__(self):
         return self.to_text()

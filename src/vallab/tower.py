@@ -604,7 +604,7 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
             "witness value %s stays in the group; need a divisor to read a "
             "residue" % (v,))
     r = residue(witness / divisor)
-    lvl = r._canonical()[0]
+    lvl = r.least_level()
     if lvl <= tower.res_level():
         raise ValidationError(
             "witness residue %s lies in the current residue field" % (r,))

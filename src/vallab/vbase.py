@@ -9,7 +9,8 @@ residue of a leading coefficient, and its own +, *, /, unary - and text:
   residue field coefficients and exponents in a fixed rank-1 group; a
   position is the exponent gamma itself.  The Artin-Schreier relations
   rewrite every p-th power exactly, so no term is ever unknown, and a
-  series divides only by a monomial, which shifts each term;
+  series divides only by a monomial c*t^g whose coefficient c is a residue
+  monomial, which shifts and scales each term;
 * mixed characteristic: sparse integer polynomials in a uniformizer w
   with w^E = s*p (s = +-1), so v(w) = 1/E when v(p) = 1.  An element is
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
@@ -231,14 +232,16 @@ class SeriesElem(_Elem):
         return SeriesElem(self.base, out)
 
     def __truediv__(self, other):
-        """Division by a monomial c0*t^g0, which shifts each term."""
+        """Division by a monomial c0*t^g0 whose coefficient c0 is a residue
+        monomial: each term shifts by -g0 and is scaled by 1/c0."""
         other = self._coerce(other)
         if len(other.terms) != 1:
             if not other.terms:
                 raise ZeroDivisionError("series division by zero")
             raise ValidationError("series division needs a monomial divisor")
         (g0, c0), = other.terms.items()
-        return SeriesElem(self.base, {g - g0: c / c0 for g, c in self.terms.items()})
+        inv = c0.inverse()
+        return SeriesElem(self.base, {g - g0: c * inv for g, c in self.terms.items()})
 
     # -- characteristic-p structure -------------------------------------------
 

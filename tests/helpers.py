@@ -9,9 +9,7 @@ here in their earlier termwise form, the group inclusion test in its
 earlier per-generator form, and the rational row echelon, the canonical
 group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
-references for the fast paths, and the residue-field fraction reduction
-in its earlier form, which runs Euclid on every denominator.
-It also builds series from term dicts (with
+references for the fast paths.  It also builds series from term dicts (with
 no value-group check), parses the text that SeriesElem.to_text and
 PadicElem.to_text print back into elements, and draws seeded
 mixed-characteristic descriptors.
@@ -27,7 +25,6 @@ from vallab.errors import PrecisionError, ValidationError
 from vallab.intlinalg import (diagonalize_with_basis, prime_to_p_part,
                               row_echelon)
 from vallab.ogroup import _canon, _coerce_vec, _fits, _scale_to_int, contains
-from vallab.resfield import RElem, _freeze, _pdeg, _pdivmod, _pgcd, _pnorm, _pscale
 from vallab.values import INFINITE, Indeterminate, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
@@ -155,31 +152,6 @@ def reduce_mod_span(x, ech, piv_cols):
         if f != 0:
             x = [a - f * b for a, b in zip(x, r)]
     return x
-
-
-def reduced_by_euclid(field, num: dict, den: dict) -> RElem:
-    """num/den with a monic denominator, divided by their polynomial gcd.
-
-    The gcd is Euclid's for every denominator, a monomial one too; this is
-    the reduction the library used before a monomial denominator became an
-    exponent shift, kept as the reference for resfield._reduced.
-    """
-    p = field.char
-    num, den = _pnorm(num, p), _pnorm(den, p)
-    if not den:
-        raise ZeroDivisionError("zero denominator")
-    if not num:
-        return RElem(field, _freeze({}), _freeze({0: 1}))
-    g = _pgcd(num, den, p)
-    if _pdeg(g) > 0 or g.get(0, 1) != 1:
-        num, _ = _pdivmod(num, g, p)
-        den, _ = _pdivmod(den, g, p)
-    lead = den[_pdeg(den)]
-    if lead != 1:
-        inv = pow(lead, p - 2, p)
-        num = _pscale(num, inv, p)
-        den = _pscale(den, inv, p)
-    return RElem(field, _freeze(num), _freeze(den))
 
 
 def canon_fraction(g):

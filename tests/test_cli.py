@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -260,6 +261,16 @@ _NULL = object()
     (("classify", "--audit"), {"name": _NULL},
      "key 'name' must be a str, got None"),
     (("classify",), {"note": 5}, "key 'note' must be a str, got 5"),
+    # a finite residue field F_q with q not a power of its prime
+    # characteristic used to be classified as the perfect field F_q
+    (("classify",), {"residue_field": {"char": 3, "kind": "finite", "q": 10}},
+     "q must be p^d with d >= 1 for its characteristic p = 3, got q = 10"),
+    (("classify",), {"residue_field": {"char": 3, "kind": "finite", "q": -3}},
+     "got q = -3"),
+    (("classify",), {"residue_field": {"char": 3, "kind": "finite", "q": 1}},
+     "got q = 1"),
+    (("classify",), {"residue_field": {"char": 4, "kind": "ratfun"}},
+     "residue field characteristic must be a prime, got 4"),
     # a p_closed index past the generators used to be dropped silently
     (("hull", "--kind", "p_div", "--level", "1", "--p", "3"),
      {"p_closed": [5], "prime": 3}, "p_closed index 5 is out of range"),
@@ -299,6 +310,8 @@ _NULL = object()
         "descriptor-unknown-residue-kind", "descriptor-float-rational",
         "descriptor-int-name", "descriptor-list-name", "descriptor-dict-name",
         "descriptor-null-name", "descriptor-int-note",
+        "descriptor-residue-q-10", "descriptor-residue-q-negative",
+        "descriptor-residue-q-1", "descriptor-residue-char-composite",
         "hull-p-closed-out-of-range", "hull-group-prime-0",
         "hull-group-prime-negative", "hull-group-prime-composite",
         "construct-depth-on-lemma33", "construct-depth-on-two-ext",
@@ -415,6 +428,27 @@ def test_oversized_integers_exit_one_without_traceback(tmp_path, case, args):
     assert res.stderr.startswith("error: ")
     assert "digits" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.skipif(not sys.get_int_max_str_digits(),
+                    reason="the interpreter converts integers of any length")
+def test_perfection_level_past_the_digit_limit_exits_one_at_once(tmp_path,
+                                                                 capsys):
+    # F_3(u^(1/3^level)) prints 3^level: at level 10^7 that power took
+    # seconds to build before its text was refused; now the level is
+    # refused before the power is built
+    data = corpus_member("laurent-f3").to_json()
+    data["residue_field"] = {"char": 3, "kind": "perflevel", "level": 10 ** 9}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["classify", "--descriptor", str(path)]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == ("error: perfection level 1000000000 needs an integer of "
+                   "more than %d digits, the limit for converting one to text "
+                   "(sys.get_int_max_str_digits())\n"
+                   % sys.get_int_max_str_digits())
 
 
 # sha256 of the JSON printed by `vallab classify` for 30 seeded
