@@ -13,8 +13,8 @@ from fractions import Fraction
 from .errors import ValidationError
 from .ogroup import contains, ogroup
 from .resfield import ResField
-from .tower import (DefectCertificate, Tower, adjoin_root, residue,
-                    resolve_pending, step_row, val, vlb)
+from .tower import (DefectCertificate, Tower, adjoin_root, pth_power,
+                    residue, resolve_pending, step_row, val, vlb)
 from .values import INFINITE, fr
 from .vbase import EqBase, PadicBase, PadicElem, require_prime, zeta_lambda
 
@@ -65,11 +65,13 @@ def _row(rows: list, n: int, tower: Tower, kind: str):
 
 def _chase(tower: Tower, depth: int):
     """The witness top - sum of the floors over a tower of `depth` floors
-    and a top generator, checked for v(w^p + last floor) >= 0."""
+    and a top generator, checked for v(w^p + last floor) >= 0: the terms
+    of w^p below 0 plus the floor have R1 bound >= 0, and so does the rest."""
     w = tower.gen_elem(depth)
     for i in range(depth):
         w = w - tower.gen_elem(i)
-    bound = vlb(w ** tower.p + tower.gen_elem(depth - 1))
+    kept, rest = pth_power(w, 0)
+    bound = min(vlb(kept + tower.gen_elem(depth - 1)), rest)
     _check(bound >= 0, "v(w^p + last floor) >= 0 fails: bound %s" % (bound,))
     return w
 

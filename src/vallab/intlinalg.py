@@ -12,7 +12,7 @@ denominator.
 
 from __future__ import annotations
 
-import math
+from .errors import ValidationError
 
 
 def row_echelon(rows):
@@ -195,6 +195,41 @@ def p_exponent(n: int, p: int) -> int:
     return e
 
 
+# the first 13 primes; as Miller-Rabin bases they decide every n below
+# _MR_BOUND (Sorenson and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Whether n is a prime number, by trial division."""
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Whether n is a prime number.
+
+    Trial division by the bases decides every n below 41^2.  Above that,
+    n is prime exactly when it is a strong probable prime to every base,
+    which is proven below _MR_BOUND (about 3.3e24); a larger n without a
+    small factor is a ValidationError.
+    """
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    if n < _MR_BASES[-1] ** 2:
+        return True
+    if n >= _MR_BOUND:
+        raise ValidationError("primality is decided only below %d"
+                              % _MR_BOUND)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

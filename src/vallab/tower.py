@@ -10,19 +10,27 @@ c * gen_1^{e_1} ... gen_n^{e_n} with base coefficients and 0 <= e_i < p;
 the relations rewrite any p-th power exactly, so arithmetic is exact.
 
 Values are computed by four rules:
-  R1  every monomial gives the lower bound v(c) + sum e_i * v(gen_i);
+  R1  every monomial gives the lower bound v(c) + sum e_i * v(gen_i), kept
+      on the element as integers over one denominator;
   R2  a unique minimal monomial decides the value;
   R3  residues multiply through stored (mu, rho) data per generator;
   R4  ties fall back to v(x) = v(x^p)/p, iterated within the budget
       below; one walk of p-th powers serves both val and residue, which
       reads the residue off the one monomial that decides the value at
-      the power val stops at.  There is one x^p, by the multinomial
-      theorem: each monomial's pure term is c^p * prod (gen_i^p)^{e_i},
-      and each mixed term has a multinomial divisible by p, so it
-      vanishes in equal characteristic (x^p is the Frobenius) and is
-      walked once in mixed characteristic, unless x is so dense that
-      square-and-multiply forms fewer products.  An element keeps its x^p
-      once taken, and a quotient by a base element keeps x^p / d^p.
+      the power val stops at.  By the multinomial theorem, each
+      monomial's pure term of x^p is c^p * prod (gen_i^p)^{e_i}, and each
+      mixed term has a multinomial divisible by p exactly once, so it
+      vanishes in equal characteristic (x^p is the Frobenius) and in mixed
+      characteristic has value at least 1 + p*vlb(x).  A step forms only
+      the terms below a threshold, 1 + p*vlb(x) for the walk, and bounds
+      the value of everything it left out by a rest >= the threshold; it
+      is decided when the least kept bound lies below the rest and is
+      attained once; a tie there passes the kept part on, its rest
+      lowered by the cross terms of the part left out.  When the least
+      kept bound is not below the rest, the walk forms whole powers from
+      x again.
+      An element keeps its widest x^p once taken, and a quotient by a
+      base element keeps x^p / d^p with its rest shifted by -p*v(d).
 
 Each R4 step multiplies values by p.  A tie that persists approximates a
 generator by terms whose value denominators carry powers of p, and each
@@ -44,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import ceil, comb, lcm
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import p_exponent
@@ -112,8 +120,11 @@ class Tower:
         n = len(self.gens)
         self.rhs = tuple(TElem(self, {e + (0,) * (n - len(e)): c
                                       for e, c in g.rhs}) for g in self.gens)
-        # generator values as integers over one denominator, for R1 shifts
-        self.val_den = lcm(*(g.value.denominator for g in self.gens))
+        # generator values as integers over one denominator, which the base
+        # group's generators divide too, for integer R1 bounds
+        self.val_den = lcm(*(c.denominator for v in base.value_group.gens
+                             for c in v),
+                           *(g.value.denominator for g in self.gens))
         self.val_nums = tuple(int(g.value * self.val_den) for g in self.gens)
 
     @property
@@ -154,12 +165,13 @@ class Tower:
 
 
 class TElem:
-    __slots__ = ("tower", "coords", "_pth")
+    __slots__ = ("tower", "coords", "_pth", "_r1")
 
     def __init__(self, tower: Tower, coords: dict):
         self.tower = tower
         self.coords = {e: c for e, c in coords.items() if not c.is_zero()}
-        self._pth = None                # x**p, kept once it is taken
+        self._pth = None                # (kept part of x**p, rest), see pth_power
+        self._r1 = None                 # R1 bounds, see _r1
 
     # -- ring structure ------------------------------------------------------
 
@@ -198,15 +210,13 @@ class TElem:
             raise ValidationError("negative tower powers are not supported")
         if n != self.tower.p:
             return power(self, n, self.tower.one)
-        if self._pth is None:
-            self._pth = _pth_power(self)
-        return self._pth
+        return pth_power(self)[0]
 
     def __truediv__(self, other):
         """Division by a base element (or base-constant tower element).
 
         A quotient keeps the p-th power of the dividend, divided by the
-        divisor's: (x/d)^p = x^p / d^p.
+        divisor's: (x/d)^p = x^p / d^p, whose rest lies p*v(d) lower.
         """
         if isinstance(other, int):
             other = self.tower.base.from_int(other)
@@ -218,7 +228,10 @@ class TElem:
                 raise ZeroDivisionError("division by zero")
         q = TElem(self.tower, {e: c / other for e, c in self.coords.items()})
         if self._pth is not None:
-            q._pth = self._pth / _coeff_pth(self.tower, other)
+            kept, rest = self._pth
+            if rest != INFINITE:
+                rest = rest - self.tower.p * other.val()
+            q._pth = kept / _coeff_pth(self.tower, other), rest
         return q
 
     def __eq__(self, other):
@@ -254,82 +267,100 @@ def _coeff_pth(tower: Tower, c):
     return c.frobenius() if tower.base.eq_char else c ** tower.p
 
 
-def _pth_power(x: TElem) -> TElem:
-    """x^p by the multinomial theorem over the monomials c_j * gen^e_j of x.
+def pth_power(x: TElem, below=INFINITE):
+    """(kept, rest): x^p by the multinomial theorem, up to the terms of
+    value at least `below`.
 
-    A pure term (c_j * gen^e_j)^p is c_j^p * prod rhs_i^e_ij, since gen_i^p
-    is the stored relation right-hand side.  Every other term has all k_j
-    < p: multinom(p; k) * prod c_j^k_j * gen^(sum k_j * e_j).  Its
-    multinomial is divisible by p, so in characteristic p it vanishes and
-    x -> x^p is the Frobenius.  The compositions k are walked monomial by
-    monomial, so terms with a common prefix share its product, and no
-    product of x with itself is formed, unless _walk_pays finds x so dense
-    that square-and-multiply forms fewer.
+    A pure term (c_j * gen^e_j)^p of a monomial of x is c_j^p * prod
+    rhs_i^e_ij, since gen_i^p is the stored relation right-hand side; all
+    of them are kept.  Every other term has all k_j < p: multinom(p; k) *
+    prod c_j^k_j * gen^(sum k_j * e_j).  Its multinomial is divisible by p
+    exactly once, so in characteristic p it vanishes and x -> x^p is the
+    Frobenius, and in mixed characteristic its value is at least
+    1 + sum k_j * b_j, b_j the R1 bound of monomial j.  kept holds every
+    term whose bound lies below `below`, and rest <= the true value of
+    every term left out, with rest >= below; it is INFINITE when nothing
+    is left out, as at below = INFINITE, which gives the whole x^p.  x
+    keeps the widest power formed so far and serves any `below` up to its
+    rest from it.
     """
-    tower, p = x.tower, x.tower.p
-    items = list(x.coords.items())
-    mixed_terms = not tower.base.eq_char and len(items) > 1
-    if mixed_terms and not _walk_pays(len(items), p, len(tower.gens)):
-        return power(x, p, tower.one)
+    if x._pth is not None and x._pth[1] >= below:
+        return x._pth
+    tower = x.tower
     out = {}
-    for e, c in items:
+    for e, c in x.coords.items():
         term = tower.from_base(_coeff_pth(tower, c))
         for i, ei in enumerate(e):
             for _ in range(ei):
                 term = term * tower.rhs[i]
         for te, tc in term.coords.items():
             _reduce_into(tower, te, tc, out)
-    if not mixed_terms:
-        return TElem(tower, out)
+    rest = INFINITE
+    if not tower.base.eq_char and len(x.coords) > 1:
+        rest = _mixed_terms(x, below, out)
+    x._pth = TElem(tower, out), rest
+    return x._pth
 
-    n = len(items)
-    powers = []                      # powers[j][k - 1] = c_j^k, k < p
-    for _, c in items:
-        pw = [c]
-        for _ in range(p - 2):
-            pw.append(pw[-1] * c)
-        powers.append(pw)
-    mixed = {}                       # unreduced exponent -> coefficient
 
-    def walk(j, left, e, c, mult):
+def _mixed_terms(x: TElem, below, out: dict):
+    """Accumulate into out the mixed terms of x^p whose bound is below
+    `below`, and return the least bound of the others (INFINITE if none).
+
+    The compositions k are walked monomial by monomial, least bound first,
+    so terms with a common prefix share its product.  With the monomials
+    sorted, the least bound a branch can still reach puts p - 1 parts on
+    each next monomial in turn (fill below); a branch that cannot get
+    below `below` is pruned whole, and its least bound is a candidate for
+    the rest.  Bounds are integers over the R1 denominator.
+    """
+    tower, p = x.tower, x.tower.p
+    den, bounds = _r1(x)
+    items = sorted(bounds, key=lambda t: t[0])
+    n, b = len(items), [t[0] for t in items]
+    top = INFINITE if below == INFINITE else ceil(below * den)
+    # fill[j][left]: the least sum of bounds of `left` parts, each monomial
+    # from j on taking at most p - 1
+    fill = [[0] + [INFINITE] * p]
+    for j in range(n - 1, -1, -1):
+        nxt = fill[-1]
+        fill.append([min(left, p - 1) * b[j] + nxt[left - min(left, p - 1)]
+                     for left in range(p + 1)])
+    fill.reverse()
+    coeffs = [x.coords[t[2]] for t in items]
+    powers = [[] for _ in items]      # powers[j][k - 1] = c_j^k, as needed
+    mixed = {}                        # unreduced exponent -> coefficient
+    rest = INFINITE
+
+    def cpow(j, k):
+        pw = powers[j]
+        while len(pw) < k:
+            pw.append(coeffs[j] if not pw else pw[-1] * coeffs[j])
+        return pw[k - 1]
+
+    def walk(j, left, num, e, c, mult):
         """Give monomial j a part k of `left`, each part below p."""
-        ej, least = items[j][0], max(0, left - (p - 1) * (n - 1 - j))
-        for k in range(least, min(left, p - 1) + 1):
+        nonlocal rest
+        ej, bj, nxt = items[j][2], b[j], fill[j + 1]
+        for k in range(max(0, left - (p - 1) * (n - 1 - j)),
+                       min(left, p - 1) + 1):
+            low = num + k * bj + nxt[left - k]
+            if low >= top:
+                rest = min(rest, low)
+                continue
             ek, ck, mk = e, c, mult * comb(left, k)
             if k:
-                ek = tuple(a + k * b for a, b in zip(e, ej))
-                ck = powers[j][k - 1] if c is None else c * powers[j][k - 1]
+                ek = tuple(a + k * d for a, d in zip(e, ej))
+                ck = cpow(j, k) if c is None else c * cpow(j, k)
             if k < left:
-                walk(j + 1, left - k, ek, ck, mk)
+                walk(j + 1, left - k, num + k * bj, ek, ck, mk)
             else:
                 s = mixed.get(ek)
                 mixed[ek] = ck * mk if s is None else s + ck * mk
 
-    walk(0, p, (0,) * len(tower.gens), None, 1)
+    walk(0, p, den, (0,) * len(tower.gens), None, 1)
     for e, c in mixed.items():
         _reduce_into(tower, e, c, out)
-    return TElem(tower, out)
-
-
-def _walk_pays(n: int, p: int, g: int) -> bool:
-    """Whether the p-th power of an n-monomial element over g generators
-    forms fewer coefficient products by the composition walk than by
-    square-and-multiply.  The walk forms one per mixed term, C(n+p-1, p) - n;
-    square-and-multiply forms |x^a| * |x^b| per product x^a * x^b, where
-    x^a has at most min(C(n+a-1, a), p^g) monomials.  A dense element, with
-    n near p^g, is cheaper by squaring."""
-    def size(a):
-        return min(comb(n + a - 1, a), p ** g)
-    cost, a, done, k = 0, 1, 0, p     # as resfield.power walks the bits of p
-    while True:
-        if k & 1:
-            cost += size(done) * size(a) if done else 0
-            done += a
-        k >>= 1
-        if not k:
-            return comb(n + p - 1, p) - n <= cost
-        cost += size(a) ** 2
-        a *= 2
+    return rest if rest == INFINITE else Fraction(rest, den)
 
 
 def to_text(x: TElem) -> str:
@@ -356,27 +387,32 @@ def to_text(x: TElem) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _monomial_bounds(x: TElem):
-    """[(bound, determinate, exps)] per monomial, R1."""
-    out, t = [], x.tower
-    for e, c in x.coords.items():
-        cv = c.val()
-        if cv == INFINITE:
-            continue
-        shift = Fraction(sum(ei * n for ei, n in zip(e, t.val_nums)), t.val_den)
-        if isinstance(cv, Indeterminate):
-            out.append((cv.bound + shift, False, e))
-        else:
-            out.append((cv + shift, True, e))
-    return out
+def _r1(x: TElem):
+    """(den, [(num, determinate, exps)]): each monomial's R1 bound as an
+    integer num over one denominator, kept on x once computed.  den is the
+    tower's val_den, widened only by a series coefficient whose exponent
+    has a larger p-power denominator (over a p-closed group)."""
+    if x._r1 is None:
+        t, vals = x.tower, []
+        den = t.val_den
+        for e, c in x.coords.items():
+            v = c.val()
+            det = not isinstance(v, Indeterminate)
+            v = v if det else v.bound
+            if den % v.denominator:
+                den = lcm(den, v.denominator)
+            vals.append((v, det, e))
+        gnums = [den // t.val_den * g for g in t.val_nums]
+        x._r1 = den, [(v.numerator * (den // v.denominator) +
+                       sum(a * g for a, g in zip(e, gnums)), det, e)
+                      for v, det, e in vals]
+    return x._r1
 
 
 def vlb(x: TElem):
     """R1 lower bound for the value (INFINITE for the zero element)."""
-    bounds = _monomial_bounds(x)
-    if not bounds:
-        return INFINITE
-    return min(b for b, _, _ in bounds)
+    den, bounds = _r1(x)
+    return Fraction(min(t[0] for t in bounds), den) if bounds else INFINITE
 
 
 def r4_budget(x: TElem) -> int:
@@ -395,14 +431,29 @@ def r4_budget(x: TElem) -> int:
 def _r4_walk(x: TElem):
     """(k, y, m, e) for the first y = x^(p^k) whose least monomial bound m
     is attained by one monomial, gen^e (R2), so v(x) = m/p^k; m is INFINITE
-    and e None for 0.  Passing r4_budget(x) p-th powers is a ValidationError."""
-    y, k, budget = x, 0, None
+    and e None for 0.  y may lack terms of x^(p^k) of value above m.
+    Passing r4_budget(x) p-th powers is a ValidationError."""
+    return _walk(x, False) or _walk(x, True)
+
+
+def _walk(x: TElem, whole: bool):
+    """_r4_walk's loop.  Unless `whole`, each step keeps only the terms of
+    y^p below 1 + p*vlb(y), where no mixed term lands, so y is x^(p^k)
+    less a part of value >= rest; the walk gives up (None) when the least
+    kept bound is not below the rest, and _r4_walk walks again with whole
+    powers.  For y = a + r with v(r) >= rest, y^p = a^p + sum_i C(p, i)
+    a^(p-i) r^i + r^p adds terms of value at least min(p*rest,
+    1 + (p-1)*vlb(a) + rest, 1 + vlb(a) + (p-1)*rest) to a^p's own rest."""
+    y, k, rest, budget, p = x, 0, INFINITE, None, x.tower.p
     while True:
-        bounds = _monomial_bounds(y)
+        den, bounds = _r1(y)
         if not bounds:
-            return k, y, INFINITE, None
-        m = min(b for b, _, _ in bounds)
-        at_min = [t for t in bounds if t[0] == m]
+            return (k, y, INFINITE, None) if rest == INFINITE else None
+        least = min(t[0] for t in bounds)
+        m = Fraction(least, den)
+        if m >= rest:
+            return None
+        at_min = [t for t in bounds if t[0] == least]
         if any(not t[1] for t in at_min):
             raise PrecisionError(
                 "value tied with an indeterminate coefficient at %s" % (m,))
@@ -414,7 +465,11 @@ def _r4_walk(x: TElem):
                 "a value tie outlasts the R4 budget of %d p-th powers: the "
                 "generator count plus the largest p-exponent of a value "
                 "denominator" % budget)
-        y, k = y ** x.tower.p, k + 1
+        z, zrest = pth_power(y, INFINITE if whole else 1 + p * m)
+        if rest != INFINITE:
+            zrest = min(zrest, p * rest, 1 + (p - 1) * m + rest,
+                        1 + m + (p - 1) * rest)
+        y, k, rest = z, k + 1, zrest
 
 
 def val(x: TElem):

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 
 from .errors import PrecisionError, ValidationError
@@ -298,11 +299,12 @@ class PadicBase:
     def eq_char(self) -> bool:
         return False
 
-    @property
+    # built once per base: every residue reads the residue field
+    @cached_property
     def value_group(self) -> OGroup:
         return ogroup([Fraction(1, self.E)])
 
-    @property
+    @cached_property
     def residue_field(self) -> ResField:
         return ResField(self.p, "ratfun") if self.gauss else ResField(self.p)
 

@@ -9,23 +9,26 @@ here in their earlier termwise form, the group inclusion test in its
 earlier per-generator form, and the rational row echelon, the canonical
 group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
-references for the fast paths.  It also builds series from term dicts (with
-no value-group check), parses the text that SeriesElem.to_text and
-PadicElem.to_text print back into elements, and draws seeded
-mixed-characteristic descriptors.
+references for the fast paths.  Tower values also have an independent
+oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
+p-th power up to a threshold has a term-by-term reference.  It also
+builds series from term dicts (with no value-group check), parses the
+text that SeriesElem.to_text and PadicElem.to_text print back into
+elements, and draws seeded mixed-characteristic descriptors.
 """
 
 import random
 import re
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd, lcm
+from math import factorial, gcd, lcm, prod
 
 from vallab.errors import PrecisionError, ValidationError
 from vallab.intlinalg import (diagonalize_with_basis, prime_to_p_part,
                               row_echelon)
 from vallab.ogroup import _canon, _coerce_vec, _fits, _scale_to_int, contains
 from vallab.values import INFINITE, Indeterminate, fr
+from vallab.tower import TElem
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
 
@@ -413,7 +416,7 @@ def eval_expansion(x, gen_series: list, exp_base):
 
 
 def monomial_bounds_fraction_sum(x):
-    """[(bound, determinate)] per monomial, R1, each shift summed as
+    """[(bound, determinate, exps)] per monomial, R1, each shift summed as
     Fractions over the generator values."""
     out = []
     for e, c in x.coords.items():
@@ -423,32 +426,33 @@ def monomial_bounds_fraction_sum(x):
         shift = sum((Fraction(ei) * x.tower.gens[i].value
                      for i, ei in enumerate(e) if ei), Fraction(0))
         if isinstance(cv, Indeterminate):
-            out.append((cv.bound + shift, False))
+            out.append((cv.bound + shift, False, e))
         else:
-            out.append((cv + shift, True))
+            out.append((cv + shift, True, e))
     return out
 
 
 def vlb_fraction_sum(x):
     bounds = monomial_bounds_fraction_sum(x)
-    return min(b for b, _ in bounds) if bounds else INFINITE
+    return min(b for b, _, _ in bounds) if bounds else INFINITE
 
 
 def r4_walk_by_products(x, budget):
-    """(k, y, m) for the first y = x^(p^k) with a unique least bound m,
-    each p-th power a plain product of p - 1 factors (no Frobenius and no
-    kept x**p); a tie or an indeterminate minimum past budget raises."""
+    """(k, y, m, e) for the first y = x^(p^k) with a unique least bound m,
+    attained at gen^e, each p-th power whole and a plain product of p - 1
+    factors (no Frobenius and no kept x**p); a tie or an indeterminate
+    minimum past budget raises."""
     y, p = x, x.tower.p
     for k in range(budget + 1):
         bounds = monomial_bounds_fraction_sum(y)
         if not bounds:
-            return k, y, INFINITE
-        m = min(b for b, _ in bounds)
-        at_min = [det for b, det in bounds if b == m]
-        if not all(at_min):
+            return k, y, INFINITE, None
+        m = min(b for b, _, _ in bounds)
+        at_min = [(det, e) for b, det, e in bounds if b == m]
+        if not all(det for det, _ in at_min):
             raise PrecisionError("indeterminate minimum")
         if len(at_min) == 1:
-            return k, y, m
+            return k, y, m, at_min[0][1]
         z = y
         for _ in range(p - 1):
             z = z * y
@@ -457,14 +461,14 @@ def r4_walk_by_products(x, budget):
 
 
 def val_fraction_sum(x, budget):
-    k, _, m = r4_walk_by_products(x, budget)
+    k, _, m, _ = r4_walk_by_products(x, budget)
     return m / x.tower.p ** k
 
 
 def residue_termwise(x, budget):
     """Residue of a value-0 tower element as the sum of the R3 residues of
     every monomial of value >= 0 in the p-th power where the walk stops."""
-    k, y, m = r4_walk_by_products(x, budget)
+    k, y, m, _ = r4_walk_by_products(x, budget)
     if m != 0:
         raise ValidationError("residue requires value exactly 0")
     total = None
@@ -498,6 +502,32 @@ def residue_termwise(x, budget):
     for _ in range(k):
         total = total.pth_root_extend()
     return total
+
+
+def pth_power_by_terms(x, below):
+    """(kept, rest) for x^p, term by term over every composition k of p:
+    each term multinom(p; k) * prod m_j^k_j is a plain product of x's
+    monomials m_j.  A pure term (one k_j = p) is always kept, a mixed one
+    when 1 + sum k_j * b_j < below, b_j the Fraction R1 bound of m_j, and
+    rest is the least such bound left out (INFINITE if none).  Mixed
+    characteristic only: in characteristic p the mixed terms vanish."""
+    tw, p = x.tower, x.tower.p
+    monos = [(TElem(tw, {e: x.coords[e]}), b)
+             for b, _, e in monomial_bounds_fraction_sum(x)]
+    kept, rest = tw.zero(), INFINITE
+    for ks in product(range(p + 1), repeat=len(monos)):
+        if sum(ks) != p:
+            continue
+        bound = 1 + sum(k * b for k, (_, b) in zip(ks, monos))
+        if p not in ks and bound >= below:
+            rest = min(rest, bound)
+            continue
+        term = tw.from_int(factorial(p) // prod(map(factorial, ks)))
+        for k, (m, _) in zip(ks, monos):
+            for _ in range(k):
+                term = term * m
+        kept = kept + term
+    return kept, rest
 
 
 # parsers for printed series and digit text (round-trips of to_text)
@@ -609,3 +639,47 @@ def padic_from_text(base: PadicBase, text: str) -> PadicElem:
             d[e] = d.get(e, 0) + c
     pp = INFINITE if prec == INFINITE else int(prec)
     return base.from_digits(digits, pp)
+
+
+# an independent value oracle: the norm of a tower element
+
+
+def berkowitz_det(rows, one):
+    """Determinant of a square matrix over a commutative ring, without
+    division (Berkowitz): the characteristic polynomial of each leading
+    block is a Toeplitz product with the one before."""
+    def dot(xs, ys):
+        out = None
+        for x, y in zip(xs, ys):
+            out = x * y if out is None else out + x * y
+        return out
+
+    n = len(rows)
+    poly = [one]
+    for r in range(n):
+        col = [rows[i][r] for i in range(r)]
+        t = [one, -rows[r][r]]
+        for _ in range(r):
+            t.append(-dot(rows[r][:r], col))
+            col = [dot(rows[i][:r], col) for i in range(r)]
+        poly = [dot([t[i - j] for j in range(min(i, r) + 1)],
+                    poly[: min(i, r) + 1]) for i in range(r + 2)]
+    return poly[n] if n % 2 == 0 else -poly[n]
+
+
+def norm_value(x):
+    """v(x) as v(N(x)) / [L:K]: N(x) is the determinant of multiplication
+    by x on the monomial basis, and every base models a complete field, so
+    the value extends uniquely.  An Indeterminate when the determinant
+    vanishes to working precision."""
+    tw = x.tower
+    basis = list(product(range(tw.p), repeat=len(tw.gens)))
+    zero = tw.base.zero()
+    cols = []
+    for e in basis:
+        y = x * TElem(tw, {e: tw.base.one()})
+        cols.append([y.coords.get(f, zero) for f in basis])
+    v = berkowitz_det(cols, tw.base.one()).val()
+    if isinstance(v, Indeterminate) or v == INFINITE:
+        return v
+    return v / len(basis)

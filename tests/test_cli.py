@@ -451,6 +451,30 @@ def test_perfection_level_past_the_digit_limit_exits_one_at_once(tmp_path,
                    % sys.get_int_max_str_digits())
 
 
+@pytest.mark.parametrize("char", [10 ** 14 + 31, 2 ** 61 - 1])
+def test_classify_at_a_large_prime_characteristic_is_quick(tmp_path, char):
+    # trial division to the square root took 2.6 s at 10^14 + 31 and
+    # minutes near 10^18
+    data = corpus_member("laurent-f2u").to_json()
+    data["char"] = data["res_char"] = data["residue_field"]["char"] = char
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert main(["classify", "--descriptor", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+
+
+def test_classify_past_the_primality_bound_exits_one(tmp_path, capsys):
+    data = corpus_member("laurent-f2u").to_json()
+    data["char"] = data["res_char"] = data["residue_field"]["char"] = \
+        2 ** 89 - 1
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--descriptor", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: primality is decided only below 3317044064679887385961981\n")
+
+
 # sha256 of the JSON printed by `vallab classify` for 30 seeded
 # mixed-characteristic descriptors (helpers.seeded_mixed_descriptor),
 # recorded before the value-group layer's elimination became fraction-free;

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from vallab import vbase
+from vallab import tower, vbase
 from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_as_valgp, build_kummer_resf,
                                   build_kummer_valgp, build_lemma_3_3)
@@ -141,6 +141,25 @@ def test_kummer_resf_digit_products_count(monkeypatch, depth, bound):
     # 37,546 digit-ring products
     build = lambda: build_kummer_resf(7, depth)
     assert _count_calls(monkeypatch, vbase.PadicElem, "__mul__", build) <= bound
+
+
+def test_kummer_resf_p11_digit_products_count(monkeypatch):
+    # the chase and the value walk keep only the terms of the witness's
+    # p-th power below 1 + p*vlb(w) = 0, where no mixed term lands: forming
+    # all 4,363 terms made 11,946 digit-ring products
+    build = lambda: build_kummer_resf(11, 5)
+    assert _count_calls(monkeypatch, vbase.PadicElem, "__mul__", build) <= 400
+
+
+def test_kummer_resf_forms_no_mixed_term(monkeypatch):
+    # at p = 7, depth 3 the witness w has v(w) = -1/7, so every mixed term
+    # of w^7 has value >= 1 + 7 * (-1/7) = 0 and cannot change the chase's
+    # v(w^7 + floor) >= 0 or the value walk; all 116 were formed before,
+    # each with a multinomial coefficient
+    calls = []
+    monkeypatch.setattr(tower, "comb", lambda *a: calls.append(a))
+    build_kummer_resf(7, 3)
+    assert not calls
 
 
 def test_kummer_resf_carry_walks_count(monkeypatch):

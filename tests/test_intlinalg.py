@@ -1,12 +1,15 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from vallab.errors import ValidationError
 from vallab.intlinalg import (
     diagonalize_with_basis,
     int_kernel,
     int_rref,
+    is_prime,
     prime_to_p_part,
     row_echelon,
 )
@@ -178,3 +181,34 @@ def test_prime_to_p_part():
     assert prime_to_p_part(7, 7) == 1
     assert prime_to_p_part(10, 1) == 10
     assert prime_to_p_part(0, 3) == 0
+
+
+def _by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _by_trial_division(n)
+               for n in range(-3, 10 ** 5))
+
+
+def test_is_prime_matches_sympy_on_seeded_64_bit_integers():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20263)
+    ns = [rng.getrandbits(64) | 1 for _ in range(2000)]
+    ns += [int(sympy.nextprime(rng.getrandbits(64))) for _ in range(200)]
+    assert sum(map(is_prime, ns)) >= 200
+    assert all(is_prime(n) == sympy.isprime(n) for n in ns)
+
+
+def test_is_prime_on_mersenne_and_pseudoprimes():
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 14 + 31)
+    # Carmichael numbers, and strong pseudoprimes to the bases 2-7 and 2-23
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+
+
+def test_is_prime_refuses_an_integer_past_its_proven_bound():
+    assert not is_prime(2 ** 89)            # a small factor still decides
+    with pytest.raises(ValidationError, match="3317044064679887385961981"):
+        is_prime(2 ** 89 - 1)

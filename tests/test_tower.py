@@ -21,10 +21,12 @@ from vallab.ogroup import contains, ogroup
 from vallab.resfield import ResField, power
 from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
                           resolve_pending, to_text, val, vlb)
-from vallab.values import INFINITE, fr
+from vallab.values import INFINITE, Indeterminate, fr
 from vallab.vbase import EqBase, PadicBase, PadicElem
 
-from helpers import (as_expansion_terms, eval_expansion, residue_termwise,
+from helpers import (as_expansion_terms, eval_expansion,
+                     monomial_bounds_fraction_sum, norm_value,
+                     pth_power_by_terms, r4_walk_by_products, residue_termwise,
                      series, val_fraction_sum, vlb_fraction_sum)
 
 
@@ -626,8 +628,7 @@ def test_pth_power_matches_square_and_multiply():
             zs += [z + tw.from_base(extra) for z in zs[:3]]
         for z in zs + [tw.zero()]:
             higher += _agrees_with_cap_at_least(z ** p, power(z, p, tw.one))
-            walked += (not tw.base.eq_char and len(z.coords) > 1 and
-                       tower._walk_pays(len(z.coords), p, len(tw.gens)))
+            walked += not tw.base.eq_char and len(z.coords) > 1
         # an exact divisor, as resolve_pending's are: u or -1 times a monomial
         dc = coeffs[-1] if not isinstance(coeffs[-1], int) else -1
         d = _base_monomial_from(tw.base, fr(1), dc)
@@ -641,28 +642,13 @@ def test_pth_power_matches_square_and_multiply():
     assert walked >= 60 and higher >= 900 and quotients >= 140
 
 
-def test_pth_power_of_a_dense_element_squares(monkeypatch):
-    # the walk forms C(n+p-1, p) - n mixed terms; an element with n near
-    # p^g monomials is cheaper by square-and-multiply, whose products have
-    # at most p^g monomials each (at p = 5, n = 125: about 2.8e8 terms
-    # against 3 * 125^2 coefficient products)
-    assert tower._walk_pays(6, 11, 6)   # the kummer-resf p = 11 depth 5 witness
-    assert not tower._walk_pays(125, 5, 3)
+def test_pth_power_of_a_dense_element_is_walked():
+    # all 27 monomials of a tower of 3 generators at p = 3: the walk forms
+    # C(29, 3) - 27 = 3,627 mixed terms
     tw = build_kummer_resf(3, 2).towers[-1]
     x = TElem(tw, {e: tw.base.from_int(1) for e in
                    itertools.product(range(3), repeat=3)})
-    assert not tower._walk_pays(len(x.coords), 3, 3)
-    want = x * x * x
-    calls = []
-    mul = TElem.__mul__
-
-    def counting(self, other):
-        calls.append(None)
-        return mul(self, other)
-
-    monkeypatch.setattr(TElem, "__mul__", counting)
-    assert x ** 3 == want
-    assert len(calls) == 2
+    assert x ** 3 == x * x * x
 
 
 def test_power_products_count(monkeypatch):
@@ -686,3 +672,178 @@ def test_power_products_count(monkeypatch):
         assert len(calls) == 1 + 3
         monkeypatch.undo()
         assert y2 == x2 and y5 == x5
+
+
+# -- p-th powers up to a threshold --------------------------------------------
+
+
+def _same(a, b):
+    """Whether two tower elements agree coefficient by coefficient, each
+    pair indistinguishable at the lower cap."""
+    zero = a.tower.base.zero()
+    return all(a.coords.get(e, zero) == b.coords.get(e, zero)
+               for e in set(a.coords) | set(b.coords))
+
+
+def _tie_twice(p):
+    """Seeded elements of build_kummer_resf(p, 2)'s top tower whose value
+    walk ties twice; at p = 5 three of them, of 3 monomials, took 4-20 s
+    in the walk when each p-th power was whole (123 of the tower's 125
+    monomials after one step)."""
+    tw = build_kummer_resf(p, 2).towers[-1]
+    zs = _seeded_elements(tw, random.Random(5), 40, [fr(-1), fr(0), fr(1)],
+                          [1, {1: 1}])
+    return tw, [z for z in zs if len(z.coords) > 1 and
+                r4_walk_by_products(z, tower.r4_budget(z))[0] >= 2]
+
+
+def test_truncated_power_matches_its_terms():
+    # kept is the pure terms plus the mixed terms below the threshold, rest
+    # the least bound left out, against a term-by-term expansion; the whole
+    # power differs from kept only in monomials of bound >= rest; a
+    # quotient's carried power is the quotient's own, rest p*v(d) lower
+    rng = random.Random(20264)
+    compared = partial = carried = 0
+    cases = [_tie_twice(3)]
+    for tw, coeffs, extra in _power_cases():
+        zs = _seeded_elements(tw, rng, 6, [fr(-1), fr(0), fr(1)], coeffs)
+        if extra is not None:
+            zs += [z + tw.from_base(extra) for z in zs[:3]]
+        cases.append((tw, zs))
+    for tw, zs in cases:
+        p = tw.p
+        for z in zs:
+            v0 = vlb(z)
+            whole = power(z, p, tw.one)
+            if tw.base.eq_char:
+                kept, rest = tower.pth_power(TElem(tw, z.coords), 1 + p * v0)
+                assert rest == INFINITE and _same(kept, whole)
+                continue
+            pure = None                 # kept at 1 + p*v0: no mixed term
+            for below in (1 + p * v0, fr(0), 1 + p * v0 + Fraction(1, 2),
+                          2 + p * v0, INFINITE):
+                kept, rest = tower.pth_power(TElem(tw, z.coords), below)
+                want, want_rest = pth_power_by_terms(z, below)
+                assert _same(kept, want) and rest == want_rest
+                assert rest >= below
+                assert all(b >= rest for b, det, _ in
+                           monomial_bounds_fraction_sum(whole - kept) if det)
+                pure = kept if pure is None else pure
+                partial += rest != INFINITE and not _same(kept, pure)
+                compared += 1
+            d = _base_monomial_from(tw.base, fr(1), -1)
+            kept, rest = tower.pth_power(z, 1 + p * v0)
+            q = z / d
+            qkept, qrest = q._pth
+            fresh = tower.pth_power(TElem(tw, q.coords), 1 + p * vlb(q))
+            assert qrest == rest - p * d.val() == fresh[1]
+            assert _same(qkept, fresh[0])
+            carried += 1
+    assert compared >= 450 and partial >= 60 and carried >= 90
+
+
+def test_pth_power_serves_a_lower_threshold_from_the_kept_power():
+    z = _tie_twice(3)[1][0]
+    low = tower.pth_power(z, 2 + 3 * vlb(z))
+    assert low[1] != INFINITE
+    assert tower.pth_power(z, 1 + 3 * vlb(z)) is low
+    whole = z ** 3
+    assert whole is not low[0] and z._pth[1] == INFINITE
+    assert tower.pth_power(z, 2 + 3 * vlb(z))[0] is whole is z ** 3
+
+
+def test_threshold_walk_matches_the_whole_walk():
+    # each step keeps only the terms below 1 + p*vlb(y), where no mixed
+    # term lands; (k, m, e) and the residue equal the walk of whole powers,
+    # and no element needs the whole powers
+    rng = random.Random(20265)
+    compared = ties = residues = 0
+    cases = [(tw, _seeded_elements(tw, rng, 12, [fr(0), fr(0), fr(1)],
+                                   coeffs))
+             for tw, coeffs in _differential_cases()]
+    cases.append(_tie_twice(3))
+    for tw, zs in cases:
+        for z in zs:
+            budget = tower.r4_budget(z)
+            try:
+                k, _, m, e = r4_walk_by_products(z, budget)
+            except (ValidationError, PrecisionError):
+                continue
+            assert tower._walk(TElem(tw, z.coords), False) is not None
+            got = tower._r4_walk(z)
+            assert (got[0], got[2], got[3]) == (k, m, e)
+            compared += 1
+            ties += k >= 1
+            if m == 0:
+                try:
+                    want = residue_termwise(z, budget)
+                except ValidationError:         # a monomial without
+                    continue                    # residue data
+                r = residue(z)
+                assert (r.to_text(), r.level()) == (want.to_text(),
+                                                    want.level())
+                residues += 1
+    assert compared >= 150 and ties >= 40 and residues >= 80
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_walk_widens_when_the_kept_part_cannot_decide(monkeypatch, k):
+    # g^3 = 1 + w^k over Z_3[w], w^2 = -3 (w^4 = 9 at E = 4): in (g - 1)^3
+    # the pure terms leave w^k, of value k/E >= 1, where the mixed terms
+    # 3g^2 and 3g begin, so the kept part cannot decide and the walk forms
+    # whole powers; the tie then takes two steps, one more than the
+    # derived budget of 1 allows, although the norm gives the same value
+    monkeypatch.setattr(tower, "r4_budget", lambda x: 2)
+    base = PadicBase(3, 2 if k == 2 else 4, twist=-1)
+    t0 = Tower(base)
+    a = t0.from_base(base.one() + base.from_digits({k: 1}))
+    tw = adjoin_root(t0, "kummer", a, "g").tower
+    x = tw.gen_elem(0) - tw.one()
+    assert tower._walk(x, False) is None
+    got, want = tower._r4_walk(x), r4_walk_by_products(x, 2)
+    assert got[0] == want[0] == 2
+    assert (got[2], got[3]) == (want[2], want[3])
+    assert val(x) == norm_value(x) == Fraction(k, 3 * base.E)
+
+
+def test_value_walk_on_elements_that_tie_twice_forms_no_mixed_term(
+        monkeypatch):
+    tw, zs = _tie_twice(3)
+    tw5 = build_kummer_resf(5, 2).towers[-1]
+    zs5 = _seeded_elements(tw5, random.Random(5), 10, [fr(-1), fr(0), fr(1)],
+                           [1, {1: 1}])
+    calls = []
+    monkeypatch.setattr(tower, "comb", lambda *a: calls.append(a))
+    ks = [tower._r4_walk(z)[0] for z in zs + zs5]
+    assert ks.count(2) >= 10 and not calls
+
+
+def test_norm_oracle_agrees_with_both_walks():
+    # v(x) = v(N(x)) / [L:K] over all six families at a basis of at most 9
+    # monomials, on elements biased to tie at value 0
+    rng = random.Random(20266)
+    cases = []
+    for p in (2, 3):
+        u = ResField(p, "ratfun").gen()
+        small = 2 if p == 2 else 1
+        cases += [(build_lemma_3_3(p).towers[0], [1, u]),
+                  (build_as_resf(p, small).towers[-1], list(range(1, p))),
+                  (build_as_valgp(p, 2).towers[-1], list(range(1, p))),
+                  (build_kummer_resf(p, small).towers[-1], [1, {1: 1}]),
+                  (build_kummer_valgp(p, 1).towers[-1], list(range(1, p))),
+                  (build_kummer_valgp(p, 1, padic_cap=p).towers[-1],
+                   list(range(1, p)))]
+    cases += [(t, [1, 2]) for t in build_2ext(3).towers]
+    compared = ties = skipped = 0
+    for tw, coeffs in cases:
+        assert tw.p ** len(tw.gens) <= 9
+        for z in _seeded_elements(tw, rng, 8, [fr(0), fr(0), fr(1)], coeffs):
+            want = norm_value(z)
+            if isinstance(want, Indeterminate):
+                skipped += 1
+                continue
+            assert val(z) == want
+            assert val_fraction_sum(z, tower.r4_budget(z)) == want
+            compared += 1
+            ties += tower._r4_walk(z)[0] >= 1
+    assert compared >= 100 and ties >= 25 and 1 <= skipped <= 10

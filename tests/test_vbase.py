@@ -437,6 +437,19 @@ def test_exact_text_shows_a_bounded_digit_stream():
     assert b.from_int(5).to_text() == "2 + w"
 
 
+def test_digit_ring_builds_its_group_and_residue_field_once(monkeypatch):
+    # each read built a new OGroup or ResField, and each ran is_prime again:
+    # about 320 per pass over the p-adic benchmark builds
+    b = PadicBase(3, 2, twist=-1, gauss=True)
+    group, res = b.value_group, b.residue_field
+    calls = []
+    monkeypatch.setattr(ResField, "__post_init__",
+                        lambda self: calls.append(self))
+    assert b.value_group is group and b.residue_field is res
+    assert b.from_digits({0: {1: 1}}).residue() == res.gen() and not calls
+    assert b == PadicBase(3, 2, twist=-1, gauss=True)
+
+
 def test_lambda_products_count(monkeypatch):
     # Newton-Hensel lifting; the greedy digit search made 8,998 products
     calls = []
