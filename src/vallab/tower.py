@@ -441,9 +441,7 @@ def _walk(x: TElem, whole: bool):
     y^p below 1 + p*vlb(y), where no mixed term lands, so y is x^(p^k)
     less a part of value >= rest; the walk gives up (None) when the least
     kept bound is not below the rest, and _r4_walk walks again with whole
-    powers.  For y = a + r with v(r) >= rest, y^p = a^p + sum_i C(p, i)
-    a^(p-i) r^i + r^p adds terms of value at least min(p*rest,
-    1 + (p-1)*vlb(a) + rest, 1 + vlb(a) + (p-1)*rest) to a^p's own rest."""
+    powers; _carried_rest bounds what a step leaves out."""
     y, k, rest, budget, p = x, 0, INFINITE, None, x.tower.p
     while True:
         den, bounds = _r1(y)
@@ -466,10 +464,17 @@ def _walk(x: TElem, whole: bool):
                 "generator count plus the largest p-exponent of a value "
                 "denominator" % budget)
         z, zrest = pth_power(y, INFINITE if whole else 1 + p * m)
-        if rest != INFINITE:
-            zrest = min(zrest, p * rest, 1 + (p - 1) * m + rest,
-                        1 + m + (p - 1) * rest)
-        y, k, rest = z, k + 1, zrest
+        y, k, rest = z, k + 1, _carried_rest(zrest, rest, m, p)
+
+
+def _carried_rest(zrest, rest, m, p):
+    """The rest of y^p, for y = a + r with v(r) >= rest and vlb(a) = m, when
+    a^p leaves out terms of value >= zrest: y^p = a^p + sum_i C(p, i)
+    a^(p-i) r^i + r^p, and the terms i = 1..p-1 have value at least
+    1 + (p-i)*m + i*rest, least at i = 1 or i = p - 1."""
+    if rest == INFINITE:
+        return zrest
+    return min(zrest, p * rest, 1 + (p - 1) * m + rest, 1 + m + (p - 1) * rest)
 
 
 def val(x: TElem):

@@ -847,3 +847,32 @@ def test_norm_oracle_agrees_with_both_walks():
             compared += 1
             ties += tower._r4_walk(z)[0] >= 1
     assert compared >= 100 and ties >= 25 and 1 <= skipped <= 10
+
+
+def test_carried_rest_bounds_the_cross_terms():
+    # y = z^p = a + r with a kept below 1 + p*vlb(z) and v(r) >= rest:
+    # y^p - a^p = sum_i C(p, i) a^(p-i) r^i + r^p lies at or above the
+    # carried rest, and its cross terms fall below p*rest, the bound of
+    # r^p alone
+    rng = random.Random(20267)
+    compared = below_p_rest = 0
+    cases = [_tie_twice(3)]
+    for p in (2, 3):
+        for tw in (build_kummer_resf(p, 1).towers[-1],
+                   build_2ext(p).towers[-1]):
+            cases.append((tw, _seeded_elements(tw, rng, 8, [fr(-1), fr(0)],
+                                               [1, {1: 1}])))
+    for tw, zs in cases:
+        p = tw.p
+        for z in zs:
+            a, rest = tower.pth_power(TElem(tw, z.coords), 1 + p * vlb(z))
+            if rest == INFINITE:
+                continue
+            left = power(power(z, p, tw.one), p, tw.one) - power(a, p, tw.one)
+            bounds = [b for b, det, _ in monomial_bounds_fraction_sum(left)
+                      if det]
+            carried = tower._carried_rest(INFINITE, rest, vlb(a), p)
+            assert all(b >= carried for b in bounds)
+            compared += 1
+            below_p_rest += any(b < p * rest for b in bounds)
+    assert compared >= 30 and below_p_rest >= 20
