@@ -170,7 +170,7 @@ class TElem:
     def __init__(self, tower: Tower, coords: dict):
         self.tower = tower
         self.coords = {e: c for e, c in coords.items() if not c.is_zero()}
-        self._pth = None                # (kept part of x**p, rest), see pth_power
+        self._pth = None                # (kept x**p, rest): pth_power
         self._r1 = None                 # R1 bounds, see _r1
 
     # -- ring structure ------------------------------------------------------
@@ -474,7 +474,8 @@ def _carried_rest(zrest, rest, m, p):
     1 + (p-i)*m + i*rest, least at i = 1 or i = p - 1."""
     if rest == INFINITE:
         return zrest
-    return min(zrest, p * rest, 1 + (p - 1) * m + rest, 1 + m + (p - 1) * rest)
+    return min(zrest, p * rest, 1 + (p - 1) * m + rest,
+               1 + m + (p - 1) * rest)
 
 
 def val(x: TElem):
