@@ -52,6 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, comb, lcm
 
 from .errors import PrecisionError, ValidationError
@@ -115,17 +116,22 @@ class Tower:
         self.res_desc = res_desc if res_desc is not None else base.residue_field
         if len(self.steps) not in (len(self.gens), len(self.gens) - 1):
             raise ValidationError("steps out of sync with generators")
-        # gen_i^p as an element of this tower: the exponents in g.rhs are
-        # only as long as the tower was when gen_i was attached
-        n = len(self.gens)
-        self.rhs = tuple(TElem(self, {e + (0,) * (n - len(e)): c
-                                      for e, c in g.rhs}) for g in self.gens)
         # generator values as integers over one denominator, which the base
         # group's generators divide too, for integer R1 bounds
         self.val_den = lcm(*(c.denominator for v in base.value_group.gens
                              for c in v),
                            *(g.value.denominator for g in self.gens))
         self.val_nums = tuple(int(g.value * self.val_den) for g in self.gens)
+
+    # built on first read: most towers, such as the one _attach makes for
+    # _finalize, never reduce a p-th power
+    @cached_property
+    def rhs(self) -> tuple:
+        """gen_i^p as an element of this tower: the exponents in g.rhs are
+        only as long as the tower was when gen_i was attached."""
+        n = len(self.gens)
+        return tuple(TElem(self, {e + (0,) * (n - len(e)): c
+                                  for e, c in g.rhs}) for g in self.gens)
 
     @property
     def p(self) -> int:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from operator import itemgetter
 
 from .errors import PrecisionError, ValidationError
@@ -546,13 +547,19 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
         G(y) = s*y^(p-1) + h(w^m * y) = 0.
 
     Mod w this reads s*y^(p-1) + 1 = 0, which needs s = -1 for odd p and
-    then has the simple root y = 1: G'(y) = s(p-1)y^(p-2) mod w is a unit.
-    Newton's step y <- y - G(y)/G'(y) therefore doubles the correct digits
-    of y; the working cap doubles from 1 to prec - m, with one division
-    per step.  (Newton on Phi_p(1+X) itself fails Hensel's condition from
-    one digit when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
-    """
+    then has the simple root y = 1, where G'(y) = s(p-1) mod w is a unit.
+    (Newton on Phi_p(1+X) itself fails Hensel's condition from one digit
+    when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
 
+    The lift runs in integers, in R = Z[w]/(w^E - s*p): y is the list of
+    its coefficients A_r of w^r, r < E.  A_r * w^r lies in w^k R when
+    p^ceil((k-r)/E) | A_r, so at precision k each A_r is kept mod that power
+    (0 once r >= k); as w^k R holds a power of p, R/w^k R is the digit ring
+    mod w^k, whose carried digits are unique.  Newton's step y <- y - z*G(y)
+    takes y from right mod w^k to right mod w^(2k) when z = 1/G'(y) mod w^k:
+    G(y) lies in w^k R, so z's error in w^k R moves the step by w^(2k) alone.
+    A step first takes z there by z <- z*(2 - G'(y)*z), which divides nothing.
+    """
     p, E, s = base.p, base.E, base.twist
     if E % (p - 1):
         raise ValidationError("ring cannot host zeta_%d (need (p-1) | E)" % p)
@@ -566,23 +573,26 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
             "(at least %d), got %d" % (p, E, E + 1, prec))
     if p == 2:
         return base.from_int(-2)  # zeta_2 = -1 exactly
-    m = E // (p - 1)
-    # G(y) = sum_j g[j] * y^j and G'(y) = sum_j dg[j] * y^j
-    g = [base.from_digits({j * m: math.comb(p, j + 1) // p})
-         for j in range(p - 1)] + [base.from_int(s)]
-    dg = [g[j] * j for j in range(1, p)]
+    m, zero = E // (p - 1), [0] * (E - 1)
+    # (c, t) per power y^j: G(y) = sum_j c * w^t * y^j, and dg for G'(y)
+    g = [(math.comb(p, j + 1) // p, j * m) for j in range(p - 1)] + [(s, 0)]
+    dg = [(j * c, t) for j, (c, t) in enumerate(g)][1:]
 
-    def horner(coeffs, y):
-        acc = coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            acc = acc * y + c
-        return acc
+    def mul(a, b):  # a*b mod w^k, over the nonzero entries of a
+        out = [0] * (2 * E)
+        for i, x in filter(itemgetter(1), enumerate(a)):
+            out[i:i + E] = [o + x * v for o, v in zip(out[i:i + E], b)]
+        return [(out[r] + s * p * out[r + E]) % q for r, q in enumerate(mods)]
 
-    y = PadicElem(base, {(0, 0): 1}, 1)
-    while y.prec < prec - m:
-        # y is right below k = y.prec, so G(yn) vanishes below k and G'(y),
-        # known below k, still gives the quotient its full cap n <= 2k
-        yn = PadicElem(base, y.digits, min(2 * y.prec, prec - m))
-        y = yn - horner(g, yn) / horner(dg, y)
-    return PadicElem(base, {(k + m, e): c for (k, e), c in y.digits.items()},
-                     prec)
+    def ev(poly):  # sum_j c * w^t * y^j: a[r - t], r < t, wraps times s*p
+        return [sum(c * a[r - t] * (1 if r >= t else s * p)
+                    for (c, t), a in zip(poly, pw)) for r in range(E)]
+
+    y, z, k = [1] + zero, [pow(s * (p - 1), -1, p)] + zero, 1
+    while k < prec - m:
+        k = min(2 * k, prec - m)
+        mods = [p ** -((r - k) // E) for r in range(E)]  # p^ceil((k-r)/E)
+        pw = [[1] + zero] + list(accumulate([y] * (p - 1), mul))  # y^j
+        z = mul(z, [2 * (r == 0) - x for r, x in enumerate(mul(ev(dg), z))])
+        y = [(x - v) % q for x, v, q in zip(y, mul(z, ev(g)), mods)]
+    return PadicElem(base, {(r + m, 0): a for r, a in enumerate(y)}, prec)

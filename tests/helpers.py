@@ -11,12 +11,14 @@ group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
 references for the fast paths.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
-p-th power up to a threshold has a term-by-term reference.  It also
+p-th power up to a threshold has a term-by-term reference, and the lift
+of lambda = zeta_p - 1 its earlier Newton form in the digit ring.  It also
 builds series from term dicts (with no value-group check), parses the
 text that SeriesElem.to_text and PadicElem.to_text print back into
 elements, and draws seeded mixed-characteristic descriptors.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -528,6 +530,59 @@ def pth_power_by_terms(x, below):
                 term = term * m
         kept = kept + term
     return kept, rest
+
+
+def zeta_lambda_by_digit_newton(base: PadicBase, prec: int) -> PadicElem:
+    """lambda = zeta_p - 1 in the digit ring, to `prec` digit positions.
+
+    The root has value 1/(p-1), so (p-1) | E and lambda = w^m * y with
+    m = E/(p-1) and y a unit.  Write Phi_p(1+X) = X^(p-1) + p*h(X) with
+    h(X) = sum_j (C(p, j+1)/p) X^j; since w^E = s*p, lambda is a root
+    exactly when
+
+        G(y) = s*y^(p-1) + h(w^m * y) = 0.
+
+    Mod w this reads s*y^(p-1) + 1 = 0, which needs s = -1 for odd p and
+    then has the simple root y = 1: G'(y) = s(p-1)y^(p-2) mod w is a unit.
+    Newton's step y <- y - G(y)/G'(y) therefore doubles the correct digits
+    of y; the working cap doubles from 1 to prec - m, with one division
+    per step.  (Newton on Phi_p(1+X) itself fails Hensel's condition from
+    one digit when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
+    """
+
+    p, E, s = base.p, base.E, base.twist
+    if E % (p - 1):
+        raise ValidationError("ring cannot host zeta_%d (need (p-1) | E)" % p)
+    if s != -1 and p != 2:
+        raise ValidationError("ring cannot host zeta_%d (need w^E = -p)" % p)
+    if prec <= E:
+        # Phi_p(1+X) has the constant term p, at position E: a cap <= E
+        # cannot tell lambda from 0
+        raise PrecisionError(
+            "lambda = zeta_%d - 1 needs a p-adic cap above %d digit positions "
+            "(at least %d), got %d" % (p, E, E + 1, prec))
+    if p == 2:
+        return base.from_int(-2)  # zeta_2 = -1 exactly
+    m = E // (p - 1)
+    # G(y) = sum_j g[j] * y^j and G'(y) = sum_j dg[j] * y^j
+    g = [base.from_digits({j * m: math.comb(p, j + 1) // p})
+         for j in range(p - 1)] + [base.from_int(s)]
+    dg = [g[j] * j for j in range(1, p)]
+
+    def horner(coeffs, y):
+        acc = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc = acc * y + c
+        return acc
+
+    y = PadicElem(base, {(0, 0): 1}, 1)
+    while y.prec < prec - m:
+        # y is right below k = y.prec, so G(yn) vanishes below k and G'(y),
+        # known below k, still gives the quotient its full cap n <= 2k
+        yn = PadicElem(base, y.digits, min(2 * y.prec, prec - m))
+        y = yn - horner(g, yn) / horner(dg, y)
+    return PadicElem(base, {(k + m, e): c for (k, e), c in y.digits.items()},
+                     prec)
 
 
 # parsers for printed series and digit text (round-trips of to_text)

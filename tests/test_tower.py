@@ -12,9 +12,9 @@ from fractions import Fraction
 
 import pytest
 
-from vallab.constructions import (build_2ext, build_as_resf, build_as_valgp,
-                                  build_kummer_resf, build_kummer_valgp,
-                                  build_lemma_3_3)
+from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
+                                  build_as_valgp, build_kummer_resf,
+                                  build_kummer_valgp, build_lemma_3_3)
 from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
@@ -187,6 +187,47 @@ def test_adjoin_on_pending_tower_rejected():
     assert adj.outcome == "no_step_detected"
     with pytest.raises(ValidationError):
         adjoin_root(adj.tower, "as", adj.tower.from_base(base.monomial(-1)), "y")
+
+
+def eager_rhs(tw):
+    """Tower.rhs as Tower.__init__ used to build it for every tower."""
+    n = len(tw.gens)
+    return tuple(TElem(tw, {e + (0,) * (n - len(e)): c for e, c in g.rhs})
+                 for g in tw.gens)
+
+
+def test_attach_and_finalize_build_no_rhs_until_read():
+    # each tower rebuilt every relation right-hand side on construction,
+    # though most never reduce a p-th power
+    base = laurent(3)
+    t0 = Tower(base)
+    a = t0.from_base(base.monomial(-1))
+    new = tower._attach(t0, "as", a, "x", Fraction(-1, 3), None, None, "")
+    done = tower._finalize(new, "ramified", new_value=Fraction(-1, 3))
+    assert all("rhs" not in vars(t) for t in (t0, new, done))
+    x = done.gen_elem(0)
+    assert x ** 3 == x + done.from_base(base.monomial(-1))
+    assert "rhs" in vars(done)
+    assert "rhs" not in vars(new)
+    assert [r.coords for r in done.rhs] == [r.coords for r in eager_rhs(done)]
+
+
+def test_rhs_matches_the_eager_build_on_every_family_tower(monkeypatch):
+    made = []
+    init = Tower.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(Tower, "__init__", recording)
+    for p in (2, 3, 5):
+        for build in BUILDERS.values():
+            build(p)
+    read = sum("rhs" in vars(t) for t in made)
+    assert 0 < read < len(made)
+    for t in made:
+        assert [r.coords for r in t.rhs] == [r.coords for r in eager_rhs(t)]
 
 
 # -- witness recursions ------------------------------------------------------

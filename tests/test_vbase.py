@@ -11,7 +11,8 @@ from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, zeta_lambda
 
-from helpers import padic_from_text, pth_root, series, series_from_text
+from helpers import (padic_from_text, pth_root, series, series_from_text,
+                     zeta_lambda_by_digit_newton)
 
 
 def laurent(p, closed=False, level=0):
@@ -451,17 +452,34 @@ def test_digit_ring_builds_its_group_and_residue_field_once(monkeypatch):
 
 
 def test_lambda_products_count(monkeypatch):
-    # Newton-Hensel lifting; the greedy digit search made 8,998 products
+    # the greedy digit search made 8,998 products, and Newton in the digit
+    # ring 164 and 6 long divisions; the lift in integers makes none
     calls = []
-    mul = PadicElem.__mul__
 
-    def counting(self, other):
-        calls.append(None)
-        return mul(self, other)
+    def counting(name):
+        orig = getattr(PadicElem, name)
+        return lambda self, *args: calls.append(name) or orig(self, *args)
 
-    monkeypatch.setattr(PadicElem, "__mul__", counting)
+    for name in ("__mul__", "_divide"):
+        monkeypatch.setattr(PadicElem, name, counting(name))
     zeta_lambda(PadicBase(11, 10, -1), 44)
-    assert len(calls) <= 1000
+    assert calls == []
+
+
+LIFT_CASES = [(p, E) for p in (3, 5, 7, 11, 13) for E in (p - 1, 2 * (p - 1))] \
+    + [(p, p * (p - 1)) for p in (3, 5)]
+
+
+@pytest.mark.parametrize("p,E", LIFT_CASES,
+                         ids=["p%d-E%d" % c for c in LIFT_CASES])
+def test_lambda_matches_the_digit_ring_lift(p, E):
+    # the raw digits differ, but lambda mod w^prec is unique: every cap from
+    # E + 1 to E + 4p carries to the same digits as Newton in the digit ring
+    b = PadicBase(p, E, -1)
+    for cap in range(E + 1, E + 4 * p + 1):
+        lam, ref = zeta_lambda(b, cap), zeta_lambda_by_digit_newton(b, cap)
+        assert lam.prec == ref.prec == cap
+        assert list(lam._norm_iter()) == list(ref._norm_iter()), cap
 
 
 @pytest.mark.parametrize("p", [3, 5])
