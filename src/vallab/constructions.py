@@ -244,7 +244,7 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
     base = _cyclo_base(p)
     lam = zeta_lambda(base, padic_cap)
     if lam.prec == INFINITE:
-        # exact lambda (p = 2): cap it so the inversion terminates
+        # exact lambda (p = 2): the cap keeps a0's text, + O(w^(cap - 2))
         lam = PadicElem(base, dict(lam.digits), padic_cap)
     a0 = base.one() / lam
     alpha = Fraction(-1, p - 1)

@@ -15,13 +15,12 @@ residue of a leading coefficient, and its own +, *, /, unary - and text:
   with w^E = s*p (s = +-1), so v(w) = 1/E when v(p) = 1.  An element is
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
   transcendental residue u, and a plain ring is the case u-exponent = 0.
-  The integers are kept uncarried; a lazy carry walk produces the reduced
-  digits, {u-exponent: 1..p-1} per position, on demand, and an element
-  keeps its lowest one once read.  Position k has value k/E.
+  The integers are folded as in Z[w]/(w^E - s*p), one per (position
+  mod E, u-exponent) from the lead on.  Position k has value k/E.
 
 Precision is a p-adic digit position: digits at position >= prec are
-unknown, and the caps of products and quotients (by long division) are
-computed on positions.  INFINITE prec means exact, and every series has it.
+unknown, and the caps of products and quotients are computed on
+positions.  INFINITE prec means exact, and every series has it.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import count
 from operator import itemgetter
 
 from .errors import PrecisionError, ValidationError
@@ -39,12 +38,8 @@ from .ogroup import OGroup, contains as group_contains, ogroup
 from .resfield import RElem, ResField, power
 from .values import INFINITE, Indeterminate, fr
 
-# a division of two exact elements has no cap to reach; it stops here
-_MAX_DIV_STEPS = 400
 # an exact element shows its digits below max(0, its lowest position) + 24
 _EXACT_SHOWN = 24
-# a digit-ring lead not read yet (None is the lead of an element with none)
-_UNREAD = object()
 
 
 def require_prime(p: int):
@@ -352,47 +347,41 @@ class PadicBase:
 class PadicElem(_Elem):
     """The sum of c * w^k * u^e over digits = {(k, e): c}, known below position prec.
 
-    Coefficients are arbitrary integers and are not carried; the lazy walk
-    _norm_iter produces the reduced digits, each a {u-exponent: 1..p-1}
-    dict, in ascending position.
+    The integers are kept as _fold leaves them; arithmetic, the value and
+    the lead digit read them, and only to_text walks their carries
+    (_norm_iter) to the reduced digits {u-exponent: 1..p-1}.
     """
 
-    __slots__ = ("base", "digits", "prec", "_first")
+    __slots__ = ("base", "digits", "prec")
     _RING = "digit ring"
 
     def __init__(self, base: PadicBase, digits: dict, prec):
         self.base = base
-        self.digits = {ke: c for ke, c in digits.items() if c and ke[0] < prec}
+        self.digits = _fold(base, digits, prec)
         self.prec = prec
-        self._first = _UNREAD           # _lead, kept once read
 
     def _norm_iter(self):
-        """Yield (position, reduced digit) ascending, carrying base p."""
+        """Yield (position, reduced digit) ascending: each integer's digits
+        base s*p, every E-th position from its own (no carry meets another)."""
         p, E, s = self.base.p, self.base.E, self.base.twist
-        wd = {}
-        for (k, e), c in self.digits.items():
-            d = wd.setdefault(k, {})
-            d[e] = d.get(e, 0) + c
-        while wd:
-            k = min(wd)
-            if k >= self.prec:
-                return
-            r = {}
-            for e, c in wd.pop(k).items():
-                q, c = divmod(c, p)
+        wd = dict(self.digits)
+        while wd and min(wd)[0] < self.prec:
+            k, r = min(wd)[0], {}
+            for e in [e for kk, e in wd if kk == k]:
+                q, r[e] = divmod(wd.pop((k, e)), p)
                 if q:
-                    d = wd.setdefault(k + E, {})
-                    d[e] = d.get(e, 0) + s * q
-                if c:
-                    r[e] = c
-            if r:
-                yield k, r
+                    wd[k + E, e] = s * q
+            if any(r.values()):
+                yield k, {e: c for e, c in r.items() if c}
 
     def _lead(self):
-        # digits are never changed after construction, so one walk serves
-        if self._first is _UNREAD:
-            self._first = next(self._norm_iter(), None)
-        return self._first
+        """The lowest reduced digit: the folded integers start at the lead
+        position, and those there that p does not divide are its digit."""
+        if not self.digits:
+            return None
+        low, p = min(self.digits)[0], self.base.p
+        return low, {e: c % p for (k, e), c in self.digits.items()
+                     if k == low and c % p}
 
     def _value(self, k):
         return Fraction(k, self.base.E)
@@ -415,53 +404,31 @@ class PadicElem(_Elem):
         return PadicElem(self.base, out, min(self.prec, other.prec))
 
     def __neg__(self):
-        return PadicElem(self.base, {ke: -c for ke, c in self.digits.items()},
-                         self.prec)
+        return _shift(self, 0, 0, -1)
 
-    def _product_prec(self, other):
-        """The cap of self*other: each finite cap plus the other factor's
-        lead position, which is read only when that cap is finite."""
+    def __mul__(self, other):
+        # capped at each finite cap plus the other factor's lead, read only then
+        other = self._coerce(other)
         cap = INFINITE
         if other.prec != INFINITE:
             cap = other.prec + self._low()
         if self.prec != INFINITE:
             cap = min(cap, self.prec + other._low())
-        return cap
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        cap = self._product_prec(other)
-        out = {}
-        for (k1, e1), c1 in self.digits.items():
-            for (k2, e2), c2 in other.digits.items():
-                if k1 + k2 < cap:
-                    ke = (k1 + k2, e1 + e2)
-                    out[ke] = out.get(ke, 0) + c1 * c2
-        return PadicElem(self.base, out, cap)
+        return _product(self, other, cap)
 
     def __truediv__(self, other):
         other = self._coerce(other)
         if len(other.digits) == 1 and other.prec == INFINITE:
             (k0, e0), c0 = next(iter(other.digits.items()))
             if c0 in (1, -1):
-                # divisor +-w^k0 u^e0: exact shift, no digit stream to walk
-                # (the quotient keeps raw digits)
-                digits = {(k - k0, e - e0): c * c0
-                          for (k, e), c in self.digits.items()}
-                return PadicElem(self.base, digits, self.prec - k0)
+                # +-w^k0 u^e0 (so also +-p^j w^k u^e, once folded): a shift
+                return _shift(self, -k0, -e0, c0)
         return self._divide(other)
 
     def _divide(self, other):
-        """Long division, one leading digit of the quotient per step.
-
-        Each step cancels the remainder's lead, so the lead rises and a
-        capped operand ends the loop.  With y's lead at k0, the first step
-        caps the remainder at min(x.prec, lead(x) + y.prec - k0) (the
-        product cap) and later steps keep that cap.  So the quotient's
-        cap, the final remainder's less k0, is
-        min(x.prec - k0, lead(x) + y.prec - 2*k0), where
-        d(x/y) = (dx*y - x*dy)/y^2 puts the errors of x/y.
-        """
+        """x * (1/Y) / (w^k0 u^e0), Y the unit y / (w^k0 u^e0), capped where
+        d(x/y) = (dx*y - x*dy)/y^2 puts its errors, at
+        min(x.prec - k0, lead(x) + y.prec - 2*k0); exact / exact has none."""
         lead = other._lead()
         if lead is None:
             if other.prec == INFINITE:
@@ -471,24 +438,17 @@ class PadicElem(_Elem):
         if len(d0) != 1:
             raise ValidationError(
                 "division by a non-monomial leading digit is not supported")
-        (e0, c0), = d0.items()
-        p = self.base.p
-        inv = pow(c0, p - 2, p)
-        exact = self.prec == INFINITE and other.prec == INFINITE
-        q, r, steps = {}, self, 0
-        while True:
-            lead = r._lead()
-            if lead is None:
-                return PadicElem(self.base, q, r.prec - k0)
-            steps += 1
-            if exact and steps > _MAX_DIV_STEPS:
-                # no cap ran out: the caller must cap an operand
-                raise ValidationError("exact digit division passed %d quotient "
-                                      "digits; cap an operand" % _MAX_DIV_STEPS)
-            k, d = lead
-            term = {(k - k0, e - e0): c * inv % p for e, c in d.items()}
-            q.update(term)
-            r = r - PadicElem(self.base, term, INFINITE) * other
+        (e0, _), = d0.items()
+        low = self._low()
+        cap = min(self.prec - k0, low + other.prec - 2 * k0)
+        if low == self.prec:
+            return PadicElem(self.base, {}, cap)
+        if cap == INFINITE:
+            raise ValidationError(
+                "an exact digit division by anything but +-p^j w^k u^e has "
+                "no cap to reach; cap an operand")
+        inv = _inverse(_shift(other, -k0, -e0, 1), cap + k0 - low)
+        return _shift(_product(self, inv, cap + k0), -k0, -e0, 1)
 
     # -- display ------------------------------------------------------------------
 
@@ -531,6 +491,63 @@ def _digit_text(d: dict) -> str:
     return "(%s)" % " + ".join(parts)
 
 
+def _fold(base: PadicBase, digits: dict, prec) -> dict:
+    """{(k, e): c} for sum c * w^k * u^e below prec, k in the E positions
+    from the lead.  c * w^k = c * (s*p)^j * w^(k - jE) moves each term to
+    the E positions from the least, v; a capped c at k is kept mod
+    p^ceil((prec - k)/E); and if p divides every c at v, the terms move up
+    to the E positions from the lead, the least k + E*v_p(c)."""
+    p, E, sp = base.p, base.E, base.twist * base.p
+    out = {ke: c for ke, c in digits.items() if c and ke[0] < prec}
+    if not out:
+        return out
+    v = min(out)[0]
+    if len(out) > 1 and max(out)[0] >= v + E:
+        for (k, e), c in [kc for kc in out.items() if kc[0][0] >= v + E]:
+            del out[k, e]
+            j = (k - v) // E
+            out[k - j * E, e] = out.get((k - j * E, e), 0) + c * sp ** j
+        if prec == INFINITE and 0 in out.values():
+            out = {ke: c for ke, c in out.items() if c}
+    if prec != INFINITE:
+        out = {(k, e): r for (k, e), c in out.items()
+               if (r := c % p ** -((k - prec) // E))}
+    if not out or out.get((v, 0), 0) % p or \
+            any(c % p for (k, _), c in out.items() if k == v):
+        return out
+    low = min(k + E * next(j for j in count() if c % p ** (j + 1))
+              for (k, _), c in out.items())
+    return _fold(base, {(k - (k - low) // E * E, e): c // sp ** -((k - low) // E)
+                        for (k, e), c in out.items()}, prec)
+
+
+def _shift(x: PadicElem, k: int, e: int, c: int) -> PadicElem:
+    """c * w^k * u^e * x, exactly: each term moves and is scaled."""
+    return PadicElem(x.base, {(k1 + k, e1 + e): c * c1
+                              for (k1, e1), c1 in x.digits.items()},
+                     x.prec + k)
+
+
+def _product(x: PadicElem, y: PadicElem, cap) -> PadicElem:
+    """x*y below position cap: the convolution, folded by the constructor."""
+    out, terms = {}, y.digits.items()
+    for (k1, e1), c1 in x.digits.items():
+        for (k2, e2), c2 in terms:
+            ke = k1 + k2, e1 + e2
+            out[ke] = out.get(ke, 0) + c1 * c2
+    return PadicElem(x.base, out, cap)
+
+
+def _inverse(y: PadicElem, n: int) -> PadicElem:
+    """1/y below position n, for y with an integer lead digit c0 at 0:
+    z = 1/c0 mod p, then z <- z*(2 - y*z) squares 1 - y*z, dividing nothing."""
+    z, k = PadicElem(y.base, {(0, 0): pow(y._lead()[1][0], -1, y.base.p)}, 1), 1
+    while k < n:
+        k = min(2 * k, n)
+        z = _product(z, -_product(y, z, k) + 2, k)
+    return z
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic uniformizer
 # ---------------------------------------------------------------------------
@@ -542,23 +559,15 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
     The root has value 1/(p-1), so (p-1) | E and lambda = w^m * y with
     m = E/(p-1) and y a unit.  Write Phi_p(1+X) = X^(p-1) + p*h(X) with
     h(X) = sum_j (C(p, j+1)/p) X^j; since w^E = s*p, lambda is a root
-    exactly when
+    exactly when G(y) = s*y^(p-1) + h(w^m * y) = 0.  Mod w this reads
+    s*y^(p-1) + 1 = 0, which needs s = -1 for odd p and then has the
+    simple root y = 1.  (Newton on Phi_p(1+X) itself fails Hensel's
+    condition from one digit when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
 
-        G(y) = s*y^(p-1) + h(w^m * y) = 0.
-
-    Mod w this reads s*y^(p-1) + 1 = 0, which needs s = -1 for odd p and
-    then has the simple root y = 1, where G'(y) = s(p-1) mod w is a unit.
-    (Newton on Phi_p(1+X) itself fails Hensel's condition from one digit
-    when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
-
-    The lift runs in integers, in R = Z[w]/(w^E - s*p): y is the list of
-    its coefficients A_r of w^r, r < E.  A_r * w^r lies in w^k R when
-    p^ceil((k-r)/E) | A_r, so at precision k each A_r is kept mod that power
-    (0 once r >= k); as w^k R holds a power of p, R/w^k R is the digit ring
-    mod w^k, whose carried digits are unique.  Newton's step y <- y - z*G(y)
-    takes y from right mod w^k to right mod w^(2k) when z = 1/G'(y) mod w^k:
-    G(y) lies in w^k R, so z's error in w^k R moves the step by w^(2k) alone.
-    A step first takes z there by z <- z*(2 - G'(y)*z), which divides nothing.
+    Newton's step y <- y - z*G(y) takes y from right mod w^k to right mod
+    w^(2k) when z = 1/G'(y) mod w^k, as G(y) lies in w^k.  Since
+    p*G(y) = Phi_p(1 + lambda) and Phi_p'(zeta) = p*zeta^(p-1)/(zeta - 1),
+    1/G'(y) = zeta*y at the root, so z = (1 + lambda)*y divides nothing.
     """
     p, E, s = base.p, base.E, base.twist
     if E % (p - 1):
@@ -573,26 +582,16 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
             "(at least %d), got %d" % (p, E, E + 1, prec))
     if p == 2:
         return base.from_int(-2)  # zeta_2 = -1 exactly
-    m, zero = E // (p - 1), [0] * (E - 1)
-    # (c, t) per power y^j: G(y) = sum_j c * w^t * y^j, and dg for G'(y)
-    g = [(math.comb(p, j + 1) // p, j * m) for j in range(p - 1)] + [(s, 0)]
-    dg = [(j * c, t) for j, (c, t) in enumerate(g)][1:]
-
-    def mul(a, b):  # a*b mod w^k, over the nonzero entries of a
-        out = [0] * (2 * E)
-        for i, x in filter(itemgetter(1), enumerate(a)):
-            out[i:i + E] = [o + x * v for o, v in zip(out[i:i + E], b)]
-        return [(out[r] + s * p * out[r + E]) % q for r, q in enumerate(mods)]
-
-    def ev(poly):  # sum_j c * w^t * y^j: a[r - t], r < t, wraps times s*p
-        return [sum(c * a[r - t] * (1 if r >= t else s * p)
-                    for (c, t), a in zip(poly, pw)) for r in range(E)]
-
-    y, z, k = [1] + zero, [pow(s * (p - 1), -1, p)] + zero, 1
-    while k < prec - m:
-        k = min(2 * k, prec - m)
-        mods = [p ** -((r - k) // E) for r in range(E)]  # p^ceil((k-r)/E)
-        pw = [[1] + zero] + list(accumulate([y] * (p - 1), mul))  # y^j
-        z = mul(z, [2 * (r == 0) - x for r, x in enumerate(mul(ev(dg), z))])
-        y = [(x - v) % q for x, v, q in zip(y, mul(z, ev(g)), mods)]
-    return PadicElem(base, {(r + m, 0): a for r, a in enumerate(y)}, prec)
+    m = E // (p - 1)
+    # G(y) = s*y^(p-1) + sum_j C(p, j+1)/p * w^(jm) * y^j, by Horner's rule
+    g = [base.from_digits({j * m: math.comb(p, j + 1) // p})
+         for j in range(p - 2, -1, -1)]
+    y, n = base.one(), 1  # y = 1 is right mod w
+    while n < prec - m:
+        n = min(2 * n, prec - m)
+        y, gy = PadicElem(base, y.digits, n), base.from_int(s)
+        for c in g:
+            gy = _product(gy, y, n) + c
+        z = y + _shift(_product(y, y, n), m, 0, 1)  # (1 + lambda) * y
+        y = y - _product(z, gy, n)
+    return _shift(y, m, 0, 1)

@@ -11,8 +11,9 @@ group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
 references for the fast paths.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
-p-th power up to a threshold has a term-by-term reference, and the lift
-of lambda = zeta_p - 1 its earlier Newton form in the digit ring.  It also
+p-th power up to a threshold has a term-by-term reference, the lift
+of lambda = zeta_p - 1 its earlier Newton form in the digit ring, and
+digit-ring division its earlier long division.  It also
 builds series from term dicts (with no value-group check), parses the
 text that SeriesElem.to_text and PadicElem.to_text print back into
 elements, and draws seeded mixed-characteristic descriptors.
@@ -580,9 +581,49 @@ def zeta_lambda_by_digit_newton(base: PadicBase, prec: int) -> PadicElem:
         # y is right below k = y.prec, so G(yn) vanishes below k and G'(y),
         # known below k, still gives the quotient its full cap n <= 2k
         yn = PadicElem(base, y.digits, min(2 * y.prec, prec - m))
-        y = yn - horner(g, yn) / horner(dg, y)
+        y = yn - divide_by_long_division(horner(g, yn), horner(dg, y))
     return PadicElem(base, {(k + m, e): c for (k, e), c in y.digits.items()},
                      prec)
+
+
+def divide_by_long_division(x: PadicElem, y: PadicElem) -> PadicElem:
+    """x/y in the digit ring, one leading digit of the quotient per step.
+
+    Each step cancels the remainder's lead, so the lead rises and a
+    capped operand ends the loop.  With y's lead at k0, the first step
+    caps the remainder at min(x.prec, lead(x) + y.prec - k0) (the
+    product cap) and later steps keep that cap.  So the quotient's
+    cap, the final remainder's less k0, is
+    min(x.prec - k0, lead(x) + y.prec - 2*k0), where
+    d(x/y) = (dx*y - x*dy)/y^2 puts the errors of x/y.  An exact x over
+    an exact y stops after 400 quotient digits.
+    """
+    lead = y._lead()
+    if lead is None:
+        if y.prec == INFINITE:
+            raise ZeroDivisionError("digit division by zero")
+        raise PrecisionError("division by (indistinguishable from) zero")
+    k0, d0 = lead
+    if len(d0) != 1:
+        raise ValidationError(
+            "division by a non-monomial leading digit is not supported")
+    (e0, c0), = d0.items()
+    p = x.base.p
+    inv = pow(c0, p - 2, p)
+    exact = x.prec == INFINITE and y.prec == INFINITE
+    q, r, steps = {}, x, 0
+    while True:
+        lead = r._lead()
+        if lead is None:
+            return PadicElem(x.base, q, r.prec - k0)
+        steps += 1
+        if exact and steps > 400:
+            raise ValidationError("exact digit division passed 400 quotient "
+                                  "digits; cap an operand")
+        k, d = lead
+        term = {(k - k0, e - e0): c * inv % p for e, c in d.items()}
+        q.update(term)
+        r = r - PadicElem(x.base, term, INFINITE) * y
 
 
 # parsers for printed series and digit text (round-trips of to_text)

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import islice
 
 import pytest
 
@@ -11,8 +12,8 @@ from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, zeta_lambda
 
-from helpers import (padic_from_text, pth_root, series, series_from_text,
-                     zeta_lambda_by_digit_newton)
+from helpers import (divide_by_long_division, padic_from_text, pth_root, series,
+                     series_from_text, zeta_lambda_by_digit_newton)
 
 
 def laurent(p, closed=False, level=0):
@@ -255,9 +256,9 @@ def test_division_to_a_finite_cap_has_no_step_limit():
     q = x / y
     assert q.prec == 450
     assert isinstance((q * y - x).val(), Indeterminate)
-    # exact / exact has no target: the limit stays, and its message names it;
+    # exact / exact has no target: it is refused before any product, and
     # no cap ran out, so it is a validation error (exit 1), not exit 2
-    with pytest.raises(ValidationError, match="passed 400 quotient digits"):
+    with pytest.raises(ValidationError, match="cap an operand"):
         b.one() / y
 
 
@@ -277,6 +278,62 @@ def test_padic_nonmonomial_digit_division_rejected():
     y = g.u_elem() + g.one()
     with pytest.raises(ValidationError):
         g.one() / y
+
+
+# -- Newton division against long division ---------------------------------------
+
+
+DIFF_RINGS = [PadicBase(p, E, s, gauss) for p in (2, 3, 5, 7, 11)
+              for E in sorted({1, p - 1, 2 * (p - 1), p})
+              for s in (1, -1) for gauss in (False, True)]
+
+
+def _random_elem(rng, b, cap):
+    """Raw digits at positions -2..7, with u-exponents -1..1 in a Gauss ring."""
+    us = (-1, 0, 1) if b.gauss else (0,)
+    return PadicElem(b, {(rng.randint(-2, 7), rng.choice(us)):
+                         rng.randint(-b.p ** 2, b.p ** 2)
+                         for _ in range(rng.randint(1, 4))}, cap)
+
+
+def _quotient(f):
+    """(prec, carried digits) of f(), or the name of its error; an exact
+    quotient shows its first 40 digits."""
+    try:
+        q = f()
+    except (ZeroDivisionError, PrecisionError, ValidationError) as exc:
+        return type(exc).__name__
+    return q.prec, list(islice(q._norm_iter(), 40))
+
+
+def test_newton_division_matches_long_division():
+    # over 68 rings, seeded operands with at least one capped: Newton's
+    # quotient has long division's cap and carried digits, and the same
+    # refusals; an exact quotient by +-w^k u^e is a shift, and by anything
+    # else is refused before any product; the lead read off the folded
+    # integers is the carry walk's first digit
+    rng = random.Random(21)
+    for b in DIFF_RINGS:
+        for _ in range(12):
+            caps = rng.choice([(INFINITE, rng.randint(1, 12)),
+                               (rng.randint(1, 12), INFINITE),
+                               (rng.randint(1, 12), rng.randint(1, 12))])
+            x, y = (_random_elem(rng, b, cap) for cap in caps)
+            for z in (x, y):
+                assert z._lead() == next(z._norm_iter(), None)
+            assert _quotient(lambda: x / y) == \
+                _quotient(lambda: divide_by_long_division(x, y)), (b, x, y)
+            x, y = _random_elem(rng, b, INFINITE), _random_elem(rng, b, INFINITE)
+            k, e = rng.randint(-2, 7), rng.choice((-1, 0, 1) if b.gauss else (0,))
+            shift = PadicElem(b, {(k, e): rng.choice((1, -1))}, INFINITE)
+            want = _quotient(lambda: divide_by_long_division(x, shift))
+            if not isinstance(want, str):  # else x's digits do not end
+                assert _quotient(lambda: x / shift) == want
+            if y._lead() is not None and len(y._lead()[1]) == 1 \
+                    and list(y.digits.values()) not in ([1], [-1]) \
+                    and not x.is_zero():
+                with pytest.raises(ValidationError, match="cap an operand"):
+                    x / y
 
 
 def _text_or_error(f):
@@ -505,6 +562,24 @@ def test_product_reads_values_only_for_capped_factors(monkeypatch):
     assert calls == []
     capped * exact
     assert calls == [exact]
+
+
+def test_value_residue_and_equality_walk_no_carries(monkeypatch):
+    # the lead digit is read off the folded integers, plain and Gauss; each
+    # of these used to walk the carries of every element it read
+    def walk(self):
+        raise AssertionError("carry walk")
+
+    monkeypatch.setattr(PadicElem, "_norm_iter", walk)
+    g = PadicBase(3, 2, twist=-1, gauss=True)
+    x = g.from_digits({0: {0: 5, 1: 3}, 1: 7, 4: 2}, prec=9)
+    y = g.from_digits({0: -4, 3: {2: 1}})
+    assert x.val() == 0 and (x * 9).val() == 2 and (x - x).val().bound == F(9, 2)
+    assert x.residue() == g.residue_field.elem({0: 2})
+    assert (x * y).residue() == g.residue_field.elem({0: 1})
+    assert x * y == y * x and x != y and g.from_int(-3) == g.monomial(1)
+    q = PadicBase(5, 4, 1)
+    assert q.from_int(-125).val() == 3 and q.from_int(6).residue() == ResField(5).elem(1)
 
 
 def test_lambda_p2_needs_cap_above_E():
