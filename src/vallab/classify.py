@@ -74,9 +74,7 @@ def _residue_from_json(d: dict):
     return resfield_from_json(d)
 
 
-def _residue_text(rf) -> str:
-    if isinstance(rf, AbstractResidue):
-        return "abstract (%s)" % ("perfect" if rf.perfect else "imperfect")
+def _residue_text(rf: ResField) -> str:
     if rf.kind == "finite":
         return "F_%d" % rf.q
     if rf.kind == "ratfun":

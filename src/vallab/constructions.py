@@ -65,12 +65,13 @@ def _row(rows: list, n: int, tower: Tower, kind: str):
 
 def _chase(tower: Tower, depth: int):
     """The witness top - sum of the floors over a tower of `depth` floors
-    and a top generator, checked for v(w^p + last floor) >= 0: the terms
-    of w^p below 0 plus the floor have R1 bound >= 0, and so does the rest."""
+    and a top generator, checked for v(w^p + last floor) >= 0: the pure
+    terms of w^p plus the floor have R1 bound >= 0, and so does the rest,
+    the least bound of a mixed term."""
     w = tower.gen_elem(depth)
     for i in range(depth):
         w = w - tower.gen_elem(i)
-    kept, rest = pth_power(w, 0)
+    kept, rest = pth_power(w)
     bound = min(vlb(kept + tower.gen_elem(depth - 1)), rest)
     _check(bound >= 0, "v(w^p + last floor) >= 0 fails: bound %s" % (bound,))
     return w

@@ -22,15 +22,14 @@ Values are computed by four rules:
       mixed term has a multinomial divisible by p exactly once, so it
       vanishes in equal characteristic (x^p is the Frobenius) and in mixed
       characteristic has value at least 1 + p*vlb(x).  A step forms only
-      the terms below a threshold, 1 + p*vlb(x) for the walk, and bounds
-      the value of everything it left out by a rest >= the threshold; it
-      is decided when the least kept bound lies below the rest and is
-      attained once; a tie there passes the kept part on, its rest
-      lowered by the cross terms of the part left out.  When the least
-      kept bound is not below the rest, the walk forms whole powers from
-      x again.
-      An element keeps its widest x^p once taken, and a quotient by a
-      base element keeps x^p / d^p with its rest shifted by -p*v(d).
+      the pure terms and bounds the mixed ones by a rest, the least bound
+      of a mixed term; it is decided when the least kept bound lies below
+      the rest and is attained once; a tie there passes the pure part on,
+      its rest lowered by the cross terms of the part left out.  When the
+      least kept bound is not below the rest, the walk forms whole powers
+      from x again.
+      An element keeps its x^p once taken, and a quotient by a base
+      element keeps x^p / d^p with its rest shifted by -p*v(d).
 
 Each R4 step multiplies values by p.  A tie that persists approximates a
 generator by terms whose value denominators carry powers of p, and each
@@ -53,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, lcm
+from math import comb, lcm
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import p_exponent
@@ -176,7 +175,7 @@ class TElem:
     def __init__(self, tower: Tower, coords: dict):
         self.tower = tower
         self.coords = {e: c for e, c in coords.items() if not c.is_zero()}
-        self._pth = None                # (kept x**p, rest): pth_power
+        self._pth = None                # (x**p or its pure terms, rest)
         self._r1 = None                 # R1 bounds, see _r1
 
     # -- ring structure ------------------------------------------------------
@@ -216,7 +215,7 @@ class TElem:
             raise ValidationError("negative tower powers are not supported")
         if n != self.tower.p:
             return power(self, n, self.tower.one)
-        return pth_power(self)[0]
+        return pth_power(self, whole=True)[0]
 
     def __truediv__(self, other):
         """Division by a base element (or base-constant tower element).
@@ -273,26 +272,23 @@ def _coeff_pth(tower: Tower, c):
     return c.frobenius() if tower.base.eq_char else c ** tower.p
 
 
-def pth_power(x: TElem, below=INFINITE):
-    """(kept, rest): x^p by the multinomial theorem, up to the terms of
-    value at least `below`.
+def pth_power(x: TElem, *, whole=False):
+    """(y, rest): the pure terms of x^p, or with `whole` x^p itself.
 
     A pure term (c_j * gen^e_j)^p of a monomial of x is c_j^p * prod
-    rhs_i^e_ij, since gen_i^p is the stored relation right-hand side; all
-    of them are kept.  Every other term has all k_j < p: multinom(p; k) *
-    prod c_j^k_j * gen^(sum k_j * e_j).  Its multinomial is divisible by p
-    exactly once, so in characteristic p it vanishes and x -> x^p is the
-    Frobenius, and in mixed characteristic its value is at least
-    1 + sum k_j * b_j, b_j the R1 bound of monomial j.  kept holds every
-    term whose bound lies below `below`, and rest <= the true value of
-    every term left out, with rest >= below; it is INFINITE when nothing
-    is left out, as at below = INFINITE, which gives the whole x^p.  x
-    keeps the widest power formed so far and serves any `below` up to its
-    rest from it.
+    rhs_i^e_ij, since gen_i^p is the stored relation right-hand side.
+    Every other term has all k_j < p: multinom(p; k) * prod c_j^k_j *
+    gen^(sum k_j * e_j).  Its multinomial is divisible by p exactly once,
+    so in characteristic p it vanishes and x -> x^p is the Frobenius, and
+    in mixed characteristic its value is at least 1 + sum k_j * b_j, b_j
+    the R1 bound of monomial j, least at rest = 1 + (p-1)*b_1 + b_2 for the
+    two least bounds b_1 <= b_2.  rest is INFINITE when no mixed term is
+    left out.  x keeps its power and serves any request from it but a
+    whole one from the pure terms.
     """
-    if x._pth is not None and x._pth[1] >= below:
+    if x._pth is not None and not (whole and x._pth[1] != INFINITE):
         return x._pth
-    tower = x.tower
+    tower, p = x.tower, x.tower.p
     out = {}
     for e, c in x.coords.items():
         term = tower.from_base(_coeff_pth(tower, c))
@@ -303,70 +299,52 @@ def pth_power(x: TElem, below=INFINITE):
             _reduce_into(tower, te, tc, out)
     rest = INFINITE
     if not tower.base.eq_char and len(x.coords) > 1:
-        rest = _mixed_terms(x, below, out)
+        if whole:
+            _mixed_terms(x, out)
+        else:
+            den, bounds = _r1(x)
+            b1, b2 = sorted(t[0] for t in bounds)[:2]
+            rest = Fraction(den + (p - 1) * b1 + b2, den)
     x._pth = TElem(tower, out), rest
     return x._pth
 
 
-def _mixed_terms(x: TElem, below, out: dict):
-    """Accumulate into out the mixed terms of x^p whose bound is below
-    `below`, and return the least bound of the others (INFINITE if none).
+def _mixed_terms(x: TElem, out: dict):
+    """Accumulate into out every mixed term of x^p.
 
-    The compositions k are walked monomial by monomial, least bound first,
-    so terms with a common prefix share its product.  With the monomials
-    sorted, the least bound a branch can still reach puts p - 1 parts on
-    each next monomial in turn (fill below); a branch that cannot get
-    below `below` is pruned whole, and its least bound is a candidate for
-    the rest.  Bounds are integers over the R1 denominator.
+    The compositions k of p into parts below p are walked monomial by
+    monomial, so terms with a common prefix share its product, and each
+    coefficient power c_j^k is formed once.
     """
     tower, p = x.tower, x.tower.p
-    den, bounds = _r1(x)
-    items = sorted(bounds, key=lambda t: t[0])
-    n, b = len(items), [t[0] for t in items]
-    top = INFINITE if below == INFINITE else ceil(below * den)
-    # fill[j][left]: the least sum of bounds of `left` parts, each monomial
-    # from j on taking at most p - 1
-    fill = [[0] + [INFINITE] * p]
-    for j in range(n - 1, -1, -1):
-        nxt = fill[-1]
-        fill.append([min(left, p - 1) * b[j] + nxt[left - min(left, p - 1)]
-                     for left in range(p + 1)])
-    fill.reverse()
-    coeffs = [x.coords[t[2]] for t in items]
+    items, n = list(x.coords.items()), len(x.coords)
     powers = [[] for _ in items]      # powers[j][k - 1] = c_j^k, as needed
     mixed = {}                        # unreduced exponent -> coefficient
-    rest = INFINITE
 
     def cpow(j, k):
         pw = powers[j]
         while len(pw) < k:
-            pw.append(coeffs[j] if not pw else pw[-1] * coeffs[j])
+            pw.append(items[j][1] if not pw else pw[-1] * items[j][1])
         return pw[k - 1]
 
-    def walk(j, left, num, e, c, mult):
+    def walk(j, left, e, c, mult):
         """Give monomial j a part k of `left`, each part below p."""
-        nonlocal rest
-        ej, bj, nxt = items[j][2], b[j], fill[j + 1]
+        ej = items[j][0]
         for k in range(max(0, left - (p - 1) * (n - 1 - j)),
                        min(left, p - 1) + 1):
-            low = num + k * bj + nxt[left - k]
-            if low >= top:
-                rest = min(rest, low)
-                continue
             ek, ck, mk = e, c, mult * comb(left, k)
             if k:
                 ek = tuple(a + k * d for a, d in zip(e, ej))
                 ck = cpow(j, k) if c is None else c * cpow(j, k)
             if k < left:
-                walk(j + 1, left - k, num + k * bj, ek, ck, mk)
+                walk(j + 1, left - k, ek, ck, mk)
             else:
                 s = mixed.get(ek)
                 mixed[ek] = ck * mk if s is None else s + ck * mk
 
-    walk(0, p, den, (0,) * len(tower.gens), None, 1)
+    walk(0, p, (0,) * len(tower.gens), None, 1)
     for e, c in mixed.items():
         _reduce_into(tower, e, c, out)
-    return rest if rest == INFINITE else Fraction(rest, den)
 
 
 def to_text(x: TElem) -> str:
@@ -443,11 +421,11 @@ def _r4_walk(x: TElem):
 
 
 def _walk(x: TElem, whole: bool):
-    """_r4_walk's loop.  Unless `whole`, each step keeps only the terms of
-    y^p below 1 + p*vlb(y), where no mixed term lands, so y is x^(p^k)
-    less a part of value >= rest; the walk gives up (None) when the least
-    kept bound is not below the rest, and _r4_walk walks again with whole
-    powers; _carried_rest bounds what a step leaves out."""
+    """_r4_walk's loop.  Unless `whole`, each step keeps only the pure
+    terms of y^p, and every mixed term lies at or above 1 + p*vlb(y), so y
+    is x^(p^k) less a part of value >= rest; the walk gives up (None) when
+    the least kept bound is not below the rest, and _r4_walk walks again
+    with whole powers; _carried_rest bounds what a step leaves out."""
     y, k, rest, budget, p = x, 0, INFINITE, None, x.tower.p
     while True:
         den, bounds = _r1(y)
@@ -469,7 +447,7 @@ def _walk(x: TElem, whole: bool):
                 "a value tie outlasts the R4 budget of %d p-th powers: the "
                 "generator count plus the largest p-exponent of a value "
                 "denominator" % budget)
-        z, zrest = pth_power(y, INFINITE if whole else 1 + p * m)
+        z, zrest = pth_power(y, whole=whole)
         y, k, rest = z, k + 1, _carried_rest(zrest, rest, m, p)
 
 
