@@ -10,7 +10,6 @@ string naming the computation, oracle flag or derivation behind it.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ValidationError, json_get, printable_power
 from .intlinalg import is_prime
@@ -413,17 +412,37 @@ def audit_implications(corpus) -> dict:
 # the composed counterexample
 
 
-def build_counterexample_descriptor(core: FieldDescriptor) -> FieldDescriptor:
-    """Compose an x-adic rank-1 head over a tame core.
+def compose_xadic(core: FieldDescriptor, name: str, note: str,
+                  head_note: str) -> FieldDescriptor:
+    """Compose an x-adic rank-1 head over core.
 
     Describes the henselization of core(x) under the x-adic valuation
     composed with the core valuation: the value group picks up a
     lexicographic Z in front, the residue field stays the core's.  The
     head is henselian of residue characteristic 0, so henselian and
-    defectless transfer from the core, while the leading Z factor
-    destroys p-divisibility of the whole group without touching the
-    convex core of v(p).
+    defectless transfer from the core, and the power map mod p only sees
+    the core's coefficients; the leading Z factor destroys p-divisibility
+    of the whole group without touching the convex core of v(p).
     """
+    head = FieldDescriptor(
+        name=core.name + "-xadic-head", char=0, res_char=0,
+        value_group=cyclic(1), residue_field=AbstractResidue(perfect=True),
+        oracle_flags=dict.fromkeys(FLAG_NAMES, True), note=head_note)
+    frob = "frobenius_surjective_on_completion_mod_p"
+    flags = dict(head.oracle_flags, tame=core.res_char == 0)
+    flags[frob] = core.oracle_flags[frob]
+    return FieldDescriptor(
+        name=name, char=0, res_char=core.res_char,
+        value_group=lex_compose(head.value_group, core.value_group),
+        vp=None if core.vp is None else (0,) + core.vp,
+        residue_field=core.residue_field, oracle_flags=flags,
+        composition=(head, core), note=note)
+
+
+def build_counterexample_descriptor(core: FieldDescriptor) -> FieldDescriptor:
+    """compose_xadic over a core flagged tame, henselian and defectless
+    (not False), of characteristic 0: roughly tame, and tame only in
+    residue characteristic 0."""
     if core.oracle_flags["tame"] is not True:
         raise ValidationError("core must be flagged tame")
     if core.char != 0:
@@ -433,42 +452,10 @@ def build_counterexample_descriptor(core: FieldDescriptor) -> FieldDescriptor:
     for k in ("henselian", "defectless"):
         if core.oracle_flags[k] is False:
             raise ValidationError("a tame core must be %s" % k)
-    outer = FieldDescriptor(
-        name=core.name + "-xadic-head",
-        char=0,
-        res_char=0,
-        value_group=cyclic(1),
-        vp=None,
-        residue_field=AbstractResidue(perfect=True),
-        oracle_flags={"henselian": True, "defectless": True,
-                      "frobenius_surjective_on_completion_mod_p": True,
-                      "independent_defect": True, "tame": True},
-        note="x-adic head over the core: henselized rational function "
-             "field, residue field is the core field itself",
-    )
-    group = lex_compose(outer.value_group, core.value_group)
-    vp = None
-    if core.res_char > 0:
-        vp = (Fraction(0),) + _coerce_vec(core.vp, core.value_group.rank)
-    frob = core.oracle_flags["frobenius_surjective_on_completion_mod_p"]
-    flags = {
-        "henselian": True,
-        "defectless": True,
-        "frobenius_surjective_on_completion_mod_p": frob,
-        "independent_defect": True,
-        "tame": True if core.res_char == 0 else False,
-    }
-    return FieldDescriptor(
-        name="xadic-over-" + core.name,
-        char=0,
-        res_char=core.res_char,
-        value_group=group,
-        vp=vp,
-        residue_field=core.residue_field,
-        oracle_flags=flags,
-        composition=(outer, core),
-        note="composition of the x-adic head with the tame core %r: "
-             "henselian and defectless pass through the composition, the "
-             "p-th power map mod p only sees the core's coefficients"
-             % core.name,
-    )
+    return compose_xadic(
+        core, "xadic-over-" + core.name,
+        "composition of the x-adic head with the tame core %r: "
+        "henselian and defectless pass through the composition, the "
+        "p-th power map mod p only sees the core's coefficients" % core.name,
+        "x-adic head over the core: henselized rational function "
+        "field, residue field is the core field itself")

@@ -25,9 +25,6 @@ class BuildResult:
     towers: list
     extras: dict = field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        return self.certificate.to_json()
-
 
 def _check(cond: bool, msg: str):
     if not cond:

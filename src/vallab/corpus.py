@@ -12,8 +12,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .classify import (AbstractResidue, FieldDescriptor,
-                       build_counterexample_descriptor)
-from .ogroup import cyclic, lex_compose, ogroup
+                       build_counterexample_descriptor, compose_xadic)
+from .ogroup import cyclic, ogroup
 from .resfield import ResField
 
 
@@ -203,24 +203,12 @@ def q3_deep() -> FieldDescriptor:
 
 
 def tame_core_abstract() -> FieldDescriptor:
-    return FieldDescriptor(
-        name="tame-core-abstract",
-        char=0, res_char=3,
-        value_group=_zp(3),
-        vp=1,
-        residue_field=AbstractResidue(perfect=True),
-        oracle_flags={
-            "henselian": True,
-            "defectless": True,
-            "frobenius_surjective_on_completion_mod_p": True,
-            "independent_defect": True,
-            "tame": True,
-        },
+    return replace(
+        tame_core(3), name="tame-core-abstract",
         note="an abstract tame field of mixed characteristic (0, 3): "
              "3-divisible value group Z[1/3], perfect residue field, "
              "defectless; tame fields are henselian and their completions "
-             "have onto power maps mod p",
-    )
+             "have onto power maps mod p")
 
 
 def composed_counterexample() -> FieldDescriptor:
@@ -229,41 +217,14 @@ def composed_counterexample() -> FieldDescriptor:
 
 
 def composed_discrete_core() -> FieldDescriptor:
-    core = q2()
-    outer = FieldDescriptor(
-        name="q2-xadic-head",
-        char=0, res_char=0,
-        value_group=cyclic(1),
-        residue_field=AbstractResidue(perfect=True),
-        oracle_flags={
-            "henselian": True,
-            "defectless": True,
-            "frobenius_surjective_on_completion_mod_p": True,
-            "independent_defect": True,
-            "tame": True,
-        },
-        note="x-adic head over Q_2: henselized rational function field, "
-             "residue field is Q_2 itself",
-    )
-    return FieldDescriptor(
-        name="composed-discrete-core",
-        char=0, res_char=2,
-        value_group=lex_compose(outer.value_group, core.value_group),
-        vp=(0, 1),
-        residue_field=core.residue_field,
-        oracle_flags={
-            "henselian": True,
-            "defectless": True,
-            "frobenius_surjective_on_completion_mod_p": True,
-            "independent_defect": True,
-            "tame": False,
-        },
-        composition=(outer, core),
-        note="x-adic head composed over Q_2: henselian and defectless pass "
-             "through the composition; the power map mod 2 only sees the "
-             "core's coefficients, so it stays onto; not tame, and the "
-             "convex core of v(2) is the discrete Z where v(2) is minimal",
-    )
+    return compose_xadic(
+        q2(), "composed-discrete-core",
+        "x-adic head composed over Q_2: henselian and defectless pass "
+        "through the composition; the power map mod 2 only sees the "
+        "core's coefficients, so it stays onto; not tame, and the "
+        "convex core of v(2) is the discrete Z where v(2) is minimal",
+        "x-adic head over Q_2: henselized rational function field, "
+        "residue field is Q_2 itself")
 
 
 _CORPUS = {

@@ -51,10 +51,8 @@ def _coerce_vec(x, rank: int):
 
 
 def _lex_positive(v) -> bool:
-    for c in v:
-        if c != 0:
-            return c > 0
-    return False
+    i = _leading_index(v)
+    return i is not None and v[i] > 0
 
 
 def _leading_index(v):
@@ -309,10 +307,8 @@ def index(g: OGroup, h: OGroup):
     # equal spans and equal divisible spans: both matrices are square and
     # invertible, the free one over Z and the divisible one over Z[1/p]
     # once its rows' powers of p are divided back out, which leaves the
-    # prime-to-p part of its determinant alone; each |det| is the product
-    # of the integer echelon form's diagonal
-    ddiv, dfree = (math.prod(r[i] for i, r in enumerate(row_echelon(m)[0]))
-                   for m in (mdiv, mfree))
+    # prime-to-p part of its determinant alone; each |det| is int_rref's den
+    ddiv, dfree = (int_rref(m)[2] for m in (mdiv, mfree))
     return prime_to_p_part(ddiv, g.prime) * dfree
 
 
@@ -326,7 +322,7 @@ def is_p_divisible(g: OGroup, p: int) -> bool:
     return (not c.div) or g.prime == p
 
 
-def join(g: OGroup, extra_gens, closed=()) -> OGroup:
+def join(g: OGroup, extra_gens) -> OGroup:
     """The group generated by g and additional generators.
 
     It is presented by g's canonical basis followed by the new nonzero
@@ -335,10 +331,8 @@ def join(g: OGroup, extra_gens, closed=()) -> OGroup:
     """
     c = _canon(g)
     extra = [_coerce_vec(x, g.rank) for x in extra_gens]
-    cl = set(range(len(c.div))) | {len(c.basis) + i for i in closed}
-    if cl and g.prime == 1:
-        raise ValidationError("cannot close generators without a prime")
-    return ogroup(list(c.basis) + extra, closed=cl, prime=g.prime, rank=g.rank)
+    return ogroup(list(c.basis) + extra, closed=range(len(c.div)),
+                  prime=g.prime, rank=g.rank)
 
 
 # ---------------------------------------------------------------------------

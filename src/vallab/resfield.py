@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .errors import ValidationError, json_get
 from .intlinalg import is_prime, p_exponent
+from .values import pow_text
 
 
 def power(x, n: int, one):
@@ -269,8 +270,7 @@ class RElem:
             if ee == 0:
                 parts.append(str(c))
             else:
-                var = "u" if ee == 1 else ("u^%s" % ee if ee.denominator == 1
-                                           else "u^(%s)" % ee)
+                var = pow_text("u", ee)
                 parts.append(var if c == 1 else "%d*%s" % (c, var))
         return " + ".join(parts) if parts else "0"
 

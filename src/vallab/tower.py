@@ -59,7 +59,7 @@ from .intlinalg import p_exponent
 from .newton import single_slope
 from .ogroup import contains as group_contains, index as group_index, join
 from .resfield import RElem, power
-from .values import INFINITE, Indeterminate, fr
+from .values import INFINITE, Indeterminate, fr, pow_text
 
 
 @dataclass(frozen=True)
@@ -357,11 +357,8 @@ def to_text(x: TElem) -> str:
             ct = "(%s)" % ct
         if ct != "1" or not any(e):
             factors.append(ct)
-        for i, ei in enumerate(e):
-            if ei == 1:
-                factors.append(x.tower.gens[i].name)
-            elif ei:
-                factors.append("%s^%d" % (x.tower.gens[i].name, ei))
+        factors += [pow_text(g.name, ei)
+                    for g, ei in zip(x.tower.gens, e) if ei]
         parts.append("*".join(factors))
     return " + ".join(parts) if parts else "0"
 

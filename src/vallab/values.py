@@ -17,6 +17,16 @@ from fractions import Fraction
 INFINITE = math.inf
 
 
+def pow_text(name: str, g) -> str:
+    """name^g as printed: name alone at g = 1, g in parentheses unless it
+    is a nonnegative integer."""
+    if g == 1:
+        return name
+    if getattr(g, "denominator", 1) == 1 and g >= 0:
+        return "%s^%s" % (name, g)
+    return "%s^(%s)" % (name, g)
+
+
 def fr(x) -> Fraction:
     """Coerce ints, strings and Fractions to Fraction."""
     if isinstance(x, Fraction):

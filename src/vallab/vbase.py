@@ -29,14 +29,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
 from operator import itemgetter
 
 from .errors import PrecisionError, ValidationError
-from .intlinalg import is_prime
+from .intlinalg import is_prime, p_exponent
 from .ogroup import OGroup, contains as group_contains, ogroup
 from .resfield import RElem, ResField, power
-from .values import INFINITE, Indeterminate, fr
+from .values import INFINITE, Indeterminate, fr, pow_text
 
 # an exact element shows its digits below max(0, its lowest position) + 24
 _EXACT_SHOWN = 24
@@ -113,14 +112,6 @@ class _Elem:
 
     def __repr__(self):
         return self.to_text()
-
-
-def _pow_text(name: str, g) -> str:
-    if g == 1:
-        return name
-    if getattr(g, "denominator", 1) == 1 and g >= 0:
-        return "%s^%s" % (name, g)
-    return "%s^(%s)" % (name, g)
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +250,9 @@ class SeriesElem(_Elem):
             if g == 0:
                 parts.append(ct)
             elif ct == "1":
-                parts.append(_pow_text("t", g))
+                parts.append(pow_text("t", g))
             else:
-                parts.append("%s*%s" % (ct, _pow_text("t", g)))
+                parts.append("%s*%s" % (ct, pow_text("t", g)))
         return " + ".join(parts) if parts else "0"
 
 
@@ -338,10 +329,10 @@ class PadicBase:
             raise ValidationError("value %s outside the value group" % (value,))
         return self.from_digits({int(pos): coeff})
 
-    def u_elem(self, j: int = 1) -> "PadicElem":
+    def u_elem(self) -> "PadicElem":
         if not self.gauss:
             raise ValidationError("no transcendental digit in this ring")
-        return self.from_digits({0: {j: 1}})
+        return self.from_digits({0: {1: 1}})
 
 
 class PadicElem(_Elem):
@@ -469,11 +460,11 @@ class PadicElem(_Elem):
             if k == 0:
                 parts.append(dt)
             else:
-                pw = _pow_text("w", k)
+                pw = pow_text("w", k)
                 parts.append(pw if dt == "1" else "%s*%s" % (dt, pw))
         body = " + ".join(parts) if parts else "0"
         if self.prec != INFINITE:
-            return "%s + O(%s)" % (body, _pow_text("w", self.prec))
+            return "%s + O(%s)" % (body, pow_text("w", self.prec))
         return body + " + ..." if more else body
 
 
@@ -486,7 +477,7 @@ def _digit_text(d: dict) -> str:
         if e == 0:
             parts.append(str(c))
         else:
-            ue = "u" if e == 1 else "u^%d" % e if e > 0 else "u^(%d)" % e
+            ue = pow_text("u", e)
             parts.append(ue if c == 1 else "%d*%s" % (c, ue))
     return "(%s)" % " + ".join(parts)
 
@@ -515,8 +506,7 @@ def _fold(base: PadicBase, digits: dict, prec) -> dict:
     if not out or out.get((v, 0), 0) % p or \
             any(c % p for (k, _), c in out.items() if k == v):
         return out
-    low = min(k + E * next(j for j in count() if c % p ** (j + 1))
-              for (k, _), c in out.items())
+    low = min(k + E * p_exponent(c, p) for (k, _), c in out.items())
     return _fold(base, {(k - (k - low) // E * E, e): c // sp ** -((k - low) // E)
                         for (k, e), c in out.items()}, prec)
 

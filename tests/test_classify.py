@@ -5,6 +5,8 @@ rdr_2 cases were worked out by hand from the group presentations
 before the checker existed.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -360,3 +362,57 @@ def test_descriptor_json_roundtrip_all_corpus():
         back = descriptor_from_json(data)
         assert back.to_json() == data, d.name
         assert check(back).verdicts == check(d).verdicts, d.name
+
+
+# sha256 of each descriptor's to_json() (keys sorted), recorded before the
+# composed and tame corpus members were derived from the builders that
+# compose-desc uses; the classify digests see verdicts only, these see
+# every name, note, flag and composition
+DESCRIPTOR_DIGESTS = {
+    "laurent-f3":
+        "b0d13b137672654a4538e9eef2f857c59f0ce2a178401f2b2a5ea3810ec323b8",
+    "laurent-f2u":
+        "aa6173e123fd0b46f4da4d3fc0c6f144c72feead1132c15e24cda11004994a77",
+    "hahn-f3-perfected":
+        "da4f59013abc9ec30db1920568ae45f65fc69466ee1e714f780567d97d1b2d18",
+    "hahn-f3u":
+        "5d1cb2b3a77a2107b98409e9080959ae856cd8a91907074b3a9f7c24a15c9d31",
+    "ratfun-f2-t":
+        "228074e60a53d47894f59248c0d8e07ae91f071a69097a85f286d0194201babf",
+    "laurent-q":
+        "2fdf58256e737efefbee9448bce4acb3458a61dae9341f0e943f6a193b3b70bc",
+    "q2":
+        "8585d40cf4c88ff0ad63f1404022046f87b39e69a35511d64d91eeec710d8ec9",
+    "q3-zeta3":
+        "73d507cd93187b6a7303c0c5ce98b43d7fe43bcb7436a6bac2fd148229007b39",
+    "q3-deep":
+        "aae1094b0221ec46befa18279762a7a2df2abe6ff9e7325c3bbe125d098be028",
+    "tame-core-abstract":
+        "00a480b9dad82dc2b8de4499ceb895969dc941944dee7a6d1effab4353ec3034",
+    "composed-counterexample":
+        "4d3b6f9cc1c67130342f79722b739b10b6ae96dd3bad297792aec23e106c1393",
+    "composed-discrete-core":
+        "e1c497547044dc8984188996495b5b64704dbd5d80b5e07a19d904178b566b28",
+}
+
+# the same for build_counterexample_descriptor(tame_core(p))
+COUNTEREXAMPLE_DIGESTS = {
+    2: "ae524cce97e3ce39ead7749e50392fc8d90a447cd8b0a12756a8527d4cb7b73d",
+    3: "489e0a8230ecc9d53350d5b69b760ea8d46a29bccd05edf99b44a5c5b0a3e552",
+    5: "bc9ccc5a896ea97f849acb1305e6ac2f50ddba814730c199926e5693e2fd7eb8",
+    7: "fc00f1451a81dbb02dd10140ad138e3f3325e26bcc26858e277b770bf22478b4",
+}
+
+
+def _descriptor_digest(d):
+    text = json.dumps(d.to_json(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_descriptor_json_is_pinned():
+    assert list(DESCRIPTOR_DIGESTS) == corpus_names()
+    for name, digest in DESCRIPTOR_DIGESTS.items():
+        assert _descriptor_digest(corpus_member(name)) == digest, name
+    for p, digest in COUNTEREXAMPLE_DIGESTS.items():
+        d = build_counterexample_descriptor(tame_core(p))
+        assert _descriptor_digest(d) == digest, p

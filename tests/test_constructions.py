@@ -295,7 +295,7 @@ def test_kummer_valgp_p2():
 def test_default_cap_is_the_least_that_builds(p):
     # the need is lambda's own, at every depth: no guard stands in for it
     for depth in range(1, 5):
-        prec = build_kummer_valgp(p, depth).to_json()["precision"]
+        prec = build_kummer_valgp(p, depth).certificate.to_json()["precision"]
         assert prec["padic_positions"] == prec["required"] == p
         with pytest.raises(PrecisionError):
             build_kummer_valgp(p, depth, padic_cap=p - 1)

@@ -473,7 +473,7 @@ def test_kummer_valgp_certificate_prints_the_true_inverse_lambda():
     text = "w^(-1) + 1 + 2*w + O(w^2)"
     built = build_kummer_valgp(3, depth=1, padic_cap=4)
     assert built.extras["a0"].to_text() == text
-    minpolys = [row["minpoly"] for row in built.to_json()["rows"]]
+    minpolys = [row["minpoly"] for row in built.certificate.to_json()["rows"]]
     assert all("((%s))" % text in mp for mp in minpolys)
 
 
