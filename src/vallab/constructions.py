@@ -124,33 +124,24 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
     return BuildResult(cert, towers, {"witnesses": witnesses})
 
 
-def build_lemma_3_3(p: int, vd: int = -1) -> BuildResult:
-    """x^p = x + d^p u with v(d) = vd < 0 over F_p(u)((t)): one residue jump.
+def build_lemma_3_3(p: int) -> BuildResult:
+    """x^p = x + t^(-p) u over F_p(u)((t)): one residue jump.
 
-    The twist d moves the relation to value p*vd while the residue
+    The twist d = t^(-1) moves the relation to value -p while the residue
     equation stays y^p = u, which has no root in F_p(u); hence e = 1,
     f = p and no defect.
     """
     require_prime(p)
-    vd = int(vd)
-    if vd == 0:
-        raise ValidationError(
-            "vd = 0 leaves a separable residue equation; the twist needs a "
-            "negative value")
-    if vd > 0:
-        raise ValidationError(
-            "vd > 0 gives a two-slope polygon (no single root value); use "
-            "vd < 0")
     base = EqBase(p, ResField(p, "ratfun"), ogroup([fr(1)], prime=p))
     t0 = Tower(base)
-    a = t0.from_base(base.monomial(p * vd, base.res.gen()))
+    a = t0.from_base(base.monomial(-p, base.res.gen()))
     adj = _adjoin(t0, "as", a, "x", "residue")
     rows = []
     _row(rows, 1, adj.tower, "residue")
     _check(adj.residue_root == base.res.gen().pth_root_extend(),
            "residue root should be u^(1/p)")
     cert = DefectCertificate(
-        "lemma33", p, {"vd": vd}, rows, [True],
+        "lemma33", p, {"vd": -1}, rows, [True],
         "a single inseparable residue jump: e = 1, f = p, m = 0; the root "
         "u^(1/p) lies in the perfect hull of the residue field",
         {"mode": "exact"})
@@ -216,11 +207,10 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
 
 
 def _cyclo_base(p: int, extra_p_power: int = 0, gauss: bool = False) -> PadicBase:
-    """Totally ramified base containing zeta_p, coarsened by p^extra."""
-    if p == 2:
-        return PadicBase(2, 2 ** extra_p_power if extra_p_power else 1,
-                         1, gauss)
-    return PadicBase(p, (p - 1) * p ** extra_p_power, -1, gauss)
+    """Totally ramified base containing zeta_p, coarsened by p^extra:
+    E = (p-1)*p^extra with w^E = -p, as zeta_lambda needs at odd p (at
+    p = 2, zeta_2 = -1 lies in every ring, and w^E = +2)."""
+    return PadicBase(p, (p - 1) * p ** extra_p_power, 1 if p == 2 else -1, gauss)
 
 
 def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildResult:
@@ -239,6 +229,8 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
     # (checked for p <= 13 at depth 1-4, and p <= 7 to depth 6)
     if padic_cap is None:
         padic_cap = p
+    if not isinstance(padic_cap, int):
+        raise ValidationError("padic_cap must be an int, got %r" % (padic_cap,))
     base = _cyclo_base(p)
     lam = zeta_lambda(base, padic_cap)
     if lam.prec == INFINITE:

@@ -64,6 +64,9 @@ class ResField:
                                   "prime, got %r" % (self.char,))
         if self.kind == "perflevel" and self.level < 1:
             raise ValidationError("perfection level must be at least 1")
+        if self.kind != "perflevel" and self.level:
+            raise ValidationError("a %s residue field has no perfection "
+                                  "level, got %r" % (self.kind, self.level))
         if self.kind == "finite":
             if self.q is None:
                 object.__setattr__(self, "q", self.char)
@@ -149,7 +152,7 @@ class RElem:
     # -- conversions -------------------------------------------------------
 
     def level(self) -> int:
-        return self.field.level if self.field.kind == "perflevel" else 0
+        return self.field.level
 
     def least_level(self) -> int:
         """The least perfection level that holds this element: one level

@@ -11,9 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .constructions import (build_2ext, build_as_resf, build_as_valgp,
-                            build_kummer_resf, build_kummer_valgp,
-                            build_lemma_3_3)
+from .constructions import BUILDERS
 from .corpus import shipped_corpus
 from .classify import audit_implications
 from .newton import root_values
@@ -45,26 +43,26 @@ class SuiteResult:
 
 
 _OSTROWSKI_CASES = (
-    ("as-valgp", build_as_valgp, {"p": 2, "depth": 2}),
-    ("as-valgp", build_as_valgp, {"p": 3, "depth": 2}),
-    ("lemma33", build_lemma_3_3, {"p": 2}),
-    ("lemma33", build_lemma_3_3, {"p": 3}),
-    ("as-resf", build_as_resf, {"p": 2, "depth": 1}),
-    ("as-resf", build_as_resf, {"p": 3, "depth": 1}),
-    ("kummer-valgp", build_kummer_valgp, {"p": 2, "depth": 1}),
-    ("kummer-valgp", build_kummer_valgp, {"p": 3, "depth": 1}),
-    ("two-ext", build_2ext, {"p": 2}),
-    ("two-ext", build_2ext, {"p": 3}),
-    ("kummer-resf", build_kummer_resf, {"p": 2, "depth": 1}),
-    ("kummer-resf", build_kummer_resf, {"p": 3, "depth": 1}),
+    ("as-valgp", {"p": 2, "depth": 2}),
+    ("as-valgp", {"p": 3, "depth": 2}),
+    ("lemma33", {"p": 2}),
+    ("lemma33", {"p": 3}),
+    ("as-resf", {"p": 2, "depth": 1}),
+    ("as-resf", {"p": 3, "depth": 1}),
+    ("kummer-valgp", {"p": 2, "depth": 1}),
+    ("kummer-valgp", {"p": 3, "depth": 1}),
+    ("two-ext", {"p": 2}),
+    ("two-ext", {"p": 3}),
+    ("kummer-resf", {"p": 2, "depth": 1}),
+    ("kummer-resf", {"p": 3, "depth": 1}),
 )
 
 
 def suite_ostrowski(seed: int = 0) -> SuiteResult:
     res = SuiteResult("ostrowski")
-    for name, builder, params in _OSTROWSKI_CASES:
+    for name, params in _OSTROWSKI_CASES:
         label = name + " " + " ".join("%s=%s" % kv for kv in params.items())
-        built = builder(**params)
+        built = BUILDERS[name](**params)
         cert = built.certificate
         for row in cert.rows:
             good = row["m"] == 0 and row["degree"] == row["e"] * row["f"]
@@ -143,12 +141,16 @@ def suite_newton(seed: int = 0) -> SuiteResult:
 # ogroup: membership and index against naive arithmetic
 
 
-def _rank1_member(free, closed, p, x, kcap=24):
+_RANK1_KCAP = 24
+_COSET_CAP = 200
+
+
+def _rank1_member(free, closed, p, x):
     """Membership in a rank-1 group by integer gcd arithmetic.
 
     Over the common denominator d, x lies in sum Z f + sum Z h / p^k
     exactly when p^k * x * d is a multiple of gcd(p^k * f * d, h * d),
-    tried for each k below kcap.
+    tried for each k below _RANK1_KCAP.
     """
     vals = [x, *free, *closed]
     d = lcm(*(q.denominator for q in vals))
@@ -156,7 +158,7 @@ def _rank1_member(free, closed, p, x, kcap=24):
     if not nums:
         return xn == 0
     gf, gh = gcd(*nums[:len(free)]), gcd(*nums[len(free):])
-    for k in range(kcap if closed else 1):
+    for k in range(_RANK1_KCAP if closed else 1):
         pk = p ** k
         g0 = gcd(pk * gf, gh)
         if (pk * xn % g0 == 0) if g0 else xn == 0:
@@ -185,7 +187,7 @@ def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def _coset_count(m, cap=200):
+def _coset_count(m):
     """Order of Z^2 / mZ^2 by breadth-first enumeration.
 
     y lies in the image lattice exactly when adj(m) y = 0 mod det(m), so
@@ -209,7 +211,7 @@ def _coset_count(m, cap=200):
                 continue
             seen.add(k)
             queue.append(nxt)
-            if len(seen) > cap:
+            if len(seen) > _COSET_CAP:
                 raise RuntimeError("coset enumeration exceeded the cap")
     return len(seen)
 

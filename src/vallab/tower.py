@@ -141,7 +141,7 @@ class Tower:
         return len(self.steps) == len(self.gens) - 1
 
     def res_level(self) -> int:
-        return self.res_desc.level if self.res_desc.kind == "perflevel" else 0
+        return self.res_desc.level
 
     # -- element constructors -----------------------------------------------
 

@@ -25,7 +25,6 @@ positions.  INFINITE prec means exact, and every series has it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -104,7 +103,9 @@ class _Elem:
 
     def __eq__(self, other):
         """Indistinguishability: no determinate term separates the two."""
-        if not isinstance(other, type(self)):
+        if isinstance(other, int):
+            other = self.base.from_int(other)
+        elif not isinstance(other, type(self)):
             return NotImplemented
         return (self - other)._lead() is None
 
@@ -544,23 +545,21 @@ def _inverse(y: PadicElem, n: int) -> PadicElem:
 
 
 def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
-    """lambda = zeta_p - 1 in the digit ring, to `prec` digit positions.
+    """lambda = zeta_p - 1 in the digit ring, below a finite cap `prec`.
 
     The root has value 1/(p-1), so (p-1) | E and lambda = w^m * y with
-    m = E/(p-1) and y a unit.  Write Phi_p(1+X) = X^(p-1) + p*h(X) with
-    h(X) = sum_j (C(p, j+1)/p) X^j; since w^E = s*p, lambda is a root
-    exactly when G(y) = s*y^(p-1) + h(w^m * y) = 0.  Mod w this reads
-    s*y^(p-1) + 1 = 0, which needs s = -1 for odd p and then has the
-    simple root y = 1.  (Newton on Phi_p(1+X) itself fails Hensel's
-    condition from one digit when p >= 5: v(Phi_p'(1+lambda)) = (p-2)/(p-1).)
-
-    Newton's step y <- y - z*G(y) takes y from right mod w^k to right mod
-    w^(2k) when z = 1/G'(y) mod w^k, as G(y) lies in w^k.  Since
-    p*G(y) = Phi_p(1 + lambda) and Phi_p'(zeta) = p*zeta^(p-1)/(zeta - 1),
-    1/G'(y) = zeta*y at the root, so z = (1 + lambda)*y divides nothing.
+    m = E/(p-1) and y a unit.  Since w^E = s*p, G(y) = Phi_p(1 + lambda)/p
+    reads s*y^(p-1) + 1 mod w, which needs s = -1 for odd p and then has
+    the simple root y = 1: lambda = w^m is right below position m + 1.
+    Newton's step y <- y - zeta*y*G(y) (1/G'(y) = zeta*y at the root)
+    takes y from right mod w^k to mod w^(2k), so lambda from right below
+    n to below 2n - m.  As lambda*Phi_p(zeta) = zeta^p - 1, the step is
+    lambda <- lambda - zeta*(zeta^p - 1)/p, with zeta capped E positions
+    above the new cap and the division by p = s*w^E a shift.
     """
     p, E, s = base.p, base.E, base.twist
-    if E % (p - 1):
+    m, r = divmod(E, p - 1)
+    if r:
         raise ValidationError("ring cannot host zeta_%d (need (p-1) | E)" % p)
     if s != -1 and p != 2:
         raise ValidationError("ring cannot host zeta_%d (need w^E = -p)" % p)
@@ -570,18 +569,14 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
         raise PrecisionError(
             "lambda = zeta_%d - 1 needs a p-adic cap above %d digit positions "
             "(at least %d), got %d" % (p, E, E + 1, prec))
+    if prec == INFINITE and p != 2:
+        raise ValidationError(
+            "lambda = zeta_%d - 1 needs a finite p-adic cap" % p)
     if p == 2:
         return base.from_int(-2)  # zeta_2 = -1 exactly
-    m = E // (p - 1)
-    # G(y) = s*y^(p-1) + sum_j C(p, j+1)/p * w^(jm) * y^j, by Horner's rule
-    g = [base.from_digits({j * m: math.comb(p, j + 1) // p})
-         for j in range(p - 2, -1, -1)]
-    y, n = base.one(), 1  # y = 1 is right mod w
-    while n < prec - m:
-        n = min(2 * n, prec - m)
-        y, gy = PadicElem(base, y.digits, n), base.from_int(s)
-        for c in g:
-            gy = _product(gy, y, n) + c
-        z = y + _shift(_product(y, y, n), m, 0, 1)  # (1 + lambda) * y
-        y = y - _product(z, gy, n)
-    return _shift(y, m, 0, 1)
+    lam, n = base.from_digits({m: 1}), m + 1
+    while n < prec:
+        n = min(2 * n - m, prec)
+        z = PadicElem(base, lam.digits, n + E) + 1
+        lam = z - 1 - _shift(z * (z ** p - 1), -E, 0, s)
+    return lam

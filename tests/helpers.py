@@ -16,12 +16,16 @@ of lambda = zeta_p - 1 its earlier Newton form in the digit ring, and
 digit-ring division its earlier long division.  It also
 builds series from term dicts (with no value-group check), parses the
 text that SeriesElem.to_text and PadicElem.to_text print back into
-elements, and draws seeded mixed-characteristic descriptors.
+elements, draws seeded mixed-characteristic descriptors, and runs code
+that may hang in a child interpreter under a timeout.
 """
 
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
@@ -779,3 +783,13 @@ def norm_value(x):
     if isinstance(v, Indeterminate) or v == INFINITE:
         return v
     return v / len(basis)
+
+
+def run_in_child(code: str) -> subprocess.CompletedProcess:
+    """Run Python source in a fresh interpreter with src/ on its path; the
+    60 s timeout makes a hang fail the calling test instead of stalling it."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                       "src")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))

@@ -1,5 +1,6 @@
 """Builder tests against hand-computed rows, values and residues."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import ogroup
 from vallab.resfield import ResField, RElem
 from vallab.tower import TElem, val
+
+from helpers import run_in_child
 
 
 def rows_of(result):
@@ -231,15 +234,6 @@ def test_lemma33_frozen():
         assert r.towers[0].res_level() == 1
 
 
-def test_lemma33_rejects_bad_twist():
-    with pytest.raises(ValidationError):
-        build_lemma_3_3(3, 0)
-    with pytest.raises(ValidationError):
-        build_lemma_3_3(3, 2)
-    r = build_lemma_3_3(3, -2)
-    assert rows_of(r)[0]["new_residue"] == "u^(1/3)"
-
-
 def test_as_resf_depth2_p3_frozen():
     r = build_as_resf(3, 2)
     rows = rows_of(r)
@@ -323,6 +317,27 @@ def test_kummer_valgp_cap_guard():
         build_kummer_valgp(3, 9, padic_cap=2)
     with pytest.raises(ValidationError):
         build_kummer_valgp(3, 0)
+
+
+KUMMER_NO_CAP = """
+import math
+from vallab.constructions import build_kummer_valgp
+from vallab.errors import ValidationError
+try:
+    build_kummer_valgp(3, 1, padic_cap=math.inf)
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_kummer_valgp_refuses_a_cap_that_is_not_an_int():
+    # an infinite cap hung the lambda lift at odd p, and at p = 2 it built
+    # and printed "padic_positions": Infinity, which is not JSON
+    res = run_in_child(KUMMER_NO_CAP)
+    assert res.returncode == 0 and "must be an int" in res.stdout, res.stderr
+    for cap in (math.inf, 6.0):
+        with pytest.raises(ValidationError, match="must be an int"):
+            build_kummer_valgp(2, 1, padic_cap=cap)
 
 
 def test_2ext_p3_frozen():

@@ -105,6 +105,17 @@ def test_adjoin_pth_root_chain():
     assert (f.gen() ** 2).pth_root_extend().field.level == 0
 
 
+def test_only_a_perfection_level_field_takes_a_level():
+    # gen() scaled by p^level while the elements read as level 0, so
+    # ResField(3, "ratfun", level=2).gen() printed u^9
+    for kind in ("finite", "ratfun"):
+        with pytest.raises(ValidationError, match="no perfection level"):
+            ResField(3, kind, level=2)
+    with pytest.raises(ValidationError, match="no perfection level"):
+        ResField(3, "finite", level=1)
+    assert ResField(3, "perflevel", level=2).gen().to_text() == "u"
+
+
 def test_cross_level_equality_and_hash():
     f = ResField(3, "ratfun")
     u0 = f.gen()

@@ -12,8 +12,9 @@ from vallab.resfield import ResField
 from vallab.values import INFINITE, Indeterminate
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, zeta_lambda
 
-from helpers import (divide_by_long_division, padic_from_text, pth_root, series,
-                     series_from_text, zeta_lambda_by_digit_newton)
+from helpers import (divide_by_long_division, padic_from_text, pth_root,
+                     run_in_child, series, series_from_text,
+                     zeta_lambda_by_digit_newton)
 
 
 def laurent(p, closed=False, level=0):
@@ -438,7 +439,8 @@ def test_lambda_needs_cap_above_E():
     assert zeta_lambda(PadicBase(7, 6, -1), 7).val() == F(1, 6)
 
 
-LAMBDA_CASES = [(p, cap) for p in (3, 5, 7, 11) for cap in (p, 2 * p, 4 * p)]
+LAMBDA_CASES = [(p, cap) for p in (3, 5, 7, 11, 13, 17, 23)
+                for cap in (p, 2 * p, 4 * p)]
 
 
 @pytest.mark.parametrize("p,cap", LAMBDA_CASES,
@@ -510,7 +512,9 @@ def test_digit_ring_builds_its_group_and_residue_field_once(monkeypatch):
 
 def test_lambda_products_count(monkeypatch):
     # the greedy digit search made 8,998 products, and Newton in the digit
-    # ring 164 and 6 long divisions; the lift in integers makes none
+    # ring 164 and 6 long divisions; the step on zeta^p = 1 divides by p as
+    # a shift and makes 6 products per step, 5 for zeta^11 and one for
+    # zeta*(zeta^11 - 1), over the 6 steps from cap 2 to cap 44
     calls = []
 
     def counting(name):
@@ -520,11 +524,11 @@ def test_lambda_products_count(monkeypatch):
     for name in ("__mul__", "_divide"):
         monkeypatch.setattr(PadicElem, name, counting(name))
     zeta_lambda(PadicBase(11, 10, -1), 44)
-    assert calls == []
+    assert calls == ["__mul__"] * 36
 
 
 LIFT_CASES = [(p, E) for p in (3, 5, 7, 11, 13) for E in (p - 1, 2 * (p - 1))] \
-    + [(p, p * (p - 1)) for p in (3, 5)]
+    + [(p, p * (p - 1)) for p in (3, 5)] + [(17, 16)]
 
 
 @pytest.mark.parametrize("p,E", LIFT_CASES,
@@ -580,6 +584,38 @@ def test_value_residue_and_equality_walk_no_carries(monkeypatch):
     assert x * y == y * x and x != y and g.from_int(-3) == g.monomial(1)
     q = PadicBase(5, 4, 1)
     assert q.from_int(-125).val() == 3 and q.from_int(6).residue() == ResField(5).elem(1)
+
+
+LAMBDA_NO_CAP = """
+from vallab.errors import ValidationError
+from vallab.values import INFINITE
+from vallab.vbase import PadicBase, zeta_lambda
+try:
+    zeta_lambda(PadicBase(3, 2, -1), INFINITE)
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_lambda_refuses_an_infinite_cap_at_odd_p():
+    # the lift doubled its cap towards INFINITE and never returned
+    res = run_in_child(LAMBDA_NO_CAP)
+    assert res.returncode == 0 and "finite p-adic cap" in res.stdout, res.stderr
+    lam = zeta_lambda(PadicBase(2, 1, twist=1), INFINITE)
+    assert lam.prec == INFINITE and lam == -2
+
+
+def test_base_elements_equal_ints_by_value():
+    # + - * / coerce an int, and == used to say False to every int
+    q = PadicBase(3, 2, -1)
+    capped = q.from_digits({0: 2, 4: 1}, prec=4)
+    assert q.from_int(2) == 2 and q.zero() == 0 and 2 == q.from_int(2)
+    assert capped == 2 and capped != 5 and q.zero(prec=2) == 0
+    assert q.from_int(-3) == q.monomial(1) and q.monomial(1) != 3
+    s = laurent(3)
+    assert s.one() == 1 and s.zero() == 0 and s.from_int(4) == 1
+    assert s.monomial(1) != 1 and s.one() != 2
+    assert q.one() != "1" and s.one() != 1.0 and s.one() != q.one()
 
 
 def test_lambda_p2_needs_cap_above_E():
