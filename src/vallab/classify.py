@@ -124,7 +124,8 @@ class FieldDescriptor:
         for k in flags:
             if k not in FLAG_NAMES:
                 raise ValidationError("unknown oracle flag %r" % (k,))
-            if flags[k] not in (True, False, None):
+            # by type, not ==, which would let 0, 1 and 1.0 through
+            if not isinstance(flags[k], (bool, type(None))):
                 raise ValidationError("oracle flag %r must be True, False or "
                                       "None" % (k,))
         for k in FLAG_NAMES:
@@ -203,12 +204,16 @@ class FieldDescriptor:
 def descriptor_from_json(d: dict) -> FieldDescriptor:
     """A descriptor from to_json's form; a schema violation is a ValidationError."""
     what = "descriptor"
+    schema = json_get(d, "schema", what, int, 1)
+    if schema != 1:
+        raise ValidationError("descriptor schema %d is not supported; this "
+                              "reader knows schema 1" % schema)
     group = group_from_json(json_get(d, "value_group", what))
     vp = json_get(d, "vp", what, default=None)
     if vp is not None:
         vp = vec_from_json(vp, "descriptor vp")
     comp = json_get(d, "composition", what, dict, None)
-    if comp:
+    if comp is not None:
         comp = tuple(descriptor_from_json(json_get(comp, k, "composition"))
                      for k in ("outer", "core"))
     return FieldDescriptor(
@@ -219,7 +224,7 @@ def descriptor_from_json(d: dict) -> FieldDescriptor:
         vp=vp,
         residue_field=_residue_from_json(json_get(d, "residue_field", what)),
         oracle_flags=dict(json_get(d, "oracle_flags", what, dict, {})),
-        composition=comp or None,
+        composition=comp,
         note=json_get(d, "note", what, str, ""),
     )
 

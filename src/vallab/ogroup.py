@@ -133,8 +133,8 @@ def ogroup(gens, closed=(), prime: int = 1, rank=None) -> OGroup:
     return OGroup(rank=rank, gens=tuple(vecs), p_closed=frozenset(new_closed), prime=prime)
 
 
-def cyclic(q, rank=1) -> OGroup:
-    return ogroup([q], rank=rank)
+def cyclic(q) -> OGroup:
+    return ogroup([q], rank=1)
 
 
 # ---------------------------------------------------------------------------

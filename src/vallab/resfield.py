@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .errors import ValidationError, json_get
 from .intlinalg import is_prime, p_exponent
-from .values import pow_text
+from .values import sum_text, term_text
 
 
 def power(x, n: int, one):
@@ -267,15 +267,8 @@ class RElem:
 
     def _poly_text(self, terms) -> str:
         scale = self.field.char ** self.level()
-        parts = []
-        for e, c in terms:
-            ee = Fraction(e, scale)
-            if ee == 0:
-                parts.append(str(c))
-            else:
-                var = pow_text("u", ee)
-                parts.append(var if c == 1 else "%d*%s" % (c, var))
-        return " + ".join(parts) if parts else "0"
+        return sum_text(term_text(str(c), [("u", Fraction(e, scale))])
+                        for e, c in terms)
 
     def to_text(self) -> str:
         """The polynomial; a least exponent -s < 0 prints as (u^s * x)/(u^s)."""

@@ -58,7 +58,7 @@ _OSTROWSKI_CASES = (
 )
 
 
-def suite_ostrowski(seed: int = 0) -> SuiteResult:
+def suite_ostrowski(seed: int) -> SuiteResult:
     res = SuiteResult("ostrowski")
     for name, params in _OSTROWSKI_CASES:
         label = name + " " + " ".join("%s=%s" % kv for kv in params.items())
@@ -87,7 +87,7 @@ def _random_padic(rng: random.Random, base: PadicBase):
     return base.from_digits(digits)
 
 
-def suite_congruence(seed: int = 0) -> SuiteResult:
+def suite_congruence(seed: int) -> SuiteResult:
     res = SuiteResult("congruence")
     rng = random.Random(seed)
     for p in (2, 3, 5):
@@ -112,7 +112,7 @@ def suite_congruence(seed: int = 0) -> SuiteResult:
 # newton: sum of root values against the coefficient values
 
 
-def suite_newton(seed: int = 0) -> SuiteResult:
+def suite_newton(seed: int) -> SuiteResult:
     res = SuiteResult("newton")
     rng = random.Random(seed)
     for t in range(100):
@@ -166,7 +166,7 @@ def _rank1_member(free, closed, p, x):
     return False
 
 
-def _tri_member(u, v, x, p=0, closed_v=False):
+def _tri_member(u, v, x, p, closed_v):
     """Membership in Zu + Zv (v optionally Z[1/p]-scaled), u triangular."""
     a = Fraction(x[0]) / u[0]
     if a.denominator != 1:
@@ -216,7 +216,7 @@ def _coset_count(m):
     return len(seen)
 
 
-def suite_ogroup(seed: int = 0) -> SuiteResult:
+def suite_ogroup(seed: int) -> SuiteResult:
     res = SuiteResult("ogroup")
     rng = random.Random(seed)
     for t in range(100):
@@ -298,7 +298,7 @@ def suite_ogroup(seed: int = 0) -> SuiteResult:
 # implications: the corpus audit
 
 
-def suite_implications(seed: int = 0) -> SuiteResult:
+def suite_implications(seed: int) -> SuiteResult:
     res = SuiteResult("implications")
     report = audit_implications(shipped_corpus())
     bad = {}
@@ -320,7 +320,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0) -> SuiteResult:
+def run_suite(name: str, seed: int) -> SuiteResult:
     try:
         fn = SUITES[name]
     except KeyError:

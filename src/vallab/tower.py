@@ -59,7 +59,7 @@ from .intlinalg import p_exponent
 from .newton import single_slope
 from .ogroup import contains as group_contains, index as group_index, join
 from .resfield import RElem, power
-from .values import INFINITE, Indeterminate, fr, pow_text
+from .values import INFINITE, Indeterminate, fr, sum_text, term_text
 
 
 @dataclass(frozen=True)
@@ -348,19 +348,14 @@ def _mixed_terms(x: TElem, out: dict):
 
 
 def to_text(x: TElem) -> str:
+    names = [g.name for g in x.tower.gens]
     parts = []
     for e in sorted(x.coords):
-        c = x.coords[e]
-        factors = []
-        ct = c.to_text()
+        ct = x.coords[e].to_text()
         if " " in ct or "+" in ct:
             ct = "(%s)" % ct
-        if ct != "1" or not any(e):
-            factors.append(ct)
-        factors += [pow_text(g.name, ei)
-                    for g, ei in zip(x.tower.gens, e) if ei]
-        parts.append("*".join(factors))
-    return " + ".join(parts) if parts else "0"
+        parts.append(term_text(ct, zip(names, e)))
+    return sum_text(parts)
 
 
 # ---------------------------------------------------------------------------

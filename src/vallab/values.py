@@ -7,6 +7,9 @@ such tuples.  The value of zero is INFINITE, which is math.inf and
 compares correctly against Fraction.  An element that vanishes to
 working precision has an Indeterminate value: all that is known about
 it is a lower bound.
+
+Every printed element is written here: pow_text writes a power,
+term_text one term and sum_text the sum of the terms.
 """
 
 from __future__ import annotations
@@ -25,6 +28,21 @@ def pow_text(name: str, g) -> str:
     if getattr(g, "denominator", 1) == 1 and g >= 0:
         return "%s^%s" % (name, g)
     return "%s^(%s)" % (name, g)
+
+
+def term_text(coeff: str, factors) -> str:
+    """One printed term: coeff, then pow_text(name, g) for each (name, g)
+    in factors with g != 0, joined by *; a coeff of 1 is dropped before a
+    power."""
+    powers = [pow_text(name, g) for name, g in factors if g]
+    if coeff != "1" or not powers:
+        powers.insert(0, coeff)
+    return "*".join(powers)
+
+
+def sum_text(parts) -> str:
+    """Printed terms joined by +, or 0 when there are none."""
+    return " + ".join(parts) or "0"
 
 
 def fr(x) -> Fraction:

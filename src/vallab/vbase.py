@@ -34,7 +34,8 @@ from .errors import PrecisionError, ValidationError
 from .intlinalg import is_prime, p_exponent
 from .ogroup import OGroup, contains as group_contains, ogroup
 from .resfield import RElem, ResField, power
-from .values import INFINITE, Indeterminate, fr, pow_text
+from .values import (INFINITE, Indeterminate, fr, pow_text, sum_text,
+                     term_text)
 
 # an exact element shows its digits below max(0, its lowest position) + 24
 _EXACT_SHOWN = 24
@@ -244,17 +245,11 @@ class SeriesElem(_Elem):
     def to_text(self) -> str:
         parts = []
         for g in sorted(self.terms):
-            c = self.terms[g]
-            ct = c.to_text()
+            ct = self.terms[g].to_text()
             if not ct.lstrip("-").isdigit():
                 ct = "(%s)" % ct
-            if g == 0:
-                parts.append(ct)
-            elif ct == "1":
-                parts.append(pow_text("t", g))
-            else:
-                parts.append("%s*%s" % (ct, pow_text("t", g)))
-        return " + ".join(parts) if parts else "0"
+            parts.append(term_text(ct, [("t", g)]))
+        return sum_text(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +452,8 @@ class PadicElem(_Elem):
             if k >= cap:
                 more = True
                 break
-            dt = _digit_text(d)
-            if k == 0:
-                parts.append(dt)
-            else:
-                pw = pow_text("w", k)
-                parts.append(pw if dt == "1" else "%s*%s" % (dt, pw))
-        body = " + ".join(parts) if parts else "0"
+            parts.append(term_text(_digit_text(d), [("w", k)]))
+        body = sum_text(parts)
         if self.prec != INFINITE:
             return "%s + O(%s)" % (body, pow_text("w", self.prec))
         return body + " + ..." if more else body
@@ -472,15 +462,8 @@ class PadicElem(_Elem):
 def _digit_text(d: dict) -> str:
     if set(d) == {0}:
         return str(d[0])
-    parts = []
-    for e in sorted(d):
-        c = d[e]
-        if e == 0:
-            parts.append(str(c))
-        else:
-            ue = pow_text("u", e)
-            parts.append(ue if c == 1 else "%d*%s" % (c, ue))
-    return "(%s)" % " + ".join(parts)
+    return "(%s)" % sum_text(term_text(str(d[e]), [("u", e)])
+                             for e in sorted(d))
 
 
 def _fold(base: PadicBase, digits: dict, prec) -> dict:

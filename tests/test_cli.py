@@ -199,6 +199,45 @@ def test_classify_missing_file():
     assert "cannot read" in res.stderr
 
 
+def _classify_edited(tmp_path, name, **edits):
+    """main's exit code on corpus member `name` with keys replaced."""
+    data = corpus_member(name).to_json()
+    data.update(edits)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return main(["classify", "--descriptor", str(path)])
+
+
+@pytest.mark.parametrize("flag", [0, 1, 1.0])
+def test_classify_refuses_a_flag_that_is_not_a_bool(tmp_path, capsys, flag):
+    # 0 == False let these through, and henselian is read by identity,
+    # so hahn-f3-perfected with henselian 0 classified as tame
+    flags = dict(corpus_member("hahn-f3-perfected").oracle_flags,
+                 henselian=flag)
+    assert _classify_edited(tmp_path, "hahn-f3-perfected",
+                            oracle_flags=flags) == 1
+    assert capsys.readouterr().err == (
+        "error: oracle flag 'henselian' must be True, False or None\n")
+
+
+def test_classify_refuses_an_unknown_schema(tmp_path, capsys):
+    assert _classify_edited(tmp_path, "q2", schema=99) == 1
+    assert capsys.readouterr().err == (
+        "error: descriptor schema 99 is not supported; this reader knows "
+        "schema 1\n")
+    data = corpus_member("q2").to_json()
+    del data["schema"]
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--descriptor", str(path)]) == 0
+
+
+def test_classify_refuses_an_empty_composition(tmp_path, capsys):
+    assert _classify_edited(tmp_path, "q2", composition={}) == 1
+    assert capsys.readouterr().err == (
+        "error: composition lacks the key 'outer'\n")
+
+
 def test_verify_single_suite():
     res = run("verify", "--suite", "implications")
     assert res.returncode == 0

@@ -58,7 +58,7 @@ def test_construction_drops_zero_gens():
 def test_contains_frozen_examples():
     assert contains(cyclic(1), 0)
     assert contains(cyclic(1), -7)
-    assert not contains(cyclic(-1, rank=1), F(-1, 3))
+    assert not contains(cyclic(-1), F(-1, 3))
     zp = ogroup([1], closed=[0], prime=3)
     assert contains(zp, F(5, 27))
     assert not contains(zp, F(1, 2))

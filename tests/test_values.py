@@ -5,13 +5,24 @@ import pytest
 
 from vallab.errors import ValidationError
 from vallab.ogroup import _coerce_vec, _leading_index, _lex_positive
-from vallab.values import Indeterminate, fr
+from vallab.values import Indeterminate, fr, sum_text, term_text
 
 
 def test_fr_coercion():
     assert fr(3) == Fraction(3)
     assert fr(Fraction(1, 2)) == Fraction(1, 2)
     assert fr("7/4") == Fraction(7, 4)
+
+
+def test_term_and_sum_text():
+    # the coefficient leads unless it is 1 and a power follows
+    assert term_text("1", [("x", 0), ("y", 0)]) == "1"
+    assert term_text("1", [("x", 1), ("y", 0), ("z", Fraction(1, 3))]) == \
+        "x*z^(1/3)"
+    assert term_text("-1", [("t", -2)]) == "-1*t^(-2)"
+    assert term_text("(1 + u)", [("w", 3)]) == "(1 + u)*w^3"
+    assert sum_text([]) == "0"
+    assert sum_text(iter(["u", "2*u^2"])) == "u + 2*u^2"
 
 
 def test_indeterminate_has_no_order():
