@@ -11,7 +11,7 @@ string naming the computation, oracle flag or derivation behind it.
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, json_get, printable_power
+from .errors import ValidationError, json_get, json_keys, printable_power
 from .intlinalg import is_prime
 from .ogroup import (ConvexPart, OGroup, _coerce_vec, _lex_positive,
                      contains, convex_core, cyclic, is_p_divisible,
@@ -69,6 +69,7 @@ class AbstractResidue:
 
 def _residue_from_json(d: dict):
     if json_get(d, "kind", "residue field") == "abstract":
+        json_keys(d, "residue field", ("kind", "perfect"))
         return AbstractResidue(json_get(d, "perfect", "residue field", bool))
     return resfield_from_json(d)
 
@@ -204,6 +205,9 @@ class FieldDescriptor:
 def descriptor_from_json(d: dict) -> FieldDescriptor:
     """A descriptor from to_json's form; a schema violation is a ValidationError."""
     what = "descriptor"
+    json_keys(d, what, ("schema", "name", "char", "res_char", "value_group",
+                        "vp", "residue_field", "oracle_flags", "composition",
+                        "note"))
     schema = json_get(d, "schema", what, int, 1)
     if schema != 1:
         raise ValidationError("descriptor schema %d is not supported; this "
@@ -214,6 +218,7 @@ def descriptor_from_json(d: dict) -> FieldDescriptor:
         vp = vec_from_json(vp, "descriptor vp")
     comp = json_get(d, "composition", what, dict, None)
     if comp is not None:
+        json_keys(comp, "composition", ("outer", "core"))
         comp = tuple(descriptor_from_json(json_get(comp, k, "composition"))
                      for k in ("outer", "core"))
     return FieldDescriptor(

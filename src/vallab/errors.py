@@ -44,6 +44,17 @@ def json_get(d, key: str, what: str, kind=None, default=_REQUIRED):
     return x
 
 
+def json_keys(d, what: str, known):
+    """Check that the JSON object `what` holds no key outside `known`: a
+    reader would ignore any other, so the first is a ValidationError."""
+    if not isinstance(d, dict):
+        raise ValidationError("%s must be a JSON object, got %r" % (what, d))
+    for key in d:
+        if key not in known:
+            raise ValidationError("%s has the unknown key %r; it takes %s"
+                                  % (what, key, ", ".join(known)))
+
+
 def json_int(x, what: str) -> int:
     """A JSON integer; a float, string or boolean is a ValidationError."""
     if isinstance(x, bool) or not isinstance(x, int):

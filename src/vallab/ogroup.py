@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (ValidationError, int_text_bound, json_fraction, json_get,
-                     json_int, printable_power, too_long_to_print)
+                     json_int, json_keys, printable_power, too_long_to_print)
 from .intlinalg import (
     diagonalize_with_basis,
     int_kernel,
@@ -537,6 +537,7 @@ def to_json(g: OGroup) -> dict:
 def from_json(d: dict) -> OGroup:
     """A group from to_json's form; each generator a pair or a list of pairs."""
     what = "value group"
+    json_keys(d, what, ("rank", "gens", "p_closed", "prime"))
     rank = json_get(d, "rank", what, int)
     gens = [vec_from_json(item, "%s generator %d" % (what, i))
             for i, item in enumerate(json_get(d, "gens", what, list))]

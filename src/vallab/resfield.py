@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError, json_get
+from .errors import ValidationError, json_get, json_keys
 from .intlinalg import is_prime, p_exponent
 from .values import sum_text, term_text
 
@@ -134,6 +134,8 @@ def resfield_from_json(d: dict) -> ResField:
     kind = json_get(d, "kind", what)
     if kind not in ("finite", "ratfun", "perflevel"):
         raise ValidationError("unknown residue field kind %r" % (kind,))
+    extra = {"finite": ("q",), "perflevel": ("level",)}.get(kind, ())
+    json_keys(d, what, ("char", "kind") + extra)
     char = json_get(d, "char", what, int)
     if kind == "finite":
         return ResField(char, kind, q=json_get(d, "q", what, int, char))

@@ -26,10 +26,10 @@ Values are computed by four rules:
       of a mixed term; it is decided when the least kept bound lies below
       the rest and is attained once; a tie there passes the pure part on,
       its rest lowered by the cross terms of the part left out.  When the
-      least kept bound is not below the rest, the walk forms whole powers
-      from x again.
-      An element keeps its x^p once taken, and a quotient by a base
-      element keeps x^p / d^p with its rest shifted by -p*v(d).
+      least kept bound is not below the rest, the walk starts again from
+      x with plain products.  An element keeps its pure terms once taken,
+      and a quotient by a base element keeps those of x^p / d^p, the rest
+      shifted by -p*v(d).  x**p is the pure terms when rest is INFINITE.
 
 Each R4 step multiplies values by p.  A tie that persists approximates a
 generator by terms whose value denominators carry powers of p, and each
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb, lcm
+from math import lcm
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import p_exponent
@@ -175,7 +175,7 @@ class TElem:
     def __init__(self, tower: Tower, coords: dict):
         self.tower = tower
         self.coords = {e: c for e, c in coords.items() if not c.is_zero()}
-        self._pth = None                # (x**p or its pure terms, rest)
+        self._pth = None                # (pure terms of x**p, rest)
         self._r1 = None                 # R1 bounds, see _r1
 
     # -- ring structure ------------------------------------------------------
@@ -213,15 +213,17 @@ class TElem:
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative tower powers are not supported")
-        if n != self.tower.p:
-            return power(self, n, self.tower.one)
-        return pth_power(self, whole=True)[0]
+        if n == self.tower.p:
+            kept, rest = pth_power(self)
+            if rest == INFINITE:
+                return kept
+        return power(self, n, self.tower.one)
 
     def __truediv__(self, other):
         """Division by a base element (or base-constant tower element).
 
-        A quotient keeps the p-th power of the dividend, divided by the
-        divisor's: (x/d)^p = x^p / d^p, whose rest lies p*v(d) lower.
+        A quotient keeps the pure terms of the dividend's p-th power,
+        divided by d^p: (x/d)^p = x^p / d^p, whose rest lies p*v(d) lower.
         """
         if isinstance(other, int):
             other = self.tower.base.from_int(other)
@@ -272,8 +274,8 @@ def _coeff_pth(tower: Tower, c):
     return c.frobenius() if tower.base.eq_char else c ** tower.p
 
 
-def pth_power(x: TElem, *, whole=False):
-    """(y, rest): the pure terms of x^p, or with `whole` x^p itself.
+def pth_power(x: TElem):
+    """(y, rest): the pure terms y of x^p and a bound on the rest.
 
     A pure term (c_j * gen^e_j)^p of a monomial of x is c_j^p * prod
     rhs_i^e_ij, since gen_i^p is the stored relation right-hand side.
@@ -283,10 +285,9 @@ def pth_power(x: TElem, *, whole=False):
     in mixed characteristic its value is at least 1 + sum k_j * b_j, b_j
     the R1 bound of monomial j, least at rest = 1 + (p-1)*b_1 + b_2 for the
     two least bounds b_1 <= b_2.  rest is INFINITE when no mixed term is
-    left out.  x keeps its power and serves any request from it but a
-    whole one from the pure terms.
+    left out, and y is then x^p.  x keeps the pair once taken.
     """
-    if x._pth is not None and not (whole and x._pth[1] != INFINITE):
+    if x._pth is not None:
         return x._pth
     tower, p = x.tower, x.tower.p
     out = {}
@@ -299,52 +300,11 @@ def pth_power(x: TElem, *, whole=False):
             _reduce_into(tower, te, tc, out)
     rest = INFINITE
     if not tower.base.eq_char and len(x.coords) > 1:
-        if whole:
-            _mixed_terms(x, out)
-        else:
-            den, bounds = _r1(x)
-            b1, b2 = sorted(t[0] for t in bounds)[:2]
-            rest = Fraction(den + (p - 1) * b1 + b2, den)
+        den, bounds = _r1(x)
+        b1, b2 = sorted(t[0] for t in bounds)[:2]
+        rest = Fraction(den + (p - 1) * b1 + b2, den)
     x._pth = TElem(tower, out), rest
     return x._pth
-
-
-def _mixed_terms(x: TElem, out: dict):
-    """Accumulate into out every mixed term of x^p.
-
-    The compositions k of p into parts below p are walked monomial by
-    monomial, so terms with a common prefix share its product, and each
-    coefficient power c_j^k is formed once.
-    """
-    tower, p = x.tower, x.tower.p
-    items, n = list(x.coords.items()), len(x.coords)
-    powers = [[] for _ in items]      # powers[j][k - 1] = c_j^k, as needed
-    mixed = {}                        # unreduced exponent -> coefficient
-
-    def cpow(j, k):
-        pw = powers[j]
-        while len(pw) < k:
-            pw.append(items[j][1] if not pw else pw[-1] * items[j][1])
-        return pw[k - 1]
-
-    def walk(j, left, e, c, mult):
-        """Give monomial j a part k of `left`, each part below p."""
-        ej = items[j][0]
-        for k in range(max(0, left - (p - 1) * (n - 1 - j)),
-                       min(left, p - 1) + 1):
-            ek, ck, mk = e, c, mult * comb(left, k)
-            if k:
-                ek = tuple(a + k * d for a, d in zip(e, ej))
-                ck = cpow(j, k) if c is None else c * cpow(j, k)
-            if k < left:
-                walk(j + 1, left - k, ek, ck, mk)
-            else:
-                s = mixed.get(ek)
-                mixed[ek] = ck * mk if s is None else s + ck * mk
-
-    walk(0, p, (0,) * len(tower.gens), None, 1)
-    for e, c in mixed.items():
-        _reduce_into(tower, e, c, out)
 
 
 def to_text(x: TElem) -> str:
@@ -417,7 +377,8 @@ def _walk(x: TElem, whole: bool):
     terms of y^p, and every mixed term lies at or above 1 + p*vlb(y), so y
     is x^(p^k) less a part of value >= rest; the walk gives up (None) when
     the least kept bound is not below the rest, and _r4_walk walks again
-    with whole powers; _carried_rest bounds what a step leaves out."""
+    with `whole`, each step the plain product y^p and its rest INFINITE;
+    _carried_rest bounds what a step leaves out."""
     y, k, rest, budget, p = x, 0, INFINITE, None, x.tower.p
     while True:
         den, bounds = _r1(y)
@@ -439,7 +400,8 @@ def _walk(x: TElem, whole: bool):
                 "a value tie outlasts the R4 budget of %d p-th powers: the "
                 "generator count plus the largest p-exponent of a value "
                 "denominator" % budget)
-        z, zrest = pth_power(y, whole=whole)
+        z, zrest = (power(y, p, y.tower.one), INFINITE) if whole \
+            else pth_power(y)
         y, k, rest = z, k + 1, _carried_rest(zrest, rest, m, p)
 
 

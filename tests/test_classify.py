@@ -14,7 +14,7 @@ import pytest
 from vallab.classify import (AbstractResidue, FieldDescriptor,
                              audit_implications,
                              build_counterexample_descriptor, check,
-                             descriptor_from_json, tv, and3)
+                             compose_xadic, descriptor_from_json, tv, and3)
 from vallab.corpus import (composed_counterexample, corpus_member,
                            corpus_names, q2, q3_deep, shipped_corpus,
                            tame_core)
@@ -354,6 +354,12 @@ def test_counterexample_propagates_unknown_frobenius():
 
 
 # -- serialization ------------------------------------------------------
+
+
+def test_composition_over_a_residue_characteristic_zero_core_is_tame():
+    # the x-adic head and a core of residue characteristic 0 are both tame
+    d = compose_xadic(corpus_member("laurent-q"), "laurent-q-xadic", "", "")
+    assert d.res_char == 0 and d.oracle_flags["tame"] is True
 
 
 def test_descriptor_json_roundtrip_all_corpus():

@@ -238,6 +238,41 @@ def test_classify_refuses_an_empty_composition(tmp_path, capsys):
         "error: composition lacks the key 'outer'\n")
 
 
+@pytest.mark.parametrize("name,edit,key", [
+    # a misspelt "oracle_flags" read as no flags, and q2 classified with
+    # TF3 unknown, exit 0
+    ("q2", lambda d: d.update(oracle_flag=d.pop("oracle_flags")),
+     "descriptor has the unknown key 'oracle_flag'"),
+    ("composed-discrete-core", lambda d: d["composition"].update(middle={}),
+     "composition has the unknown key 'middle'"),
+    ("laurent-q", lambda d: d["residue_field"].update(perfekt=False),
+     "residue field has the unknown key 'perfekt'"),
+    ("laurent-f2u", lambda d: d["residue_field"].update(levle=2),
+     "residue field has the unknown key 'levle'"),
+    # each kind of residue field takes only its own keys
+    ("laurent-f3", lambda d: d["residue_field"].update(level=1),
+     "residue field has the unknown key 'level'"),
+], ids=["descriptor", "composition", "abstract-residue", "residue-field",
+        "residue-field-other-kind"])
+def test_classify_refuses_an_unknown_key(tmp_path, capsys, name, edit, key):
+    data = corpus_member(name).to_json()
+    edit(data)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main(["classify", "--descriptor", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: %s; it takes " % key)
+
+
+def test_hull_refuses_an_unknown_key(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"rank": 1, "gens": [[1, 1]], "p_closed": [],
+                                "prime": 1, "extra": 5}))
+    assert main(["hull", "--group", str(path), "--kind", "p_div",
+                 "--p", "3"]) == 1
+    assert "value group has the unknown key 'extra'; it takes rank, gens, " \
+        "p_closed, prime" in capsys.readouterr().err
+
+
 def test_verify_single_suite():
     res = run("verify", "--suite", "implications")
     assert res.returncode == 0

@@ -195,6 +195,14 @@ def test_json_roundtrip():
         assert resfield_from_json(f.to_json()) == f
 
 
+def test_least_level_descends_every_level():
+    # one level down for each time p divides every exponent
+    assert ResField(3, "perflevel", level=3).gen().least_level() == 0
+    cube_root = ResField(3, "perflevel", level=1).elem({1: 1})
+    assert cube_root.to_text() == "u^(1/3)"
+    assert cube_root.at_level(3).least_level() == 1
+
+
 def test_prime_field_and_ratfun_residues_do_not_mix():
     # coercion moves only between perfection levels of F_p(u)
     fp, fu = ResField(3), ResField(3, "ratfun")
