@@ -120,8 +120,9 @@ def _load_descriptor(token: str):
             data = json.load(fh)
     except OSError as exc:
         raise ValidationError("cannot read descriptor %r: %s" % (token, exc))
-    except ValueError as exc:
-        # bad JSON, or an integer longer than sys.get_int_max_str_digits()
+    except (RecursionError, ValueError) as exc:
+        # bad JSON, nesting past the recursion limit, or an integer longer
+        # than sys.get_int_max_str_digits()
         raise ValidationError("descriptor %r is malformed: %s" % (token, exc))
     return descriptor_from_json(data)
 
@@ -176,7 +177,7 @@ def _cmd_hull(args) -> int:
             g = group_from_json(json.load(fh))
     except OSError as exc:
         raise ValidationError("cannot read group %r: %s" % (args.group, exc))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, RecursionError, TypeError, ValueError) as exc:
         raise ValidationError("group file %r is malformed: %s"
                               % (args.group, exc))
     level = args.level

@@ -74,11 +74,3 @@ def root_values(vals):
     for slope, length in segments(vals):
         out.append((-slope, length))
     return out
-
-
-def single_slope(vals):
-    """(root value, degree) when the polygon has one segment, else None."""
-    rv = root_values(vals)
-    if len(rv) != 1 or rv[0][0] == INFINITE:
-        return None
-    return rv[0]

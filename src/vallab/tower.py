@@ -56,10 +56,9 @@ from math import lcm
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import p_exponent
-from .newton import single_slope
 from .ogroup import contains as group_contains, index as group_index, join
 from .resfield import RElem, power
-from .values import INFINITE, Indeterminate, fr, sum_text, term_text
+from .values import INFINITE, Indeterminate, sum_text, term_text
 
 
 @dataclass(frozen=True)
@@ -354,14 +353,12 @@ def vlb(x: TElem):
 def r4_budget(x: TElem) -> int:
     """R4 steps allowed for x (see the module docstring)."""
     t = x.tower
-    vals = [c for v in t.base.value_group.gens for c in v]
-    vals += [g.value for g in t.gens]
+    den = t.val_den
     if t.base.eq_char:
         # exponents in a p-closed group have unbounded denominators
         coeffs = [c for g in t.gens for _, c in g.rhs] + list(x.coords.values())
-        vals += [g for c in coeffs for g in c.terms]
-    return len(t.gens) + max(
-        (p_exponent(v.denominator, t.p) for v in vals), default=0)
+        den = lcm(den, *(g.denominator for c in coeffs for g in c.terms))
+    return len(t.gens) + p_exponent(den, t.p)
 
 
 def _r4_walk(x: TElem):
@@ -494,18 +491,13 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
     if va == INFINITE:
         raise ValidationError("relation right-hand side must be nonzero")
 
-    # Newton polygon of the minimal polynomial
-    one_val = fr(0)
-    vals = [va] + [one_val if relation == "as" else INFINITE] + \
-        [INFINITE] * (p - 2) + [one_val]
-    ss = single_slope(vals)
-    if ss is None:
-        return Adjunction("not_single_slope",
-                          note="polygon of %s has several slopes"
-                          % _minpoly_text(relation, p, a))
-    beta, mult = ss
-    assert mult == p
     mp_text = _minpoly_text(relation, p, a)
+    # the Newton polygon of X^p - a joins (0, v(a)) to (p, 0); X^p - X - a
+    # adds (1, 0), which lies below that chord exactly when v(a) > 0
+    if relation == "as" and va > 0:
+        return Adjunction("not_single_slope",
+                          note="polygon of %s has several slopes" % mp_text)
+    beta = va / p
 
     if not group_contains(tower.group, (beta,)):
         new = _attach(tower, relation, a, name, beta, None, None, mp_text)

@@ -273,6 +273,22 @@ def test_hull_refuses_an_unknown_key(tmp_path, capsys):
         "p_closed, prime" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,what", [
+    (["classify", "--descriptor"], "descriptor"),
+    (["hull", "--kind", "p_div", "--p", "3", "--group"], "group file"),
+], ids=["classify", "hull"])
+def test_deeply_nested_json_exits_one_without_traceback(tmp_path, capsys,
+                                                        argv, what):
+    # the json decoder raises RecursionError, not ValueError, past the
+    # recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    assert main(argv + [str(path)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: %s %r is malformed: maximum recursion depth exceeded"
+        % (what, str(path)))
+
+
 def test_verify_single_suite():
     res = run("verify", "--suite", "implications")
     assert res.returncode == 0

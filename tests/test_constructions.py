@@ -1,6 +1,7 @@
 """Builder tests against hand-computed rows, values and residues."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -295,6 +296,29 @@ def test_default_cap_is_the_least_that_builds(p):
         assert prec["padic_positions"] == prec["required"] == p
         with pytest.raises(PrecisionError):
             build_kummer_valgp(p, depth, padic_cap=p - 1)
+
+
+@pytest.mark.parametrize("family,kind", [
+    ("lemma33", "residue"), ("as-valgp", "ramified"), ("as-resf", "residue"),
+    ("two-ext", "residue"), ("kummer-resf", "residue")])
+def test_builds_at_a_prime_past_any_list_length(family, kind):
+    # each root value is read off its relation: a list of p + 1 coefficient
+    # values at p = 2^61 - 1 would need 2^64 bytes
+    p = 2 ** 61 - 1
+    rows = rows_of(BUILDERS[family](p))
+    shape = (p, 1, 0) if kind == "ramified" else (1, p, 0)
+    assert rows and all((r["kind"], r["degree"], r["e"], r["f"], r["m"]) ==
+                        (kind, p) + shape for r in rows)
+
+
+def test_lemma33_at_a_large_prime_allocates_nothing_of_size_p():
+    tracemalloc.start()
+    try:
+        build_lemma_3_3(10000019)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

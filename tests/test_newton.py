@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from vallab.errors import PrecisionError, ValidationError
-from vallab.newton import root_values, segments, single_slope
+from vallab.newton import root_values, segments
 from vallab.values import INFINITE, Indeterminate
 
 
@@ -12,14 +12,12 @@ def test_frozen_artin_schreier_pole():
     # X^3 - X - t^{-1}: one segment, root value -1/3, length 3
     vals = [F(-1), F(0), INFINITE, F(0)]
     assert root_values(vals) == [(F(-1, 3), 3)]
-    assert single_slope(vals) == (F(-1, 3), 3)
 
 
 def test_frozen_artin_schreier_split():
     # X^3 - X - t: root values 1 (length 1) and 0 (length 2)
     vals = [F(1), F(0), INFINITE, F(0)]
     assert root_values(vals) == [(F(1), 1), (F(0), 2)]
-    assert single_slope(vals) is None
 
 
 def test_frozen_kummer():

@@ -16,6 +16,7 @@ from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_kummer_valgp, build_lemma_3_3)
 from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
+from vallab.newton import root_values
 from vallab.ogroup import contains, ogroup
 from vallab.resfield import ResField, power
 from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
@@ -129,6 +130,34 @@ def test_adjoin_positive_value_polygon_has_two_slopes():
     assert adj.outcome == "not_single_slope"
     assert "several slopes" in adj.note
     assert adj.tower is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_adjoin_root_value_matches_the_dense_newton_polygon(p):
+    # the closed form against the lower hull of the coefficient values of
+    # X^p - X - a or X^p - a, over a Laurent base and a ramified digit ring
+    bases = ((laurent(p), (-2, -1, 0, 1, 2)),
+             (PadicBase(p, p - 1, -1),
+              (-1, Fraction(-1, p - 1), 0, Fraction(1, p - 1), 1)))
+    for base, values in bases:
+        t0 = Tower(base)
+        for v in values:
+            a = t0.from_base(base.monomial(v)) + \
+                t0.from_base(base.monomial(v + 1))
+            for relation in ("as", "kummer"):
+                rv = root_values([v, fr(0) if relation == "as" else INFINITE]
+                                 + [INFINITE] * (p - 2) + [fr(0)])
+                if relation == "as" and v == 0:
+                    assert rv == [(0, p)]
+                    with pytest.raises(ValidationError,
+                                       match="separable residue equation"):
+                        adjoin_root(t0, relation, a, "x")
+                    continue
+                adj = adjoin_root(t0, relation, a, "x")
+                single = len(rv) == 1
+                assert (adj.outcome != "not_single_slope") == single
+                if single:
+                    assert rv == [(adj.value, p)]
 
 
 def test_adjoin_residue_jump_frozen():
