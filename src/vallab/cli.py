@@ -23,7 +23,7 @@ from .classify import (build_counterexample_descriptor, check,
                        audit_implications, descriptor_from_json)
 from .constructions import BUILDERS
 from .corpus import corpus_member, corpus_names, shipped_corpus, tame_core
-from .errors import PrecisionError, ValidationError
+from .errors import PrecisionError, ValidationError, read_json
 from .ogroup import from_json as group_from_json
 from .ogroup import hull
 from .ogroup import to_json as group_to_json
@@ -115,16 +115,7 @@ def _cmd_construct(args) -> int:
 def _load_descriptor(token: str):
     if token in corpus_names():
         return corpus_member(token)
-    try:
-        with open(token) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ValidationError("cannot read descriptor %r: %s" % (token, exc))
-    except (RecursionError, ValueError) as exc:
-        # bad JSON, nesting past the recursion limit, or an integer longer
-        # than sys.get_int_max_str_digits()
-        raise ValidationError("descriptor %r is malformed: %s" % (token, exc))
-    return descriptor_from_json(data)
+    return descriptor_from_json(read_json(token, "descriptor"))
 
 
 def _cmd_classify(args) -> int:
@@ -172,14 +163,7 @@ def _cmd_verify(args) -> int:
 def _cmd_hull(args) -> int:
     require_prime(args.p)
     _check_writable(args.out)
-    try:
-        with open(args.group) as fh:
-            g = group_from_json(json.load(fh))
-    except OSError as exc:
-        raise ValidationError("cannot read group %r: %s" % (args.group, exc))
-    except (KeyError, RecursionError, TypeError, ValueError) as exc:
-        raise ValidationError("group file %r is malformed: %s"
-                              % (args.group, exc))
+    g = group_from_json(read_json(args.group, "group file"))
     level = args.level
     if level != "exact":
         try:

@@ -1,5 +1,6 @@
 """Shared exception types, and the input checks that raise them."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -18,6 +19,20 @@ class ValidationError(VallabError, ValueError):
 
 class PrecisionError(VallabError):
     """A result cannot be certified at the working precision."""
+
+
+def read_json(path, what: str):
+    """The JSON value in the file at path; a file that cannot be opened or
+    parsed is a ValidationError naming it as `what`."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError("cannot read %s %r: %s" % (what, path, exc))
+    except (RecursionError, ValueError) as exc:
+        # bad JSON, nesting past the recursion limit, or an integer longer
+        # than sys.get_int_max_str_digits()
+        raise ValidationError("%s %r is malformed: %s" % (what, path, exc))
 
 
 _REQUIRED = object()

@@ -7,17 +7,18 @@ before the checker existed.
 
 import hashlib
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
+import vallab.corpus
 from vallab.classify import (AbstractResidue, FieldDescriptor,
                              audit_implications,
                              build_counterexample_descriptor, check,
                              compose_xadic, descriptor_from_json, tv, and3)
-from vallab.corpus import (composed_counterexample, corpus_member,
-                           corpus_names, q2, q3_deep, shipped_corpus,
-                           tame_core)
+from vallab.corpus import (_load, corpus_member, corpus_names,
+                           shipped_corpus, tame_core)
 from vallab.errors import ValidationError
 from vallab.ogroup import cyclic, lex_compose, ogroup, same_group
 from vallab.resfield import ResField
@@ -141,7 +142,7 @@ def test_corpus_verdicts_match_hand_table():
 
 
 def test_counterexample_splits_tame_from_roughly_tame():
-    v = check(composed_counterexample()).verdicts
+    v = check(corpus_member("composed-counterexample")).verdicts
     assert v["TF1"] == "false"
     assert v["RTF1"] == "true"
     assert v["tame"] == "false"
@@ -151,9 +152,9 @@ def test_counterexample_splits_tame_from_roughly_tame():
 
 
 def test_rdr2_rank_one_discrete_vs_finer():
-    assert check(q2()).verdicts["rdr_2"] == "false"
+    assert check(corpus_member("q2")).verdicts["rdr_2"] == "false"
     assert check(corpus_member("q3-zeta3")).verdicts["rdr_2"] == "true"
-    assert check(q3_deep()).verdicts["rdr_2"] == "true"
+    assert check(corpus_member("q3-deep")).verdicts["rdr_2"] == "true"
 
 
 def test_rdr2_rank_two_discrete_core_is_false():
@@ -171,7 +172,7 @@ def test_rdr2_detects_element_below_leading_block():
 
 
 def test_semitame_corner_q3_deep():
-    v = check(q3_deep()).verdicts
+    v = check(corpus_member("q3-deep")).verdicts
     assert v["TF1"] == "true"
     assert v["TF3"] == "false"
     assert v["semitame"] == "true"
@@ -246,7 +247,7 @@ def test_evidence_provenance_prefixes():
 
 
 def test_report_json_shape():
-    rep = check(q2())
+    rep = check(corpus_member("q2"))
     data = rep.to_json()
     assert data["schema"] == 1
     assert set(data["verdicts"]) == set(data["evidence"])
@@ -297,7 +298,7 @@ def test_audit_flags_a_planted_violation():
 
 def test_counterexample_requires_tame_flag():
     with pytest.raises(ValidationError, match="flagged tame"):
-        build_counterexample_descriptor(q2())
+        build_counterexample_descriptor(corpus_member("q2"))
 
 
 def test_counterexample_rejects_positive_characteristic_core():
@@ -368,6 +369,33 @@ def test_descriptor_json_roundtrip_all_corpus():
         back = descriptor_from_json(data)
         assert back.to_json() == data, d.name
         assert check(back).verdicts == check(d).verdicts, d.name
+
+
+CORPUS_FILE = pathlib.Path(vallab.corpus.__file__).with_name("corpus.json")
+
+
+def test_corpus_file_holds_the_static_members_in_to_json_form():
+    entries = json.loads(CORPUS_FILE.read_text())
+    for entry in entries:
+        assert descriptor_from_json(entry).to_json() == entry, entry["name"]
+    names = [entry["name"] for entry in entries]
+    assert corpus_names() == names + ["tame-core-abstract",
+                                      "composed-counterexample",
+                                      "composed-discrete-core"]
+    # each lookup builds a fresh descriptor from the parsed file
+    d = corpus_member("q2")
+    d.oracle_flags["tame"] = None
+    assert corpus_member("q2").oracle_flags["tame"] is False
+
+
+def test_corpus_file_is_read_by_the_strict_reader(tmp_path):
+    copy = tmp_path / "corpus.json"
+    copy.write_text(CORPUS_FILE.read_text().replace('"oracle_flags"',
+                                                    '"oracle_flag"'))
+    builders = _load(copy)
+    with pytest.raises(ValidationError, match="'oracle_flag'"):
+        for mk in builders.values():
+            mk()
 
 
 # sha256 of each descriptor's to_json() (keys sorted), recorded before the

@@ -323,7 +323,14 @@ def test_hull_malformed_group(tmp_path):
     res = run("hull", "--group", str(path), "--kind", "p_div",
               "--level", "exact", "--p", "3")
     assert res.returncode == 1
-    assert "malformed" in res.stderr
+    assert "value group lacks the key 'gens'" in res.stderr
+
+
+def test_hull_missing_group_file(capsys):
+    assert main(["hull", "--group", "/nonexistent/g.json", "--kind", "p_div",
+                 "--p", "3"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: cannot read group file '/nonexistent/g.json': ")
 
 
 # a patch value that writes a JSON null, since None drops the key
