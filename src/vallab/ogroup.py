@@ -15,6 +15,9 @@ with b_i, c_j jointly Q-independent.  Membership, index, p-divisibility,
 convex subgroups and hulls all reduce to linear algebra against this
 form.  The divisible summand is the maximal p-divisible subgroup, which
 is what makes the decomposition canonical enough for index computations.
+A rank-1 group, a subgroup of Q, is read off one gcd of its generators'
+numerators over their common denominator, and a coordinate is the one
+quotient x / b; the elimination serves rank >= 2.
 Membership, inclusion and index read one coordinate map, cached with the
 canonical form and kept in integers (numerators over one denominator),
 and join presents its result by the canonical basis
@@ -193,8 +196,39 @@ def _scale_to_int(vecs):
             for v in vecs], denom
 
 
+class _Line:
+    """The canonical form of a rank-1 group, a subgroup of Q.
+
+    Over the generators' least common denominator d, with n the gcd of
+    their numerators, the group is Z n/d, or Z[1/p] m/d once a generator
+    is p-closed, m being the prime-to-p part of n; the trivial group has
+    no basis.  A coordinate is the one quotient x / b.
+    """
+    __slots__ = ("div", "free", "basis")
+
+    def __init__(self, g):
+        ints, d = _scale_to_int(g.gens)
+        n = math.gcd(*(v[0] for v in ints))
+        if g.p_closed:
+            n = prime_to_p_part(n, g.prime)
+        self.basis = ((Fraction(n, d),),) if n else ()
+        self.div, self.free = ((self.basis, ()) if g.p_closed
+                               else ((), self.basis))
+
+    def coords(self, vec):
+        """_Canon.coords in closed form: ([q], [], den) or ([], [q], den)."""
+        if not self.basis:
+            return None if vec[0] else ([], [], 1)
+        q = vec[0] / self.basis[0][0]
+        return (([q.numerator], [], q.denominator) if self.div
+                else ([], [q.numerator], q.denominator))
+
+
 @lru_cache(maxsize=4096)
-def _canon(g: OGroup) -> _Canon:
+def _canon(g: OGroup):
+    """g's canonical form: _Line at rank 1, the elimination otherwise."""
+    if g.rank == 1:
+        return _Line(g)
     closed = [list(v) for v in g.closed_gens()]
     free = [list(v) for v in g.free_gens()]
 

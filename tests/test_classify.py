@@ -361,6 +361,14 @@ def test_composition_over_a_residue_characteristic_zero_core_is_tame():
     # the x-adic head and a core of residue characteristic 0 are both tame
     d = compose_xadic(corpus_member("laurent-q"), "laurent-q-xadic", "", "")
     assert d.res_char == 0 and d.oracle_flags["tame"] is True
+    # the counterexample builder is tame exactly in residue characteristic
+    # 0: its oracle flag and the checker's verdict agree on both sides
+    for core, tame, verdict in (("laurent-q", True, "true"),
+                                ("tame-core-abstract", False, "false")):
+        d = build_counterexample_descriptor(corpus_member(core))
+        assert (d.res_char == 0) is tame, core
+        assert d.oracle_flags["tame"] is tame, core
+        assert check(d).verdicts["tame"] == verdict, core
 
 
 def test_descriptor_json_roundtrip_all_corpus():

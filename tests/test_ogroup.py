@@ -301,6 +301,51 @@ def test_contains_matches_the_fraction_coordinate_map():
     assert min(seen.values()) >= 300, seen
 
 
+def test_rank1_canon_matches_the_elimination_reference():
+    # a rank-1 group is read off one gcd over the common denominator and
+    # one quotient x / b: its basis against the elimination's projection,
+    # its membership against the Fraction coordinate map and the gcd oracle
+    rng = random.Random(59)
+    seen = {True: 0, False: 0}
+    closed_at = dict.fromkeys((2, 3, 5, 7), 0)
+    groups = [ogroup([], rank=1), ogroup([0, 0], rank=1)]
+    for _ in range(2400):
+        p = rng.choice((2, 3, 5, 7))
+        gens = [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7, p, p ** 3,
+                                                  5 * p ** 3)))
+                for _ in range(rng.randint(0, 4))]
+        if gens and rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        closed = rng.sample(range(len(gens)), rng.randint(0, len(gens))) \
+            if rng.random() < 0.6 else []
+        g = ogroup(gens, closed=closed, rank=1,
+                   prime=p if closed or rng.random() < 0.5 else 1)
+        closed_at[p] += bool(g.p_closed)
+        groups.append(g)
+    for g in groups:
+        c = _canon(g)
+        assert (c.div, c.free) == canon_fraction(g), g
+        p = g.prime
+        free = [v[0] for v in g.free_gens()]
+        closed = [v[0] for v in g.closed_gens()]
+        points = [F(0), F(rng.randint(-9, 9) or 1,
+                          rng.choice((1, 2, 11, p, p ** 4)))]
+        for _ in range(3):
+            points.append(sum((rng.randint(-3, 3) * x for x in free), F(0))
+                          + sum((F(rng.randint(-3, 3), p ** rng.randint(0, 3))
+                                 * x for x in closed), F(0)))
+        for x in points:
+            for divisible in (False, True):
+                want = member_fraction(g, x, divisible)
+                seen[want] += 1
+                got = in_divisible_part(g, x) if divisible else contains(g, x)
+                assert got == want, (g, x, divisible)
+            assert contains(g, x) == rank1_member(free, closed, p, x), (g, x)
+    assert len(groups) >= 2000
+    assert min(closed_at.values()) >= 150, closed_at
+    assert min(seen.values()) >= 3000, seen
+
+
 def test_rank1_oracle_matches_the_fraction_reference():
     rng = random.Random(43)
     seen = {True: 0, False: 0}

@@ -201,6 +201,15 @@ def test_least_level_descends_every_level():
     cube_root = ResField(3, "perflevel", level=1).elem({1: 1})
     assert cube_root.to_text() == "u^(1/3)"
     assert cube_root.at_level(3).least_level() == 1
+    # over F_3(u^(1/9)) the data are exponents of w = u^(1/9); the hash is
+    # taken at the least level, so it survives a move to a finer level
+    f = ResField(3, "perflevel", level=2)
+    for data, least in (({3: 1, 6: 2}, 1), ({9: 1, -18: 2}, 0),
+                        ({1: 1, 3: 1}, 2)):
+        x = f.elem(data)
+        assert x.least_level() == least, data
+        assert x.at_level(3).least_level() == least, data
+        assert hash(x) == hash(x.at_level(3)), data
 
 
 def test_prime_field_and_ratfun_residues_do_not_mix():
