@@ -44,7 +44,9 @@ Adjoining a root first classifies the step from the Newton polygon and
 the residue equation.  When neither a value jump nor a residue jump is
 forced, the root is attached *pending* and the caller must resolve the
 step with a witness element (the defect-style constructions do exactly
-that).
+that).  A witness passed with a relation it is checked against, a root
+of X^p - X - a with v(a) < 0, is valued by that polygon's single slope;
+the R4 walk values any other witness.
 """
 
 from __future__ import annotations
@@ -161,9 +163,10 @@ class Tower:
         return TElem(self, {e: self.base.from_int(1)})
 
     def lift(self, x: "TElem") -> "TElem":
-        """Re-home an element of a shorter prefix tower."""
+        """Re-home an element of a shorter prefix tower over the same base."""
         pad = len(self.gens) - len(x.tower.gens)
-        if pad < 0 or x.tower.gens != self.gens[: len(x.tower.gens)]:
+        if pad < 0 or x.tower.base != self.base or \
+                x.tower.gens != self.gens[: len(x.tower.gens)]:
             raise ValidationError("element does not come from a prefix tower")
         return TElem(self, {e + (0,) * pad: c for e, c in x.coords.items()})
 
@@ -182,6 +185,9 @@ class TElem:
     def _join(self, other) -> "TElem":
         if isinstance(other, int):
             other = self.tower.from_int(other)
+        elif not isinstance(other, TElem):
+            raise ValidationError("expected a tower element or an int, got %s"
+                                  % type(other).__name__)
         if other.tower is not self.tower:
             other = self.tower.lift(other)
         return other
@@ -479,6 +485,16 @@ def _minpoly_text(relation: str, p: int, a: TElem) -> str:
     return "X^%d - (%s)" % (p, at)
 
 
+def _root_value(relation: str, va, p: int):
+    """v(a)/p, the value of every root of X^p - a ("kummer") or X^p - X - a
+    ("as"); None when the polygon has several slopes."""
+    # the Newton polygon of X^p - a joins (0, v(a)) to (p, 0); X^p - X - a
+    # adds (1, 0), which lies below that chord exactly when v(a) > 0
+    if relation == "as" and va > 0:
+        return None
+    return va / p
+
+
 def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
     """Classify and attach a root of the degree-p relation over the tower."""
     if relation not in ("as", "kummer"):
@@ -492,12 +508,10 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
         raise ValidationError("relation right-hand side must be nonzero")
 
     mp_text = _minpoly_text(relation, p, a)
-    # the Newton polygon of X^p - a joins (0, v(a)) to (p, 0); X^p - X - a
-    # adds (1, 0), which lies below that chord exactly when v(a) > 0
-    if relation == "as" and va > 0:
+    beta = _root_value(relation, va, p)
+    if beta is None:
         return Adjunction("not_single_slope",
                           note="polygon of %s has several slopes" % mp_text)
-    beta = va / p
 
     if not group_contains(tower.group, (beta,)):
         new = _attach(tower, relation, a, name, beta, None, None, mp_text)
@@ -576,16 +590,39 @@ def _finalize(tower: Tower, kind: str, new_value=None, new_residue=None,
 
 
 def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
-                    divisor=None) -> Tower:
+                    divisor=None, relation=None) -> Tower:
     """Decide a pending step from a witness element.
 
     A witness value outside the current group finalizes a ramified step;
     otherwise the residue of witness/divisor must land outside the current
     residue field, finalizing a residue jump that keeps it as new_residue.
+
+    The witness, divisor and relation are elements of the tower or of a
+    prefix of it.  With `relation` = a, the witness w must be a root of
+    X^p - X - a with v(a) < 0, checked exactly; it is then valued by the
+    polygon's single slope, v(w) = v(a)/p, and since v(w/d^p) > 0 for a
+    divisor d of value v(w), the residue of w/d is the p-th root of that
+    of (w/d)^p, whose residue is that of a/d^p.  The R4 walk values any
+    other witness.
     """
     if not tower.pending:
         raise ValidationError("tower has no pending step")
-    v = val(witness)
+    join = tower.zero()._join  # lifts a prefix element, rejects any other
+    witness = join(witness)
+    if divisor is not None:
+        divisor = join(divisor)
+    if relation is None:
+        v = val(witness)
+    else:
+        a, p = join(relation), tower.p
+        if not (witness ** p - witness - a).is_zero():
+            raise ValidationError("witness %s is not a root of X^%d - X - (%s)"
+                                  % (witness_text, p, to_text(a)))
+        v = _root_value("as", val(a), p)
+        if v is None or v >= 0:
+            raise ValidationError(
+                "polygon of X^%d - X - (%s) has no single negative slope"
+                % (p, to_text(a)))
     if v == INFINITE:
         raise ValidationError("witness vanishes")
     if not group_contains(tower.group, (v,)):
@@ -594,7 +631,10 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
         raise ValidationError(
             "witness value %s stays in the group; need a divisor to read a "
             "residue" % (v,))
-    r = residue(witness / divisor)
+    if relation is None:
+        r = residue(witness / divisor)
+    else:
+        r = residue(a / divisor ** p).pth_root_extend()
     lvl = r.least_level()
     if lvl <= tower.res_level():
         raise ValidationError(

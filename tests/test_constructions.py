@@ -338,6 +338,30 @@ def test_as_valgp_depth_12_builds_within_budget(p, monkeypatch):
     assert r.certificate.to_json()["absorption"] == [True] * 13
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_as_valgp_slope_values_match_the_walk(p):
+    # each witness is valued by its relation's slope; the R4 walk stays
+    # the reference
+    r = build_as_valgp(p, 10)
+    witnesses = r.extras["witnesses"]
+    assert len(witnesses) == 11
+    for w, row in zip(witnesses, rows_of(r)):
+        assert str(val(w)) == row["new_value"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_as_resf_slope_residues_match_the_walk(p):
+    # the residue of w/d is read as the p-th root of that of a/d^p; the
+    # R4 walk on w/d stays the reference
+    for depth in range(7):
+        r = build_as_resf(p, depth)
+        w = r.extras["witness"]
+        d = w.tower.base.monomial(Fraction(-1, p ** (depth + 1)))
+        walked = tower.residue(w / w.tower.from_base(d))
+        assert walked.to_text() == rows_of(r)[-1]["new_residue"]
+        assert walked == r.extras["witness_residue"]
+
+
 def test_kummer_valgp_cap_guard():
     with pytest.raises(PrecisionError, match="at least 3"):
         build_kummer_valgp(3, 9, padic_cap=2)

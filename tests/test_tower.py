@@ -353,6 +353,64 @@ def test_resolve_pending_residue_requires_divisor_and_a_jump():
         resolve_pending(tw, bad, "bad", tw.from_base(base.monomial(Fraction(-1, 9))))
 
 
+def test_resolve_pending_refuses_an_element_over_another_base():
+    # t^(-1/9) of a generator-free tower over exponents (1/9) Z has no
+    # generators to disagree on; it used to be re-read over (1/3) Z and
+    # certify a ramified step of value -1/9
+    base, tw = as_pending(3, 1)
+    fine = laurent(3, denom=9)
+    foreign = Tower(fine).from_base(fine.monomial(Fraction(-1, 9)))
+    with pytest.raises(ValidationError, match="does not come from a prefix tower"):
+        resolve_pending(tw, foreign, "b1")
+    with pytest.raises(ValidationError, match="does not come from a prefix tower"):
+        resolve_pending(tw, tw.gen_elem(0), "x", divisor=foreign)
+    with pytest.raises(ValidationError, match="expected a tower element"):
+        resolve_pending(tw, tw.gen_elem(0), "x", divisor=base.monomial(-1))
+
+
+def test_adjoin_root_refuses_an_element_over_another_base():
+    # it used to fail as "fundamental inequality violated: e*f = 9 exceeds
+    # degree 3", from a root value -1/27 read over (1/3) Z
+    t0 = Tower(laurent(3, denom=3))
+    fine = laurent(3, denom=9)
+    foreign = Tower(fine).from_base(fine.monomial(Fraction(-1, 9)))
+    with pytest.raises(ValidationError, match="does not come from a prefix tower"):
+        adjoin_root(t0, "as", foreign, "x")
+
+
+def test_resolve_pending_values_a_root_of_its_relation_by_the_slope():
+    base, tw = as_pending(3, 2)
+    a = tw.from_base(base.monomial(Fraction(-1, 9)))
+    w = as_witness(base, tw, 2)
+    step = resolve_pending(tw, w, "b2", relation=a).steps[-1]
+    assert step.kind == "ramified" and step.new_value == Fraction(-1, 27)
+    # w + 1 is a root of the same relation, with the same value
+    step = resolve_pending(tw, w + 1, "b2 + 1", relation=a).steps[-1]
+    assert step.new_value == Fraction(-1, 27)
+
+
+def test_resolve_pending_refuses_a_witness_off_its_relation():
+    base, tw = as_pending(3, 2)
+    a = tw.from_base(base.monomial(Fraction(-1, 9)))
+    w = as_witness(base, tw, 2)
+    for wrong in (a + 1, w + 1):
+        with pytest.raises(ValidationError, match="is not a root of X"):
+            resolve_pending(tw, w, "b2", relation=wrong)
+
+
+def test_resolve_pending_refuses_a_relation_of_nonnegative_value():
+    # w^p - w = a holds exactly, but v(a) >= 0: the root of X^p - X - a
+    # is not valued by v(a)/p (v(a) > 0) or has no residue p-th root to
+    # read (v(a) = 0)
+    base, tw = kummer_floor_tower(3)
+    for w in (tw.from_base(base.monomial(Fraction(1, 3))),
+              tw.from_base(base.monomial(0, base.res.gen())),
+              tw.one()):
+        a = w ** 3 - w
+        with pytest.raises(ValidationError, match="no single negative slope"):
+            resolve_pending(tw, w, "w", tw.one(), relation=a)
+
+
 # -- values and residues on towers --------------------------------------------
 
 
