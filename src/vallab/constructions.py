@@ -104,11 +104,13 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
             for k in range(1, n + 1):
                 w = w - tw.from_base(base.monomial(Fraction(-1, p ** k)))
             text = "b%d = x - sum_(k=1..%d) t^(-1/p^k)" % (n, n)
-            rhs = tw.from_base(base.monomial(Fraction(-1, p ** n)))
-            done = resolve_pending(tw, w, text, relation=rhs)
+            done = resolve_pending(tw, w, text)
         val_n = Fraction(-1, p ** (n + 1))
         _check(_row(rows, n, done, "ramified").new_value == val_n,
                "witness value at level %d" % n)
+        rhs = base.monomial(Fraction(-1, p ** n))
+        _check((w ** p - w - done.from_base(rhs)).is_zero(),
+               "witness relation at level %d" % n)
         next_group = ogroup([Fraction(1, p ** (n + 1))], prime=p)
         absorb.append(contains(next_group, (val_n,)))
         towers.append(done)
@@ -182,8 +184,10 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
             w = w - tw.from_base(base.monomial(Fraction(-1, p ** k), coeff))
         divisor = tw.from_base(base.monomial(Fraction(-1, p ** (depth + 1))))
         text = "b%d = x - sum_(k=1..%d) u^(1/p^k) t^(-1/p^k)" % (depth, depth)
-        mtop = tw.from_base(base.monomial(Fraction(-1, p ** depth), coeff))
-        done = resolve_pending(tw, w, text, divisor, relation=mtop)
+        done = resolve_pending(tw, w, text, divisor)
+        mtop = base.monomial(Fraction(-1, p ** depth), coeff)
+        _check((w ** p - w - done.from_base(mtop)).is_zero(),
+               "witness relation at depth %d" % depth)
     wres = _row(rows, depth + 1, done, "residue").new_residue
     _check(val(w) == Fraction(-1, p ** (depth + 1)), "witness value")
     cert = DefectCertificate(

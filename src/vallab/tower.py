@@ -44,9 +44,9 @@ Adjoining a root first classifies the step from the Newton polygon and
 the residue equation.  When neither a value jump nor a residue jump is
 forced, the root is attached *pending* and the caller must resolve the
 step with a witness element (the defect-style constructions do exactly
-that).  A witness passed with a relation it is checked against, a root
-of X^p - X - a with v(a) < 0, is valued by that polygon's single slope;
-the R4 walk values any other witness.
+that).  In equal characteristic a witness w with v(w^p - w) < 0 is a
+root of X^p - X - (w^p - w) and is valued by that polygon's single
+slope; the R4 walk values any other witness.
 """
 
 from __future__ import annotations
@@ -485,16 +485,6 @@ def _minpoly_text(relation: str, p: int, a: TElem) -> str:
     return "X^%d - (%s)" % (p, at)
 
 
-def _root_value(relation: str, va, p: int):
-    """v(a)/p, the value of every root of X^p - a ("kummer") or X^p - X - a
-    ("as"); None when the polygon has several slopes."""
-    # the Newton polygon of X^p - a joins (0, v(a)) to (p, 0); X^p - X - a
-    # adds (1, 0), which lies below that chord exactly when v(a) > 0
-    if relation == "as" and va > 0:
-        return None
-    return va / p
-
-
 def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
     """Classify and attach a root of the degree-p relation over the tower."""
     if relation not in ("as", "kummer"):
@@ -508,10 +498,12 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
         raise ValidationError("relation right-hand side must be nonzero")
 
     mp_text = _minpoly_text(relation, p, a)
-    beta = _root_value(relation, va, p)
-    if beta is None:
+    # the Newton polygon of X^p - a joins (0, v(a)) to (p, 0); X^p - X - a
+    # adds (1, 0), which lies below that chord exactly when v(a) > 0
+    if relation == "as" and va > 0:
         return Adjunction("not_single_slope",
                           note="polygon of %s has several slopes" % mp_text)
+    beta = va / p
 
     if not group_contains(tower.group, (beta,)):
         new = _attach(tower, relation, a, name, beta, None, None, mp_text)
@@ -590,20 +582,19 @@ def _finalize(tower: Tower, kind: str, new_value=None, new_residue=None,
 
 
 def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
-                    divisor=None, relation=None) -> Tower:
+                    divisor=None) -> Tower:
     """Decide a pending step from a witness element.
 
     A witness value outside the current group finalizes a ramified step;
     otherwise the residue of witness/divisor must land outside the current
     residue field, finalizing a residue jump that keeps it as new_residue.
 
-    The witness, divisor and relation are elements of the tower or of a
-    prefix of it.  With `relation` = a, the witness w must be a root of
-    X^p - X - a with v(a) < 0, checked exactly; it is then valued by the
-    polygon's single slope, v(w) = v(a)/p, and since v(w/d^p) > 0 for a
-    divisor d of value v(w), the residue of w/d is the p-th root of that
-    of (w/d)^p, whose residue is that of a/d^p.  The R4 walk values any
-    other witness.
+    The witness and divisor are elements of the tower or of a prefix of it.
+    In equal characteristic a witness w whose a = w^p - w has v(a) < 0 is
+    a root of X^p - X - a, whose polygon has the single slope v(a)/p, so
+    v(w) = v(a)/p; and since v(w/d^p) > 0 for a divisor d of value v(w),
+    the residue of w/d is the p-th root of that of (w/d)^p, whose residue
+    is that of a/d^p.  The R4 walk values any other witness.
     """
     if not tower.pending:
         raise ValidationError("tower has no pending step")
@@ -611,18 +602,13 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
     witness = join(witness)
     if divisor is not None:
         divisor = join(divisor)
-    if relation is None:
-        v = val(witness)
+    p = tower.p
+    a = witness ** p - witness if tower.base.eq_char else None
+    va = INFINITE if a is None else val(a)
+    if va < 0:
+        v = va / p
     else:
-        a, p = join(relation), tower.p
-        if not (witness ** p - witness - a).is_zero():
-            raise ValidationError("witness %s is not a root of X^%d - X - (%s)"
-                                  % (witness_text, p, to_text(a)))
-        v = _root_value("as", val(a), p)
-        if v is None or v >= 0:
-            raise ValidationError(
-                "polygon of X^%d - X - (%s) has no single negative slope"
-                % (p, to_text(a)))
+        a, v = None, val(witness)
     if v == INFINITE:
         raise ValidationError("witness vanishes")
     if not group_contains(tower.group, (v,)):
@@ -631,7 +617,7 @@ def resolve_pending(tower: Tower, witness: TElem, witness_text: str,
         raise ValidationError(
             "witness value %s stays in the group; need a divisor to read a "
             "residue" % (v,))
-    if relation is None:
+    if a is None:
         r = residue(witness / divisor)
     else:
         r = residue(a / divisor ** p).pth_root_extend()

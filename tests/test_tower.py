@@ -378,37 +378,27 @@ def test_adjoin_root_refuses_an_element_over_another_base():
         adjoin_root(t0, "as", foreign, "x")
 
 
-def test_resolve_pending_values_a_root_of_its_relation_by_the_slope():
+def test_resolve_pending_values_an_artin_schreier_root_by_the_slope():
+    # w^3 - w = t^(-1/9): one slope, v(w) = -1/27
     base, tw = as_pending(3, 2)
-    a = tw.from_base(base.monomial(Fraction(-1, 9)))
     w = as_witness(base, tw, 2)
-    step = resolve_pending(tw, w, "b2", relation=a).steps[-1]
+    assert (w ** 3 - w - tw.from_base(base.monomial(Fraction(-1, 9)))).is_zero()
+    step = resolve_pending(tw, w, "b2").steps[-1]
     assert step.kind == "ramified" and step.new_value == Fraction(-1, 27)
     # w + 1 is a root of the same relation, with the same value
-    step = resolve_pending(tw, w + 1, "b2 + 1", relation=a).steps[-1]
+    step = resolve_pending(tw, w + 1, "b2 + 1").steps[-1]
     assert step.new_value == Fraction(-1, 27)
 
 
-def test_resolve_pending_refuses_a_witness_off_its_relation():
-    base, tw = as_pending(3, 2)
-    a = tw.from_base(base.monomial(Fraction(-1, 9)))
-    w = as_witness(base, tw, 2)
-    for wrong in (a + 1, w + 1):
-        with pytest.raises(ValidationError, match="is not a root of X"):
-            resolve_pending(tw, w, "b2", relation=wrong)
-
-
-def test_resolve_pending_refuses_a_relation_of_nonnegative_value():
-    # w^p - w = a holds exactly, but v(a) >= 0: the root of X^p - X - a
-    # is not valued by v(a)/p (v(a) > 0) or has no residue p-th root to
-    # read (v(a) = 0)
-    base, tw = kummer_floor_tower(3)
-    for w in (tw.from_base(base.monomial(Fraction(1, 3))),
-              tw.from_base(base.monomial(0, base.res.gen())),
-              tw.one()):
-        a = w ** 3 - w
-        with pytest.raises(ValidationError, match="no single negative slope"):
-            resolve_pending(tw, w, "w", tw.one(), relation=a)
+def test_resolve_pending_walks_a_witness_of_nonnegative_as_value():
+    # v(w^3 - w) >= 0 does not fix v(w) at v(w^3 - w)/3: the walk values
+    # w.  For t^(1/3), v(w^3 - w) = 1/3 and v(w) = 1/3, not 1/9; for 1,
+    # w^3 - w vanishes and v(w) = 0
+    base, tw = as_pending(3, 1)
+    with pytest.raises(ValidationError, match="1/3 stays in the group"):
+        resolve_pending(tw, tw.from_base(base.monomial(Fraction(1, 3))), "w")
+    with pytest.raises(ValidationError, match="lies in the current residue"):
+        resolve_pending(tw, tw.one(), "1", tw.one())
 
 
 # -- values and residues on towers --------------------------------------------
