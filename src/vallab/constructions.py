@@ -100,17 +100,17 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
             w = done.gen_elem(0)
         else:
             tw = _adjoin(t0, "as", a, "x", "no_step_detected").tower
-            w = tw.gen_elem(0)
-            for k in range(1, n + 1):
-                w = w - tw.from_base(base.monomial(Fraction(-1, p ** k)))
+            tail = base.series((Fraction(-1, p ** k), 1) for k in range(1, n + 1))
+            w = tw.gen_elem(0) - tw.from_base(tail)
+        rhs = base.monomial(Fraction(-1, p ** n))
+        _check((w ** p - w - w.tower.from_base(rhs)).is_zero(),
+               "witness relation at level %d" % n)
+        if n:
             text = "b%d = x - sum_(k=1..%d) t^(-1/p^k)" % (n, n)
             done = resolve_pending(tw, w, text)
         val_n = Fraction(-1, p ** (n + 1))
         _check(_row(rows, n, done, "ramified").new_value == val_n,
                "witness value at level %d" % n)
-        rhs = base.monomial(Fraction(-1, p ** n))
-        _check((w ** p - w - done.from_base(rhs)).is_zero(),
-               "witness relation at level %d" % n)
         next_group = ogroup([Fraction(1, p ** (n + 1))], prime=p)
         absorb.append(contains(next_group, (val_n,)))
         towers.append(done)
@@ -177,17 +177,17 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
         w = done.gen_elem(0)
     else:
         tw = _adjoin(tw, "as", a, "x", "no_step_detected").tower
-        w = tw.gen_elem(depth)
-        coeff = res.gen()
+        tail, coeff = [], res.gen()
         for k in range(1, depth + 1):
             coeff = coeff.pth_root_extend()
-            w = w - tw.from_base(base.monomial(Fraction(-1, p ** k), coeff))
+            tail.append((Fraction(-1, p ** k), coeff))
+        w = tw.gen_elem(depth) - tw.from_base(base.series(tail))
+        mtop = base.monomial(Fraction(-1, p ** depth), coeff)
+        _check((w ** p - w - tw.from_base(mtop)).is_zero(),
+               "witness relation at depth %d" % depth)
         divisor = tw.from_base(base.monomial(Fraction(-1, p ** (depth + 1))))
         text = "b%d = x - sum_(k=1..%d) u^(1/p^k) t^(-1/p^k)" % (depth, depth)
         done = resolve_pending(tw, w, text, divisor)
-        mtop = base.monomial(Fraction(-1, p ** depth), coeff)
-        _check((w ** p - w - done.from_base(mtop)).is_zero(),
-               "witness relation at depth %d" % depth)
     wres = _row(rows, depth + 1, done, "residue").new_residue
     _check(val(w) == Fraction(-1, p ** (depth + 1)), "witness value")
     cert = DefectCertificate(

@@ -17,7 +17,7 @@ form.  The divisible summand is the maximal p-divisible subgroup, which
 is what makes the decomposition canonical enough for index computations.
 A rank-1 group, a subgroup of Q, is read off one gcd of its generators'
 numerators over their common denominator, and a coordinate is the one
-quotient x / b; the elimination serves rank >= 2.
+quotient x / b, formed in integers; the elimination serves rank >= 2.
 Membership, inclusion and index read one coordinate map, cached with the
 canonical form and kept in integers (numerators over one denominator),
 and join presents its result by the canonical basis
@@ -202,26 +202,31 @@ class _Line:
     Over the generators' least common denominator d, with n the gcd of
     their numerators, the group is Z n/d, or Z[1/p] m/d once a generator
     is p-closed, m being the prime-to-p part of n; the trivial group has
-    no basis.  A coordinate is the one quotient x / b.
+    no basis.  A coordinate is the one quotient x / b, formed in integers.
     """
-    __slots__ = ("div", "free", "basis")
+    __slots__ = ("div", "free", "basis", "n", "d")
 
     def __init__(self, g):
         ints, d = _scale_to_int(g.gens)
         n = math.gcd(*(v[0] for v in ints))
         if g.p_closed:
             n = prime_to_p_part(n, g.prime)
+        self.n, self.d = n, d
         self.basis = ((Fraction(n, d),),) if n else ()
         self.div, self.free = ((self.basis, ()) if g.p_closed
                                else ((), self.basis))
 
     def coords(self, vec):
-        """_Canon.coords in closed form: ([q], [], den) or ([], [q], den)."""
+        """_Canon.coords in closed form: ([q], [], den) or ([], [q], den),
+        q/den = x / (n/d) = (x.numerator * d) / (x.denominator * n) reduced."""
         if not self.basis:
             return None if vec[0] else ([], [], 1)
-        q = vec[0] / self.basis[0][0]
-        return (([q.numerator], [], q.denominator) if self.div
-                else ([], [q.numerator], q.denominator))
+        x = vec[0]
+        q, den = x.numerator * self.d, x.denominator * self.n
+        r = math.gcd(q, den)
+        if r != 1:
+            q, den = q // r, den // r
+        return ([q], [], den) if self.div else ([], [q], den)
 
 
 @lru_cache(maxsize=4096)

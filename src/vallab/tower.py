@@ -37,8 +37,10 @@ step strips one (the as-valgp witness x - t^(-1/p) - ... - t^(-1/p^n)
 takes n steps).  So r4_budget(x) is the number of generators plus the
 largest p-exponent among the value denominators of the base group's
 generators, the generator values and the exponents in the relations' and
-x's coefficients.  The bound is measured, not proved; outlasting it is a
-ValidationError, since no precision cap ran out.
+x's coefficients; a series coefficient keeps its exponents over their
+least common denominator, which r4_budget reads as it is.  The bound is
+measured, not proved; outlasting it is a ValidationError, since no
+precision cap ran out.
 
 Adjoining a root first classifies the step from the Newton polygon and
 the residue equation.  When neither a value jump nor a residue jump is
@@ -361,9 +363,10 @@ def r4_budget(x: TElem) -> int:
     t = x.tower
     den = t.val_den
     if t.base.eq_char:
-        # exponents in a p-closed group have unbounded denominators
+        # exponents in a p-closed group have unbounded denominators; a
+        # series keeps its exponents over their least common one
         coeffs = [c for g in t.gens for _, c in g.rhs] + list(x.coords.values())
-        den = lcm(den, *(g.denominator for c in coeffs for g in c.terms))
+        den = lcm(den, *(c.den for c in coeffs))
     return len(t.gens) + p_exponent(den, t.p)
 
 

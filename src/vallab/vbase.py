@@ -6,11 +6,17 @@ model supplies its lowest determinate term, the value of a position, the
 residue of a leading coefficient, and its own +, *, /, unary - and text:
 
 * equal characteristic: exact finite sums  sum c_gamma * t^gamma  with
-  residue field coefficients and exponents in a fixed rank-1 group; a
-  position is the exponent gamma itself.  The Artin-Schreier relations
-  rewrite every p-th power exactly, so no term is ever unknown, and a
-  series divides only by a monomial c*t^g whose coefficient c is a residue
-  monomial, which shifts and scales each term;
+  residue field coefficients and exponents in a fixed rank-1 group.  An
+  element keeps its exponents as integers over one positive denominator
+  den, reduced so that gcd(den, every numerator) = 1: {g: c} stands for
+  sum c * t^(g/den), and a position is g/den.  + and * align both sides
+  to the lcm of their denominators, a quotient by a monomial shifts the
+  numerators and the Frobenius multiplies them by p; Fractions appear
+  only at the edges (the value, the text, the terms view and the
+  constructor).  The Artin-Schreier relations rewrite every p-th power
+  exactly, so no term is ever unknown, and a series divides only by a
+  monomial c*t^g whose coefficient c is a residue monomial, which shifts
+  and scales each term;
 * mixed characteristic: sparse integer polynomials in a uniformizer w
   with w^E = s*p (s = +-1), so v(w) = 1/E when v(p) = 1.  An element is
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
@@ -28,7 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .errors import PrecisionError, ValidationError
 from .intlinalg import is_prime, p_exponent
@@ -154,102 +161,154 @@ class EqBase:
         return self.res.elem(c)
 
     def zero(self) -> "SeriesElem":
-        return SeriesElem(self, {})
+        return _series(self, 1, {})
 
     def one(self) -> "SeriesElem":
-        return self.monomial(fr(0))
+        return self.from_int(1)
 
     def from_int(self, n: int) -> "SeriesElem":
-        return self.monomial(fr(0), n)
+        return _series(self, 1, {0: self._coeff(n)})
+
+    def series(self, terms) -> "SeriesElem":
+        """The sum c * t^g over the (g, c) pairs in terms, whose exponents
+        are distinct; each is checked against the group."""
+        terms = [(fr(g), self._coeff(c)) for g, c in terms]
+        for g, _ in terms:
+            # 0 lies in every group
+            if g and not group_contains(self.group, (g,)):
+                raise ValidationError("exponent %s outside the value group" % (g,))
+        return _series(self, *_over_lcm(terms))
 
     def monomial(self, gamma, coeff=1) -> "SeriesElem":
-        gamma = fr(gamma)
-        # 0 lies in every group
-        if gamma and not group_contains(self.group, (gamma,)):
-            raise ValidationError("exponent %s outside the value group" % (gamma,))
-        return SeriesElem(self, {gamma: self._coeff(coeff)})
-
-
-_EXPONENT = itemgetter(0)
+        return self.series([(gamma, coeff)])
 
 
 class SeriesElem(_Elem):
-    """The exact sum of c * t^g over terms = {g: c}."""
+    """The exact sum of c * t^(g/den) over nums = {g: c}.
 
-    __slots__ = ("base", "terms")
+    den is positive and reduced, gcd(den, every g) = 1, so it is the least
+    common denominator of the exponents (1 for zero).  The constructor
+    takes {exponent: coefficient} with rational exponents; terms reads
+    them back.
+    """
+
+    __slots__ = ("base", "den", "nums")
     _RING = "series ring"
     prec = INFINITE
 
     def __init__(self, base: EqBase, terms: dict):
-        self.base = base
-        self.terms = {g: c for g, c in terms.items() if not c.is_zero()}
+        self._set(base, *_over_lcm(terms.items()))
+
+    def _set(self, base: EqBase, den: int, nums: dict):
+        """Keep the nonzero terms of nums over den, den reduced."""
+        nums = {g: c for g, c in nums.items() if not c.is_zero()}
+        r = gcd(den, *nums)
+        if r != 1:
+            den //= r
+            nums = {g // r: c for g, c in nums.items()}
+        self.base, self.den, self.nums = base, den, nums
+
+    @property
+    def terms(self):
+        """{exponent: coefficient}, read-only, the exponents as Fractions."""
+        den = self.den
+        return MappingProxyType({Fraction(g, den): c
+                                 for g, c in self.nums.items()})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def _lead(self):
-        # the minimal (exponent, coefficient) pair: looking the coefficient
-        # up by its exponent would hash a Fraction, which costs more
-        return min(self.terms.items(), key=_EXPONENT) if self.terms else None
+        if not self.nums:
+            return None
+        g = min(self.nums)
+        return g, self.nums[g]
 
     def _value(self, g):
-        return g
+        return Fraction(g, self.den)
 
     def _residue(self, c) -> RElem:
         return c
+
+    def _over(self, den: int) -> dict:
+        """nums over den, a multiple of self.den (nums itself at den)."""
+        if den == self.den:
+            return self.nums
+        s = den // self.den
+        return {g * s: c for g, c in self.nums.items()}
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
-        out = dict(self.terms)
-        for g, c in other.terms.items():
+        den = lcm(self.den, other.den)
+        out = dict(self._over(den))
+        for g, c in other._over(den).items():
             s = out.get(g)
             out[g] = c if s is None else s + c
-        return SeriesElem(self.base, out)
+        return _series(self.base, den, out)
 
     def __neg__(self):
-        return SeriesElem(self.base, {g: -c for g, c in self.terms.items()})
+        return _series(self.base, self.den,
+                       {g: -c for g, c in self.nums.items()})
 
     def __mul__(self, other):
         other = self._coerce(other)
-        out = {}
-        for g1, c1 in self.terms.items():
-            for g2, c2 in other.terms.items():
+        den = lcm(self.den, other.den)
+        out, terms = {}, other._over(den).items()
+        for g1, c1 in self._over(den).items():
+            for g2, c2 in terms:
                 g = g1 + g2
                 s = out.get(g)
                 out[g] = c1 * c2 if s is None else s + c1 * c2
-        return SeriesElem(self.base, out)
+        return _series(self.base, den, out)
 
     def __truediv__(self, other):
         """Division by a monomial c0*t^g0 whose coefficient c0 is a residue
         monomial: each term shifts by -g0 and is scaled by 1/c0."""
         other = self._coerce(other)
-        if len(other.terms) != 1:
-            if not other.terms:
+        if len(other.nums) != 1:
+            if not other.nums:
                 raise ZeroDivisionError("series division by zero")
             raise ValidationError("series division needs a monomial divisor")
-        (g0, c0), = other.terms.items()
+        den = lcm(self.den, other.den)
+        (g0, c0), = other._over(den).items()
         inv = c0.inverse()
-        return SeriesElem(self.base, {g - g0: c * inv for g, c in self.terms.items()})
+        return _series(self.base, den, {g - g0: c * inv
+                                        for g, c in self._over(den).items()})
 
     # -- characteristic-p structure -------------------------------------------
 
     def frobenius(self) -> "SeriesElem":
         p = self.base.p
-        return SeriesElem(self.base, {g * p: c.frobenius()
-                                      for g, c in self.terms.items()})
+        return _series(self.base, self.den, {g * p: c.frobenius()
+                                             for g, c in self.nums.items()})
 
     # -- display ---------------------------------------------------------------
 
     def to_text(self) -> str:
         parts = []
-        for g in sorted(self.terms):
-            ct = self.terms[g].to_text()
+        for g in sorted(self.nums):
+            ct = self.nums[g].to_text()
             if not ct.lstrip("-").isdigit():
                 ct = "(%s)" % ct
-            parts.append(term_text(ct, [("t", g)]))
+            parts.append(term_text(ct, [("t", Fraction(g, self.den))]))
         return sum_text(parts)
+
+
+def _over_lcm(terms):
+    """(den, nums) for (rational exponent, coefficient) pairs: den is the
+    exponents' least common denominator, nums {numerator over den: c}."""
+    terms = [(fr(g), c) for g, c in terms]
+    den = lcm(*(g.denominator for g, _ in terms))
+    return den, {g.numerator * (den // g.denominator): c for g, c in terms}
+
+
+def _series(base: EqBase, den: int, nums: dict) -> SeriesElem:
+    """The series sum c * t^(g/den) over nums {g: c}, any positive den."""
+    x = SeriesElem.__new__(SeriesElem)
+    x._set(base, den, nums)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ here in their earlier termwise form, the group inclusion test in its
 earlier per-generator form, and the rational row echelon, the canonical
 group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
-references for the fast paths.  Tower values also have an independent
+references for the fast paths; so is the series ring, keyed by Fraction
+exponents, for the integer ones.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
 p-th power up to a threshold has a term-by-term reference, the lift
 of lambda = zeta_p - 1 its earlier Newton form in the digit ring, and
@@ -31,10 +32,10 @@ from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 
 from vallab.errors import PrecisionError, ValidationError
-from vallab.intlinalg import (diagonalize_with_basis, prime_to_p_part,
-                              row_echelon)
+from vallab.intlinalg import (diagonalize_with_basis, p_exponent,
+                              prime_to_p_part, row_echelon)
 from vallab.ogroup import _canon, _coerce_vec, _fits, _scale_to_int, contains
-from vallab.values import INFINITE, Indeterminate, fr
+from vallab.values import INFINITE, Indeterminate, fr, sum_text, term_text
 from vallab.tower import TElem
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
@@ -360,6 +361,82 @@ def pth_root(x: SeriesElem) -> SeriesElem:
     p = x.base.p
     terms = {g / p: c.pth_root_extend() for g, c in x.terms.items()}
     return SeriesElem(x.base, terms)
+
+
+# the series ring in its earlier Fraction-keyed form (a reference)
+
+
+class FractionSeries:
+    """The exact sum c * t^g over terms {g: c}, each exponent g a Fraction
+    key: the arithmetic SeriesElem had before it kept integer numerators
+    over one denominator, kept as the reference for that model."""
+
+    def __init__(self, p: int, terms: dict):
+        self.p = p
+        self.terms = {fr(g): c for g, c in terms.items() if not c.is_zero()}
+
+    @classmethod
+    def of(cls, x: SeriesElem) -> "FractionSeries":
+        return cls(x.base.p, dict(x.terms))
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for g, c in other.terms.items():
+            out[g] = out[g] + c if g in out else c
+        return FractionSeries(self.p, out)
+
+    def __neg__(self):
+        return FractionSeries(self.p, {g: -c for g, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for g1, c1 in self.terms.items():
+            for g2, c2 in other.terms.items():
+                g = g1 + g2
+                out[g] = out[g] + c1 * c2 if g in out else c1 * c2
+        return FractionSeries(self.p, out)
+
+    def __truediv__(self, other):
+        (g0, c0), = other.terms.items()
+        inv = c0.inverse()
+        return FractionSeries(self.p, {g - g0: c * inv
+                                       for g, c in self.terms.items()})
+
+    def frobenius(self):
+        return FractionSeries(self.p, {g * self.p: c.frobenius()
+                                       for g, c in self.terms.items()})
+
+    def val(self):
+        return min(self.terms) if self.terms else INFINITE
+
+    def residue(self):
+        g = self.val()
+        if g != 0:
+            raise ValidationError("residue requires value exactly 0, got %s"
+                                  % (g,))
+        return self.terms[g]
+
+    def to_text(self) -> str:
+        parts = []
+        for g in sorted(self.terms):
+            ct = self.terms[g].to_text()
+            if not ct.lstrip("-").isdigit():
+                ct = "(%s)" % ct
+            parts.append(term_text(ct, [("t", g)]))
+        return sum_text(parts)
+
+
+def r4_budget_fraction(x: TElem) -> int:
+    """r4_budget read off Fraction exponents: the generator count plus the
+    p-exponent of the lcm of the tower's value denominators and of every
+    exponent denominator in the relations' and x's coefficients."""
+    t = x.tower
+    coeffs = [c for g in t.gens for _, c in g.rhs] + list(x.coords.values())
+    den = lcm(t.val_den, *(g.denominator for c in coeffs for g in c.terms))
+    return len(t.gens) + p_exponent(den, t.p)
 
 
 # closed-form expansions of tower generators (independent cross-checks)

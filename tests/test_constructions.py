@@ -204,6 +204,41 @@ def test_kummer_valgp_products_count(monkeypatch):
     assert _count_calls(monkeypatch, TElem, "__mul__", build) <= 3
 
 
+def test_as_valgp_fraction_hash_count(monkeypatch):
+    # a series keeps its exponents as integers over one denominator, and
+    # each level builds its witness sum as one series: keying every term
+    # by a Fraction, whose hash inverts its denominator mod a prime, made
+    # 6,931 Fraction hashes here; those left hash the value groups
+    build = lambda: build_as_valgp(7, 20)
+    assert _count_calls(monkeypatch, Fraction, "__hash__", build) <= 522
+
+
+def test_as_valgp_witness_subtractions_count(monkeypatch):
+    # each level subtracts its witness sum once; subtracting t^(-1/p^k)
+    # one k at a time, each time copying the sum so far, made 272 tower
+    # subtractions here
+    build = lambda: build_as_valgp(7, 20)
+    assert _count_calls(monkeypatch, TElem, "__sub__", build) <= 82
+
+
+@pytest.mark.parametrize("family", ["as-valgp", "as-resf"])
+def test_witness_sum_missing_its_last_term_fails_the_self_check(
+        monkeypatch, family):
+    # each builder checks its witness's relation w^p - w = rhs before it
+    # resolves the step; a sum that drops its finest term t^(-1/p^n)
+    # misses the relation by t^(-1/p^(n-1)) - t^(-1/p^n)
+    series = vbase.EqBase.series
+
+    def short(self, terms):
+        terms = list(terms)
+        return series(self, terms[:-1] if len(terms) > 1 else terms)
+
+    monkeypatch.setattr(vbase.EqBase, "series", short)
+    with pytest.raises(ValidationError, match="construction self-check "
+                       "failed: witness relation at (level|depth) 2"):
+        BUILDERS[family](3, 2)
+
+
 @pytest.mark.parametrize("family", ["as-resf", "kummer-valgp", "kummer-resf"])
 def test_witness_keeps_its_pth_power(family):
     # its pure terms, which in equal characteristic are w**3 itself

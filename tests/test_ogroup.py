@@ -272,6 +272,24 @@ def test_coordinate_map_solves_in_the_canonical_basis():
     assert trivial.coords((F(0), F(1, 2))) is None
 
 
+def test_rank_one_coordinate_is_the_reduced_quotient():
+    # a rank-1 coordinate x / b is formed in integers, and must be the
+    # Fraction quotient's reduced numerator over its denominator
+    rng = random.Random(43)
+    for _ in range(300):
+        g = _seeded_group(rng, 1, rng.choice((2, 3, 5)))
+        c = _canon(g)
+        x = F(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 9, 25, 49, 72)))
+        sol = c.coords((x,))
+        if not c.basis:
+            assert sol == (None if x else ([], [], 1))
+            continue
+        q = x / c.basis[0][0]
+        divn, freen, den = sol
+        assert (divn + freen, den) == ([q.numerator], q.denominator), (g, x)
+        assert len(divn) == len(c.div)
+
+
 def test_contains_matches_the_fraction_coordinate_map():
     # the integer coordinate map against the same map solved in Fractions
     rng = random.Random(41)
