@@ -185,18 +185,22 @@ class RElem:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
+        return self._merge(other, 1)
+
+    def __sub__(self, other):
+        return self._merge(other, -1)
+
+    def _merge(self, other, sign: int) -> "RElem":
+        """self + sign*other, sign = +-1, in one pass over other's terms."""
         a, b = coerce_pair(self, other)
         out = dict(a.terms)
         for e, c in b.terms:
-            out[e] = out.get(e, 0) + c
+            out[e] = out.get(e, 0) + sign * c
         return RElem(a.field, _terms(out, a.field.char))
 
     def __neg__(self):
         p = self.field.char
         return RElem(self.field, tuple((e, p - c) for e, c in self.terms))
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         a, b = coerce_pair(self, other)

@@ -195,18 +195,25 @@ class TElem:
         return other
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _merge(self, other, sub: bool) -> "TElem":
+        """self + other, or self - other when sub, in one pass over other."""
         other = self._join(other)
         out = dict(self.coords)
         for e, c in other.coords.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
+            if s is None:
+                out[e] = -c if sub else c
+            else:
+                out[e] = s - c if sub else s + c
         return TElem(self.tower, out)
 
     def __neg__(self):
         return TElem(self.tower, {e: -c for e, c in self.coords.items()})
-
-    def __sub__(self, other):
-        return self + (-self._join(other))
 
     def __mul__(self, other):
         other = self._join(other)

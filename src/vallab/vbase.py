@@ -3,7 +3,7 @@
 Two element models share one interface (val, residue, ring arithmetic,
 restricted division), and one class, _Elem, holds what both use.  Each
 model supplies its lowest determinate term, the value of a position, the
-residue of a leading coefficient, and its own +, *, /, unary - and text:
+residue of a leading coefficient, and its own +, -, *, /, unary - and text:
 
 * equal characteristic: exact finite sums  sum c_gamma * t^gamma  with
   residue field coefficients and exponents in a fixed rank-1 group.  An
@@ -22,7 +22,16 @@ residue of a leading coefficient, and its own +, *, /, unary - and text:
   one dict {(position, u-exponent): int}; a Gauss-extended ring adjoins a
   transcendental residue u, and a plain ring is the case u-exponent = 0.
   The integers are folded as in Z[w]/(w^E - s*p), one per (position
-  mod E, u-exponent) from the lead on.  Position k has value k/E.
+  mod E, u-exponent) from the lead on.  Position k has value k/E.  _fold
+  is the one definition of that form, but exact products, sums,
+  negations and shifts are built in it and skip _fold.  A product's
+  digit at the sum v of the leads is the product of the lead digits mod
+  p, nonzero because F_p[u^+-1] is a domain, so each term at v + E or
+  above moves down E positions times s*p as the convolution forms it.
+  A sum folds the operand with the higher lead into the E positions from
+  the lower lead, whose digit survives mod p.  A shift by +-w^k u^e
+  moves each class intact.  Capped results, a sum whose equal leads
+  cancel mod p and raw digits go through _fold.
 
 Precision is a p-adic digit position: digits at position >= prec are
 unknown, and the caps of products and quotients are computed on
@@ -59,8 +68,8 @@ class _Elem:
     A model has base and prec (the class constant INFINITE for a series),
     the name _RING (for messages), and supplies _lead (the lowest
     determinate position and its coefficient, or None), _value (the value
-    of a position) and _residue (of a leading coefficient), plus +, *, /,
-    unary - and to_text.
+    of a position) and _residue (of a leading coefficient), plus +, -, *,
+    /, unary - and to_text.
     """
 
     __slots__ = ()
@@ -98,9 +107,6 @@ class _Elem:
         if isinstance(x, int):
             return self.base.from_int(x)
         raise ValidationError("cannot coerce %r into the %s" % (x, self._RING))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
 
     def __pow__(self, n: int):
         """x**n by square-and-multiply; a negative n inverts x first."""
@@ -240,12 +246,22 @@ class SeriesElem(_Elem):
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
+        return self._merge(other, False)
+
+    def __sub__(self, other):
+        return self._merge(other, True)
+
+    def _merge(self, other, sub: bool):
+        """self + other, or self - other when sub, in one pass over other."""
         other = self._coerce(other)
         den = lcm(self.den, other.den)
         out = dict(self._over(den))
         for g, c in other._over(den).items():
             s = out.get(g)
-            out[g] = c if s is None else s + c
+            if s is None:
+                out[g] = -c if sub else c
+            else:
+                out[g] = s - c if sub else s + c
         return _series(self.base, den, out)
 
     def __neg__(self):
@@ -395,7 +411,10 @@ class PadicElem(_Elem):
 
     The integers are kept as _fold leaves them; arithmetic, the value and
     the lead digit read them, and only to_text walks their carries
-    (_norm_iter) to the reduced digits {u-exponent: 1..p-1}.
+    (_norm_iter) to the reduced digits {u-exponent: 1..p-1}.  The
+    constructor folds; an exact product, sum, negation or shift is built
+    in that form already (_product, _sum, _shift): the product of two lead
+    digits is nonzero mod p, and the lower lead of a sum survives.
     """
 
     __slots__ = ("base", "digits", "prec")
@@ -443,11 +462,10 @@ class PadicElem(_Elem):
     # -- arithmetic --------------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.digits)
-        for ke, c in other.digits.items():
-            out[ke] = out.get(ke, 0) + c
-        return PadicElem(self.base, out, min(self.prec, other.prec))
+        return _sum(self, self._coerce(other), 1)
+
+    def __sub__(self, other):
+        return _sum(self, self._coerce(other), -1)
 
     def __neg__(self):
         return _shift(self, 0, 0, -1)
@@ -554,21 +572,80 @@ def _fold(base: PadicBase, digits: dict, prec) -> dict:
                         for (k, e), c in out.items()}, prec)
 
 
+def _folded(base: PadicBase, digits: dict) -> PadicElem:
+    """The exact element of digits, which are already in _fold's form."""
+    x = PadicElem.__new__(PadicElem)
+    x.base, x.digits, x.prec = base, digits, INFINITE
+    return x
+
+
 def _shift(x: PadicElem, k: int, e: int, c: int) -> PadicElem:
-    """c * w^k * u^e * x, exactly: each term moves and is scaled."""
-    return PadicElem(x.base, {(k1 + k, e1 + e): c * c1
-                              for (k1, e1), c1 in x.digits.items()},
-                     x.prec + k)
+    """c * w^k * u^e * x for c = +-1: each term moves and is scaled.  An
+    exact x stays folded, each (position mod E, u-exponent) class intact."""
+    digits = {(k1 + k, e1 + e): c * c1 for (k1, e1), c1 in x.digits.items()}
+    if x.prec == INFINITE:
+        return _folded(x.base, digits)
+    return PadicElem(x.base, digits, x.prec + k)
+
+
+def _sum(x: PadicElem, y: PadicElem, sign: int) -> PadicElem:
+    """x + sign*y, sign = +-1.  An exact sum folds the operand with the
+    higher lead into the E positions from the lower lead v; each term moved
+    there gains a factor (s*p)^j, so the lower lead's digit survives mod p.
+    With equal leads the sum is folded unless p divides every integer at
+    v; then, like every capped sum, it goes through _fold."""
+    if x.prec != INFINITE or y.prec != INFINITE:
+        out = dict(x.digits)
+        for ke, c in y.digits.items():
+            out[ke] = out.get(ke, 0) + sign * c
+        return PadicElem(x.base, out, min(x.prec, y.prec))
+    if not y.digits:
+        return x
+    if not x.digits:
+        return y if sign == 1 else _shift(y, 0, 0, -1)
+    vx, vy = min(x.digits)[0], min(y.digits)[0]
+    if vx <= vy:
+        v, out, hi, s = vx, dict(x.digits), y.digits, sign
+    else:
+        v, out, hi, s = vy, {ke: sign * c for ke, c in y.digits.items()}, \
+            x.digits, 1
+    E, sp = x.base.E, x.base.twist * x.base.p
+    for (k, e), c in hi.items():
+        j = (k - v) // E
+        if j:
+            k, c = k - j * E, c * sp ** j
+        out[k, e] = out.get((k, e), 0) + s * c
+    out = {ke: c for ke, c in out.items() if c}
+    if vx != vy or any(c % x.base.p for (k, _), c in out.items() if k == v):
+        return _folded(x.base, out)
+    return PadicElem(x.base, out, INFINITE)
 
 
 def _product(x: PadicElem, y: PadicElem, cap) -> PadicElem:
-    """x*y below position cap: the convolution, folded by the constructor."""
+    """x*y below position cap: the convolution.  A capped one is folded by
+    the constructor.  An exact one is built folded: each term at position
+    v + E or above (v = the sum of the leads) moves down E positions times
+    s*p, and the digit at v is the product of the lead digits mod p, which
+    is nonzero because F_p[u^+-1] is a domain."""
     out, terms = {}, y.digits.items()
+    if cap != INFINITE:
+        # its own loop: a fold test per term costs the capped lifts ~20 %
+        for (k1, e1), c1 in x.digits.items():
+            for (k2, e2), c2 in terms:
+                ke = k1 + k2, e1 + e2
+                out[ke] = out.get(ke, 0) + c1 * c2
+        return PadicElem(x.base, out, cap)
+    if not x.digits or not y.digits:
+        return _folded(x.base, out)
+    E, sp = x.base.E, x.base.twist * x.base.p
+    top = min(x.digits)[0] + min(y.digits)[0] + E
     for (k1, e1), c1 in x.digits.items():
         for (k2, e2), c2 in terms:
-            ke = k1 + k2, e1 + e2
-            out[ke] = out.get(ke, 0) + c1 * c2
-    return PadicElem(x.base, out, cap)
+            k, e, c = k1 + k2, e1 + e2, c1 * c2
+            if k >= top:
+                k, c = k - E, c * sp
+            out[k, e] = out.get((k, e), 0) + c
+    return _folded(x.base, {ke: c for ke, c in out.items() if c})
 
 
 def _inverse(y: PadicElem, n: int) -> PadicElem:

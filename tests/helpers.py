@@ -13,8 +13,9 @@ references for the fast paths; so is the series ring, keyed by Fraction
 exponents, for the integer ones.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
 p-th power up to a threshold has a term-by-term reference, the lift
-of lambda = zeta_p - 1 its earlier Newton form in the digit ring, and
-digit-ring division its earlier long division.  It also
+of lambda = zeta_p - 1 its earlier Newton form in the digit ring,
+digit-ring division its earlier long division, and the digit ring's
+products, sums and shifts their earlier build-then-fold form.  It also
 builds series from term dicts (with no value-group check), parses the
 text that SeriesElem.to_text and PadicElem.to_text print back into
 elements, draws seeded mixed-characteristic descriptors, and runs code
@@ -37,7 +38,7 @@ from vallab.intlinalg import (diagonalize_with_basis, p_exponent,
 from vallab.ogroup import _canon, _coerce_vec, _fits, _scale_to_int, contains
 from vallab.values import INFINITE, Indeterminate, fr, sum_text, term_text
 from vallab.tower import TElem
-from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
+from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, _fold
 
 
 def brute_contains(free, closed, p, x, bound=10, kmax=6):
@@ -705,6 +706,35 @@ def divide_by_long_division(x: PadicElem, y: PadicElem) -> PadicElem:
         term = {(k - k0, e - e0): c * inv % p for e, c in d.items()}
         q.update(term)
         r = r - PadicElem(x.base, term, INFINITE) * y
+
+
+# digit-ring results built raw and then folded: the earlier form of the
+# exact product, sum and shift, references for the ones built folded
+
+
+def product_then_fold(x: PadicElem, y: PadicElem) -> dict:
+    """The digits of x*y: the whole convolution, then _fold."""
+    out = {}
+    for (k1, e1), c1 in x.digits.items():
+        for (k2, e2), c2 in y.digits.items():
+            ke = k1 + k2, e1 + e2
+            out[ke] = out.get(ke, 0) + c1 * c2
+    return _fold(x.base, out, min(x.prec, y.prec))
+
+
+def merge_then_fold(x: PadicElem, y: PadicElem, sign: int) -> dict:
+    """The digits of x + sign*y: the termwise merge, then _fold."""
+    out = dict(x.digits)
+    for ke, c in y.digits.items():
+        out[ke] = out.get(ke, 0) + sign * c
+    return _fold(x.base, out, min(x.prec, y.prec))
+
+
+def shift_then_fold(x: PadicElem, k: int, e: int, c: int) -> dict:
+    """The digits of c * w^k * u^e * x: each term moved, then _fold."""
+    return _fold(x.base, {(k1 + k, e1 + e): c * c1
+                          for (k1, e1), c1 in x.digits.items()},
+                 x.prec + k)
 
 
 # parsers for printed series and digit text (round-trips of to_text)

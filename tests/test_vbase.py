@@ -5,10 +5,12 @@ from itertools import islice
 
 import pytest
 
+from vallab import vbase
 from vallab.constructions import build_kummer_valgp
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import ogroup
 from vallab.resfield import ResField
+from vallab.suites import suite_congruence
 from vallab.values import INFINITE, Indeterminate
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, zeta_lambda
 
@@ -525,6 +527,22 @@ def test_lambda_products_count(monkeypatch):
         monkeypatch.setattr(PadicElem, name, counting(name))
     zeta_lambda(PadicBase(11, 10, -1), 44)
     assert calls == ["__mul__"] * 36
+
+
+def test_congruence_suite_fold_count(monkeypatch):
+    # exact products, sums, negations and shifts are built folded, and only
+    # capped results, cancelled leads and raw digits go through _fold (its
+    # own recursion counted); folding every construction made 13,546 calls
+    calls = []
+    fold = vbase._fold
+
+    def counting(*args):
+        calls.append(None)
+        return fold(*args)
+
+    monkeypatch.setattr(vbase, "_fold", counting)
+    assert suite_congruence(0).ok()
+    assert len(calls) <= 4808
 
 
 LIFT_CASES = [(p, E) for p in (3, 5, 7, 11, 13) for E in (p - 1, 2 * (p - 1))] \
