@@ -18,11 +18,11 @@ is what makes the decomposition canonical enough for index computations.
 A rank-1 group, a subgroup of Q, is read off one gcd of its generators'
 numerators over their common denominator, and a coordinate is the one
 quotient x / b, formed in integers; the elimination serves rank >= 2.
-Membership, inclusion and index read one coordinate map, cached with the
-canonical form and kept in integers (numerators over one denominator),
-and join presents its result by the canonical basis
-followed by the new generators, so a group grown one value at a time
-keeps a presentation of bounded size.
+The canonical form is kept on the group, built on first use, and with it
+the coordinate map that membership, inclusion and index read, kept in
+integers (numerators over one denominator).  join presents its result by
+the canonical basis followed by the new generators, so a group grown one
+value at a time keeps a presentation of bounded size.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .errors import (ValidationError, int_text_bound, json_fraction, json_get,
                      json_int, json_keys, printable_power, too_long_to_print)
@@ -75,6 +75,15 @@ class OGroup:
     def __post_init__(self):
         if self.rank < 1:
             raise ValidationError("rank must be at least 1")
+        # immutable fields only: the canonical form kept on the group is
+        # read off them once
+        if not (isinstance(self.gens, tuple)
+                and all(isinstance(v, tuple) and len(v) == self.rank
+                        for v in self.gens)):
+            raise ValidationError("gens must be a tuple of %d-coordinate "
+                                  "tuples" % self.rank)
+        if not isinstance(self.p_closed, frozenset):
+            raise ValidationError("p_closed must be a frozenset")
         if self.prime != 1 and not is_prime(self.prime):
             raise ValidationError("prime %r is neither 1 nor a prime number"
                                   % (self.prime,))
@@ -83,6 +92,12 @@ class OGroup:
         for i in self.p_closed:
             if not (0 <= i < len(self.gens)):
                 raise ValidationError("p_closed index out of range")
+
+    # a pure function of the frozen fields, built on first use; equality,
+    # hash and repr read the fields alone
+    @cached_property
+    def _form(self):
+        return _build_canon(self)
 
     def closed_gens(self):
         return [self.gens[i] for i in sorted(self.p_closed)]
@@ -229,8 +244,12 @@ class _Line:
         return ([q], [], den) if self.div else ([], [q], den)
 
 
-@lru_cache(maxsize=4096)
 def _canon(g: OGroup):
+    """g's canonical form, kept on g."""
+    return g._form
+
+
+def _build_canon(g: OGroup):
     """g's canonical form: _Line at rank 1, the elimination otherwise."""
     if g.rank == 1:
         return _Line(g)
@@ -427,10 +446,10 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
 
     closed = [combine(y) for y in int_kernel(k_free)]
     free = [combine(z[:len(k)], pe) for z in int_kernel(mod_pe)]
-    # the kernel presentation is thrown away, so its canonical form takes
-    # no cache slot; the part's own form is cached on first use
-    raw = _canon.__wrapped__(ogroup(closed + free, closed=range(len(closed)),
-                                    prime=p if closed else 1, rank=g.rank))
+    # the kernel presentation is thrown away, so its form is built without
+    # being kept; the part keeps its own form, built on first use
+    raw = _build_canon(ogroup(closed + free, closed=range(len(closed)),
+                              prime=p if closed else 1, rank=g.rank))
     basis = [v if _lex_positive(v) else tuple(-x for x in v)
              for v in raw.div + raw.free]
     return ogroup(basis, closed=range(len(raw.div)),

@@ -123,7 +123,9 @@ class Tower:
         self.val_den = lcm(*(c.denominator for v in base.value_group.gens
                              for c in v),
                            *(g.value.denominator for g in self.gens))
-        self.val_nums = tuple(int(g.value * self.val_den) for g in self.gens)
+        self.val_nums = tuple(
+            g.value.numerator * (self.val_den // g.value.denominator)
+            for g in self.gens)
 
     # built on first read: most towers, such as the one _attach makes for
     # _finalize, never reduce a p-th power

@@ -177,13 +177,20 @@ class EqBase:
 
     def series(self, terms) -> "SeriesElem":
         """The sum c * t^g over the (g, c) pairs in terms, whose exponents
-        are distinct; each is checked against the group."""
+        are distinct; the group is checked to hold them all."""
         terms = [(fr(g), self._coeff(c)) for g, c in terms]
-        for g, _ in terms:
-            # 0 lies in every group
-            if g and not group_contains(self.group, (g,)):
-                raise ValidationError("exponent %s outside the value group" % (g,))
-        return _series(self, *_over_lcm(terms))
+        den, nums = _over_lcm(terms)
+        # the exponents g/den generate Z n/den, n = gcd(nums), so they all
+        # lie in the group exactly when n/den does (0 lies in every group);
+        # only a failed test looks for the first exponent outside it
+        n = gcd(*nums)
+        if n and not group_contains(
+                self.group,
+                (terms[0][0] if len(terms) == 1 else Fraction(n, den),)):
+            g = next(g for g, _ in terms
+                     if not group_contains(self.group, (g,)))
+            raise ValidationError("exponent %s outside the value group" % (g,))
+        return _series(self, den, nums)
 
     def monomial(self, gamma, coeff=1) -> "SeriesElem":
         return self.series([(gamma, coeff)])

@@ -189,6 +189,20 @@ def test_monomial_at_zero_skips_membership(monkeypatch):
         base.monomial(Fraction(1, 27))
 
 
+def test_series_names_the_first_exponent_outside_the_group(monkeypatch):
+    # one test on gcd/den decides a whole sum; only a refused sum tests
+    # its exponents one by one, to name the first outside the group
+    base = vbase.EqBase(3, ResField(3), ogroup([Fraction(1, 9)], prime=3))
+    good = [(Fraction(-2, 9), 1), (Fraction(1, 3), 2), (Fraction(4), 1)]
+    assert _count_calls(monkeypatch, vbase, "group_contains",
+                        lambda: base.series(good)) == 1
+    bad = good[:1] + [(Fraction(0), 1), (Fraction(5, 27), 2),
+                      (Fraction(1, 81), 1)] + good[1:]
+    with pytest.raises(ValidationError) as err:
+        base.series(bad)
+    assert str(err.value) == "exponent 5/27 outside the value group"
+
+
 @pytest.mark.parametrize("family", ["as-resf", "two-ext", "kummer-resf"])
 def test_witness_residue_is_the_steps(family):
     r = BUILDERS[family](3)
@@ -208,9 +222,18 @@ def test_as_valgp_fraction_hash_count(monkeypatch):
     # a series keeps its exponents as integers over one denominator, and
     # each level builds its witness sum as one series: keying every term
     # by a Fraction, whose hash inverts its denominator mod a prime, made
-    # 6,931 Fraction hashes here; those left hash the value groups
+    # 6,931 Fraction hashes here; keying a cache of canonical forms by the
+    # value group, 522 more
     build = lambda: build_as_valgp(7, 20)
-    assert _count_calls(monkeypatch, Fraction, "__hash__", build) <= 522
+    assert _count_calls(monkeypatch, Fraction, "__hash__", build) == 0
+
+
+def test_as_valgp_membership_count(monkeypatch):
+    # a witness sum's exponents g/den generate Z gcd/den, so one test on
+    # that value stands for all of them: testing each exponent made 13,362
+    # membership tests here
+    build = lambda: build_as_valgp(3, 160)
+    assert _count_calls(monkeypatch, vbase, "group_contains", build) == 642
 
 
 def test_as_valgp_negations_count(monkeypatch):

@@ -391,21 +391,20 @@ def test_coset_count_matches_the_pairwise_reference():
             == abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]), m
 
 
+def _spy_builds(monkeypatch):
+    """The groups whose canonical form is built from here on, in order."""
+    built, build = [], ogroup_module._build_canon
+    monkeypatch.setattr(ogroup_module, "_build_canon",
+                        lambda g: built.append(g) or build(g))
+    return built
+
+
 def test_canon_matches_the_fraction_projection(monkeypatch):
     # the fraction-free projection against the rational one, on seeded
     # groups and on the kernel presentations their convex parts build
-    canon = _canon
+    build = ogroup_module._build_canon
+    built = _spy_builds(monkeypatch)
     kernels = []
-
-    class Spy:
-        __call__ = staticmethod(canon)
-
-        @staticmethod
-        def __wrapped__(g):
-            kernels.append(g)
-            return canon.__wrapped__(g)
-
-    monkeypatch.setattr(ogroup_module, "_canon", Spy())
     rng = random.Random(53)
     groups = []
     for _ in range(1000):
@@ -416,25 +415,87 @@ def test_canon_matches_the_fraction_projection(monkeypatch):
         groups.append(ogroup(gens, closed=range(nclosed),
                              prime=p if nclosed else 1, rank=rank))
     for g in groups:
-        c = canon.__wrapped__(g)
+        c = _canon(g)
         assert (c.div, c.free) == canon_fraction(g), g
         for ell in range(1, g.rank):
+            # g's form is built already, and the part's is not built here:
+            # the one form built is the kernel presentation's
+            before = len(built)
             ogroup_module._convex_at(g, ell)
+            assert len(built) == before + 1
+            kernels.append(built[-1])
     assert sum(1 for g in groups if g.p_closed) >= 400
     assert sum(1 for g in groups if not g.p_closed) >= 100
     assert len(kernels) >= 1000
     for k in kernels:
-        c = canon.__wrapped__(k)
+        c = build(k)
         assert (c.div, c.free) == canon_fraction(k), k
 
 
-def test_convex_core_canonicalises_its_part_once():
+def test_convex_core_canonicalises_its_part_once(monkeypatch):
     g = lex_compose(cyclic(1), ogroup([1], closed=[0], prime=3))
-    _canon.cache_clear()
+    built = _spy_builds(monkeypatch)
     part = convex_core(g, (0, 1))
     assert is_p_divisible(part.group, 3)
-    # one canonical form for g, one for the part
-    assert _canon.cache_info().misses == 2
+    # one form for g, one for the thrown-away kernel presentation and one
+    # for the part
+    assert len(built) == 3
+    assert built[0] is g and built[-1] is part.group
+
+
+def test_each_group_builds_its_form_once(monkeypatch):
+    built = _spy_builds(monkeypatch)
+    g = lex_compose(cyclic(1), ogroup([F(1, 3)], closed=[0], prime=3))
+    h = ogroup([(2, 0), (0, 1)], closed=[1], prime=3)
+    for _ in range(3):
+        assert contains(g, (F(1), F(1, 27)))
+        assert index(g, h) == 2
+        join(g, [(F(1, 2), F(0))])
+        assert not is_p_divisible(g, 3)
+        convex_core(g, (F(0), F(1)))
+    # g, h and one thrown-away kernel presentation per convex_core call
+    assert len(built) == 5 and built[0] is g and built[1] is h
+    assert all(k is not g and k is not h for k in built[2:])
+
+
+def test_a_built_form_leaves_equality_hash_and_text_alone():
+    gens = [(F(1), F(0)), (F(0), F(1, 3))]
+    built = ogroup(gens, closed=[1], prime=3)
+    bare = ogroup(gens, closed=[1], prime=3)
+    assert contains(built, (F(2), F(1, 9)))
+    assert "_form" in vars(built) and "_form" not in vars(bare)
+    assert built == bare and hash(built) == hash(bare)
+    assert repr(built) == repr(bare)
+    assert to_json(built) == to_json(bare)
+    assert len({built, bare}) == 1
+
+
+def test_no_module_holds_a_group_or_a_cache():
+    # every process starts with no form built: no vallab module keeps a
+    # group, whose form would outlive a call, or a cache to clear
+    mods = [m for name, m in sorted(sys.modules.items())
+            if name.startswith("vallab.") and m is not None]
+    assert len(mods) >= 10
+    for m in mods:
+        for name, value in vars(m).items():
+            assert not hasattr(value, "cache_clear"), (m.__name__, name)
+            assert not isinstance(value, ogroup_module.OGroup), \
+                (m.__name__, name)
+
+
+@pytest.mark.parametrize("fields, what", [
+    (dict(gens=[(F(1, 2),)], p_closed=frozenset()), "gens must be a tuple"),
+    (dict(gens=([F(1, 2)],), p_closed=frozenset()), "gens must be a tuple"),
+    (dict(gens=((F(1, 2), F(1)),), p_closed=frozenset()),
+     "gens must be a tuple"),
+    (dict(gens=((F(1, 2),),), p_closed={0}), "p_closed must be a frozenset"),
+])
+def test_hand_built_group_refuses_mutable_fields(fields, what):
+    # a list or set field used to be refused only by accident, by the
+    # unhashable key of a form cache; the form kept on the group would go
+    # stale if such a field were mutated
+    with pytest.raises(ValidationError, match=what):
+        ogroup_module.OGroup(rank=1, prime=3, **fields)
 
 
 def test_join_presents_the_canonical_basis():
