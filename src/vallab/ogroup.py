@@ -16,13 +16,14 @@ convex subgroups and hulls all reduce to linear algebra against this
 form.  The divisible summand is the maximal p-divisible subgroup, which
 is what makes the decomposition canonical enough for index computations.
 A rank-1 group, a subgroup of Q, is read off one gcd of its generators'
-numerators over their common denominator, and a coordinate is the one
-quotient x / b, formed in integers; the elimination serves rank >= 2.
+numerators over their common denominator, as Z n/d or Z[1/p] n/d, and
+membership, inclusion and index are answered in closed form from those
+two integers; the elimination and its coordinate map serve rank >= 2.
 The canonical form is kept on the group, built on first use, and with it
-the coordinate map that membership, inclusion and index read, kept in
-integers (numerators over one denominator).  join presents its result by
-the canonical basis followed by the new generators, so a group grown one
-value at a time keeps a presentation of bounded size.
+the coordinate map that membership, inclusion and index read at rank
+>= 2, kept in integers (numerators over one denominator).  join presents
+its result by the canonical basis followed by the new generators, so a
+group grown one value at a time keeps a presentation of bounded size.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .values import INFINITE, fr
 
 def _coerce_vec(x, rank: int):
     """A value as a tuple of rank Fractions; a bare rational is rank 1."""
-    v = tuple(fr(c) for c in x) if isinstance(x, (tuple, list)) else (fr(x),)
+    v = tuple(map(fr, x)) if isinstance(x, (tuple, list)) else (fr(x),)
     if len(v) != rank:
         raise ValidationError("rank mismatch: expected %d coordinates, got %d" % (rank, len(v)))
     return v
@@ -82,6 +83,12 @@ class OGroup:
                         for v in self.gens)):
             raise ValidationError("gens must be a tuple of %d-coordinate "
                                   "tuples" % self.rank)
+        # exact coordinates only: the canonical form reads their integers
+        for v in self.gens:
+            for c in v:
+                if not isinstance(c, (int, Fraction)):
+                    raise ValidationError("gens must hold int or Fraction "
+                                          "coordinates, got %r" % (c,))
         if not isinstance(self.p_closed, frozenset):
             raise ValidationError("p_closed must be a frozenset")
         if self.prime != 1 and not is_prime(self.prime):
@@ -160,7 +167,8 @@ def cyclic(q) -> OGroup:
 
 
 class _Canon:
-    """The canonical basis and its coordinate map, kept in integers.
+    """The canonical basis of a group of rank >= 2 and its coordinate map,
+    kept in integers.
 
     The map is one int_rref of the basis numerators bn = dn * basis
     augmented by the identity.  Its rows [en | t] over its denominator de
@@ -215,33 +223,61 @@ class _Line:
     """The canonical form of a rank-1 group, a subgroup of Q.
 
     Over the generators' least common denominator d, with n the gcd of
-    their numerators, the group is Z n/d, or Z[1/p] m/d once a generator
-    is p-closed, m being the prime-to-p part of n; the trivial group has
-    no basis.  A coordinate is the one quotient x / b, formed in integers.
+    their numerators, the group is Z n/d, or Z[1/p] m/d once a nonzero
+    generator is p-closed, m being the prime-to-p part of n; the trivial group has
+    no basis (n = 0).  Membership, inclusion and index are answered in
+    closed form from n, d and whether the group is Z[1/p]-divisible, so a
+    rank-1 group needs no coordinate map.
     """
     __slots__ = ("div", "free", "basis", "n", "d")
 
     def __init__(self, g):
         ints, d = _scale_to_int(g.gens)
         n = math.gcd(*(v[0] for v in ints))
-        if g.p_closed:
+        # a p-closed zero, which only a hand-built group can hold, divides
+        # nothing
+        closed = any(ints[i][0] for i in g.p_closed)
+        if closed:
             n = prime_to_p_part(n, g.prime)
         self.n, self.d = n, d
         self.basis = ((Fraction(n, d),),) if n else ()
-        self.div, self.free = ((self.basis, ()) if g.p_closed
+        self.div, self.free = ((self.basis, ()) if closed
                                else ((), self.basis))
 
-    def coords(self, vec):
-        """_Canon.coords in closed form: ([q], [], den) or ([], [q], den),
-        q/den = x / (n/d) = (x.numerator * d) / (x.denominator * n) reduced."""
-        if not self.basis:
-            return None if vec[0] else ([], [], 1)
-        x = vec[0]
-        q, den = x.numerator * self.d, x.denominator * self.n
-        r = math.gcd(q, den)
-        if r != 1:
-            q, den = q // r, den // r
-        return ([q], [], den) if self.div else ([], [q], den)
+    def holds(self, x, p) -> bool:
+        """Whether the rational x = a/b lies in the group.
+
+        x / (n/d) = a*d / (b*n): x lies in Z n/d exactly when b*n divides
+        a*d, and in Z[1/p] n/d exactly when b*n divides a*d*p^k for some
+        k, for which k = the bit length of b*n is enough.
+        """
+        if not self.n:
+            return not x
+        num, den = x.numerator * self.d, x.denominator * self.n
+        if self.div:
+            num *= p ** den.bit_length()
+        return num % den == 0
+
+    def index_of(self, h, p, q):
+        """[g : h], g having this form and prime p and h the form h and
+        prime q, or None when h is not a subgroup of g.
+
+        A nonzero h lies in g when its basis b_h does and, if h is
+        divisible, g is divisible under the same prime.  With a the
+        numerator of b_h / b_g in lowest terms, the index is then a when
+        both are free, a's prime-to-p part when both are divisible, and
+        INFINITE when only g is; INFINITE for a trivial h and a nonzero g.
+        """
+        if not h.n:
+            return INFINITE if self.n else 1
+        if (h.div and not (self.div and p == q)
+                or not self.holds(h.basis[0][0], p)):
+            return None
+        a = h.n * self.d
+        a //= math.gcd(a, h.d * self.n)
+        if not self.div:
+            return a
+        return prime_to_p_part(a, p) if h.div else INFINITE
 
 
 def _canon(g: OGroup):
@@ -304,8 +340,12 @@ def _fits(sol, p, divisible=False) -> bool:
 
 
 def contains(g: OGroup, x) -> bool:
-    """Membership test against the canonical decomposition."""
-    return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime)
+    """Membership: in closed form at rank 1, by the coordinate map
+    otherwise."""
+    vec = _coerce_vec(x, g.rank)
+    if g.rank == 1:
+        return _canon(g).holds(vec[0], g.prime)
+    return _fits(_canon(g).coords(vec), g.prime)
 
 
 def _coordinate_matrices(g: OGroup, h: OGroup):
@@ -338,26 +378,17 @@ def _coordinate_matrices(g: OGroup, h: OGroup):
     return mdiv, mfree
 
 
-def subset(g: OGroup, h: OGroup) -> bool:
-    """Whether h is contained in g, read off h's canonical basis."""
-    return _coordinate_matrices(g, h) is not None
+def _elimination_index(g: OGroup, h: OGroup):
+    """[g : h] read off the coordinate matrices, or None when h is not a
+    subgroup of g.
 
-
-def same_group(g: OGroup, h: OGroup) -> bool:
-    return subset(g, h) and subset(h, g)
-
-
-def index(g: OGroup, h: OGroup):
-    """[g : h] as a positive int, or INFINITE.
-
-    Requires h to be a subgroup of g of the same rank.  Finite exactly
-    when the two Q-spans and the two divisible-part spans agree; then
-    the index splits as prime-to-p part of the divisible determinant
-    times the free determinant.
+    Finite exactly when the two Q-spans and the two divisible-part spans
+    agree; then the index splits as prime-to-p part of the divisible
+    determinant times the free determinant.
     """
     mats = _coordinate_matrices(g, h)
     if mats is None:
-        raise ValidationError("h is not a subgroup of g")
+        return None
     mdiv, mfree = mats
     cg = _canon(g)
     if len(mdiv) != len(cg.div) or len(mfree) != len(cg.free):
@@ -368,6 +399,31 @@ def index(g: OGroup, h: OGroup):
     # prime-to-p part of its determinant alone; each |det| is int_rref's den
     ddiv, dfree = (int_rref(m)[2] for m in (mdiv, mfree))
     return prime_to_p_part(ddiv, g.prime) * dfree
+
+
+def subset(g: OGroup, h: OGroup) -> bool:
+    """Whether h is contained in g: in closed form at rank 1, read off h's
+    canonical basis otherwise."""
+    if g.rank == 1 == h.rank:
+        return _canon(g).index_of(_canon(h), g.prime, h.prime) is not None
+    return _coordinate_matrices(g, h) is not None
+
+
+def same_group(g: OGroup, h: OGroup) -> bool:
+    return subset(g, h) and subset(h, g)
+
+
+def index(g: OGroup, h: OGroup):
+    """[g : h] as a positive int, or INFINITE.
+
+    Requires h to be a subgroup of g of the same rank; answered in closed
+    form at rank 1, off the coordinate matrices otherwise.
+    """
+    idx = (_canon(g).index_of(_canon(h), g.prime, h.prime)
+           if g.rank == 1 == h.rank else _elimination_index(g, h))
+    if idx is None:
+        raise ValidationError("h is not a subgroup of g")
+    return idx
 
 
 def is_p_divisible(g: OGroup, p: int) -> bool:

@@ -10,7 +10,10 @@ earlier per-generator form, and the rational row echelon, the canonical
 group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
 references for the fast paths; so is the series ring, keyed by Fraction
-exponents, for the integer ones.  Tower values also have an independent
+exponents, for the integer ones.  Membership and index as groups of rank
+>= 2 compute them, by the coordinate map of the eliminated canonical
+form, are kept here for groups of every rank, as the reference for the
+closed rank-1 forms.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
 p-th power up to a threshold has a term-by-term reference, the lift
 of lambda = zeta_p - 1 its earlier Newton form in the digit ring,
@@ -35,7 +38,8 @@ from math import factorial, gcd, lcm, prod
 from vallab.errors import PrecisionError, ValidationError
 from vallab.intlinalg import (diagonalize_with_basis, p_exponent,
                               prime_to_p_part, row_echelon)
-from vallab.ogroup import _canon, _coerce_vec, _fits, _scale_to_int, contains
+from vallab.ogroup import (_Canon, _canon, _coerce_vec, _fits, _scale_to_int,
+                           contains)
 from vallab.values import INFINITE, Indeterminate, fr, sum_text, term_text
 from vallab.tower import TElem
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, _fold
@@ -200,10 +204,52 @@ def canon_fraction(g):
             tuple(tuple(v) for v in free_basis))
 
 
+def eliminated(g):
+    """g's canonical form as the elimination builds it at rank >= 2, at any
+    rank: the Fraction projection's basis with the integer coordinate map."""
+    return _Canon(*canon_fraction(g), g.rank)
+
+
 def in_divisible_part(g, x):
     """Membership in the maximal p-divisible subgroup of g."""
-    return _fits(_canon(g).coords(_coerce_vec(x, g.rank)), g.prime,
+    return _fits(eliminated(g).coords(_coerce_vec(x, g.rank)), g.prime,
                  divisible=True)
+
+
+def contains_by_elimination(g, x):
+    """Membership in g by the coordinate map of its eliminated form."""
+    return _fits(eliminated(g).coords(_coerce_vec(x, g.rank)), g.prime)
+
+
+def index_by_elimination(g, h):
+    """[g : h] as groups of rank >= 2 compute it, or None when h is not a
+    subgroup of g.
+
+    h's eliminated basis in g's coordinates: a divisible vector must have
+    Z[1/p] coordinates on g's divisible basis alone, a free one integral
+    coordinates.  The index is INFINITE unless both matrices are square,
+    and otherwise the prime-to-p part of the divisible determinant times
+    the free one.
+    """
+    cg, ch = eliminated(g), eliminated(h)
+    if ch.div and g.prime != h.prime:
+        return None
+    mdiv, mfree = [], []
+    for vec in ch.div:
+        sol = cg.coords(vec)
+        if not _fits(sol, g.prime, divisible=True):
+            return None
+        mdiv.append([Fraction(n, sol[2]) for n in sol[0]])
+    for vec in ch.free:
+        sol = cg.coords(vec)
+        if not _fits(sol, g.prime):
+            return None
+        mfree.append([n // sol[2] for n in sol[1]])
+    if len(mdiv) != len(cg.div) or len(mfree) != len(cg.free):
+        return INFINITE
+    ddiv = abs(perm_det(mdiv))
+    return (prime_to_p_part(ddiv.numerator, g.prime)
+            * int(abs(perm_det(mfree))))
 
 
 def member_fraction(g, x, divisible=False):

@@ -1,5 +1,6 @@
 """Builder tests against hand-computed rows, values and residues."""
 
+import importlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +17,9 @@ from vallab.resfield import ResField, RElem
 from vallab.tower import TElem, val
 
 from helpers import run_in_child
+
+# the package exports the function ogroup under the module's name
+ogroup_module = importlib.import_module("vallab.ogroup")
 
 
 def rows_of(result):
@@ -234,6 +238,15 @@ def test_as_valgp_membership_count(monkeypatch):
     # membership tests here
     build = lambda: build_as_valgp(3, 160)
     assert _count_calls(monkeypatch, vbase, "group_contains", build) == 642
+
+
+def test_rank_one_towers_skip_the_elimination(monkeypatch):
+    # every tower group has rank 1, whose membership, inclusion and index
+    # are read off its n and d in closed form: the coordinate matrices and
+    # their int_rref determinants made 192 and 384 calls here
+    build = lambda: (build_as_valgp(3, 160), build_as_resf(7, 30))
+    for name in ("int_rref", "_coordinate_matrices"):
+        assert _count_calls(monkeypatch, ogroup_module, name, build) == 0
 
 
 def test_as_valgp_negations_count(monkeypatch):

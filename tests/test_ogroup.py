@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 
 from vallab.errors import ValidationError
+from vallab.intlinalg import prime_to_p_part
 from vallab.ogroup import (
     _canon,
     contains,
@@ -30,9 +31,10 @@ from vallab.ogroup import (
 from vallab.suites import _coset_count, _rank1_member
 from vallab.values import INFINITE
 
-from helpers import (canon_fraction, coset_count_pairwise, in_divisible_part,
-                     member_fraction, rank1_member, rref, sample_elements,
-                     subset_per_generator)
+from helpers import (canon_fraction, contains_by_elimination,
+                     coset_count_pairwise, eliminated, in_divisible_part,
+                     index_by_elimination, member_fraction, rank1_member, rref,
+                     sample_elements, subset_per_generator)
 
 # the package exports the function ogroup under the module's name
 ogroup_module = importlib.import_module("vallab.ogroup")
@@ -248,7 +250,8 @@ def test_coordinate_map_solves_in_the_canonical_basis():
     for _ in range(120):
         rank = rng.randint(1, 3)
         g = _seeded_group(rng, rank, rng.choice((2, 3)))
-        c = _canon(g)
+        # the map serves rank >= 2, and is built at rank 1 as a reference
+        c = eliminated(g)
         basis = list(c.div + c.free)
         for _ in range(4):
             inside = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in basis]
@@ -273,21 +276,22 @@ def test_coordinate_map_solves_in_the_canonical_basis():
 
 
 def test_rank_one_coordinate_is_the_reduced_quotient():
-    # a rank-1 coordinate x / b is formed in integers, and must be the
-    # Fraction quotient's reduced numerator over its denominator
+    # rank-1 membership reads the quotient x / b in integers, and must agree
+    # with the Fraction quotient's reduced denominator: 1 on Z b, a power of
+    # p on Z[1/p] b; the trivial group holds only 0
     rng = random.Random(43)
     for _ in range(300):
-        g = _seeded_group(rng, 1, rng.choice((2, 3, 5)))
+        p = rng.choice((2, 3, 5))
+        g = _seeded_group(rng, 1, p)
         c = _canon(g)
-        x = F(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 9, 25, 49, 72)))
-        sol = c.coords((x,))
+        x = F(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 9, 25, 49, 72,
+                                                 p ** 9, 7 * p ** 9)))
         if not c.basis:
-            assert sol == (None if x else ([], [], 1))
+            assert contains(g, x) == (x == 0)
             continue
-        q = x / c.basis[0][0]
-        divn, freen, den = sol
-        assert (divn + freen, den) == ([q.numerator], q.denominator), (g, x)
-        assert len(divn) == len(c.div)
+        den = (x / c.basis[0][0]).denominator
+        want = prime_to_p_part(den, p) == 1 if c.div else den == 1
+        assert contains(g, x) == want, (g, x)
 
 
 def test_contains_matches_the_fraction_coordinate_map():
@@ -362,6 +366,105 @@ def test_rank1_canon_matches_the_elimination_reference():
     assert len(groups) >= 2000
     assert min(closed_at.values()) >= 150, closed_at
     assert min(seen.values()) >= 3000, seen
+
+
+def _seeded_line(rng, p):
+    """A rank-1 group: trivial, free (under prime 1 or p), p-closed or
+    mixed, its generators' denominators including high powers of p."""
+    gens = [F(rng.randint(-6, 6), rng.choice((1, 2, 3, 7, p, p ** 2,
+                                               5 * p ** 9)))
+            for _ in range(rng.randint(0, 3))]
+    kind = rng.randrange(4)
+    closed = (range(len(gens)) if kind == 2 else
+              range(rng.randint(1, len(gens))) if kind == 3 and gens else ())
+    return ogroup(gens, closed=closed, rank=1,
+                  prime=p if closed or kind == 1 else 1)
+
+
+def _seeded_line_pair(rng):
+    """g and a rank-1 h: a scaled copy of g, often a subgroup, or a fresh
+    group, under g's prime or another."""
+    p = rng.choice((2, 3, 5))
+    g = _seeded_line(rng, p)
+    q = p if rng.random() < 0.7 else rng.choice([r for r in (2, 3, 5)
+                                                   if r != p])
+    if rng.random() < 0.5:
+        return g, _seeded_line(rng, q)
+    s = F(rng.randint(1, 6), rng.choice((1, 1, 2, p)))
+    closed = [i for i in g.p_closed if rng.random() < 0.7]
+    h = ogroup([s * v[0] for v in g.gens], closed=closed, rank=1,
+               prime=q if closed else rng.choice((1, q)))
+    return g, h
+
+
+def test_rank1_closed_forms_match_the_elimination():
+    # rank-1 membership, inclusion and index against the elimination and
+    # coordinate map that serve rank >= 2, applied to the same groups;
+    # index's refusal of a non-subgroup included
+    rng = random.Random(61)
+    seen = dict.fromkeys(("refused", "infinite", "one", "finite", "trivial",
+                          "closed", "mixed", "primes", "member", "outside"),
+                         0)
+    for _ in range(5000):
+        g, h = _seeded_line_pair(rng)
+        for a, b in ((g, h), (h, g)):
+            want = index_by_elimination(a, b)
+            assert subset(a, b) == (want is not None), (a, b)
+            if want is None:
+                seen["refused"] += 1
+                with pytest.raises(ValidationError,
+                                   match="^h is not a subgroup of g$"):
+                    index(a, b)
+                continue
+            seen["infinite" if want == INFINITE else
+                 "one" if want == 1 else "finite"] += 1
+            assert index(a, b) == want, (a, b)
+        assert same_group(g, h) == (index_by_elimination(g, h) is not None
+                                    and index_by_elimination(h, g) is not None)
+        seen["trivial"] += g.is_trivial()
+        seen["closed"] += bool(g.p_closed) and len(g.p_closed) == len(g.gens)
+        seen["mixed"] += 0 < len(g.p_closed) < len(g.gens)
+        seen["primes"] += g.prime != h.prime
+        basis = _canon(g).basis
+        x = basis[0][0] * F(rng.randint(-9, 9),
+                            rng.choice((1, 2, 3, g.prime ** 3))) \
+            if basis else F(rng.randint(-1, 1), rng.choice((1, 2)))
+        for arg in (x, (x,)) + ((int(x),) if x.denominator == 1 else ()):
+            want = contains_by_elimination(g, arg)
+            seen["member" if want else "outside"] += 1
+            assert contains(g, arg) == want, (g, arg)
+    assert min(seen.values()) >= 300, seen
+    # at rank >= 2 the reference is the library's own path
+    for _ in range(300):
+        g = _seeded_group(rng, rng.randint(2, 3), rng.choice((2, 3)))
+        h = _seeded_candidate(rng, g)
+        want = index_by_elimination(g, h)
+        assert subset(g, h) == (want is not None), (g, h)
+        if want is not None:
+            assert index(g, h) == want, (g, h)
+
+
+def test_rank1_queries_refuse_as_before():
+    # the closed forms keep the class and text of every refusal
+    g = cyclic(F(1, 3))
+    for call, cls, text in (
+            (lambda: contains(g, (1, 2)), ValidationError,
+             "rank mismatch: expected 1 coordinates, got 2"),
+            (lambda: contains(g, 0.5), TypeError,
+             "expected an exact rational, got 0.5"),
+            (lambda: contains(g, (0.5,)), TypeError,
+             "expected an exact rational, got 0.5"),
+            (lambda: index(g, cyclic(F(1, 9))), ValidationError,
+             "h is not a subgroup of g"),
+            (lambda: index(g, ogroup([1], closed=[0], prime=3)),
+             ValidationError, "h is not a subgroup of g"),
+            (lambda: index(g, ogroup([(1, 1)])), ValidationError,
+             "rank mismatch"),
+            (lambda: subset(g, ogroup([(1, 1)])), ValidationError,
+             "rank mismatch")):
+        with pytest.raises(Exception) as err:
+            call()
+        assert (type(err.value), str(err.value)) == (cls, text)
 
 
 def test_rank1_oracle_matches_the_fraction_reference():
@@ -496,6 +599,35 @@ def test_hand_built_group_refuses_mutable_fields(fields, what):
     # stale if such a field were mutated
     with pytest.raises(ValidationError, match=what):
         ogroup_module.OGroup(rank=1, prime=3, **fields)
+
+
+@pytest.mark.parametrize("coord", [0.5, "1/2", None, complex(1, 0)])
+def test_hand_built_group_refuses_inexact_coordinates(coord):
+    # such a group used to build, and its first query died on the missing
+    # denominator of a float or str coordinate
+    with pytest.raises(ValidationError, match="^gens must hold int or "
+                       "Fraction coordinates, got "):
+        ogroup_module.OGroup(rank=1, gens=((coord,),), p_closed=frozenset())
+    with pytest.raises(ValidationError, match="^gens must hold int"):
+        ogroup_module.OGroup(rank=2, gens=((F(1), coord),),
+                             p_closed=frozenset())
+    g = ogroup_module.OGroup(rank=1, gens=((2,), (F(1, 3),)),
+                             p_closed=frozenset({1}), prime=3)
+    assert contains(g, F(5, 27)) and index(g, cyclic(F(1, 3))) == INFINITE
+
+
+def test_hand_built_zero_closed_generator_divides_nothing():
+    # ogroup drops zero generators, but a hand-built group may keep a
+    # p-closed zero; <0/3^inf; 1> is Z, which the rank-1 form read as Z[1/3]
+    g = ogroup_module.OGroup(rank=1, gens=((0,), (1,)),
+                             p_closed=frozenset({0}), prime=3)
+    assert not contains(g, F(1, 3)) and contains(g, 5)
+    assert not is_p_divisible(g, 3)
+    assert same_group(g, cyclic(1)) and index(g, cyclic(2)) == 2
+    assert contains(g, F(1, 3)) == contains_by_elimination(g, F(1, 3))
+    zero = ogroup_module.OGroup(rank=1, gens=((0,),),
+                                p_closed=frozenset({0}), prime=3)
+    assert same_group(zero, ogroup([], rank=1)) and not contains(zero, 1)
 
 
 def test_join_presents_the_canonical_basis():
