@@ -1,13 +1,12 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices, and primality.
 
 Everything here works on lists of integer row vectors and is sized for
 the rank <= 4 lattices this library manipulates, so clarity wins over
-asymptotics.  The two workhorses are row_echelon (integer row
-reduction with its unimodular transform) and diagonalize_with_basis,
-which returns a diagonal presentation of a row lattice together with an
-ambient basis adapted to it.  Over Q, int_rref is the one elimination:
-fraction-free, it gives a rational echelon as integer rows over one
-denominator.
+asymptotics.  row_echelon (integer row reduction with its unimodular
+transform) builds every value group's echelon form, and int_kernel reads
+integer kernels off it; diagonalize_with_basis, which returns a diagonal
+presentation of a row lattice together with an ambient basis adapted to
+it, serves the convex subgroups.
 """
 
 from __future__ import annotations
@@ -29,22 +28,28 @@ def row_echelon(rows):
     for col in range(ncols):
         if piv >= n:
             break
-        # euclidean elimination in this column, rows piv..n-1
+        # euclidean elimination in this column, rows piv..n-1: the first
+        # row of least nonzero absolute value becomes the pivot row
         while True:
-            nz = [i for i in range(piv, n) if a[i][col] != 0]
-            if not nz:
+            best, least = None, 0
+            for i in range(piv, n):
+                x = abs(a[i][col])
+                if x and (best is None or x < least):
+                    best, least = i, x
+            if best is None:
                 break
-            best = min(nz, key=lambda i: abs(a[i][col]))
             if best != piv:
                 a[piv], a[best] = a[best], a[piv]
                 t[piv], t[best] = t[best], t[piv]
+            top, ttop = a[piv], t[piv]
             done = True
             for i in range(piv + 1, n):
-                if a[i][col] != 0:
-                    q = a[i][col] // a[piv][col]
-                    a[i] = [x - q * y for x, y in zip(a[i], a[piv])]
-                    t[i] = [x - q * y for x, y in zip(t[i], t[piv])]
-                    if a[i][col] != 0:
+                x = a[i][col]
+                if x:
+                    q = x // top[col]
+                    a[i] = [u - q * w for u, w in zip(a[i], top)]
+                    t[i] = [u - q * w for u, w in zip(t[i], ttop)]
+                    if a[i][col]:
                         done = False
             if done:
                 break
@@ -67,39 +72,6 @@ def int_kernel(rows):
         return []
     ech, t = row_echelon(rows)
     return [t[i] for i in range(len(rows)) if not any(x != 0 for x in ech[i])]
-
-
-def int_rref(rows):
-    """Fraction-free reduced row echelon form of integer rows.
-
-    Returns (echelon, pivot_cols, den) with den > 0: echelon holds the
-    nonzero rows, each with den in its pivot column and 0 in every other
-    pivot column, so echelon / den is the rational reduced echelon form.
-    Each step divides exactly by the previous pivot (Bareiss), which keeps
-    every entry a minor of rows; den is |det| when rows is square of full
-    rank.
-    """
-    a = [list(map(int, r)) for r in rows]
-    ncols = len(a[0]) if a else 0
-    piv_cols = []
-    den = 1
-    row = 0
-    for col in range(ncols):
-        sel = next((i for i in range(row, len(a)) if a[i][col]), None)
-        if sel is None:
-            continue
-        a[row], a[sel] = a[sel], a[row]
-        pv = a[row][col]
-        for i in range(len(a)):
-            if i != row:
-                f = a[i][col]
-                a[i] = [(pv * x - f * y) // den for x, y in zip(a[i], a[row])]
-        den = pv
-        piv_cols.append(col)
-        row += 1
-    if den < 0:
-        a, den = [[-x for x in r] for r in a], -den
-    return a[:row], piv_cols, den
 
 
 def diagonalize_with_basis(rows, n):

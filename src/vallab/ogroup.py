@@ -11,19 +11,14 @@ direct-sum form
 
     G = Z[1/p] b_1 + ... + Z[1/p] b_s  (+)  Z c_1 + ... + Z c_t
 
-with b_i, c_j jointly Q-independent.  Membership, index, p-divisibility,
-convex subgroups and hulls all reduce to linear algebra against this
-form.  The divisible summand is the maximal p-divisible subgroup, which
-is what makes the decomposition canonical enough for index computations.
-A rank-1 group, a subgroup of Q, is read off one gcd of its generators'
-numerators over their common denominator, as Z n/d or Z[1/p] n/d, and
-membership, inclusion and index are answered in closed form from those
-two integers; the elimination and its coordinate map serve rank >= 2.
-The canonical form is kept on the group, built on first use, and with it
-the coordinate map that membership, inclusion and index read at rank
->= 2, kept in integers (numerators over one denominator).  join presents
-its result by the canonical basis followed by the new generators, so a
-group grown one value at a time keeps a presentation of bounded size.
+with the b_i (the maximal p-divisible subgroup) and the c_j in echelon
+form, at every rank.  Membership is two triangular solves whose row
+steps are integer divisibility tests, inclusion is membership of the
+basis, and the index is a ratio of pivot products; p-divisibility,
+convex subgroups and hulls reduce to linear algebra against the same
+form, kept on the group and built on first use.  join presents its
+result by the canonical basis followed by the new generators, so a group
+grown one value at a time keeps a presentation of bounded size.
 """
 
 from __future__ import annotations
@@ -32,17 +27,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 
 from .errors import (ValidationError, int_text_bound, json_fraction, json_get,
                      json_int, json_keys, printable_power, too_long_to_print)
-from .intlinalg import (
-    diagonalize_with_basis,
-    int_kernel,
-    int_rref,
-    is_prime,
-    prime_to_p_part,
-    row_echelon,
-)
+from .intlinalg import (diagonalize_with_basis, int_kernel, is_prime,
+                        prime_to_p_part, row_echelon)
 from .values import INFINITE, fr
 
 
@@ -167,48 +157,63 @@ def cyclic(q) -> OGroup:
 
 
 class _Canon:
-    """The canonical basis of a group of rank >= 2 and its coordinate map,
-    kept in integers.
+    """The canonical form of a group: G = Z[1/p] D (+) Z F.
 
-    The map is one int_rref of the basis numerators bn = dn * basis
-    augmented by the identity.  Its rows [en | t] over its denominator de
-    give E = en/de in reduced echelon form with E = (t/de) * bn, so
-    E = T * basis for T = tn/de, tn = dn * t.  A vector in the Q-span is
-    the sum of its pivot entries times the rows of E, so its coordinates
-    are those entries times T.
+    D, the maximal p-divisible part, is the Z-echelon of the p-closed
+    generators and of the free combinations that land in their Q-span,
+    each row divided by the power of p in its pivot's numerator and each
+    entry above a later pivot reduced modulo that pivot.  F lifts the
+    Z-echelon of the free generators taken modulo span_Q(D).
+
+    drows and frows hold D's rows and F's projected rows as (pivot column,
+    integer numerators, denominator), lifts F's lifts as numerators over
+    ld.  A solve's remainder must vanish at dzero (against D) or fzero
+    (against F).  members, as solve input flagged True on D's rows, are
+    the vectors a group holds when it contains this one; covolume, F's
+    pivot product times the prime-to-p part of D's, gives the index
+    covolume(h) / covolume(g) when the spans agree.
     """
-    __slots__ = ("div", "free", "basis", "piv", "en", "tn", "de")
+    __slots__ = ("drows", "frows", "lifts", "ld", "dzero", "fzero",
+                 "covolume", "_members", "_basis")
 
-    def __init__(self, div, free, rank):
-        self.div = div      # tuple of Fraction vectors, Z[1/p] summand basis
-        self.free = free    # tuple of Fraction vectors, Z summand basis
-        self.basis = div + free
-        n = len(self.basis)
-        bn, dn = _scale_to_int(self.basis)
-        aug, self.piv, self.de = int_rref(
-            [v + [int(i == j) for j in range(n)] for i, v in enumerate(bn)])
-        self.en = [r[:rank] for r in aug]
-        self.tn = [[dn * x for x in r[rank:]] for r in aug]
+    def __init__(self, drows, frows, lifts, ld, rank, prime):
+        self.drows, self.frows, self.lifts, self.ld = drows, frows, lifts, ld
+        dpiv, fpiv = [r[0] for r in drows], [r[0] for r in frows]
+        self.dzero = [k for k in range(rank) if k not in dpiv]
+        self.fzero = [k for k in self.dzero if k not in fpiv]
+        fn = fd = dn = dd = 1
+        for c, n, d in frows:
+            fn, fd = fn * n[c], fd * d
+        for c, n, d in drows:
+            dn, dd = dn * n[c], dd * d
+        if drows:
+            fn *= prime_to_p_part(dn, prime)
+            fd *= prime_to_p_part(dd, prime)
+        self.covolume = fn, fd
+        self._members = self._basis = None
 
-    def coords(self, vec):
-        """(divisible, free, den): vec's coordinates as integer numerators
-        over one denominator, or None outside the Q-span.
+    # made on first use: inclusion alone reads members, and join and the
+    # convex parts alone the basis
 
-        With vec = vn/dv, vec lies in the span exactly when
-        de * vn = sum of vn[pivot_i] * en_i, and then its coordinates are
-        (sum of vn[pivot_i] * tn_i) / (dv * de).
-        """
-        (vn,), dv = _scale_to_int([vec])
-        lead = [(vn[c], i) for i, c in enumerate(self.piv) if vn[c]]
-        de, en = self.de, self.en
-        for k, x in enumerate(vn):
-            if x * de != sum(a * en[i][k] for a, i in lead):
-                return None
-        tn = self.tn
-        nums = [sum(a * tn[i][j] for a, i in lead)
-                for j in range(len(self.basis))]
-        s = len(self.div)
-        return nums[:s], nums[s:], dv * self.de
+    @property
+    def members(self):
+        if self._members is None:
+            self._members = (
+                [(tuple(zip(n, repeat(d))), True) for _, n, d in self.drows]
+                + [(tuple(zip(n, repeat(self.ld))), False)
+                   for n in self.lifts])
+        return self._members
+
+    @property
+    def basis(self):
+        """D's rows, then F's lifts, as Fraction vectors."""
+        if self._basis is None:
+            self._basis = (
+                tuple(tuple(Fraction(x, d) for x in n)
+                      for _, n, d in self.drows)
+                + tuple(tuple(Fraction(x, self.ld) for x in n)
+                        for n in self.lifts))
+        return self._basis
 
 
 def _scale_to_int(vecs):
@@ -219,194 +224,156 @@ def _scale_to_int(vecs):
             for v in vecs], denom
 
 
-class _Line:
-    """The canonical form of a rank-1 group, a subgroup of Q.
-
-    Over the generators' least common denominator d, with n the gcd of
-    their numerators, the group is Z n/d, or Z[1/p] m/d once a nonzero
-    generator is p-closed, m being the prime-to-p part of n; the trivial group has
-    no basis (n = 0).  Membership, inclusion and index are answered in
-    closed form from n, d and whether the group is Z[1/p]-divisible, so a
-    rank-1 group needs no coordinate map.
-    """
-    __slots__ = ("div", "free", "basis", "n", "d")
-
-    def __init__(self, g):
-        ints, d = _scale_to_int(g.gens)
-        n = math.gcd(*(v[0] for v in ints))
-        # a p-closed zero, which only a hand-built group can hold, divides
-        # nothing
-        closed = any(ints[i][0] for i in g.p_closed)
-        if closed:
-            n = prime_to_p_part(n, g.prime)
-        self.n, self.d = n, d
-        self.basis = ((Fraction(n, d),),) if n else ()
-        self.div, self.free = ((self.basis, ()) if closed
-                               else ((), self.basis))
-
-    def holds(self, x, p) -> bool:
-        """Whether the rational x = a/b lies in the group.
-
-        x / (n/d) = a*d / (b*n): x lies in Z n/d exactly when b*n divides
-        a*d, and in Z[1/p] n/d exactly when b*n divides a*d*p^k for some
-        k, for which k = the bit length of b*n is enough.
-        """
-        if not self.n:
-            return not x
-        num, den = x.numerator * self.d, x.denominator * self.n
-        if self.div:
-            num *= p ** den.bit_length()
-        return num % den == 0
-
-    def index_of(self, h, p, q):
-        """[g : h], g having this form and prime p and h the form h and
-        prime q, or None when h is not a subgroup of g.
-
-        A nonzero h lies in g when its basis b_h does and, if h is
-        divisible, g is divisible under the same prime.  With a the
-        numerator of b_h / b_g in lowest terms, the index is then a when
-        both are free, a's prime-to-p part when both are divisible, and
-        INFINITE when only g is; INFINITE for a trivial h and a nonzero g.
-        """
-        if not h.n:
-            return INFINITE if self.n else 1
-        if (h.div and not (self.div and p == q)
-                or not self.holds(h.basis[0][0], p)):
-            return None
-        a = h.n * self.d
-        a //= math.gcd(a, h.d * self.n)
-        if not self.div:
-            return a
-        return prime_to_p_part(a, p) if h.div else INFINITE
-
-
 def _canon(g: OGroup):
     """g's canonical form, kept on g."""
     return g._form
 
 
 def _build_canon(g: OGroup):
-    """g's canonical form: _Line at rank 1, the elimination otherwise."""
-    if g.rank == 1:
-        return _Line(g)
-    closed = [list(v) for v in g.closed_gens()]
-    free = [list(v) for v in g.free_gens()]
+    """g's canonical form, read off one integer echelon of each part."""
+    p, rank, nc = g.prime, g.rank, len(g.p_closed)
+    ints, den = _scale_to_int(g.closed_gens() + g.free_gens() if nc
+                              else g.gens)
+    divgens, free = ints[:nc], ints[nc:]
+    if rank == 1:
+        # a column's Z-echelon is the gcd of its entries, and once a
+        # nonzero generator is p-closed every free one lands in its span
+        n = math.gcd(*(v[0] for v in ints))
+        if any(v[0] for v in divgens):
+            return _Canon([(0, [n], den * (n // prime_to_p_part(n, p)))],
+                          [], [], den, rank, p)
+        return _Canon([], [(0, [n], den)] * bool(n), [[n]] * bool(n), den,
+                      rank, p)
+    frows, lifts, d = [], [], 1
+    if free:
+        # the free generators modulo span_Q(closed), taken down the closed
+        # generators' echelon rows: v * n[c] - v[c] * n at each row n, so
+        # all of them are scaled by the one positive factor d; row_echelon
+        # compares absolute values and takes floor quotients, so on d * M
+        # it makes the same choices, and the same transform, as on M
+        proj = free
+        for n in row_echelon(divgens)[0] if nc else ():
+            c = _leading_index(n)
+            if c is not None:
+                proj = [[x * n[c] - v[c] * y for x, y in zip(v, n)]
+                        for v in proj]
+                d *= n[c]
+        for row, combo in zip(*row_echelon(proj)):
+            c = _leading_index(row)
+            if c is None and not nc:
+                break
+            # with nothing projected, each echelon row is its own lift
+            lift = [sum(x * v[k] for x, v in zip(combo, free) if x)
+                    for k in range(rank)] if nc else row
+            if c is not None:
+                frows.append((c, row, den * d))
+                lifts.append(lift)
+            elif any(lift):
+                # lands in span_Q(closed) and joins the Z[1/p] part, by the
+                # Bezout identity Z x + Z[1/p] m x = Z[1/p] x, m prime to p
+                divgens.append(lift)
+    drows = []
+    if divgens:
+        # each D row divided by the power of p in its pivot, all of them
+        # over the one denominator den * top; then each entry above a later
+        # pivot reduced modulo it
+        rows = [r for r in row_echelon(divgens)[0] if any(r)]
+        piv = [_leading_index(r) for r in rows]
+        cut = [r[c] // prime_to_p_part(r[c], p) for r, c in zip(rows, piv)]
+        top = max(cut, default=1)
+        rows = [[x * (top // k) for x in r] for r, k in zip(rows, cut)]
+        for j, c in enumerate(piv):
+            for r in rows[:j]:
+                q = r[c] // rows[j][c]
+                if q:
+                    r[:] = [x - q * y for x, y in zip(r, rows[j])]
+        drows = [(c, r, den * top) for c, r in zip(piv, rows)]
+    return _Canon(drows, frows, lifts, den, rank, p)
 
-    # the free generators modulo the divisible span, as the integer rows
-    # d * v - sum of v[c_i] * ech_i, all scaled by one positive factor;
-    # row_echelon compares absolute values and takes floor quotients, so
-    # on c * M it makes the same choices, and the same transform, as on M
-    ints, _ = _scale_to_int(closed + free)
-    ech, piv, d = int_rref(ints[:len(closed)])
-    int_proj = [[d * x - sum(v[c] * e[k] for e, c in zip(ech, piv))
-                 for k, x in enumerate(v)] for v in ints[len(closed):]]
 
-    div_gen_vecs = list(closed)
-    free_basis = []
-    ech2, t2 = row_echelon(int_proj)
-    for row, combo in zip(ech2, t2):
-        vec = [sum(x * v[c] for x, v in zip(combo, free) if x)
-               for c in range(g.rank)]
-        if any(row):
-            free_basis.append(vec)
-        elif any(vec):
-            # lands in the divisible span: joins the Z[1/p] summand,
-            # legitimately, by the Bezout identity  Z x + Z[1/p] m x = Z[1/p] x
-            # applied after diagonalization below
-            div_gen_vecs.append(vec)
+def _solve(xs, rows, p, zero, coeffs=None):
+    """x, the rationals xs[k] = (numerator, denominator), less its
+    coefficients on the echelon rows, or None once a coefficient fails or
+    the remainder is not 0 at the columns zero.
 
-    int_div, denom = _scale_to_int(div_gen_vecs)
-    div_basis = [[Fraction(prime_to_p_part(d, g.prime) * c, denom) for c in u]
-                 for d, u in zip(*diagonalize_with_basis(int_div, g.rank))]
-
-    return _Canon(tuple(tuple(v) for v in div_basis),
-                  tuple(tuple(v) for v in free_basis), g.rank)
-
-
-def _fits(sol, p, divisible=False) -> bool:
-    """Whether canonical coordinates (or None, outside the Q-span) name an
-    element of the group, or of its divisible part: Z[1/p] divisible
-    coordinates, and free ones integral (zero for the divisible part).
-
-    Over the common denominator den, a numerator names a Z[1/p]
-    coordinate exactly when den's prime-to-p part divides it.
+    On a row (c, n, d) the coefficient is a*d / b, xs[c] = (a, e) and
+    b = e * n[c]: an integer for p = 1 (b | a*d), in Z[1/p] for a prime p
+    (b | a*d * p^k, k the bit length of b), anything for p = 0, which
+    projects x modulo the rows' span.  Integer ones are appended to
+    coeffs.  x changes right of the pivot alone, in a new list.
     """
-    if sol is None:
-        return False
-    divn, freen, den = sol
-    m = prime_to_p_part(den, p)
-    return (all(n % m == 0 for n in divn)
-            and all(n == 0 if divisible else n % den == 0 for n in freen))
+    for c, n, d in rows:
+        a, e = xs[c]
+        if a:
+            b = e * n[c]
+            if p:
+                num = a * d
+                if p > 1:
+                    num *= p ** b.bit_length()
+                if num % b:
+                    return None
+                if coeffs is not None:
+                    coeffs.append(num // b)
+            if c + 1 < len(xs):
+                xs = list(xs)
+                for k in range(c + 1, len(xs)):
+                    m = n[k]
+                    if m:
+                        xn, xd = xs[k]
+                        xs[k] = xn * b - a * m * xd, xd * b
+        elif coeffs is not None:
+            coeffs.append(0)
+    for k in zero:
+        if xs[k][0]:
+            return None
+    return xs
+
+
+def _holds(c: _Canon, xs, p, divisible=False) -> bool:
+    """Whether x, the rationals xs[k] = (numerator, denominator), lies in
+    the group of form c and prime p, or in its divisible part.
+
+    Two triangular solves: x modulo span_Q(D) against F, and what is left
+    once F's lifts are taken off against D.
+    """
+    if c.frows and not divisible:
+        if not c.drows:
+            return _solve(xs, c.frows, 1, c.fzero) is not None
+        coeffs = []
+        if _solve(_solve(xs, c.drows, 0, ()), c.frows, 1, c.fzero,
+                  coeffs) is None:
+            return False
+        ld = c.ld
+        xs = [(a * ld - sum(q * f[k] for q, f in zip(coeffs, c.lifts)) * e,
+               e * ld) for k, (a, e) in enumerate(xs)]
+    return _solve(xs, c.drows, p, c.dzero) is not None
 
 
 def contains(g: OGroup, x) -> bool:
-    """Membership: in closed form at rank 1, by the coordinate map
-    otherwise."""
-    vec = _coerce_vec(x, g.rank)
-    if g.rank == 1:
-        return _canon(g).holds(vec[0], g.prime)
-    return _fits(_canon(g).coords(vec), g.prime)
-
-
-def _coordinate_matrices(g: OGroup, h: OGroup):
-    """h's canonical vectors in g's canonical coordinates, or None.
-
-    Returns (mdiv, mfree), integer matrices: the divisible coordinates of
-    h's divisible basis, each row scaled by a power of p, and the free
-    coordinates of h's free basis.  None when h is not a subgroup of g: a
-    Z[1/p] vector of h must lie in g's divisible part, a Z vector in g.
-    """
-    if g.rank != h.rank:
-        raise ValidationError("rank mismatch")
-    cg, ch = _canon(g), _canon(h)
-    if ch.div and g.prime != h.prime:
-        # a q-divisible nonzero element cannot sit inside a group whose
-        # divisible summand is closed under a different prime only
-        return None
-    mdiv, mfree = [], []
-    for vec in ch.div:
-        sol = cg.coords(vec)
-        if not _fits(sol, g.prime, divisible=True):
-            return None
-        m = prime_to_p_part(sol[2], g.prime)
-        mdiv.append([n // m for n in sol[0]])
-    for vec in ch.free:
-        sol = cg.coords(vec)
-        if not _fits(sol, g.prime):
-            return None
-        mfree.append([n // sol[2] for n in sol[1]])
-    return mdiv, mfree
-
-
-def _elimination_index(g: OGroup, h: OGroup):
-    """[g : h] read off the coordinate matrices, or None when h is not a
-    subgroup of g.
-
-    Finite exactly when the two Q-spans and the two divisible-part spans
-    agree; then the index splits as prime-to-p part of the divisible
-    determinant times the free determinant.
-    """
-    mats = _coordinate_matrices(g, h)
-    if mats is None:
-        return None
-    mdiv, mfree = mats
-    cg = _canon(g)
-    if len(mdiv) != len(cg.div) or len(mfree) != len(cg.free):
-        return INFINITE
-    # equal spans and equal divisible spans: both matrices are square and
-    # invertible, the free one over Z and the divisible one over Z[1/p]
-    # once its rows' powers of p are divided back out, which leaves the
-    # prime-to-p part of its determinant alone; each |det| is int_rref's den
-    ddiv, dfree = (int_rref(m)[2] for m in (mdiv, mfree))
-    return prime_to_p_part(ddiv, g.prime) * dfree
+    """Membership, by the two triangular solves against g's form."""
+    # x read as _coerce_vec reads it, straight into (numerator, denominator)
+    # pairs; _coerce_vec itself raises on the wrong number of coordinates
+    xs = ([fr(q).as_integer_ratio() for q in x]
+          if isinstance(x, (tuple, list)) else [fr(x).as_integer_ratio()])
+    if len(xs) != g.rank:
+        _coerce_vec(x, g.rank)
+    return _holds(g._form, xs, g.prime)
 
 
 def subset(g: OGroup, h: OGroup) -> bool:
-    """Whether h is contained in g: in closed form at rank 1, read off h's
-    canonical basis otherwise."""
-    if g.rank == 1 == h.rank:
-        return _canon(g).index_of(_canon(h), g.prime, h.prime) is not None
-    return _coordinate_matrices(g, h) is not None
+    """Whether h is contained in g: each lift of h's F must lie in g, and
+    each row of h's D in g's divisible part, under the same prime."""
+    if g.rank != h.rank:
+        raise ValidationError("rank mismatch")
+    cg, ch = g._form, h._form
+    if ch.drows and g.prime != h.prime:
+        # a q-divisible nonzero element cannot sit inside a group whose
+        # divisible part is closed under a different prime only
+        return False
+    for xs, divisible in ch.members:
+        if not _holds(cg, xs, g.prime, divisible):
+            return False
+    return True
 
 
 def same_group(g: OGroup, h: OGroup) -> bool:
@@ -416,14 +383,18 @@ def same_group(g: OGroup, h: OGroup) -> bool:
 def index(g: OGroup, h: OGroup):
     """[g : h] as a positive int, or INFINITE.
 
-    Requires h to be a subgroup of g of the same rank; answered in closed
-    form at rank 1, off the coordinate matrices otherwise.
+    Requires h to be a subgroup of g of the same rank.  The index is finite
+    exactly when the two Q-spans and the two divisible spans agree; then
+    both forms have the same pivot columns, and it is the ratio of the
+    covolumes.
     """
-    idx = (_canon(g).index_of(_canon(h), g.prime, h.prime)
-           if g.rank == 1 == h.rank else _elimination_index(g, h))
-    if idx is None:
+    if not subset(g, h):
         raise ValidationError("h is not a subgroup of g")
-    return idx
+    cg, ch = g._form, h._form
+    if len(cg.drows) != len(ch.drows) or len(cg.frows) != len(ch.frows):
+        return INFINITE
+    (gn, gd), (hn, hd) = cg.covolume, ch.covolume
+    return hn * gd // (hd * gn)
 
 
 def is_p_divisible(g: OGroup, p: int) -> bool:
@@ -431,9 +402,9 @@ def is_p_divisible(g: OGroup, p: int) -> bool:
     if p == 1 or g.is_trivial():
         return True
     c = _canon(g)
-    if c.free:
+    if c.frows:
         return False
-    return (not c.div) or g.prime == p
+    return (not c.drows) or g.prime == p
 
 
 def join(g: OGroup, extra_gens) -> OGroup:
@@ -445,7 +416,7 @@ def join(g: OGroup, extra_gens) -> OGroup:
     """
     c = _canon(g)
     extra = [_coerce_vec(x, g.rank) for x in extra_gens]
-    return ogroup(list(c.basis) + extra, closed=range(len(c.div)),
+    return ogroup(list(c.basis) + extra, closed=range(len(c.drows)),
                   prime=g.prime, rank=g.rank)
 
 
@@ -487,7 +458,7 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
         return g
     c = _canon(g)
     p = g.prime
-    s, t = len(c.div), len(c.free)
+    s, t = len(c.drows), len(c.frows)
     k = int_kernel(_scale_to_int([v[:ell] for v in c.basis])[0])
     k_free = [kv[s:] for kv in k]
     diag, _ = diagonalize_with_basis(k_free, t)
@@ -507,9 +478,9 @@ def _convex_at(g: OGroup, ell: int) -> OGroup:
     raw = _build_canon(ogroup(closed + free, closed=range(len(closed)),
                               prime=p if closed else 1, rank=g.rank))
     basis = [v if _lex_positive(v) else tuple(-x for x in v)
-             for v in raw.div + raw.free]
-    return ogroup(basis, closed=range(len(raw.div)),
-                  prime=p if raw.div else 1, rank=g.rank)
+             for v in raw.basis]
+    return ogroup(basis, closed=range(len(raw.drows)),
+                  prime=p if raw.drows else 1, rank=g.rank)
 
 
 def convex_core(g: OGroup, x) -> ConvexPart:

@@ -14,6 +14,7 @@ from math import gcd, lcm
 from .constructions import BUILDERS
 from .corpus import shipped_corpus
 from .classify import audit_implications
+from .errors import ValidationError
 from .newton import root_values
 from .ogroup import contains, index, ogroup
 from .values import INFINITE, Indeterminate
@@ -183,6 +184,13 @@ def _tri_member(u, v, x, p, closed_v):
     return b.denominator == 1
 
 
+def _order(x, free, closed, p, cap):
+    """The least j in 1..cap with j*x in the rank-1 group sum Z f +
+    sum Z[1/p] h, decided by _rank1_member; INFINITE when there is none."""
+    return next((j for j in range(1, cap + 1)
+                 if _rank1_member(free, closed, p, j * x)), INFINITE)
+
+
 def _det2(m):
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
@@ -291,7 +299,52 @@ def suite_ogroup(seed: int) -> SuiteResult:
                 res.tally(got == INFINITE,
                           "t=%d rank2 index vs closed: got %s want INFINITE"
                           % (t, got))
+    _ogroup_divisible_index(res, random.Random("ogroup-index %d" % seed))
     return res
+
+
+def _ogroup_divisible_index(res, rng):
+    """Indices of p-divisible subgroups, from their own random stream.
+
+    [Z[1/p] b : Z[1/p] r b] is the order of b modulo Z[1/p] r b, and
+    [Z u + Z[1/p] v : Z (a u + b v) + Z[1/p] c v], u and v triangular, the
+    order of u_0 modulo Z a u_0 times that of v_1 modulo Z[1/p] c v_1.
+    """
+    for t in range(24):
+        p, kind = rng.choice((2, 3)), t % 6
+        bg = Fraction(rng.randint(1, 5), rng.randint(1, 4))
+        r = Fraction(rng.randint(1, 6)) * Fraction(p) ** rng.randint(-2, 2)
+        # g is Z[1/p] b_g, on odd t with a free multiple it absorbs
+        g = ogroup([bg] + [bg * rng.randint(1, 3)] * (t % 2), closed=(0,),
+                   prime=p)
+        if kind < 3:
+            h = ogroup([r * bg], closed=(0,), prime=p)
+            want = _order(bg, [], [r * bg], p, r.numerator)
+        elif kind == 3:
+            h = ogroup([], rank=1)
+            want = _order(bg, [], [], p, 6)
+        elif kind == 4:
+            # closed under another prime q: b_h / q^k leaves g for some k
+            q = rng.choice([5, 5 - p])
+            h = ogroup([r * bg], closed=(0,), prime=q)
+            want = "inside" if all(_rank1_member([], [bg], p, r * bg / q ** k)
+                                   for k in range(8)) else "refused"
+        else:
+            u = (Fraction(rng.randint(1, 4)), Fraction(rng.randint(-3, 3)))
+            v = (Fraction(0), Fraction(rng.randint(1, 4)))
+            a, b = rng.randint(1, 3), rng.randint(-2, 2)
+            c = rng.randint(1, 3) * p ** rng.randint(0, 2)
+            g = ogroup([u, v], closed=(1,), prime=p)
+            h = ogroup([(a * u[0], a * u[1] + b * v[1]), (0, c * v[1])],
+                       closed=(1,), prime=p)
+            want = (_order(u[0], [a * u[0]], [], p, a)
+                    * _order(v[1], [], [c * v[1]], p, c))
+        try:
+            got = index(g, h)
+        except ValidationError:
+            got = "refused"
+        res.tally(got == want, "t=%d divisible index %s in %s: got %s want %s"
+                  % (t, h, g, got, want))
 
 
 # ---------------------------------------------------------------------------

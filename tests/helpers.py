@@ -10,10 +10,11 @@ earlier per-generator form, and the rational row echelon, the canonical
 group basis, the group coordinate map and the verify suite's rank-1
 membership and coset-count oracles in their earlier Fraction forms, as
 references for the fast paths; so is the series ring, keyed by Fraction
-exponents, for the integer ones.  Membership and index as groups of rank
->= 2 compute them, by the coordinate map of the eliminated canonical
-form, are kept here for groups of every rank, as the reference for the
-closed rank-1 forms.  Tower values also have an independent
+exponents, for the integer ones.  The group basis the library used
+before its echelon form, with a diagonal divisible part, is kept too,
+and membership and index by the coordinate map on it, the way the
+library computed them before its triangular solves, as the reference for
+those solves at every rank.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
 p-th power up to a threshold has a term-by-term reference, the lift
 of lambda = zeta_p - 1 its earlier Newton form in the digit ring,
@@ -38,7 +39,7 @@ from math import factorial, gcd, lcm, prod
 from vallab.errors import PrecisionError, ValidationError
 from vallab.intlinalg import (diagonalize_with_basis, p_exponent,
                               prime_to_p_part, row_echelon)
-from vallab.ogroup import (_Canon, _canon, _coerce_vec, _fits, _scale_to_int,
+from vallab.ogroup import (_canon, _coerce_vec, _leading_index, _scale_to_int,
                            contains)
 from vallab.values import INFINITE, Indeterminate, fr, sum_text, term_text
 from vallab.tower import TElem
@@ -138,7 +139,7 @@ def rref(rows):
     Returns (echelon, pivot_cols): the nonzero rows, each with a 1 in its
     pivot column and 0 in every other pivot column.  This is the rational
     elimination the library used before its fraction-free one, kept as
-    the reference for intlinalg.int_rref.
+    the reference for int_rref.
     """
     a = [[Fraction(c) for c in r] for r in rows]
     ncols = len(a[0]) if a else 0
@@ -160,6 +161,41 @@ def rref(rows):
     return a[:row], piv_cols
 
 
+def int_rref(rows):
+    """Fraction-free reduced row echelon form of integer rows.
+
+    Returns (echelon, pivot_cols, den) with den > 0: echelon holds the
+    nonzero rows, each with den in its pivot column and 0 in every other
+    pivot column, so echelon / den is the rational reduced echelon form.
+    Each step divides exactly by the previous pivot (Bareiss), which keeps
+    every entry a minor of rows; den is |det| when rows is square of full
+    rank.  The library used it for its projections and coordinate map
+    before its triangular solves; it is kept as the coordinate map's
+    elimination.
+    """
+    a = [list(map(int, r)) for r in rows]
+    ncols = len(a[0]) if a else 0
+    piv_cols = []
+    den = 1
+    row = 0
+    for col in range(ncols):
+        sel = next((i for i in range(row, len(a)) if a[i][col]), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        pv = a[row][col]
+        for i in range(len(a)):
+            if i != row:
+                f = a[i][col]
+                a[i] = [(pv * x - f * y) // den for x, y in zip(a[i], a[row])]
+        den = pv
+        piv_cols.append(col)
+        row += 1
+    if den < 0:
+        a, den = [[-x for x in r] for r in a], -den
+    return a[:row], piv_cols, den
+
+
 def reduce_mod_span(x, ech, piv_cols):
     """Canonical representative of x modulo the row span of rref's echelon."""
     x = list(x)
@@ -171,13 +207,17 @@ def reduce_mod_span(x, ech, piv_cols):
 
 
 def canon_fraction(g):
-    """The canonical (div, free) basis of g, projected in Fractions.
+    """The canonical (div, free) basis of g, computed in Fractions.
 
     The free generators are reduced modulo the rational echelon of the
     p-closed ones and scaled to integers over their common denominator
-    before the integer row echelon; the rest is the library's own
-    canonical form.  This is that form as it was computed before the
-    fraction-free elimination, kept as the reference for it.
+    before the integer row echelon.  The divisible basis is the integer row
+    echelon of the p-closed generators and the free combinations that land
+    in their span, over the generators' common denominator; each row is
+    divided by the power of p in its pivot, and each entry above a later
+    pivot is reduced modulo that pivot by a Fraction floor.  This is the
+    library's form computed without its fraction-free projection and its
+    integer reduction, kept as the reference for them.
     """
     closed = [list(v) for v in g.closed_gens()]
     free = [list(v) for v in g.free_gens()]
@@ -186,6 +226,46 @@ def canon_fraction(g):
     div_gen_vecs = list(closed)
     free_basis = []
     if free:
+        ech2, t2 = row_echelon(int_proj)
+        for i in range(len(free)):
+            vec = [sum(x * v[c] for x, v in zip(t2[i], free) if x)
+                   for c in range(g.rank)]
+            if any(ech2[i]):
+                free_basis.append(vec)
+            elif any(vec):
+                div_gen_vecs.append(vec)
+    denom = lcm(*(c.denominator for v in g.gens for c in v))
+    rows = row_echelon([[int(c * denom) for c in v] for v in div_gen_vecs])[0]
+    div_basis = []
+    for row in filter(any, rows):
+        a = row[_leading_index(row)]
+        div_basis.append([Fraction(c * prime_to_p_part(a, g.prime),
+                                   denom * a) for c in row])
+    for j, b in enumerate(div_basis):
+        col = _leading_index(b)
+        for i in range(j):
+            q = math.floor(div_basis[i][col] / b[col])
+            div_basis[i] = [x - q * y for x, y in zip(div_basis[i], b)]
+    return (tuple(tuple(v) for v in div_basis),
+            tuple(tuple(v) for v in free_basis))
+
+
+def canon_diagonal(g):
+    """The canonical (div, free) basis of g as the library built it before
+    its echelon form, in Fractions: the free basis as canon_fraction's, the
+    divisible one from a diagonal presentation of the divisible generators'
+    lattice, d_i u_i with its prime-to-p part of d_i kept.  It spans the
+    same group by another basis, so the coordinate map on it is a
+    reference independent of the echelon form.
+    """
+    closed = [list(v) for v in g.closed_gens()]
+    free = [list(v) for v in g.free_gens()]
+    ech, piv = rref(closed)
+    div_gen_vecs = list(closed)
+    free_basis = []
+    if free:
+        int_proj, _ = _scale_to_int([reduce_mod_span(v, ech, piv)
+                                     for v in free])
         ech2, t2 = row_echelon(int_proj)
         for i in range(len(free)):
             vec = [sum(x * v[c] for x, v in zip(t2[i], free) if x)
@@ -204,28 +284,87 @@ def canon_fraction(g):
             tuple(tuple(v) for v in free_basis))
 
 
+class CoordinateMap:
+    """A group's coordinates on a (div, free) basis, kept in integers.
+
+    The map is one int_rref of the basis numerators bn = dn * basis
+    augmented by the identity.  Its rows [en | t] over its denominator de
+    give E = en/de in reduced echelon form with E = (t/de) * bn, so
+    E = T * basis for T = tn/de, tn = dn * t.  A vector in the Q-span is
+    the sum of its pivot entries times the rows of E, so its coordinates
+    are those entries times T.  This is the map the library read at rank
+    >= 2 before its triangular solves, kept as their reference.
+    """
+
+    def __init__(self, div, free, rank):
+        self.div = div
+        self.free = free
+        self.basis = div + free
+        n = len(self.basis)
+        bn, dn = _scale_to_int(self.basis)
+        aug, self.piv, self.de = int_rref(
+            [v + [int(i == j) for j in range(n)] for i, v in enumerate(bn)])
+        self.en = [r[:rank] for r in aug]
+        self.tn = [[dn * x for x in r[rank:]] for r in aug]
+
+    def coords(self, vec):
+        """(divisible, free, den): vec's coordinates as integer numerators
+        over one denominator, or None outside the Q-span.
+
+        With vec = vn/dv, vec lies in the span exactly when
+        de * vn = sum of vn[pivot_i] * en_i, and then its coordinates are
+        (sum of vn[pivot_i] * tn_i) / (dv * de).
+        """
+        (vn,), dv = _scale_to_int([vec])
+        lead = [(vn[c], i) for i, c in enumerate(self.piv) if vn[c]]
+        de, en = self.de, self.en
+        for k, x in enumerate(vn):
+            if x * de != sum(a * en[i][k] for a, i in lead):
+                return None
+        tn = self.tn
+        nums = [sum(a * tn[i][j] for a, i in lead)
+                for j in range(len(self.basis))]
+        s = len(self.div)
+        return nums[:s], nums[s:], dv * self.de
+
+
+def fits(sol, p, divisible=False):
+    """Whether coordinates (or None, outside the Q-span) name an element of
+    the group, or of its divisible part: Z[1/p] divisible coordinates, and
+    free ones integral (zero for the divisible part).
+
+    Over the common denominator den, a numerator names a Z[1/p]
+    coordinate exactly when den's prime-to-p part divides it.
+    """
+    if sol is None:
+        return False
+    divn, freen, den = sol
+    m = prime_to_p_part(den, p)
+    return (all(n % m == 0 for n in divn)
+            and all(n == 0 if divisible else n % den == 0 for n in freen))
+
+
 def eliminated(g):
-    """g's canonical form as the elimination builds it at rank >= 2, at any
-    rank: the Fraction projection's basis with the integer coordinate map."""
-    return _Canon(*canon_fraction(g), g.rank)
+    """g's coordinate map on canon_diagonal's basis."""
+    return CoordinateMap(*canon_diagonal(g), g.rank)
 
 
 def in_divisible_part(g, x):
     """Membership in the maximal p-divisible subgroup of g."""
-    return _fits(eliminated(g).coords(_coerce_vec(x, g.rank)), g.prime,
-                 divisible=True)
+    return fits(eliminated(g).coords(_coerce_vec(x, g.rank)), g.prime,
+                divisible=True)
 
 
 def contains_by_elimination(g, x):
-    """Membership in g by the coordinate map of its eliminated form."""
-    return _fits(eliminated(g).coords(_coerce_vec(x, g.rank)), g.prime)
+    """Membership in g by the coordinate map on its diagonal basis."""
+    return fits(eliminated(g).coords(_coerce_vec(x, g.rank)), g.prime)
 
 
 def index_by_elimination(g, h):
-    """[g : h] as groups of rank >= 2 compute it, or None when h is not a
-    subgroup of g.
+    """[g : h] by the coordinate map on the diagonal bases, or None when h
+    is not a subgroup of g.
 
-    h's eliminated basis in g's coordinates: a divisible vector must have
+    h's diagonal basis in g's coordinates: a divisible vector must have
     Z[1/p] coordinates on g's divisible basis alone, a free one integral
     coordinates.  The index is INFINITE unless both matrices are square,
     and otherwise the prime-to-p part of the divisible determinant times
@@ -237,12 +376,12 @@ def index_by_elimination(g, h):
     mdiv, mfree = [], []
     for vec in ch.div:
         sol = cg.coords(vec)
-        if not _fits(sol, g.prime, divisible=True):
+        if not fits(sol, g.prime, divisible=True):
             return None
         mdiv.append([Fraction(n, sol[2]) for n in sol[0]])
     for vec in ch.free:
         sol = cg.coords(vec)
-        if not _fits(sol, g.prime):
+        if not fits(sol, g.prime):
             return None
         mfree.append([n // sol[2] for n in sol[1]])
     if len(mdiv) != len(cg.div) or len(mfree) != len(cg.free):
@@ -259,7 +398,8 @@ def member_fraction(g, x, divisible=False):
     of the basis augmented by the identity, and tests the coordinates:
     Z[1/p] on the divisible basis, integral (zero for the divisible
     part) on the free one.  This is the coordinate map in its earlier
-    Fraction form, kept as the reference for the integer one.
+    Fraction form, kept as a reference for the triangular solves on the
+    same basis.
     """
     c = _canon(g)
     vec = _coerce_vec(x, g.rank)
@@ -271,7 +411,7 @@ def member_fraction(g, x, divisible=False):
         return False
     sol = [sum((vec[col] * r[g.rank + i] for col, r in zip(piv, aug)),
                Fraction(0)) for i in range(n)]
-    divc, freec = sol[:len(c.div)], sol[len(c.div):]
+    divc, freec = sol[:len(c.drows)], sol[len(c.drows):]
     return (all(prime_to_p_part(q.denominator, g.prime) == 1 for q in divc)
             and all(q == 0 if divisible else q.denominator == 1
                     for q in freec))

@@ -2,9 +2,12 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import time
+
+from fractions import Fraction
 
 import pytest
 
@@ -12,8 +15,9 @@ from vallab.classify import FieldDescriptor
 from vallab.cli import _load_descriptor, build_parser, main
 from vallab.constructions import BUILDERS
 from vallab.corpus import corpus_member, corpus_names
+from vallab.ogroup import ogroup
 
-from helpers import seeded_mixed_descriptor
+from helpers import index_by_elimination, seeded_mixed_descriptor
 
 BASE = [sys.executable, "-m", "vallab.cli"]
 
@@ -574,23 +578,24 @@ def test_classify_past_the_primality_bound_exits_one(tmp_path, capsys):
 
 # sha256 of the JSON printed by `vallab classify` for 30 seeded
 # mixed-characteristic descriptors (helpers.seeded_mixed_descriptor),
-# recorded before the value-group layer's elimination became fraction-free;
-# their convex-part evidence prints the canonical basis
+# recorded before the value-group layer's elimination became fraction-free,
+# seeds 0, 4, 8, 13 and 24 again once the divisible basis became an
+# echelon form; their convex-part evidence prints the canonical basis
 SEEDED_CLASSIFY_DIGESTS = [
-    "8138db1c46e17b6cb8b4a74f648747e8ca2e27e3e6b409e0c2c2b19f333b0c01",
+    "9c865ded49584476779c9f73fa24401cd79b4688dc25589a0ebd0d2081851bcc",
     "d989a1c3d0cf681f16aff0c9ef1b3b18b0903781ba6bf3756f98b2209c1d0575",
     "03857ed7d6ba587931c0eab1c6932f69d41dd54c408d185c3b7d40cef4450369",
     "b0a9bdd39a1243a9b51a7d8d1aba195520bc1007a7408c7953c97cd6633cfd62",
-    "9fb0696f749ae54cbfb7ade8ded87dcfa645cb79f096fdfd9de4517998cd1017",
+    "c62903066cf9b78e310ffcdf225a6a2c5452579bdd7625b43e4a1a8c410af1bb",
     "8e97ce840152da12b4fcff04eda15032b8559531313e66238390c660c337e214",
     "9ecc014acb89325b0fde472b8dc1b95063b4218ac002f2bd1a943b01e415f656",
     "d2aa16057e4fdb5460fb972dce49cc82ecd242d3def77b1afdb016c56829f184",
-    "4d5b551ee2d0d3d799e6e646a29b61e549c048388bfaad094ecddd559231335c",
+    "a6a2a9dd4e1298d427c531284bdec8576e5517d3ed6d302fe264086368fe1a5b",
     "3259a4e0993039a3016b90c3246ed9ff08ed36a70004e819dfa2d8ea30043b1e",
     "91e52704500ed33b0ffab962dbb81d6ae86ed7ae270047b7e5019d9be72cd622",
     "9b9bce1eb075eed1d3fb462fb8c960e453b7c591de8238f66bb13bdbd8493445",
     "77e94b0ffcb15202aa44e34cea06c173fbb4110ca7a7deb4e6e881e05ed917ce",
-    "fcb842485c35590c84fe19027dc943c78fe27f3d0f2523d5d2104676e7c56741",
+    "514e9f7f1f907bb97940fd63eb89e819afb7a058cfe9dff383d0500e05b44d9c",
     "f2f399d72f1167991bb085ff81911638cc0975b3a27cad11c9f43ed010587bd7",
     "896cd126f020bca3dce9d08abd4083d0a4ee6c32d7d11c3b4d1658cd4300e3ce",
     "3c380957a8b8634d8647773af075cdc1a89d975a9aac940f58c2dd462030f671",
@@ -601,7 +606,7 @@ SEEDED_CLASSIFY_DIGESTS = [
     "35024c95d4156f3965c4372f9585c7c9418458fa019da71edb92030822d12e05",
     "4c042a5681e56b3bdbff9efff95ae138123ae25e3ae21965b21981cfaf7e0249",
     "20a59abda606a00a14aa85c952555eb2b4a5c1ea44e0c9076777590f159400aa",
-    "18585a5e5b31ccb8dde929c99f1bef6d74cf9536e2d0af98b91d5f65d97b5fa5",
+    "72363fb5cb9e1b6f6d28599f580a4cb0c106f125fbe5a927926abc97b7961566",
     "cf2477a3f005cb3db1e9532186b24dad7e1f3cf4f8b384c307ba607a05d58c1d",
     "83bd7e5420f9bca8c4a6f7abf954b84de9a40a7cc6c38b9886cd27852b0d167d",
     "6adf17dc2310dd5f6efece0d1ea2e5b5e4602268936ca676f03dd06155e3a59c",
@@ -618,6 +623,44 @@ def test_seeded_classify_output_bytes_are_pinned(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "convex" in out, seed
         assert hashlib.sha256(out.encode()).hexdigest() == digest, seed
+
+
+# the convex parts those five seeds printed before the divisible basis
+# became an echelon form
+EARLIER_CONVEX_PARTS = {
+    0: "<(2, -1/3)/3^inf; (1/3, 0)/3^inf>",
+    4: "<(19, -1/6)/2^inf; (1/2, 0)/2^inf>",
+    8: "<(1, -3/2)/2^inf; (0, 4)>",
+    13: "<(1/3, -2/3)/3^inf; (0, 5/3)/3^inf>",
+    24: "<(7/5, 4)/5^inf; (9/5, -9)>",
+}
+
+
+def _group_from_text(text):
+    """The group a rank >= 2 OGroup's text names."""
+    gens, closed, prime = [], [], 1
+    for i, m in enumerate(re.finditer(r"\(([^)]*)\)(?:/(\d+)\^inf)?", text)):
+        gens.append(tuple(Fraction(c) for c in m.group(1).split(", ")))
+        if m.group(2):
+            closed.append(i)
+            prime = int(m.group(2))
+    return ogroup(gens, closed=closed, prime=prime)
+
+
+def test_seeded_convex_parts_name_the_groups_printed_before(tmp_path,
+                                                             capsys):
+    # the echelon form prints another basis of the same group: each
+    # contains the other, with index 1, by the coordinate map on the
+    # diagonal basis the library used before
+    path = tmp_path / "descriptor.json"
+    for seed, before in EARLIER_CONVEX_PARTS.items():
+        path.write_text(json.dumps(seeded_mixed_descriptor(seed)))
+        assert main(["classify", "--descriptor", str(path)]) == 0
+        now = re.search(r"convex part (<[^>]*>)",
+                        capsys.readouterr().out).group(1)
+        a, b = _group_from_text(before), _group_from_text(now)
+        assert now != before and len(b.gens) == 2, seed
+        assert index_by_elimination(a, b) == 1 == index_by_elimination(b, a)
 
 
 # sha256 of the certificate JSON printed by `vallab construct`, recorded
@@ -707,12 +750,12 @@ def test_construct_output_bytes_are_pinned(capsys):
 
 
 # sha256 of the report printed by `vallab verify --suite all`, recorded
-# before the value-group oracles and the coordinate map moved to integers
+# once the ogroup suite checked the indices of p-divisible subgroups
 VERIFY_DIGESTS = {
-    0: "b59cf1f6ff273edfd81a71795015ef8f9c02b819280c6ae807e49aa5ab5484ce",
-    1: "44969582ec4038d0c3b26f96bf25b00235df28a6b3fc544942c16391a5f01ac4",
-    2: "8a0b9c7830abc8ef1722034c3cc427ba6f4a007ce0c2005deb10781303edecc7",
-    3: "3874d30ad74bdb0d2cbc47eac6cc9697436214546983499508f18d8871c49d8e",
+    0: "eaafa4c8190e3ab805160f8d7d2654d3cdaceffdb62bf88578debbf0375a8958",
+    1: "a52ce4f7bbb9bee7b262e098cc6504db73dbab5609dde8ddf1787c631ee9b680",
+    2: "98da0cf147363d78e99660ad8873963ed98c21262d6b76ad3d5f50f832c4d135",
+    3: "1910b5ea0ae59bf56664b1b7f688add931e6f1c5bb759b0c4d23846a8daad012",
 }
 
 

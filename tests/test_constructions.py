@@ -242,11 +242,13 @@ def test_as_valgp_membership_count(monkeypatch):
 
 def test_rank_one_towers_skip_the_elimination(monkeypatch):
     # every tower group has rank 1, whose membership, inclusion and index
-    # are read off its n and d in closed form: the coordinate matrices and
-    # their int_rref determinants made 192 and 384 calls here
+    # are one-row triangular solves against its form, built once per group:
+    # the coordinate matrices and their int_rref determinants made 192 and
+    # 384 calls here, and the library no longer has an int_rref
     build = lambda: (build_as_valgp(3, 160), build_as_resf(7, 30))
-    for name in ("int_rref", "_coordinate_matrices"):
-        assert _count_calls(monkeypatch, ogroup_module, name, build) == 0
+    assert not hasattr(ogroup_module, "int_rref")
+    assert _count_calls(monkeypatch, ogroup_module, "_build_canon",
+                        build) == 515
 
 
 def test_as_valgp_negations_count(monkeypatch):

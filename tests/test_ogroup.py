@@ -250,7 +250,7 @@ def test_coordinate_map_solves_in_the_canonical_basis():
     for _ in range(120):
         rank = rng.randint(1, 3)
         g = _seeded_group(rng, rank, rng.choice((2, 3)))
-        # the map serves rank >= 2, and is built at rank 1 as a reference
+        # the references' map, on the diagonal basis, at every rank
         c = eliminated(g)
         basis = list(c.div + c.free)
         for _ in range(4):
@@ -270,7 +270,7 @@ def test_coordinate_map_solves_in_the_canonical_basis():
                 assert len(divn) == len(c.div)
                 assert tuple(sum((q * b[k] for q, b in zip(coords, basis)),
                                  F(0)) for k in range(rank)) == vec
-    trivial = _canon(ogroup([], rank=2))
+    trivial = eliminated(ogroup([], rank=2))
     assert trivial.coords((F(0), F(0))) == ([], [], 1)
     assert trivial.coords((F(0), F(1, 2))) is None
 
@@ -290,12 +290,13 @@ def test_rank_one_coordinate_is_the_reduced_quotient():
             assert contains(g, x) == (x == 0)
             continue
         den = (x / c.basis[0][0]).denominator
-        want = prime_to_p_part(den, p) == 1 if c.div else den == 1
+        want = prime_to_p_part(den, p) == 1 if c.drows else den == 1
         assert contains(g, x) == want, (g, x)
 
 
 def test_contains_matches_the_fraction_coordinate_map():
-    # the integer coordinate map against the same map solved in Fractions
+    # the triangular solves against the coordinate map on the same basis,
+    # solved in Fractions
     rng = random.Random(41)
     seen = {True: 0, False: 0}
     groups = [ogroup([], rank=r) for r in (1, 2, 3)]
@@ -324,9 +325,9 @@ def test_contains_matches_the_fraction_coordinate_map():
 
 
 def test_rank1_canon_matches_the_elimination_reference():
-    # a rank-1 group is read off one gcd over the common denominator and
-    # one quotient x / b: its basis against the elimination's projection,
-    # its membership against the Fraction coordinate map and the gcd oracle
+    # a rank-1 group's form is one row, the gcd over the common
+    # denominator: its basis against the Fraction echelon, its membership
+    # against the Fraction coordinate map and the gcd oracle
     rng = random.Random(59)
     seen = {True: 0, False: 0}
     closed_at = dict.fromkeys((2, 3, 5, 7), 0)
@@ -346,7 +347,7 @@ def test_rank1_canon_matches_the_elimination_reference():
         groups.append(g)
     for g in groups:
         c = _canon(g)
-        assert (c.div, c.free) == canon_fraction(g), g
+        assert _bases(c) == canon_fraction(g), g
         p = g.prime
         free = [v[0] for v in g.free_gens()]
         closed = [v[0] for v in g.closed_gens()]
@@ -397,55 +398,81 @@ def _seeded_line_pair(rng):
     return g, h
 
 
+def _seeded_pair(rng):
+    """g of rank 2 or 3 and h of its rank: a candidate that may not be a
+    subgroup, or a copy of g with its generators scaled by m, some of them
+    by 2m, its p-closure kept in part, under g's prime or another."""
+    g = _seeded_group(rng, rng.randint(2, 3), rng.choice((2, 3, 5)))
+    if rng.random() < 0.4:
+        return g, _seeded_candidate(rng, g)
+    q = g.prime if g.prime > 1 and rng.random() < 0.8 else \
+        rng.choice((2, 3, 5))
+    closed = [i for i in g.p_closed if rng.random() < 0.8]
+    m = rng.randint(1, 3)
+    h = ogroup([tuple(m * rng.choice((1, 1, 2)) * c for c in v)
+                for v in g.gens],
+               closed=closed, prime=q if closed else rng.choice((1, q)),
+               rank=g.rank)
+    return g, h
+
+
 def test_rank1_closed_forms_match_the_elimination():
-    # rank-1 membership, inclusion and index against the elimination and
-    # coordinate map that serve rank >= 2, applied to the same groups;
-    # index's refusal of a non-subgroup included
+    # membership, inclusion and index against the coordinate map on the
+    # diagonal basis the library used before its echelon form, on 5,000
+    # rank-1 pairs and 3,000 rank-2 and rank-3 pairs; index's refusal of a
+    # non-subgroup included
     rng = random.Random(61)
-    seen = dict.fromkeys(("refused", "infinite", "one", "finite", "trivial",
-                          "closed", "mixed", "primes", "member", "outside"),
-                         0)
-    for _ in range(5000):
-        g, h = _seeded_line_pair(rng)
+    keys = ("refused", "infinite", "one", "finite", "same", "member",
+            "outside")
+    seen = {1: dict.fromkeys(keys + ("trivial", "closed", "mixed", "primes"),
+                             0),
+            2: dict.fromkeys(keys, 0)}
+    for i in range(8000):
+        g, h = _seeded_line_pair(rng) if i < 5000 else _seeded_pair(rng)
+        count = seen[min(g.rank, 2)]
+        want = {}
         for a, b in ((g, h), (h, g)):
-            want = index_by_elimination(a, b)
-            assert subset(a, b) == (want is not None), (a, b)
-            if want is None:
-                seen["refused"] += 1
+            want[a, b] = index_by_elimination(a, b)
+            assert subset(a, b) == (want[a, b] is not None), (a, b)
+            if want[a, b] is None:
+                count["refused"] += 1
                 with pytest.raises(ValidationError,
                                    match="^h is not a subgroup of g$"):
                     index(a, b)
                 continue
-            seen["infinite" if want == INFINITE else
-                 "one" if want == 1 else "finite"] += 1
-            assert index(a, b) == want, (a, b)
-        assert same_group(g, h) == (index_by_elimination(g, h) is not None
-                                    and index_by_elimination(h, g) is not None)
-        seen["trivial"] += g.is_trivial()
-        seen["closed"] += bool(g.p_closed) and len(g.p_closed) == len(g.gens)
-        seen["mixed"] += 0 < len(g.p_closed) < len(g.gens)
-        seen["primes"] += g.prime != h.prime
+            count["infinite" if want[a, b] == INFINITE else
+                  "one" if want[a, b] == 1 else "finite"] += 1
+            assert index(a, b) == want[a, b], (a, b)
+        same = None not in want.values()
+        assert same_group(g, h) == same, (g, h)
+        count["same"] += same
+        if g.rank == 1:
+            count["trivial"] += g.is_trivial()
+            count["closed"] += 0 < len(g.p_closed) == len(g.gens)
+            count["mixed"] += 0 < len(g.p_closed) < len(g.gens)
+            count["primes"] += g.prime != h.prime
         basis = _canon(g).basis
-        x = basis[0][0] * F(rng.randint(-9, 9),
-                            rng.choice((1, 2, 3, g.prime ** 3))) \
-            if basis else F(rng.randint(-1, 1), rng.choice((1, 2)))
-        for arg in (x, (x,)) + ((int(x),) if x.denominator == 1 else ()):
+        if g.rank == 1:
+            x = basis[0][0] * F(rng.randint(-9, 9),
+                                rng.choice((1, 2, 3, g.prime ** 3))) \
+                if basis else F(rng.randint(-1, 1), rng.choice((1, 2)))
+            args = (x, (x,)) + ((int(x),) if x.denominator == 1 else ())
+        else:
+            q = F(rng.randint(-9, 9), rng.choice((1, 2, 3, g.prime ** 3)))
+            x = tuple(sum((rng.randint(-2, 2) * q * v[k] for v in basis),
+                          F(0)) for k in range(g.rank)) if basis else \
+                (F(rng.randint(-1, 1), rng.choice((1, 2))),) * g.rank
+            args = (x, list(x))
+        for arg in args:
             want = contains_by_elimination(g, arg)
-            seen["member" if want else "outside"] += 1
+            count["member" if want else "outside"] += 1
             assert contains(g, arg) == want, (g, arg)
-    assert min(seen.values()) >= 300, seen
-    # at rank >= 2 the reference is the library's own path
-    for _ in range(300):
-        g = _seeded_group(rng, rng.randint(2, 3), rng.choice((2, 3)))
-        h = _seeded_candidate(rng, g)
-        want = index_by_elimination(g, h)
-        assert subset(g, h) == (want is not None), (g, h)
-        if want is not None:
-            assert index(g, h) == want, (g, h)
+    for count in seen.values():
+        assert min(count.values()) >= 300, seen
 
 
 def test_rank1_queries_refuse_as_before():
-    # the closed forms keep the class and text of every refusal
+    # the triangular solves keep the class and text of every refusal
     g = cyclic(F(1, 3))
     for call, cls, text in (
             (lambda: contains(g, (1, 2)), ValidationError,
@@ -519,7 +546,8 @@ def test_canon_matches_the_fraction_projection(monkeypatch):
                              prime=p if nclosed else 1, rank=rank))
     for g in groups:
         c = _canon(g)
-        assert (c.div, c.free) == canon_fraction(g), g
+        assert _bases(c) == canon_fraction(g), g
+        assert _spans(g, c), g
         for ell in range(1, g.rank):
             # g's form is built already, and the part's is not built here:
             # the one form built is the kernel presentation's
@@ -532,7 +560,22 @@ def test_canon_matches_the_fraction_projection(monkeypatch):
     assert len(kernels) >= 1000
     for k in kernels:
         c = build(k)
-        assert (c.div, c.free) == canon_fraction(k), k
+        assert _bases(c) == canon_fraction(k), k
+        assert _spans(k, c), k
+
+
+def _bases(c):
+    """The form c's divisible and free bases."""
+    return c.basis[:len(c.drows)], c.basis[len(c.drows):]
+
+
+def _spans(g, c):
+    """Whether the form c's basis, its divisible part p-closed, presents g:
+    each group holds the other with index 1, by the coordinate map on the
+    diagonal bases."""
+    b = ogroup(list(c.basis), closed=range(len(c.drows)), prime=g.prime,
+               rank=g.rank)
+    return index_by_elimination(g, b) == 1 == index_by_elimination(b, g)
 
 
 def test_convex_core_canonicalises_its_part_once(monkeypatch):
@@ -618,7 +661,8 @@ def test_hand_built_group_refuses_inexact_coordinates(coord):
 
 def test_hand_built_zero_closed_generator_divides_nothing():
     # ogroup drops zero generators, but a hand-built group may keep a
-    # p-closed zero; <0/3^inf; 1> is Z, which the rank-1 form read as Z[1/3]
+    # p-closed zero; <0/3^inf; 1> is Z, which a rank-1 form once read as
+    # Z[1/3]
     g = ogroup_module.OGroup(rank=1, gens=((0,), (1,)),
                              p_closed=frozenset({0}), prime=3)
     assert not contains(g, F(1, 3)) and contains(g, 5)
