@@ -111,8 +111,7 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
         val_n = Fraction(-1, p ** (n + 1))
         _check(_row(rows, n, done, "ramified").new_value == val_n,
                "witness value at level %d" % n)
-        next_group = ogroup([Fraction(1, p ** (n + 1))], prime=p)
-        absorb.append(contains(next_group, (val_n,)))
+        absorb.append(contains(done.group, (val_n,)))
         towers.append(done)
         witnesses.append(w)
     cert = DefectCertificate(

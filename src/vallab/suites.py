@@ -14,11 +14,12 @@ from math import gcd, lcm
 from .constructions import BUILDERS
 from .corpus import shipped_corpus
 from .classify import audit_implications
-from .errors import ValidationError
-from .newton import root_values
+from .errors import VallabError, ValidationError
 from .ogroup import contains, index, ogroup
+from .resfield import ResField
+from .tower import Tower, adjoin_root
 from .values import INFINITE, Indeterminate
-from .vbase import PadicBase
+from .vbase import EqBase, PadicBase
 
 
 @dataclass
@@ -110,31 +111,54 @@ def suite_congruence(seed: int) -> SuiteResult:
 
 
 # ---------------------------------------------------------------------------
-# newton: sum of root values against the coefficient values
+# newton: adjoin_root against the lower hull of its relation's polygon
 
 
 def suite_newton(seed: int) -> SuiteResult:
+    """Adjoin roots of X^p - a and X^p - X - a, a = c t^(k/d), over F_p,
+    F_p(u) or the digit ring w^d = -p, value group Z/d, against the polygon
+    in units of 1/d: an inner point below the chord makes several slopes,
+    and one on it a separable residue equation, which is refused; else the
+    roots have value k/(pd): ramified outside Z/d, a residue jump for
+    c = u^j with p not dividing j, and no step otherwise."""
     res = SuiteResult("newton")
     rng = random.Random(seed)
+    towers = {}
     for t in range(100):
-        deg = rng.randint(1, 6)
-        vals = []
-        for i in range(deg + 1):
-            if i < deg and rng.random() < 0.2:
-                vals.append(INFINITE)
-            else:
-                vals.append(Fraction(rng.randint(-8, 8),
-                                     rng.randint(1, 4)))
-        rv = root_values(vals)
-        # independent bookkeeping: first finite coefficient index k gives
-        # k roots of infinite value; the finite values sum to v(c_k)-v(c_deg)
-        k = next(i for i, v in enumerate(vals) if v != INFINITE)
-        inf_mult = sum(m for v, m in rv if v == INFINITE)
-        fin_sum = sum(v * m for v, m in rv if v != INFINITE)
-        fin_mult = sum(m for v, m in rv if v != INFINITE)
-        good = (inf_mult == k and fin_mult == deg - k
-                and fin_sum == vals[k] - vals[deg])
-        res.tally(good, "trial %d: vals=%s roots=%s" % (t, vals, rv))
+        p = rng.choice((2, 3, 5))
+        field = rng.choice(("finite", "ratfun", "digits"))
+        d = rng.choice((1 if field != "digits" else 2, p))
+        relation = rng.choice(("as", "kummer"))
+        k = rng.choice((-p, -1, 0, 1, p)) * rng.randint(1, 2)
+        c, j = rng.randint(1, p - 1), rng.randint(0, 2) * (field == "ratfun")
+        if (p, field, d) not in towers:
+            towers[p, field, d] = Tower(
+                PadicBase(p, d, -1) if field == "digits" else EqBase(
+                    p, ResField(p, field), ogroup([Fraction(1, d)], prime=p)))
+        t0 = towers[p, field, d]
+        pts = [(0, k)] + [(1, 0)] * (relation == "as") + [(p, 0)]
+        (x0, y0), (x1, y1) = pts[0], pts[-1]
+        # > 0 for an inner point below the chord, 0 for one on it
+        sides = [(y1 - y0) * (x - x0) - (y - y0) * (x1 - x0)
+                 for x, y in pts[1:-1]]
+        if any(side > 0 for side in sides):
+            want = ("not_single_slope", None)
+        elif 0 in sides:
+            want = ("refused", None)
+        else:
+            want = ("ramified" if (y0 - y1) % (x1 - x0) else
+                    "residue" if j % p else "no_step_detected",
+                    Fraction(y0 - y1, (x1 - x0) * d))
+        try:
+            adj = adjoin_root(t0, relation, t0.from_base(
+                t0.base.monomial(Fraction(k, d), {j: c})), "x")
+            got = (adj.outcome, adj.value)
+        except VallabError as exc:
+            got = ("refused" if "separable residue equation" in str(exc)
+                   else "error: %s" % exc, None)
+        res.tally(got == want, "trial %d: %s p=%d over %s, v(a)=%d/%d, "
+                  "u^%d: got %s %s want %s %s"
+                  % ((t, relation, p, field, k, d, j) + got + want))
     return res
 
 

@@ -24,6 +24,10 @@ builds series from term dicts (with no value-group check), parses the
 text that SeriesElem.to_text and PadicElem.to_text print back into
 elements, draws seeded mixed-characteristic descriptors, and runs code
 that may hang in a child interpreter under a timeout.
+
+The dense lower Newton polygon of a polynomial given by its coefficient
+values is the reference for the root values the tower reads off its two
+relations in closed form.
 """
 
 import math
@@ -1076,6 +1080,44 @@ def norm_value(x):
     if isinstance(v, Indeterminate) or v == INFINITE:
         return v
     return v / len(basis)
+
+
+def _lower_hull(pts):
+    """Vertices of the lower convex hull of points in increasing abscissa."""
+    hull = []
+    for x, y in pts:
+        # drop the last vertex unless it lies strictly below the chord
+        # from the one before it to (x, y)
+        while len(hull) >= 2:
+            (x0, y0), (x1, y1) = hull[-2:]
+            if (y1 - y0) * (x - x0) < (y - y0) * (x1 - x0):
+                break
+            hull.pop()
+        hull.append((x, y))
+    return hull
+
+
+def polygon_segments(vals):
+    """[(slope, horizontal length)] of the lower Newton polygon, slopes
+    increasing; vals[i] is the value of the coefficient of X^i, INFINITE
+    for a vanishing one."""
+    pts = [(i, v) for i, v in enumerate(vals) if v != INFINITE]
+    if not pts:
+        raise ValidationError("polygon of the zero polynomial")
+    hull = _lower_hull(pts)
+    return [((y1 - y0) / (x1 - x0), x1 - x0)
+            for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+
+
+def root_values(vals):
+    """Root values with multiplicities, largest value first, read off the
+    dense lower Newton polygon; the leading coefficient must be nonzero,
+    and a vanishing constant block contributes roots of value INFINITE."""
+    segs = polygon_segments(vals)
+    if vals[-1] == INFINITE:
+        raise ValidationError("leading coefficient must be nonzero")
+    k = next(i for i, v in enumerate(vals) if v != INFINITE)
+    return [(INFINITE, k)] * (k > 0) + [(-slope, n) for slope, n in segs]
 
 
 def run_in_child(code: str) -> subprocess.CompletedProcess:

@@ -179,8 +179,9 @@ def test_08_descriptor_corpus_and_counterexample():
 
 def test_09_group_and_polygon_oracles():
     """ogroup contains/index vs brute-force enumeration on 100 random
-    rank <= 2 groups; polygon root values satisfy the sum rule on 100
-    random polynomials of degree <= 6.  Budget: 10 s."""
+    rank <= 2 groups; adjoin_root's outcome and root value agree with the
+    lower hull of the relation's polygon on 100 random Kummer and
+    Artin-Schreier relations.  Budget: 10 s."""
     t0 = time.monotonic()
     groups = run_suite("ogroup", 0)
     assert groups.failed == 0

@@ -244,11 +244,13 @@ def test_rank_one_towers_skip_the_elimination(monkeypatch):
     # every tower group has rank 1, whose membership, inclusion and index
     # are one-row triangular solves against its form, built once per group:
     # the coordinate matrices and their int_rref determinants made 192 and
-    # 384 calls here, and the library no longer has an int_rref
+    # 384 calls here, and the library no longer has an int_rref; as-valgp
+    # reads each absorption flag off the grown tower group, whose form the
+    # step's index has built, and a fresh next-level group made 515 here
     build = lambda: (build_as_valgp(3, 160), build_as_resf(7, 30))
     assert not hasattr(ogroup_module, "int_rref")
     assert _count_calls(monkeypatch, ogroup_module, "_build_canon",
-                        build) == 515
+                        build) == 354
 
 
 def test_as_valgp_negations_count(monkeypatch):

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from vallab.errors import PrecisionError, ValidationError
-from vallab.newton import root_values, segments
-from vallab.values import INFINITE, Indeterminate
+from vallab import suites
+from vallab.errors import ValidationError
+from vallab.values import INFINITE
+
+from helpers import polygon_segments, root_values
 
 
 def test_frozen_artin_schreier_pole():
@@ -24,7 +27,7 @@ def test_frozen_kummer():
     # X^3 - t: single segment of slope -1/3
     vals = [F(1), INFINITE, INFINITE, F(0)]
     assert root_values(vals) == [(F(1, 3), 3)]
-    assert segments(vals) == [(F(-1, 3), 3)]
+    assert polygon_segments(vals) == [(F(-1, 3), 3)]
 
 
 def test_vanishing_constant_term():
@@ -38,8 +41,6 @@ def test_rejects_bad_input():
         root_values([INFINITE, INFINITE])
     with pytest.raises(ValidationError):
         root_values([F(0), INFINITE])  # leading coefficient vanishes
-    with pytest.raises(PrecisionError):
-        root_values([Indeterminate(F(3)), F(0)])
 
 
 def test_sum_rule_random_products():
@@ -68,3 +69,29 @@ def test_sum_rule_random_products():
             expanded.extend([v] * m)
         assert sorted(expanded) == sorted(roots)
         assert sum(v * m for v, m in got) == vals[0] - vals[-1]
+
+
+def test_newton_suite_reaches_every_outcome(monkeypatch):
+    # the suite checks adjoin_root against its own polygon; every outcome
+    # the closed form can give must occur, so that dropping a branch of it
+    # (or the separable refusal) fails the suite at every seed
+    seen = Counter()
+    adjoin_root = suites.adjoin_root
+
+    def spy(*args):
+        try:
+            adj = adjoin_root(*args)
+        except ValidationError:
+            seen["refused"] += 1
+            raise
+        seen[adj.outcome] += 1
+        return adj
+
+    monkeypatch.setattr(suites, "adjoin_root", spy)
+    for seed in range(4):
+        res = suites.run_suite("newton", seed)
+        assert (res.passed, res.failed) == (100, 0), res.lines
+    assert sum(seen.values()) == 400
+    assert set(seen) == {"not_single_slope", "refused", "ramified",
+                         "residue", "no_step_detected"}
+    assert min(seen.values()) >= 10, seen

@@ -16,7 +16,6 @@ from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
                                   build_kummer_valgp, build_lemma_3_3)
 from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
-from vallab.newton import root_values
 from vallab.ogroup import contains, ogroup
 from vallab.resfield import ResField, power
 from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
@@ -27,7 +26,7 @@ from vallab.vbase import EqBase, PadicBase, PadicElem
 from helpers import (as_expansion_terms, eval_expansion,
                      monomial_bounds_fraction_sum, norm_value,
                      pth_power_by_terms, r4_walk_by_products, residue_termwise,
-                     series, val_fraction_sum, vlb_fraction_sum)
+                     root_values, series, val_fraction_sum, vlb_fraction_sum)
 
 
 def laurent(p, denom=1, closed=False, ratfun=False):
