@@ -228,7 +228,7 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
     # (checked for p <= 13 at depth 1-4, and p <= 7 to depth 6)
     if padic_cap is None:
         padic_cap = p
-    if not isinstance(padic_cap, int):
+    if not isinstance(padic_cap, int) or isinstance(padic_cap, bool):
         raise ValidationError("padic_cap must be an int, got %r" % (padic_cap,))
     base = _cyclo_base(p)
     lam = zeta_lambda(base, padic_cap)

@@ -40,6 +40,7 @@ positions.  INFINITE prec means exact, and every series has it.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -673,15 +674,17 @@ def _inverse(y: PadicElem, n: int) -> PadicElem:
 def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
     """lambda = zeta_p - 1 in the digit ring, below a finite cap `prec`.
 
-    The root has value 1/(p-1), so (p-1) | E and lambda = w^m * y with
-    m = E/(p-1) and y a unit.  Since w^E = s*p, G(y) = Phi_p(1 + lambda)/p
-    reads s*y^(p-1) + 1 mod w, which needs s = -1 for odd p and then has
-    the simple root y = 1: lambda = w^m is right below position m + 1.
-    Newton's step y <- y - zeta*y*G(y) (1/G'(y) = zeta*y at the root)
-    takes y from right mod w^k to mod w^(2k), so lambda from right below
-    n to below 2n - m.  As lambda*Phi_p(zeta) = zeta^p - 1, the step is
-    lambda <- lambda - zeta*(zeta^p - 1)/p, with zeta capped E positions
-    above the new cap and the division by p = s*w^E a shift.
+    lambda has value 1/(p-1), so (p-1) | E, and pi = w^m, m = E/(p-1),
+    has pi^(p-1) = w^E = s*p, which must be -p at odd p.  Then Dwork's
+    theta(X) = exp(pi*(X - X^p)) = sum b_n pi^n X^n has theta(1) = zeta_p,
+    the root with lambda = w^m mod w^(m+1).  theta' = pi(1 - p X^(p-1))
+    theta gives n b_n = b_(n-1) + b_(n-p).  With v = v_p(n!), the
+    digit d_n = b_n (-p)^v is a p-adic integer at position m*s_p(n)
+    (s_p the base-p digit sum), and writing n = p^a n', c = v_p of the
+    multiple of p in (n-p, n]: n' d_n = (-1)^a (d_(n-1) + (-p)^(c-a)
+    d_(n-p)).  Dwork's v_p(b_n pi^n) >= n(p-1)/p^2 puts every n >= N =
+    ceil(prec p^2/((p-1)E)) at or above the cap, and every position is at
+    least m, so the d_n are kept mod p^ceil((prec - m)/E).
     """
     p, E, s = base.p, base.E, base.twist
     m, r = divmod(E, p - 1)
@@ -700,9 +703,16 @@ def zeta_lambda(base: PadicBase, prec: int) -> PadicElem:
             "lambda = zeta_%d - 1 needs a finite p-adic cap" % p)
     if p == 2:
         return base.from_int(-2)  # zeta_2 = -1 exactly
-    lam, n = base.from_digits({m: 1}), m + 1
-    while n < prec:
-        n = min(2 * n - m, prec)
-        z = PadicElem(base, lam.digits, n + E) + 1
-        lam = z - 1 - _shift(z * (z ** p - 1), -E, 0, s)
-    return lam
+    mod = p ** -((m - prec) // E)
+    digits, back, d, ds, c = {}, deque([1]), 1, 0, 1  # d_0 = 1, s_p(0) = 0
+    for n in range(1, -(-prec * p * p // ((p - 1) * E))):
+        old = back.popleft() if len(back) == p else 0  # d_(n-p)
+        q, a = n, 0
+        while q % p == 0:
+            q, a = q // p, a + 1
+        c, ds = a or c, ds + 1 - (p - 1) * a  # c: v_p(last multiple of p)
+        d = (-1) ** a * (d + (-p) ** (c - a) * old) * pow(q, -1, mod) % mod
+        back.append(d)
+        if m * ds < prec:
+            digits[m * ds, 0] = digits.get((m * ds, 0), 0) + d
+    return PadicElem(base, digits, prec)

@@ -858,6 +858,42 @@ def zeta_lambda_by_digit_newton(base: PadicBase, prec: int) -> PadicElem:
                      prec)
 
 
+def zeta_lambda_by_dwork_sum(base: PadicBase, prec: int) -> PadicElem:
+    """lambda = zeta_p - 1 from the closed coefficients of Dwork's series.
+
+    For odd p and w^E = -p with (p-1) | E, pi = w^m (m = E/(p-1)) has
+    pi^(p-1) = -p, and theta(X) = exp(pi X) * exp(-pi X^p) has theta(1) =
+    zeta_p.  Its X^n coefficient is b_n pi^n, with the double sum
+
+        b_n = sum_j 1/(p^j j! (n - pj)!)      ((-pi)^j pi^(-(p-1)j) = p^-j),
+
+    taken here in exact Fractions.  Writing b_n = p^k * num/den with p
+    prime to num*den, and p^k = (-1)^k w^(kE), the term is the unit
+    (-1)^k num/den (taken mod p^ceil(prec/E)) at position m*n + k*E.  The
+    sum runs to 2N, twice the bound N = ceil(prec p^2/((p-1)E)) past which
+    Dwork's estimate v_p(b_n pi^n) >= n(p-1)/p^2 puts every term at or
+    above the cap.
+    """
+    p, E = base.p, base.E
+    assert p > 2 and base.twist == -1 and E % (p - 1) == 0
+    m, mod = E // (p - 1), p ** -(-prec // E)
+    digits = {}
+    for n in range(1, 2 * -(-prec * p * p // ((p - 1) * E))):
+        b = sum(Fraction(1, p ** j * math.factorial(j) *
+                         math.factorial(n - p * j)) for j in range(n // p + 1))
+        num, den, k = b.numerator, b.denominator, 0
+        while num % p == 0:
+            num, k = num // p, k + 1
+        while den % p == 0:
+            den, k = den // p, k - 1
+        pos = m * n + k * E
+        assert pos >= m, (n, pos)
+        if pos < prec:
+            unit = (-1) ** (k % 2) * num * pow(den, -1, mod)
+            digits[pos, 0] = digits.get((pos, 0), 0) + unit
+    return PadicElem(base, digits, prec)
+
+
 def divide_by_long_division(x: PadicElem, y: PadicElem) -> PadicElem:
     """x/y in the digit ring, one leading digit of the quotient per step.
 

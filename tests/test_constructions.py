@@ -384,6 +384,18 @@ def test_default_cap_is_the_least_that_builds(p):
             build_kummer_valgp(p, depth, padic_cap=p - 1)
 
 
+@pytest.mark.parametrize("p", [61, 101, 211])
+def test_kummer_valgp_builds_at_larger_primes(p):
+    # lambda's digit-ring lift took 0.02 / 0.06 / 0.38 s here; Dwork's
+    # series needs about p + 2 terms mod p at the default cap
+    cert = build_kummer_valgp(p, 1).certificate.to_json()
+    assert cert["precision"]["required"] == \
+        cert["precision"]["padic_positions"] == p
+    assert len(cert["rows"]) == 2
+    assert all((r["kind"], r["degree"], r["e"], r["f"], r["m"]) ==
+               ("ramified", p, p, 1, 0) for r in cert["rows"])
+
+
 @pytest.mark.parametrize("family,kind", [
     ("lemma33", "residue"), ("as-valgp", "ramified"), ("as-resf", "residue"),
     ("two-ext", "residue"), ("kummer-resf", "residue")])
@@ -471,7 +483,8 @@ def test_kummer_valgp_refuses_a_cap_that_is_not_an_int():
     # and printed "padic_positions": Infinity, which is not JSON
     res = run_in_child(KUMMER_NO_CAP)
     assert res.returncode == 0 and "must be an int" in res.stdout, res.stderr
-    for cap in (math.inf, 6.0):
+    # a bool is an int to isinstance: True ran lambda at cap 1 and exited 2
+    for cap in (math.inf, 6.0, True, False):
         with pytest.raises(ValidationError, match="must be an int"):
             build_kummer_valgp(2, 1, padic_cap=cap)
 

@@ -16,7 +16,7 @@ from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, zeta_lambda
 
 from helpers import (divide_by_long_division, padic_from_text, pth_root,
                      run_in_child, series, series_from_text,
-                     zeta_lambda_by_digit_newton)
+                     zeta_lambda_by_digit_newton, zeta_lambda_by_dwork_sum)
 
 
 def laurent(p, closed=False, level=0):
@@ -513,10 +513,9 @@ def test_digit_ring_builds_its_group_and_residue_field_once(monkeypatch):
 
 
 def test_lambda_products_count(monkeypatch):
-    # the greedy digit search made 8,998 products, and Newton in the digit
-    # ring 164 and 6 long divisions; the step on zeta^p = 1 divides by p as
-    # a shift and makes 6 products per step, 5 for zeta^11 and one for
-    # zeta*(zeta^11 - 1), over the 6 steps from cap 2 to cap 44
+    # the greedy digit search made 8,998 products, Newton in the digit ring
+    # 164 and 6 long divisions, and Newton's step on zeta^p = 1 36; Dwork's
+    # series runs its recurrence in plain integers and makes none
     calls = []
 
     def counting(name):
@@ -526,7 +525,7 @@ def test_lambda_products_count(monkeypatch):
     for name in ("__mul__", "_divide"):
         monkeypatch.setattr(PadicElem, name, counting(name))
     zeta_lambda(PadicBase(11, 10, -1), 44)
-    assert calls == ["__mul__"] * 36
+    assert calls == []
 
 
 def test_congruence_suite_fold_count(monkeypatch):
@@ -552,13 +551,25 @@ LIFT_CASES = [(p, E) for p in (3, 5, 7, 11, 13) for E in (p - 1, 2 * (p - 1))] \
 @pytest.mark.parametrize("p,E", LIFT_CASES,
                          ids=["p%d-E%d" % c for c in LIFT_CASES])
 def test_lambda_matches_the_digit_ring_lift(p, E):
-    # the raw digits differ, but lambda mod w^prec is unique: every cap from
-    # E + 1 to E + 4p carries to the same digits as Newton in the digit ring
+    # lambda mod w^prec is unique, and so is its capped folded form: every
+    # cap from E + 1 to E + 4p gives the digits of Newton in the digit ring
     b = PadicBase(p, E, -1)
     for cap in range(E + 1, E + 4 * p + 1):
         lam, ref = zeta_lambda(b, cap), zeta_lambda_by_digit_newton(b, cap)
         assert lam.prec == ref.prec == cap
         assert list(lam._norm_iter()) == list(ref._norm_iter()), cap
+        assert lam.digits == ref.digits, cap
+
+
+@pytest.mark.parametrize("p,E", LIFT_CASES,
+                         ids=["p%d-E%d" % c for c in LIFT_CASES])
+def test_lambda_matches_dwork_closed_sum(p, E):
+    # the library runs the recurrence n b_n = b_(n-1) + b_(n-p) up to
+    # Dwork's bound N; the reference sums the closed b_n exactly up to 2N
+    b = PadicBase(p, E, -1)
+    for cap in range(E + 1, E + 4 * p + 1):
+        assert zeta_lambda(b, cap).digits == \
+            zeta_lambda_by_dwork_sum(b, cap).digits, cap
 
 
 @pytest.mark.parametrize("p", [3, 5])
