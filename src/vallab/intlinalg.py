@@ -4,9 +4,7 @@ Everything here works on lists of integer row vectors and is sized for
 the rank <= 4 lattices this library manipulates, so clarity wins over
 asymptotics.  row_echelon (integer row reduction with its unimodular
 transform) builds every value group's echelon form, and int_kernel reads
-integer kernels off it; diagonalize_with_basis, which returns a diagonal
-presentation of a row lattice together with an ambient basis adapted to
-it, serves the convex subgroups.
+integer kernels off it, which cuts each convex part out of that form.
 """
 
 from __future__ import annotations
@@ -72,78 +70,6 @@ def int_kernel(rows):
         return []
     ech, t = row_echelon(rows)
     return [t[i] for i in range(len(rows)) if not any(x != 0 for x in ech[i])]
-
-
-def diagonalize_with_basis(rows, n):
-    """Diagonalize an integer row lattice, tracking an ambient basis.
-
-    Given integer rows spanning a sublattice L of Z^n, returns
-    (diag, basis) where diag is a list of positive integers d_1..d_s and
-    basis is a list of s vectors u_1..u_s in Z^n extending to a basis of
-    Z^n, with L = Z*d_1*u_1 + ... + Z*d_s*u_s.
-
-    Row operations leave L fixed; column operations change ambient
-    coordinates and are mirrored on the inverse transform, whose rows
-    are the u_i.
-    """
-    a = [list(map(int, r)) for r in rows]
-    m = len(a)
-    # cinv rows: current ambient basis expressed in original coordinates
-    cinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_swap(j, k):
-        for r in a:
-            r[j], r[k] = r[k], r[j]
-        cinv[j], cinv[k] = cinv[k], cinv[j]
-
-    def col_sub(j, k, q):
-        # col_j -= q * col_k  on a;  row_k += q * row_j  on cinv
-        for r in a:
-            r[j] -= q * r[k]
-        cinv[k] = [x + q * y for x, y in zip(cinv[k], cinv[j])]
-
-    t = 0
-    while True:
-        # find a nonzero pivot in the submatrix a[t:, t:]
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            col_swap(t, bj)
-        # clear column t below the pivot and row t right of it
-        dirty = False
-        for i in range(t + 1, m):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, n):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                col_sub(j, t, q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        t += 1
-        if t >= m or t >= n:
-            break
-    diag = []
-    basis = []
-    for i in range(min(m, n)):
-        d = a[i][i] if i < len(a) else 0
-        if d != 0:
-            diag.append(abs(d))
-            basis.append(list(cinv[i]))
-    return diag, basis
 
 
 def prime_to_p_part(n: int, p: int) -> int:

@@ -31,8 +31,7 @@ from itertools import repeat
 
 from .errors import (ValidationError, int_text_bound, json_fraction, json_get,
                      json_int, json_keys, printable_power, too_long_to_print)
-from .intlinalg import (diagonalize_with_basis, int_kernel, is_prime,
-                        prime_to_p_part, row_echelon)
+from .intlinalg import int_kernel, is_prime, prime_to_p_part, row_echelon
 from .values import INFINITE, fr
 
 
@@ -433,46 +432,51 @@ class ConvexPart:
 def _convex_at(g: OGroup, ell: int) -> OGroup:
     """The subgroup of elements whose first ell coordinates vanish.
 
-    In canonical coordinates an element is (a, n), with a over Z[1/p] on
-    the divisible basis and n over Z on the free basis.  The integer
-    coordinate vectors with a zero head form a saturated lattice with
-    basis k (int_kernel), and saturation over Z carries over to Z[1/p].
-    So the part is {q.k : q in Z[1/p]^d, q.k_free integral}, k_free
-    being the free block of k.  Bring k_free to a diagonal form
-    D = U k_free V with U, V unimodular: in the coordinates r = q U^-1
-    the condition reads r_i D_i integral, which leaves r_i free where
-    D_i = 0 and allows a denominator of at most p^v_p(D_i) where
-    D_i != 0.  Hence the part is generated by
+    An element is x = a.D + n.F, a over Z[1/p] on D's rows and n over Z
+    on F's lifts.  With L holding each lift's coefficients on D, the lift
+    less them is its projected row, so x = (a + n.L).D + n.P.  D's rows and
+    F's projected rows P have different pivot columns, and a row whose
+    pivot is at or after ell has a zero head, so x has a zero head exactly
+    when n is 0 on the F rows with pivot < ell and a + n.L is 0 on D', the
+    D rows with pivot < ell (a prefix of D, as is the F rows' cut).  The
+    part is therefore the sum of
 
-      * the p-closed vectors y.k, y running over the left kernel of
-        k_free, and
-      * the free vectors p^-e z.k, z running over a basis of
-        {z : z.k_free = 0 mod p^e}, read off the integer kernel of
-        k_free stacked on p^e I.  Here e is the largest v_p(D_i), the
-        largest p-exponent among k_free's elementary divisors.
+      * Z[1/p] times the D rows with pivot >= ell, and
+      * the vectors n.(F - L'.D'), n running over the F rows with pivot
+        >= ell and n.L' over Z[1/p], L' being L's columns on D'.
+
+    A triangular solve of each such lift's head down D' gives both L' and
+    the reduced vector.  With L' = M / m and q the prime-to-p part of m,
+    n.L' lies in Z[1/p] exactly when n.M = 0 mod q, whose solutions are
+    the integer kernel of M stacked on q times the identity, cut to its
+    first len(M) coordinates.
 
     The result is presented by its canonical basis, each vector made
     lex-positive; a brute-force cross-check lives in the tests.
     """
     if ell <= 0 or g.is_trivial():
         return g
-    c = _canon(g)
-    p = g.prime
-    s, t = len(c.drows), len(c.frows)
-    k = int_kernel(_scale_to_int([v[:ell] for v in c.basis])[0])
-    k_free = [kv[s:] for kv in k]
-    diag, _ = diagonalize_with_basis(k_free, t)
-    pe = max((d // prime_to_p_part(d, p) for d in diag), default=1)
-    mod_pe = k_free + [[pe if i == j else 0 for j in range(t)] for i in range(t)]
-
-    def combine(y, scale=1):
-        coords = [Fraction(sum(yi * kv[j] for yi, kv in zip(y, k)), scale)
-                  for j in range(len(c.basis))]
-        return [sum(q * v[i] for q, v in zip(coords, c.basis) if q)
-                for i in range(g.rank)]
-
-    closed = [combine(y) for y in int_kernel(k_free)]
-    free = [combine(z[:len(k)], pe) for z in int_kernel(mod_pe)]
+    c, p = _canon(g), g.prime
+    s = len(c.drows)
+    cut = sum(k < ell for k, _, _ in c.drows)
+    dprime = c.basis[:cut]
+    lifts, coeffs = [], []
+    for (k, _, _), v in zip(c.frows, c.basis[s:]):
+        if k >= ell:
+            ls = []
+            for (j, _, _), u in zip(c.drows, dprime):
+                a = v[j] / u[j]
+                v = [x - a * y for x, y in zip(v, u)]
+                ls.append(a)
+            lifts.append(v)
+            coeffs.append(ls)
+    mat, m = _scale_to_int(coeffs)
+    q = prime_to_p_part(m, p)
+    ker = int_kernel(mat + [[q * (i == j) for j in range(cut)]
+                            for i in range(cut)])
+    closed = list(c.basis[cut:s])
+    free = [[sum(n * v[k] for n, v in zip(z, lifts) if n)
+             for k in range(g.rank)] for z in ker]
     # the kernel presentation is thrown away, so its form is built without
     # being kept; the part keeps its own form, built on first use
     raw = _build_canon(ogroup(closed + free, closed=range(len(closed)),

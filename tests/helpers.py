@@ -14,7 +14,11 @@ exponents, for the integer ones.  The group basis the library used
 before its echelon form, with a diagonal divisible part, is kept too,
 and membership and index by the coordinate map on it, the way the
 library computed them before its triangular solves, as the reference for
-those solves at every rank.  Tower values also have an independent
+those solves at every rank.  The Smith-style diagonalization with an
+adapted basis that built that diagonal part is kept with the convex part
+it computed by diagonalizing the kernel, the reference for the convex
+part read off the echelon form, and a seeded sample of groups to compare
+the two on.  Tower values also have an independent
 oracle, the norm v(N(x)) / [L:K] by a division-free determinant, and a
 p-th power up to a threshold has a term-by-term reference, the lift
 of lambda = zeta_p - 1 its earlier Newton form in the digit ring,
@@ -41,10 +45,11 @@ from itertools import permutations, product
 from math import factorial, gcd, lcm, prod
 
 from vallab.errors import PrecisionError, ValidationError
-from vallab.intlinalg import (diagonalize_with_basis, p_exponent,
-                              prime_to_p_part, row_echelon)
-from vallab.ogroup import (_canon, _coerce_vec, _leading_index, _scale_to_int,
-                           contains)
+from vallab.intlinalg import (int_kernel, p_exponent, prime_to_p_part,
+                              row_echelon)
+from vallab.ogroup import (_build_canon, _canon, _coerce_vec, _convex_at,
+                           _leading_index, _lex_positive, _scale_to_int,
+                           contains, ogroup, same_group)
 from vallab.values import INFINITE, Indeterminate, fr, sum_text, term_text
 from vallab.tower import TElem
 from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem, _fold
@@ -254,6 +259,79 @@ def canon_fraction(g):
             tuple(tuple(v) for v in free_basis))
 
 
+def diagonalize_with_basis(rows, n):
+    """Diagonalize an integer row lattice, tracking an ambient basis.
+
+    Given integer rows spanning a sublattice L of Z^n, returns
+    (diag, basis) where diag is a list of positive integers d_1..d_s and
+    basis is a list of s vectors u_1..u_s in Z^n extending to a basis of
+    Z^n, with L = Z*d_1*u_1 + ... + Z*d_s*u_s.
+
+    Row operations leave L fixed; column operations change ambient
+    coordinates and are mirrored on the inverse transform, whose rows
+    are the u_i.  The library used it for its diagonal divisible basis
+    and its convex parts; it is kept as their reference.
+    """
+    a = [list(map(int, r)) for r in rows]
+    m = len(a)
+    # cinv rows: current ambient basis expressed in original coordinates
+    cinv = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_swap(j, k):
+        for r in a:
+            r[j], r[k] = r[k], r[j]
+        cinv[j], cinv[k] = cinv[k], cinv[j]
+
+    def col_sub(j, k, q):
+        # col_j -= q * col_k  on a;  row_k += q * row_j  on cinv
+        for r in a:
+            r[j] -= q * r[k]
+        cinv[k] = [x + q * y for x, y in zip(cinv[k], cinv[j])]
+
+    t = 0
+    while True:
+        # find a nonzero pivot in the submatrix a[t:, t:]
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+        if bj != t:
+            col_swap(t, bj)
+        # clear column t below the pivot and row t right of it
+        dirty = False
+        for i in range(t + 1, m):
+            if a[i][t] != 0:
+                q = a[i][t] // a[t][t]
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                if a[i][t] != 0:
+                    dirty = True
+        for j in range(t + 1, n):
+            if a[t][j] != 0:
+                q = a[t][j] // a[t][t]
+                col_sub(j, t, q)
+                if a[t][j] != 0:
+                    dirty = True
+        if dirty:
+            continue
+        t += 1
+        if t >= m or t >= n:
+            break
+    diag = []
+    basis = []
+    for i in range(min(m, n)):
+        d = a[i][i] if i < len(a) else 0
+        if d != 0:
+            diag.append(abs(d))
+            basis.append(list(cinv[i]))
+    return diag, basis
+
+
 def canon_diagonal(g):
     """The canonical (div, free) basis of g as the library built it before
     its echelon form, in Fractions: the free basis as canon_fraction's, the
@@ -433,6 +511,89 @@ def subset_per_generator(g, h):
         return False
     return all(in_divisible_part(g, v) if i in h.p_closed else contains(g, v)
                for i, v in enumerate(h.gens))
+
+
+def convex_at_by_smith(g, ell):
+    """The convex part of g at ell as the library computed it before it read
+    the part off the echelon form, by a diagonalization of the kernel.
+
+    In canonical coordinates an element is (a, n), with a over Z[1/p] on
+    the divisible basis and n over Z on the free basis.  The integer
+    coordinate vectors with a zero head form a saturated lattice with
+    basis k (int_kernel), and saturation over Z carries over to Z[1/p].
+    So the part is {q.k : q in Z[1/p]^d, q.k_free integral}, k_free
+    being the free block of k.  Bring k_free to a diagonal form
+    D = U k_free V with U, V unimodular: in the coordinates r = q U^-1
+    the condition reads r_i D_i integral, which leaves r_i free where
+    D_i = 0 and allows a denominator of at most p^v_p(D_i) where
+    D_i != 0.  Hence the part is generated by
+
+      * the p-closed vectors y.k, y running over the left kernel of
+        k_free, and
+      * the free vectors p^-e z.k, z running over a basis of
+        {z : z.k_free = 0 mod p^e}, read off the integer kernel of
+        k_free stacked on p^e I.  Here e is the largest v_p(D_i), the
+        largest p-exponent among k_free's elementary divisors.
+
+    The result is presented by its canonical basis, each vector made
+    lex-positive.
+    """
+    if ell <= 0 or g.is_trivial():
+        return g
+    c = _canon(g)
+    p = g.prime
+    s, t = len(c.drows), len(c.frows)
+    k = int_kernel(_scale_to_int([v[:ell] for v in c.basis])[0])
+    k_free = [kv[s:] for kv in k]
+    diag, _ = diagonalize_with_basis(k_free, t)
+    pe = max((d // prime_to_p_part(d, p) for d in diag), default=1)
+    mod_pe = k_free + [[pe if i == j else 0 for j in range(t)]
+                       for i in range(t)]
+
+    def combine(y, scale=1):
+        coords = [Fraction(sum(yi * kv[j] for yi, kv in zip(y, k)), scale)
+                  for j in range(len(c.basis))]
+        return [sum(q * v[i] for q, v in zip(coords, c.basis) if q)
+                for i in range(g.rank)]
+
+    closed = [combine(y) for y in int_kernel(k_free)]
+    free = [combine(z[:len(k)], pe) for z in int_kernel(mod_pe)]
+    raw = _build_canon(ogroup(closed + free, closed=range(len(closed)),
+                              prime=p if closed else 1, rank=g.rank))
+    basis = [v if _lex_positive(v) else tuple(-x for x in v)
+             for v in raw.basis]
+    return ogroup(basis, closed=range(len(raw.drows)),
+                  prime=p if raw.drows else 1, rank=g.rank)
+
+
+def seeded_ogroups(seed, count):
+    """count seeded groups of rank 2 to 4 over p in {2, 3, 5}: one to five
+    generators with small entries over 1, 2, 3, p or p^2, a seeded number
+    of them p-closed."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank, p = rng.randint(2, 4), rng.choice((2, 3, 5))
+        gens = [tuple(Fraction(rng.randint(-4, 4),
+                               rng.choice((1, 2, 3, p, p * p)))
+                      for _ in range(rank)) for _ in range(rng.randint(1, 5))]
+        nclosed = rng.randint(0, len(gens))
+        yield ogroup(gens, closed=range(nclosed), prime=p if nclosed else 1,
+                     rank=rank)
+
+
+def convex_mismatches(seed, count):
+    """The (group, cut) pairs among count seeded groups, at every cut
+    1 <= ell < rank, whose convex part is not the reference's group, or
+    has a generator outside g or with a nonzero head."""
+    bad = []
+    for g in seeded_ogroups(seed, count):
+        for ell in range(1, g.rank):
+            part = _convex_at(g, ell)
+            if not (same_group(part, convex_at_by_smith(g, ell))
+                    and all(not any(v[:ell]) and contains(g, v)
+                            for v in part.gens)):
+                bad.append((g, ell))
+    return bad
 
 
 def seeded_mixed_descriptor(seed):

@@ -5,15 +5,10 @@ from fractions import Fraction
 import pytest
 
 from vallab.errors import ValidationError
-from vallab.intlinalg import (
-    diagonalize_with_basis,
-    int_kernel,
-    is_prime,
-    prime_to_p_part,
-    row_echelon,
-)
+from vallab.intlinalg import int_kernel, is_prime, prime_to_p_part, row_echelon
 
-from helpers import int_rref, lattice_solve, perm_det, reduce_mod_span, rref
+from helpers import (diagonalize_with_basis, int_rref, lattice_solve, perm_det,
+                     reduce_mod_span, rref)
 
 
 def test_row_echelon_shape_and_transform():

@@ -32,12 +32,14 @@ from vallab.suites import _coset_count, _rank1_member
 from vallab.values import INFINITE
 
 from helpers import (canon_fraction, contains_by_elimination,
-                     coset_count_pairwise, eliminated, in_divisible_part,
-                     index_by_elimination, member_fraction, rank1_member, rref,
-                     sample_elements, subset_per_generator)
+                     convex_at_by_smith, coset_count_pairwise, eliminated,
+                     in_divisible_part, index_by_elimination, member_fraction,
+                     rank1_member, rref, sample_elements, seeded_ogroups,
+                     subset_per_generator)
 
 # the package exports the function ogroup under the module's name
 ogroup_module = importlib.import_module("vallab.ogroup")
+intlinalg_module = importlib.import_module("vallab.intlinalg")
 
 F = Fraction
 
@@ -796,6 +798,49 @@ def test_convex_part_sampling_consistency_rank_three():
             for y in combos:
                 if not any(y[:part.cut_index]):
                     assert contains(part.group, y), (gens, nclosed, y)
+
+
+def _spy_kernels(monkeypatch):
+    """The row lists int_kernel is called on from ogroup, in order."""
+    calls, kernel = [], ogroup_module.int_kernel
+    monkeypatch.setattr(ogroup_module, "int_kernel",
+                        lambda rows: calls.append(rows) or kernel(rows))
+    return calls
+
+
+def test_convex_part_matches_the_smith_reference(monkeypatch):
+    # the part read off the echelon form against the diagonalization of
+    # the kernel it replaced, at every cut of seeded groups; q is read off
+    # the one int_kernel call, whose last row ends in q when D' is nonempty
+    calls = _spy_kernels(monkeypatch)
+    hits = dict(q=0, fcut=0, trivial=0)
+    for g in seeded_ogroups(3900, 3000):
+        c = _canon(g)
+        for ell in range(1, g.rank):
+            part = ogroup_module._convex_at(g, ell)
+            assert same_group(part, convex_at_by_smith(g, ell)), (g, ell)
+            for v in part.gens:
+                assert not any(v[:ell]) and contains(g, v), (g, ell, v)
+            cut = sum(k < ell for k, _, _ in c.drows)
+            hits["q"] += cut > 0 and calls[-1][-1][-1] > 1
+            hits["fcut"] += any(k < ell for k, _, _ in c.frows)
+            hits["trivial"] += part.is_trivial()
+    assert min(hits.values()) >= 100, hits
+
+
+def test_convex_part_makes_one_kernel_call(monkeypatch):
+    # one int_kernel call per part of a nontrivial group (a trivial one is
+    # its own part), and no second reduction beside it
+    assert not hasattr(intlinalg_module, "diagonalize_with_basis")
+    calls = _spy_kernels(monkeypatch)
+    parts = 0
+    for g in seeded_ogroups(11, 200):
+        for ell in range(1, g.rank):
+            before = len(calls)
+            ogroup_module._convex_at(g, ell)
+            assert len(calls) == before + (not g.is_trivial()), (g, ell)
+            parts += not g.is_trivial()
+    assert parts >= 300
 
 
 def test_is_roughly_p_divisible():
