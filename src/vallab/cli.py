@@ -4,6 +4,15 @@ Verbs: construct (run a named tower build and emit its certificate),
 classify (verdicts for a descriptor file or shipped corpus member),
 verify (seeded property suites) and hull (divisible hulls of a group).
 
+VERBS maps each verb to its help text, the function that adds its
+arguments and its handler.  build_parser registers every verb, so the
+top-level help and usage never change, but adds arguments only to the
+verb it is given (to all four when given none); main passes the first
+word of the command line.  Each of those functions imports only its own
+modules (construct: constructions; classify: classify and corpus;
+verify: suites; hull: ogroup), so a verb starts without loading the
+others.
+
 Exit codes: 0 success, 1 validation or precondition failure (the
 diagnostic names the violated inequality), 2 precision exhaustion, which
 only a p-adic cap can cause: every equal-characteristic series is exact.
@@ -19,15 +28,9 @@ import json
 import os
 import sys
 
-from .classify import (build_counterexample_descriptor, check,
-                       audit_implications, descriptor_from_json)
-from .constructions import BUILDERS
-from .corpus import corpus_member, corpus_names, shipped_corpus, tame_core
 from .errors import PrecisionError, ValidationError, read_json
-from .ogroup import from_json as group_from_json
-from .ogroup import hull
-from .ogroup import to_json as group_to_json
-from .suites import SUITES, run_suite
+# at module level, not in the handlers: perfbench's cold_caches reads
+# sys.modules["vallab.vbase"] without a guard
 from .vbase import require_prime
 
 _TSV_COLUMNS = ("n", "name", "kind", "degree", "e", "f", "m",
@@ -74,9 +77,25 @@ def _tsv_text(cert_json: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _construct_args(parser):
+    from .constructions import BUILDERS
+    parser.add_argument("--example", required=True,
+                        choices=sorted(BUILDERS) + ["compose-desc"])
+    parser.add_argument("--p", type=int, default=3,
+                        help="the prime (default 3)")
+    parser.add_argument("--depth", type=int, default=None,
+                        help="tower depth (default per example)")
+    parser.add_argument("--padic-cap", type=int, default=None,
+                        help="p-adic digit positions for kummer-valgp "
+                             "(default p)")
+    parser.add_argument("--out", default=None, help="output file (stdout)")
+    parser.add_argument("--format", choices=("json", "tsv"), default="json")
+
+
 def _construct_options(args) -> dict:
     """The given --depth/--padic-cap as builder keywords; an option the
     example does not take is an error, not a silent no-op."""
+    from .constructions import BUILDERS
     takes = () if args.example == "compose-desc" else \
         inspect.signature(BUILDERS[args.example]).parameters
     kwargs = {name: value for name, value in (("depth", args.depth),
@@ -93,9 +112,12 @@ def _construct_options(args) -> dict:
 
 
 def _cmd_construct(args) -> int:
+    from .constructions import BUILDERS
     kwargs = _construct_options(args)
     _check_writable(args.out)
     if args.example == "compose-desc":
+        from .classify import build_counterexample_descriptor
+        from .corpus import tame_core
         if args.format == "tsv":
             raise ValidationError("tsv output projects certificate rows; "
                                   "compose-desc emits a descriptor")
@@ -112,13 +134,28 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _classify_args(parser):
+    from .corpus import corpus_names
+    parser.add_argument("--descriptor", default=None,
+                        help="descriptor JSON file or corpus name (%s)"
+                             % ", ".join(corpus_names()))
+    parser.add_argument("--audit", action="store_true",
+                        help="audit the implication theorems over the "
+                             "corpus")
+    parser.add_argument("--out", default=None)
+
+
 def _load_descriptor(token: str):
+    from .classify import descriptor_from_json
+    from .corpus import corpus_member, corpus_names
     if token in corpus_names():
         return corpus_member(token)
     return descriptor_from_json(read_json(token, "descriptor"))
 
 
 def _cmd_classify(args) -> int:
+    from .classify import audit_implications, check
+    from .corpus import shipped_corpus
     if args.descriptor is None and not args.audit:
         raise ValidationError("need --descriptor FILE or --audit")
     _check_writable(args.out)
@@ -147,7 +184,15 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _verify_args(parser):
+    from .suites import SUITES
+    parser.add_argument("--suite", required=True,
+                        choices=sorted(SUITES) + ["all"])
+    parser.add_argument("--seed", type=int, default=0)
+
+
 def _cmd_verify(args) -> int:
+    from .suites import SUITES, run_suite
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
     all_ok = True
     for name in names:
@@ -160,10 +205,21 @@ def _cmd_verify(args) -> int:
     return 0 if all_ok else 1
 
 
+def _hull_args(parser):
+    parser.add_argument("--group", required=True, help="group JSON file")
+    parser.add_argument("--kind", required=True,
+                        choices=("p_div", "p_prime_div"))
+    parser.add_argument("--level", default="exact",
+                        help="truncation level, or 'exact' for the p-hull")
+    parser.add_argument("--p", type=int, required=True)
+    parser.add_argument("--out", default=None)
+
+
 def _cmd_hull(args) -> int:
+    from .ogroup import from_json, hull, to_json
     require_prime(args.p)
     _check_writable(args.out)
-    g = group_from_json(read_json(args.group, "group file"))
+    g = from_json(read_json(args.group, "group file"))
     level = args.level
     if level != "exact":
         try:
@@ -171,59 +227,41 @@ def _cmd_hull(args) -> int:
         except ValueError:
             raise ValidationError("--level takes an integer or 'exact'")
     out = hull(g, args.kind, level, args.p)
-    _emit(_json_text(group_to_json(out)), args.out)
+    _emit(_json_text(to_json(out)), args.out)
     return 0
 
 
-def build_parser() -> _Parser:
+# verb: (help text, function adding its arguments, handler)
+VERBS = {
+    "construct": ("run a named tower construction", _construct_args,
+                  _cmd_construct),
+    "classify": ("class verdicts for a descriptor", _classify_args,
+                 _cmd_classify),
+    "verify": ("run a seeded property suite", _verify_args, _cmd_verify),
+    "hull": ("divisible hulls of a group", _hull_args, _cmd_hull),
+}
+
+
+def build_parser(verb=None) -> _Parser:
+    """Every verb's subparser; only `verb`'s (every one's when None) gets
+    its arguments and handler."""
     parser = _Parser(prog="vallab",
                      description="exact valuation-theoretic computations "
                                  "with verifiable defect certificates")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    con = sub.add_parser("construct", help="run a named tower construction")
-    con.add_argument("--example", required=True,
-                     choices=sorted(BUILDERS) + ["compose-desc"])
-    con.add_argument("--p", type=int, default=3, help="the prime (default 3)")
-    con.add_argument("--depth", type=int, default=None,
-                     help="tower depth (default per example)")
-    con.add_argument("--padic-cap", type=int, default=None,
-                     help="p-adic digit positions for kummer-valgp "
-                          "(default p)")
-    con.add_argument("--out", default=None, help="output file (stdout)")
-    con.add_argument("--format", choices=("json", "tsv"), default="json")
-    con.set_defaults(fn=_cmd_construct)
-
-    cla = sub.add_parser("classify", help="class verdicts for a descriptor")
-    cla.add_argument("--descriptor", default=None,
-                     help="descriptor JSON file or corpus name (%s)"
-                          % ", ".join(corpus_names()))
-    cla.add_argument("--audit", action="store_true",
-                     help="audit the implication theorems over the corpus")
-    cla.add_argument("--out", default=None)
-    cla.set_defaults(fn=_cmd_classify)
-
-    ver = sub.add_parser("verify", help="run a seeded property suite")
-    ver.add_argument("--suite", required=True,
-                     choices=sorted(SUITES) + ["all"])
-    ver.add_argument("--seed", type=int, default=0)
-    ver.set_defaults(fn=_cmd_verify)
-
-    hul = sub.add_parser("hull", help="divisible hulls of a group")
-    hul.add_argument("--group", required=True, help="group JSON file")
-    hul.add_argument("--kind", required=True,
-                     choices=("p_div", "p_prime_div"))
-    hul.add_argument("--level", default="exact",
-                     help="truncation level, or 'exact' for the p-hull")
-    hul.add_argument("--p", type=int, required=True)
-    hul.add_argument("--out", default=None)
-    hul.set_defaults(fn=_cmd_hull)
+    for name, (help_text, add_arguments, handler) in VERBS.items():
+        verb_parser = sub.add_parser(name, help=help_text)
+        if verb in (None, name):
+            add_arguments(verb_parser)
+            verb_parser.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first word that names no verb leaves parsing to the full parser
+    verb = argv[0] if argv and argv[0] in VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         return args.fn(args)
     except ValidationError as exc:

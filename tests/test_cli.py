@@ -12,12 +12,13 @@ from fractions import Fraction
 import pytest
 
 from vallab.classify import FieldDescriptor
-from vallab.cli import _load_descriptor, build_parser, main
+from vallab.cli import VERBS, _load_descriptor, build_parser, main
 from vallab.constructions import BUILDERS
 from vallab.corpus import corpus_member, corpus_names
 from vallab.ogroup import ogroup
 
-from helpers import index_by_elimination, seeded_mixed_descriptor
+from helpers import (index_by_elimination, run_in_child,
+                     seeded_mixed_descriptor)
 
 BASE = [sys.executable, "-m", "vallab.cli"]
 
@@ -114,6 +115,143 @@ def test_build_parser_builds_no_descriptor(monkeypatch):
     assert calls == []
     _load_descriptor("q2")
     assert calls == ["q2"]
+
+
+@pytest.mark.parametrize("argv, loaded, absent", [
+    (["hull", "--group", "GROUP", "--kind", "p_div", "--p", "3"],
+     {"ogroup"}, {"tower", "constructions", "suites", "classify", "corpus"}),
+    (["classify", "--descriptor", "q2"], {"classify", "corpus"},
+     {"tower", "constructions", "suites"}),
+], ids=["hull", "classify"])
+def test_a_verb_loads_only_its_own_modules(tmp_path, argv, loaded, absent):
+    group = tmp_path / "group.json"
+    group.write_text(json.dumps({"rank": 1, "gens": [[1, 2]],
+                                 "p_closed": [], "prime": 1}))
+    argv = [str(group) if a == "GROUP" else a for a in argv]
+    res = run_in_child(
+        "import contextlib, io, sys\n"
+        "from vallab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(%r)\n"
+        "print(code, *sorted(sys.modules))\n" % argv)
+    code, *modules = res.stdout.split()
+    assert code == "0", res.stderr
+    assert {"vallab." + m for m in loaded} <= set(modules)
+    assert not {"vallab." + m for m in absent} & set(modules)
+    # perfbench's cold_caches reads sys.modules["vallab.vbase"] without a
+    # guard before the first timed operation, so every verb must load it
+    assert "vallab.vbase" in modules
+
+
+# every name vallab exports, by home module
+EXPORTS = {
+    "classify": ("AbstractResidue", "ClassReport", "FieldDescriptor",
+                 "audit_implications", "build_counterexample_descriptor",
+                 "check", "descriptor_from_json"),
+    "constructions": ("BUILDERS", "build_2ext", "build_as_resf",
+                      "build_as_valgp", "build_kummer_resf",
+                      "build_kummer_valgp", "build_lemma_3_3"),
+    "corpus": ("corpus_member", "corpus_names", "shipped_corpus"),
+    "errors": ("PrecisionError", "ValidationError"),
+    "ogroup": ("OGroup", "contains", "convex_core", "hull", "index",
+               "is_p_divisible", "lex_compose", "ogroup"),
+    "resfield": ("ResField",),
+    "suites": ("SUITES", "run_suite"),
+    "tower": ("DefectCertificate", "Tower", "adjoin_root", "residue",
+              "resolve_pending", "val"),
+}
+
+_LAZY_SURFACE = """
+import importlib, types
+import vallab.cli
+import vallab
+exports = %r
+assert sorted(vallab.__all__) == sorted(sum(exports.values(), ()))
+assert set(vallab.__all__) <= set(dir(vallab))
+try:
+    vallab.nope
+    raise SystemExit("vallab.nope did not raise")
+except AttributeError:
+    pass
+try:
+    from vallab import nope
+    raise SystemExit("from vallab import nope did not raise")
+except ImportError:
+    pass
+for home, names in exports.items():
+    module = importlib.import_module("vallab." + home)
+    for name in names:
+        assert getattr(vallab, name) is getattr(module, name), name
+# loading the ogroup submodule must not rebind the package's ogroup
+assert isinstance(vallab.ogroup, types.FunctionType), vallab.ogroup
+"""
+
+
+def test_package_exports_are_the_home_modules_names():
+    # in a fresh interpreter, where the CLI loaded only some modules
+    res = run_in_child(_LAZY_SURFACE % EXPORTS)
+    assert res.returncode == 0, res.stderr
+
+
+def _exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("verb", list(VERBS))
+def test_one_verbs_parser_prints_the_full_parsers_help(verb, capsys):
+    trimmed = _exit_and_output(build_parser(verb).parse_args, [verb, "-h"],
+                               capsys)
+    assert trimmed == _exit_and_output(build_parser().parse_args,
+                                       [verb, "-h"], capsys)
+    assert trimmed[0] == 0 and trimmed[1].startswith("usage: vallab " + verb)
+    # the top-level help lists every verb, whichever one got arguments
+    top = build_parser().format_help()
+    assert build_parser(verb).format_help() == top
+    assert _exit_and_output(main, ["-h"], capsys) == (0, top, "")
+    for name, (help_text, _, _) in VERBS.items():
+        assert re.search(r"\n +%s +%s\n" % (name, help_text), top)
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--p", "3"],
+    ["construct", "--example", "bogus"],
+    ["classify", "--descriptor"],
+    ["classify", "--audit", "--out"],
+    ["verify", "--seed", "1"],
+    ["verify", "--suite", "bogus"],
+    ["hull", "--group", "g.json", "--kind", "p_div"],
+    ["hull", "--group", "g.json", "--kind", "bogus", "--p", "3"],
+])
+def test_a_usage_error_prints_its_verbs_usage(argv, capsys):
+    # main builds only argv[0]'s arguments; the full parser must agree
+    code, out, err = _exit_and_output(main, argv, capsys)
+    assert (code, out, err) == _exit_and_output(build_parser().parse_args,
+                                                argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: vallab %s [-h] " % argv[0])
+    assert "\nvallab %s: error: " % argv[0] in err
+
+
+@pytest.mark.parametrize("verb, argv", [
+    ("construct", ["--example", "lemma33"]), ("classify", ["--audit"]),
+    ("verify", ["--suite", "all"]),
+    ("hull", ["--group", "g.json", "--kind", "p_div", "--p", "3"]),
+])
+def test_an_unknown_flag_is_refused_by_the_top_level_parser(verb, argv,
+                                                             capsys):
+    # argparse hands a subparser's leftover words back up, so the top-level
+    # usage is printed, as it was when every verb's arguments were built
+    argv = [verb] + argv + ["--frobnicate"]
+    code, out, err = _exit_and_output(main, argv, capsys)
+    assert (code, out, err) == _exit_and_output(build_parser().parse_args,
+                                                argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("usage: vallab [-h] {construct,classify,verify,"
+                          "hull} ...\n")
+    assert err.endswith("error: unrecognized arguments: --frobnicate\n")
 
 
 def test_construct_rejects_composite_p():

@@ -1,6 +1,7 @@
 import importlib
 import json
 import math
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from itertools import product
 
 import pytest
 
+import vallab
 from vallab.errors import ValidationError
 from vallab.intlinalg import prime_to_p_part
 from vallab.ogroup import (
@@ -620,11 +622,12 @@ def test_a_built_form_leaves_equality_hash_and_text_alone():
 
 def test_no_module_holds_a_group_or_a_cache():
     # every process starts with no form built: no vallab module keeps a
-    # group, whose form would outlive a call, or a cache to clear
-    mods = [m for name, m in sorted(sys.modules.items())
-            if name.startswith("vallab.") and m is not None]
-    assert len(mods) >= 10
-    for m in mods:
+    # group, whose form would outlive a call, or a cache to clear; every
+    # module is imported here, since `import vallab` loads only a few
+    names = [info.name for info in pkgutil.iter_modules(vallab.__path__)]
+    assert len(names) >= 10
+    for m in [vallab] + [importlib.import_module("vallab." + name)
+                         for name in names]:
         for name, value in vars(m).items():
             assert not hasattr(value, "cache_clear"), (m.__name__, name)
             assert not isinstance(value, ogroup_module.OGroup), \
