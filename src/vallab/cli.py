@@ -249,6 +249,7 @@ def build_parser(verb=None) -> _Parser:
                      description="exact valuation-theoretic computations "
                                  "with verifiable defect certificates")
     sub = parser.add_subparsers(dest="verb", required=True)
+    parser.verbs = sub.choices          # verb name -> its subparser
     for name, (help_text, add_arguments, handler) in VERBS.items():
         verb_parser = sub.add_parser(name, help=help_text)
         if verb in (None, name):
@@ -261,7 +262,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first word that names no verb leaves parsing to the full parser
     verb = argv[0] if argv and argv[0] in VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    parser = build_parser(verb)
+    args, extra = parser.parse_known_args(argv)
+    if extra:  # argparse hands a verb's leftover words back up
+        parser.verbs.get(verb, parser).error(
+            "unrecognized arguments: " + " ".join(extra))
     try:
         return args.fn(args)
     except ValidationError as exc:

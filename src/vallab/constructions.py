@@ -10,11 +10,11 @@ certificate is only produced when the arithmetic actually worked out.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, printable_power
 from .ogroup import contains, ogroup
 from .resfield import ResField
 from .tower import (DefectCertificate, Tower, adjoin_root, pth_power,
-                    residue, resolve_pending, step_row, val, vlb)
+                    residue, resolve_pending, val, vlb)
 from .values import INFINITE, fr
 from .vbase import EqBase, PadicBase, PadicElem, require_prime, zeta_lambda
 
@@ -40,7 +40,7 @@ def _adjoin(tower: Tower, relation: str, a, name: str, outcome: str):
 
 
 def _row(rows: list, n: int, tower: Tower, kind: str):
-    """Check the tower's last step as a `kind` step and append its row n.
+    """Check the tower's last step as a `kind` step and append (n, step).
 
     The shape follows from the kind: a ramified step is (e, f, m) =
     (p, 1, 0), a residue jump (1, p, 0); the degree is p either way.  A
@@ -52,12 +52,24 @@ def _row(rows: list, n: int, tower: Tower, kind: str):
     _check(step.kind == kind and
            (step.degree, step.e, step.f, step.m) == (p,) + shape,
            "step %d (%s) should be %s with (e, f, m) = %s"
-           % (n, step.name, kind, shape))
+           % (n, step.gen.name, kind, shape))
     _check(kind == "ramified" or
            step.new_residue.least_level() == tower.res_level(),
            "the residue of step %d should sit one perfection level up" % n)
-    rows.append(step_row(n, step))
+    rows.append((n, step))
     return step
+
+
+def _check_depth(p: int, depth, least: int):
+    """Refuse a p that is not prime, a non-int depth, one below `least`, and
+    one whose last row's value or residue could not print p^(depth+1)."""
+    require_prime(p)
+    if isinstance(depth, bool) or not isinstance(depth, int):
+        raise ValidationError("depth must be an int, got %r" % (depth,))
+    if depth < least:
+        raise ValidationError("depth must be nonnegative" if least == 0
+                              else "depth must be at least %d" % least)
+    printable_power(p, depth + 1, "the last row's p^(depth+1)")
 
 
 def _chase(tower: Tower, depth: int):
@@ -87,9 +99,7 @@ def build_as_valgp(p: int, depth: int = 3) -> BuildResult:
     e = p, f = 1.  In the union the value group is p-divisible and the
     relation degenerates to an immediate extension: defect p.
     """
-    require_prime(p)
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _check_depth(p, depth, 0)
     rows, absorb, towers, witnesses = [], [], [], []
     for n in range(depth + 1):
         base = EqBase(p, ResField(p), ogroup([Fraction(1, p ** n)], prime=p))
@@ -156,9 +166,7 @@ def build_as_resf(p: int, depth: int = 2) -> BuildResult:
     off one more residue jump.  In the union the residue field is the
     perfect hull and the relation becomes immediate: defect p.
     """
-    require_prime(p)
-    if depth < 0:
-        raise ValidationError("depth must be nonnegative")
+    _check_depth(p, depth, 0)
     res = ResField(p, "ratfun")
     base = EqBase(p, res, ogroup([fr(1)], closed={0}, prime=p))
     tw = Tower(base)
@@ -220,9 +228,7 @@ def build_kummer_valgp(p: int, depth: int = 2, padic_cap: int = None) -> BuildRe
     all steps are ramified with e = p, f = 1.  The witness
     b_k = a - sum a_i ties the top Kummer relation to the floors.
     """
-    require_prime(p)
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+    _check_depth(p, depth, 1)
     # p is the least cap that builds: lambda needs one above E = p - 1
     # (for p = 2, lambda = -2 sits at E = 1) and nothing else needs more
     # (checked for p <= 13 at depth 1-4, and p <= 7 to depth 6)
@@ -325,9 +331,7 @@ def build_kummer_resf(p: int, depth: int = 2) -> BuildResult:
     hull of F_p(u) step by step; every level is a residue jump with f = p
     and the top relation's witness c_k = x - sum b_i reads off one more.
     """
-    require_prime(p)
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+    _check_depth(p, depth, 1)
     m = depth + 1
     base = _cyclo_base(p, m, gauss=True)
     rho = base.from_digits({p - 1: -1}) if p > 2 else base.from_digits({1: 1})

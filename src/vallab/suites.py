@@ -64,13 +64,11 @@ def suite_ostrowski(seed: int) -> SuiteResult:
     res = SuiteResult("ostrowski")
     for name, params in _OSTROWSKI_CASES:
         label = name + " " + " ".join("%s=%s" % kv for kv in params.items())
-        built = BUILDERS[name](**params)
-        cert = built.certificate
-        for row in cert.rows:
-            good = row["m"] == 0 and row["degree"] == row["e"] * row["f"]
-            res.tally(good, "%s row %s: (deg,e,f,m)=(%s,%s,%s,%s)"
-                      % (label, row["n"], row["degree"], row["e"],
-                         row["f"], row["m"]))
+        cert = BUILDERS[name](**params).certificate
+        for n, step in cert.steps:
+            res.tally(step.m == 0 and step.degree == step.e * step.f,
+                      "%s row %s: (deg,e,f,m)=(%s,%s,%s,%s)"
+                      % (label, n, step.degree, step.e, step.f, step.m))
         res.tally(all(cert.absorption),
                   "%s: absorption flags %s" % (label, cert.absorption))
     return res

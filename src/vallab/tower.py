@@ -7,7 +7,9 @@ A tower adjoins degree-p roots one at a time, each defined by a relation
 
 with a an element of the tower built so far.  Elements are finite sums
 c * gen_1^{e_1} ... gen_n^{e_n} with base coefficients and 0 <= e_i < p;
-the relations rewrite any p-th power exactly, so arithmetic is exact.
+the relations rewrite any p-th power exactly, so arithmetic is exact.  A
+generator keeps its relation as data, its kind and a; the minimal
+polynomial, like all text, is made only in DefectCertificate.to_json.
 
 Values are computed by four rules:
   R1  every monomial gives the lower bound v(c) + sum e_i * v(gen_i), kept
@@ -68,17 +70,17 @@ from .values import INFINITE, Indeterminate, sum_text, term_text
 @dataclass(frozen=True)
 class GenInfo:
     name: str
-    rhs: tuple                      # coords of gen^p, padded by the Tower
+    relation: str                   # "as" or "kummer"
+    a: "TElem"                      # over the tower it was adjoined to; two
+    #                                 compare, as Tower.lift does, by lifting
     value: Fraction
     mu: object = None               # base monomial of the same value, if any
     rho: RElem = None               # residue of gen/mu, if known
-    minpoly_text: str = ""
 
 
 @dataclass(frozen=True)
 class TowerStep:
-    name: str
-    minpoly: str
+    gen: GenInfo
     kind: str                       # "ramified" or "residue"
     degree: int
     e: int
@@ -131,11 +133,10 @@ class Tower:
     # _finalize, never reduce a p-th power
     @cached_property
     def rhs(self) -> tuple:
-        """gen_i^p as an element of this tower: the exponents in g.rhs are
-        only as long as the tower was when gen_i was attached."""
-        n = len(self.gens)
-        return tuple(TElem(self, {e + (0,) * (n - len(e)): c
-                                  for e, c in g.rhs}) for g in self.gens)
+        """gen_i^p as an element of this tower: its relation's a, lifted,
+        plus gen_i for "as"."""
+        return tuple(self.lift(g.a) + self.gen_elem(i) if g.relation == "as"
+                     else self.lift(g.a) for i, g in enumerate(self.gens))
 
     @property
     def p(self) -> int:
@@ -374,7 +375,9 @@ def r4_budget(x: TElem) -> int:
     if t.base.eq_char:
         # exponents in a p-closed group have unbounded denominators; a
         # series keeps its exponents over their least common one
-        coeffs = [c for g in t.gens for _, c in g.rhs] + list(x.coords.values())
+        # (an "as" relation's unit term gen_i has denominator 1)
+        coeffs = [c for g in t.gens for c in g.a.coords.values()] + \
+            list(x.coords.values())
         den = lcm(den, *(c.den for c in coeffs))
     return len(t.gens) + p_exponent(den, t.p)
 
@@ -486,15 +489,12 @@ class Adjunction:
     #                    unsupported_step | not_single_slope
     tower: Tower = None
     value: Fraction = None
-    residue_root: RElem = None
-    note: str = ""
+    residue_root: RElem = None      # y of the residue equation y^p = rbar
 
 
-def _minpoly_text(relation: str, p: int, a: TElem) -> str:
-    at = to_text(a)
-    if relation == "as":
-        return "X^%d - X - (%s)" % (p, at)
-    return "X^%d - (%s)" % (p, at)
+def _minpoly_text(g: GenInfo) -> str:
+    return "X^%d - %s(%s)" % (g.a.tower.p, "X - " * (g.relation == "as"),
+                              to_text(g.a))
 
 
 def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
@@ -509,26 +509,23 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
     if va == INFINITE:
         raise ValidationError("relation right-hand side must be nonzero")
 
-    mp_text = _minpoly_text(relation, p, a)
     # the Newton polygon of X^p - a joins (0, v(a)) to (p, 0); X^p - X - a
     # adds (1, 0), which lies below that chord exactly when v(a) > 0
     if relation == "as" and va > 0:
-        return Adjunction("not_single_slope",
-                          note="polygon of %s has several slopes" % mp_text)
+        return Adjunction("not_single_slope")
     beta = va / p
 
     if not group_contains(tower.group, (beta,)):
-        new = _attach(tower, relation, a, name, beta, None, None, mp_text)
+        new = _attach(tower, relation, a, name, beta, None, None)
         return Adjunction("ramified", _finalize(new, "ramified", new_value=beta),
                           value=beta)
 
     # beta already in the group: probe the residue equation through a base
     # monomial of the same value, when one exists
     if not group_contains(tower.base.value_group, (beta,)):
-        new = _attach(tower, relation, a, name, beta, None, None, mp_text)
-        return Adjunction("unsupported_step", new, value=beta,
-                          note="value %s is only realized by tower monomials"
-                          % (beta,))
+        # the value is only realized by tower monomials
+        new = _attach(tower, relation, a, name, beta, None, None)
+        return Adjunction("unsupported_step", new, value=beta)
     mu = tower.base.monomial(beta)
     # substitute X = mu*Y and normalize: Y^p - mu^{1-p} Y - a/mu^p ("as")
     #                                    Y^p - a/mu^p            ("kummer")
@@ -545,23 +542,18 @@ def adjoin_root(tower: Tower, relation: str, a: TElem, name: str) -> Adjunction:
     if root is None:
         # residue jump: f = p via the inseparable equation y^p = rbar
         rho = rbar.pth_root_extend()
-        new = _attach(tower, relation, a, name, beta, mu, rho, mp_text)
+        new = _attach(tower, relation, a, name, beta, mu, rho)
         done = _finalize(new, "residue", new_residue=rho)
         return Adjunction("residue", done, value=beta, residue_root=rho)
     # the residue equation already has a root: nothing is forced
-    new = _attach(tower, relation, a, name, beta, mu, root, mp_text)
-    return Adjunction("no_step_detected", new, value=beta, residue_root=root,
-                      note="residue equation y^%d = %s has the root %s"
-                      % (p, rbar.to_text(), root.to_text()))
+    new = _attach(tower, relation, a, name, beta, mu, root)
+    return Adjunction("no_step_detected", new, value=beta, residue_root=root)
 
 
 def _attach(tower: Tower, relation: str, a: TElem, name: str,
-            beta, mu, rho, mp_text: str) -> Tower:
+            beta, mu, rho) -> Tower:
     """Tower with the new generator attached and the step left open."""
-    rhs = dict(a.coords)
-    if relation == "as":
-        rhs[(0,) * len(tower.gens) + (1,)] = tower.base.from_int(1)
-    gi = GenInfo(name, tuple(rhs.items()), beta, mu, rho, mp_text)
+    gi = GenInfo(name, relation, a, beta, mu, rho)
     return Tower(tower.base, tower.gens + (gi,), tower.steps,
                  tower.group, tower.res_desc)
 
@@ -588,8 +580,8 @@ def _finalize(tower: Tower, kind: str, new_value=None, new_residue=None,
         f = p
         res_desc = res_desc.at_level(tower.res_level() + 1) \
             if res_desc.has_variable() else res_desc
-    step = TowerStep(gi.name, gi.minpoly_text, kind, p, e, f,
-                     ostrowski_m(p, e, f, p), new_value, new_residue, witness)
+    step = TowerStep(gi, kind, p, e, f, ostrowski_m(p, e, f, p), new_value,
+                     new_residue, witness)
     return Tower(tower.base, tower.gens, tower.steps + (step,), bigger, res_desc)
 
 
@@ -650,7 +642,7 @@ class DefectCertificate:
     construction: str
     p: int
     params: dict
-    rows: list
+    steps: list                     # (n, TowerStep); to_json makes the text
     absorption: list
     limit_claim: str
     precision: dict
@@ -661,7 +653,7 @@ class DefectCertificate:
             "construction": self.construction,
             "p": self.p,
             "params": self.params,
-            "rows": self.rows,
+            "rows": [step_row(n, step) for n, step in self.steps],
             "absorption": self.absorption,
             "limit_claim": self.limit_claim,
             "precision": self.precision,
@@ -671,8 +663,8 @@ class DefectCertificate:
 def step_row(n: int, step: TowerStep) -> dict:
     row = {
         "n": n,
-        "name": step.name,
-        "minpoly": step.minpoly,
+        "name": step.gen.name,
+        "minpoly": _minpoly_text(step.gen),
         "kind": step.kind,
         "degree": step.degree,
         "e": step.e,

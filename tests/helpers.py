@@ -786,7 +786,9 @@ def r4_budget_fraction(x: TElem) -> int:
     p-exponent of the lcm of the tower's value denominators and of every
     exponent denominator in the relations' and x's coefficients."""
     t = x.tower
-    coeffs = [c for g in t.gens for _, c in g.rhs] + list(x.coords.values())
+    # an "as" relation's unit term gen_i has the denominator 1
+    coeffs = [c for g in t.gens for c in g.a.coords.values()] + \
+        list(x.coords.values())
     den = lcm(t.val_den, *(g.denominator for c in coeffs for g in c.terms))
     return len(t.gens) + p_exponent(den, t.p)
 

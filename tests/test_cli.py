@@ -240,18 +240,37 @@ def test_a_usage_error_prints_its_verbs_usage(argv, capsys):
     ("verify", ["--suite", "all"]),
     ("hull", ["--group", "g.json", "--kind", "p_div", "--p", "3"]),
 ])
-def test_an_unknown_flag_is_refused_by_the_top_level_parser(verb, argv,
-                                                             capsys):
-    # argparse hands a subparser's leftover words back up, so the top-level
-    # usage is printed, as it was when every verb's arguments were built
-    argv = [verb] + argv + ["--frobnicate"]
+def test_an_unknown_flag_after_a_verb_prints_that_verbs_usage(verb, argv,
+                                                              capsys):
+    # argparse hands a subparser's leftover words back up; main refuses
+    # them with the verb's own usage, not the top-level one
+    argv = [verb] + argv + ["--frobnicate", "x"]
     code, out, err = _exit_and_output(main, argv, capsys)
-    assert (code, out, err) == _exit_and_output(build_parser().parse_args,
-                                                argv, capsys)
     assert code == 1 and out == ""
-    assert err.startswith("usage: vallab [-h] {construct,classify,verify,"
-                          "hull} ...\n")
-    assert err.endswith("error: unrecognized arguments: --frobnicate\n")
+    assert err.startswith("usage: vallab %s [-h] " % verb)
+    assert err.endswith("\nvallab %s: error: unrecognized arguments: "
+                        "--frobnicate x\n" % verb)
+    # before the verb, an unknown flag still gets the top-level usage
+    code, out, err = _exit_and_output(main, ["--frobnicate"] + argv, capsys)
+    assert code == 1 and err.startswith("usage: vallab [-h] {construct,")
+
+
+def test_a_depth_too_deep_to_print_is_refused_before_any_work():
+    # each depth family prints p^(depth+1) in its last row; the build would
+    # never end, so the child gets a short timeout and an address-space cap
+    def limit():
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    res = subprocess.run(BASE + ["construct", "--example", "kummer-resf",
+                                 "--p", "97", "--depth",
+                                 "9999999999999999999"],
+                         capture_output=True, text=True, timeout=10,
+                         preexec_fn=limit)
+    assert res.returncode == 1 and res.stdout == ""
+    assert res.stderr.startswith("error: the last row's p^(depth+1) needs "
+                                 "an integer of more than ")
+    assert "sys.get_int_max_str_digits()" in res.stderr
 
 
 def test_construct_rejects_composite_p():

@@ -489,6 +489,22 @@ def test_kummer_valgp_refuses_a_cap_that_is_not_an_int():
             build_kummer_valgp(2, 1, padic_cap=cap)
 
 
+@pytest.mark.parametrize("family, least", [
+    ("as-valgp", 0), ("as-resf", 0), ("kummer-valgp", 1), ("kummer-resf", 1)])
+def test_depth_families_share_one_depth_check(family, least):
+    build = BUILDERS[family]
+    for depth in (True, 2.0, "2", None):
+        with pytest.raises(ValidationError, match="depth must be an int"):
+            build(3, depth)
+    want = "nonnegative" if least == 0 else "at least 1"
+    with pytest.raises(ValidationError, match="depth must be " + want):
+        build(3, least - 1)
+    # the last row prints p^(depth+1), so a depth past the text limit is
+    # refused before the build starts
+    with pytest.raises(ValidationError, match="get_int_max_str_digits"):
+        build(97, 10 ** 19)
+
+
 def test_2ext_p3_frozen():
     r = build_2ext(3)
     rows = rows_of(r)

@@ -17,11 +17,13 @@ from vallab.constructions import (BUILDERS, build_2ext, build_as_resf,
 from vallab import tower
 from vallab.errors import PrecisionError, ValidationError
 from vallab.ogroup import contains, ogroup
-from vallab.resfield import ResField, power
-from vallab.tower import (TElem, Tower, adjoin_root, ostrowski_m, residue,
-                          resolve_pending, to_text, val, vlb)
+from vallab.resfield import ResField, RElem, power
+from vallab.suites import run_suite
+from vallab.tower import (DefectCertificate, TElem, Tower, adjoin_root,
+                          ostrowski_m, residue, resolve_pending, to_text, val,
+                          vlb)
 from vallab.values import INFINITE, Indeterminate, fr
-from vallab.vbase import EqBase, PadicBase, PadicElem
+from vallab.vbase import EqBase, PadicBase, PadicElem, SeriesElem
 
 from helpers import (as_expansion_terms, eval_expansion,
                      monomial_bounds_fraction_sum, norm_value,
@@ -119,7 +121,10 @@ def test_adjoin_artin_schreier_negative_value_is_ramified():
         step = adj.tower.steps[0]
         assert (step.degree, step.e, step.f, step.m) == (p, p, 1, 0)
         assert contains(adj.tower.group, (Fraction(-1, p),))
-        assert "X^%d - X" % p in step.minpoly
+        assert step.gen.relation == "as"
+        cert = DefectCertificate("as", p, {}, [(0, step)], [True], "", {})
+        assert cert.to_json()["rows"][0]["minpoly"].startswith(
+            "X^%d - X - (" % p)
 
 
 def test_adjoin_positive_value_polygon_has_two_slopes():
@@ -127,7 +132,6 @@ def test_adjoin_positive_value_polygon_has_two_slopes():
     t0 = Tower(base)
     adj = adjoin_root(t0, "as", t0.from_base(base.monomial(1)), "x")
     assert adj.outcome == "not_single_slope"
-    assert "several slopes" in adj.note
     assert adj.tower is None
 
 
@@ -183,7 +187,9 @@ def test_adjoin_unsupported_when_only_tower_monomials_reach_the_value():
     adj = adjoin_root(t1, "kummer", a, "y")
     assert adj.outcome == "unsupported_step"
     assert adj.tower.pending
-    assert "tower monomials" in adj.note
+    # only tower monomials reach the value
+    assert contains(t1.group, (adj.value,))
+    assert not contains(base.value_group, (adj.value,))
 
 
 def test_adjoin_beta_zero_artin_schreier_rejected():
@@ -205,6 +211,18 @@ def test_adjoin_root_rejects_a_sibling_tower_element():
     # an element of a prefix tower is lifted: t^-2 has a root of value -2/3
     adj = adjoin_root(ta, "as", t0.from_base(base.monomial(-2)), "z")
     assert adj.value == Fraction(-2, 3)
+    # a sibling that adjoins x by the same relation is an equal tower, each
+    # lifting the other's generator; one by another relation is refused
+    tc = adjoin_root(t0, "as", t0.from_base(base.monomial(-1)), "x").tower
+    assert ta.lift(tc.gen_elem(0)) == ta.gen_elem(0)
+    assert tc.lift(ta.gen_elem(0)) == tc.gen_elem(0)
+    tx = adjoin_root(t0, "as", t0.from_base(base.monomial(-2)), "x").tower
+    with pytest.raises(ValidationError, match="prefix tower"):
+        ta.lift(tx.gen_elem(0))
+    # a second generator over equal but distinct prefixes still lifts: the
+    # relations y^3 = y + x compare x over ta and x over tc
+    ua, uc = (adjoin_root(t, "as", t.gen_elem(0), "y").tower for t in (ta, tc))
+    assert ua.lift(uc.gen_elem(1)) == ua.gen_elem(1)
 
 
 def test_adjoin_on_pending_tower_rejected():
@@ -217,10 +235,15 @@ def test_adjoin_on_pending_tower_rejected():
 
 
 def eager_rhs(tw):
-    """Tower.rhs as Tower.__init__ used to build it for every tower."""
-    n = len(tw.gens)
-    return tuple(TElem(tw, {e + (0,) * (n - len(e)): c for e, c in g.rhs})
-                 for g in tw.gens)
+    """Tower.rhs built by hand from each relation: a's exponents padded to
+    the tower's length, plus the unit term gen_i for "as"."""
+    n, out = len(tw.gens), []
+    for i, g in enumerate(tw.gens):
+        coords = {e + (0,) * (n - len(e)): c for e, c in g.a.coords.items()}
+        if g.relation == "as":
+            coords[tuple(int(j == i) for j in range(n))] = tw.base.from_int(1)
+        out.append(TElem(tw, coords))
+    return tuple(out)
 
 
 def test_attach_and_finalize_build_no_rhs_until_read():
@@ -229,7 +252,7 @@ def test_attach_and_finalize_build_no_rhs_until_read():
     base = laurent(3)
     t0 = Tower(base)
     a = t0.from_base(base.monomial(-1))
-    new = tower._attach(t0, "as", a, "x", Fraction(-1, 3), None, None, "")
+    new = tower._attach(t0, "as", a, "x", Fraction(-1, 3), None, None)
     done = tower._finalize(new, "ramified", new_value=Fraction(-1, 3))
     assert all("rhs" not in vars(t) for t in (t0, new, done))
     x = done.gen_elem(0)
@@ -255,6 +278,30 @@ def test_rhs_matches_the_eager_build_on_every_family_tower(monkeypatch):
     assert 0 < read < len(made)
     for t in made:
         assert [r.coords for r in t.rhs] == [r.coords for r in eager_rhs(t)]
+
+
+def test_no_text_is_made_before_a_certificate_is_serialized(monkeypatch):
+    # adjunctions keep their relations as data; only to_json renders them
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__qualname__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(tower, "to_text", counting(tower.to_text))
+    for cls in (SeriesElem, PadicElem, RElem):
+        monkeypatch.setattr(cls, "to_text", counting(cls.to_text))
+    for name in ("newton", "ostrowski"):
+        assert run_suite(name, 0).ok()
+        assert calls == [], name
+    for name, build in BUILDERS.items():
+        cert = build(3).certificate
+        assert calls == [], name
+        cert.to_json()
+        assert "to_text" in calls, name
+        calls.clear()
 
 
 # -- witness recursions ------------------------------------------------------
